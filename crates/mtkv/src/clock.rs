@@ -13,15 +13,25 @@ static LAST: AtomicU64 = AtomicU64::new(0);
 
 /// A strictly increasing, process-wide unique timestamp (µs-based).
 pub fn now() -> u64 {
+    reserve(1)
+}
+
+/// Reserves `n` (at least one) consecutive timestamps with one clock
+/// read and returns the first: every one of them is later than any
+/// timestamp issued before, and anything issued afterwards is later
+/// than all of them. A batch of log records stamps itself from one
+/// reservation instead of reading the clock per record.
+pub fn reserve(n: u64) -> u64 {
     let wall = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0);
     let mut last = LAST.load(Ordering::Relaxed);
     loop {
-        let next = wall.max(last + 1);
-        match LAST.compare_exchange_weak(last, next, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return next,
+        let first = wall.max(last + 1);
+        let end = first + n.max(1) - 1;
+        match LAST.compare_exchange_weak(last, end, Ordering::AcqRel, Ordering::Relaxed) {
+            Ok(_) => return first,
             Err(cur) => last = cur,
         }
     }
@@ -48,6 +58,17 @@ mod tests {
         let r2 = recent();
         assert_eq!(r1, r2, "recent() must not tick the clock");
         assert!(now() > r2);
+    }
+
+    #[test]
+    fn reserved_blocks_never_overlap() {
+        let before = now();
+        let first = reserve(10);
+        assert!(first > before);
+        assert!(recent() >= first + 9, "the whole block is consumed");
+        assert!(now() > first + 9);
+        let single = reserve(0);
+        assert!(now() > single, "an empty request still takes one stamp");
     }
 
     #[test]

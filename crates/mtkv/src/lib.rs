@@ -19,6 +19,7 @@ pub mod checkpoint;
 pub mod clock;
 pub mod crc32;
 pub mod log;
+pub mod plan;
 pub mod recovery;
 pub mod store;
 pub mod value;
@@ -34,12 +35,10 @@ pub use log::{
 };
 pub use mtcache::{CacheConfig, CacheStats};
 pub use mtobs;
+pub use plan::{recycle, OpClass, PhasePlanner};
 pub use recovery::{
     log_files, parse_log_name, recover, recover_with, session_segments, RecoveryReport,
 };
-pub use store::{
-    split_batch_runs, DurabilityConfig, DurabilityStats, PutOp, ReplStats, RunKind, ScanCursor,
-    Session, Store,
-};
+pub use store::{DurabilityConfig, DurabilityStats, PutOp, ReplStats, ScanCursor, Session, Store};
 pub use value::{ColValue, ValuePtr};
 pub use vtier::{ValueError, ValueTier, ValueTierStats};

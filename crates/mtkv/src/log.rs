@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::crc32::crc32;
-use crate::value::ValuePtr;
+use crate::value::{ColValue, ValuePtr};
 
 /// Force-to-storage interval (§5: "at least every 200 ms").
 pub const FORCE_INTERVAL: Duration = Duration::from_millis(200);
@@ -152,82 +152,33 @@ impl LogRecord {
         )
     }
 
+    /// The record's wire op byte.
+    fn op(&self) -> u8 {
+        match self {
+            LogRecord::Put { .. } => OP_PUT,
+            LogRecord::Remove { .. } => OP_REMOVE,
+            LogRecord::Heartbeat { .. } => 3,
+            LogRecord::CleanClose { .. } => 4,
+            LogRecord::SessionCreate { .. } => 5,
+            LogRecord::PutIndirect { .. } => OP_PUT_INDIRECT,
+        }
+    }
+
     /// Serializes into `out` (framing + CRC).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes()); // length placeholder
-        let payload_start = out.len();
+        let start = begin_frame(out, self.op(), self.timestamp(), self.version(), self.key());
         match self {
-            LogRecord::Put {
-                timestamp,
-                version,
-                key,
-                cols,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&(cols.len() as u16).to_le_bytes());
-                for (id, data) in cols {
-                    out.extend_from_slice(&id.to_le_bytes());
-                    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                    out.extend_from_slice(data);
-                }
+            LogRecord::Put { cols, .. } => {
+                put_cols(out, cols.len(), cols.iter().map(|(id, d)| (*id, &d[..])))
             }
-            LogRecord::PutIndirect {
-                timestamp,
-                version,
-                key,
-                ptr,
-            } => {
-                out.push(6);
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&0u16.to_le_bytes());
+            LogRecord::PutIndirect { ptr, .. } => {
+                put_cols(out, 0, std::iter::empty());
                 ptr.encode(out);
             }
-            LogRecord::Remove {
-                timestamp,
-                version,
-                key,
-            } => {
-                out.push(2);
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&0u16.to_le_bytes());
-            }
-            LogRecord::Heartbeat { timestamp } => {
-                out.push(3);
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&0u64.to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes());
-                out.extend_from_slice(&0u16.to_le_bytes());
-            }
-            LogRecord::CleanClose { timestamp } => {
-                out.push(4);
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&0u64.to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes());
-                out.extend_from_slice(&0u16.to_le_bytes());
-            }
-            LogRecord::SessionCreate { timestamp } => {
-                out.push(5);
-                out.extend_from_slice(&timestamp.to_le_bytes());
-                out.extend_from_slice(&0u64.to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes());
-                out.extend_from_slice(&0u16.to_le_bytes());
-            }
+            _ => put_cols(out, 0, std::iter::empty()),
         }
-        let payload_len = (out.len() - payload_start) as u32;
-        out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&out[payload_start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        close_frame(out, start);
+        seal_frame(out, start);
     }
 
     /// Decodes one record from `buf`, returning it and the bytes consumed.
@@ -293,6 +244,117 @@ impl LogRecord {
             _ => return None,
         };
         Some((rec, 4 + len + 4))
+    }
+}
+
+const OP_PUT: u8 = 1;
+const OP_REMOVE: u8 = 2;
+const OP_PUT_INDIRECT: u8 = 6;
+/// Byte offset of the timestamp within a record frame (after the
+/// `u32` length prefix and the op byte).
+const FRAME_TS: usize = 5;
+
+/// Opens a record frame at the end of `out` — length placeholder, op,
+/// timestamp, version, key; the caller follows with [`put_cols`] — and
+/// returns its start offset for [`close_frame`] / [`seal_frame`]. The
+/// one place the record header layout is written.
+fn begin_frame(out: &mut Vec<u8>, op: u8, timestamp: u64, version: u64, key: &[u8]) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.push(op);
+    out.extend_from_slice(&timestamp.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    start
+}
+
+/// A record's column section: count, then `(id, len, bytes)` each (only
+/// inline puts carry any).
+fn put_cols<'a>(out: &mut Vec<u8>, ncols: usize, cols: impl Iterator<Item = (u16, &'a [u8])>) {
+    out.extend_from_slice(&(ncols as u16).to_le_bytes());
+    for (id, data) in cols {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        out.extend_from_slice(data);
+    }
+}
+
+/// Patches the payload length into the frame opened at `start`.
+fn close_frame(out: &mut [u8], start: usize) {
+    let payload_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+}
+
+/// Appends the payload CRC to the closed frame at `start`.
+fn seal_frame(out: &mut Vec<u8>, start: usize) {
+    let crc = crc32(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Data records encoded **ahead of their timestamps**. A put encodes
+/// its record where the new value's column slices are at hand — inside
+/// the tree's per-key critical section, straight from the value block —
+/// and the whole batch is stamped, sealed (CRC) and appended afterwards
+/// under one buffer lock ([`LogWriter::append_pending`]). The sealed
+/// bytes are exactly what [`LogRecord::encode`] produces for the same
+/// record, so recovery, truncation and replication cannot tell the two
+/// apart. Holds closed frames (length patched, timestamp zero, no CRC)
+/// back to back; keeps its capacity across batches.
+#[derive(Default)]
+pub(crate) struct PendingRecords {
+    frames: Vec<u8>,
+    count: u64,
+}
+
+impl PendingRecords {
+    /// Queues a put of `value` (inline columns, or the pointer record
+    /// of a value-separated one).
+    pub(crate) fn put(&mut self, version: u64, key: &[u8], value: &ColValue) {
+        let start = match value.ptr() {
+            Some(ptr) => {
+                let start = begin_frame(&mut self.frames, OP_PUT_INDIRECT, 0, version, key);
+                put_cols(&mut self.frames, 0, std::iter::empty());
+                ptr.encode(&mut self.frames);
+                start
+            }
+            None => {
+                let start = begin_frame(&mut self.frames, OP_PUT, 0, version, key);
+                let cols = (0..value.ncols()).map(|i| (i as u16, value.col(i).unwrap_or(&[])));
+                put_cols(&mut self.frames, value.ncols(), cols);
+                start
+            }
+        };
+        close_frame(&mut self.frames, start);
+        self.count += 1;
+    }
+
+    /// Queues a remove.
+    pub(crate) fn remove(&mut self, version: u64, key: &[u8]) {
+        let start = begin_frame(&mut self.frames, OP_REMOVE, 0, version, key);
+        put_cols(&mut self.frames, 0, std::iter::empty());
+        close_frame(&mut self.frames, start);
+        self.count += 1;
+    }
+
+    /// Stamps the queued frames with consecutive timestamps from
+    /// `first`, seals each onto the end of `out`, and empties the queue.
+    fn seal_into(&mut self, first: u64, out: &mut Vec<u8>) {
+        let mut rest = &self.frames[..];
+        let mut timestamp = first;
+        while !rest.is_empty() {
+            // Closed frames: a patched `u32` payload length, no CRC yet.
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            let (frame, tail) = rest.split_at(4 + len);
+            let start = out.len();
+            out.extend_from_slice(frame);
+            out[start + FRAME_TS..start + FRAME_TS + 8].copy_from_slice(&timestamp.to_le_bytes());
+            seal_frame(out, start);
+            timestamp += 1;
+            rest = tail;
+        }
+        self.frames.clear();
+        self.count = 0;
     }
 }
 
@@ -475,6 +537,23 @@ impl LogWriter {
             self.shared.wake.notify_one();
         }
         ts
+    }
+
+    /// Stamps, seals and appends every queued record under **one**
+    /// buffer lock, emptying `pending`. The batch takes one reserved
+    /// block of consecutive timestamps, drawn under the lock like
+    /// [`LogWriter::append_now`]'s — so heartbeats stay sound — with one
+    /// clock read however many records it carries.
+    pub(crate) fn append_pending(&self, pending: &mut PendingRecords) {
+        if pending.count == 0 {
+            return;
+        }
+        let mut buf = self.shared.buffer.lock();
+        let first = crate::clock::reserve(pending.count);
+        pending.seal_into(first, &mut buf.data);
+        if buf.data.len() >= 1 << 20 {
+            self.shared.wake.notify_one();
+        }
     }
 
     /// Blocks until everything appended so far is durable (used by tests
@@ -708,8 +787,11 @@ fn logger_loop(shared: Arc<LogShared>, file: File, cfg: LoggerCfg, existing: u64
     let mut last_force = Instant::now();
     let mut last_heartbeat = Instant::now();
     let mut dirty = false;
+    // The chunk written out last round, handed back to the appenders as
+    // their next (already grown) buffer instead of a fresh empty one.
+    let mut spare: Vec<u8> = Vec::new();
     loop {
-        let (drained, sync_goal) = {
+        let (mut drained, sync_goal) = {
             let mut buf = shared.buffer.lock();
             if buf.data.is_empty()
                 && buf.sync_requested == buf.sync_completed
@@ -734,7 +816,10 @@ fn logger_loop(shared: Arc<LogShared>, file: File, cfg: LoggerCfg, existing: u64
                 LogRecord::Heartbeat { timestamp: ts }.encode(&mut buf.data);
                 last_heartbeat = Instant::now();
             }
-            (std::mem::take(&mut buf.data), buf.sync_requested)
+            (
+                std::mem::replace(&mut buf.data, std::mem::take(&mut spare)),
+                buf.sync_requested,
+            )
         };
         if shared.crashed.load(Ordering::Acquire) {
             // Simulated crash: abandon the drained chunk and the
@@ -792,6 +877,8 @@ fn logger_loop(shared: Arc<LogShared>, file: File, cfg: LoggerCfg, existing: u64
             }
             dirty = true;
         }
+        drained.clear();
+        spare = drained;
         let mut acked = None;
         let force_due = dirty && last_force.elapsed() >= FORCE_INTERVAL;
         let sync_due = {
@@ -856,7 +943,7 @@ fn frame_len(buf: &[u8]) -> usize {
 /// starts `u32 length, u8 op, u64 timestamp` — see the module docs); 0
 /// for a frame too short to carry one.
 fn frame_timestamp(buf: &[u8]) -> u64 {
-    buf.get(5..13)
+    buf.get(FRAME_TS..FRAME_TS + 8)
         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         .unwrap_or(0)
 }
@@ -1117,6 +1204,97 @@ mod tests {
         assert!(!d.is_marker());
         let (d2, _) = LogRecord::decode(&buf[n..]).unwrap();
         assert_eq!(d2, rec(2));
+    }
+
+    #[test]
+    fn pending_records_seal_to_the_bytes_encode_produces() {
+        // 0 / 1 / many columns (with an empty one), an empty key, a
+        // value-separated put and a remove, queued as one batch.
+        let ptr = ValuePtr {
+            seg: 7,
+            off: 1 << 33,
+            len: 4096,
+            crc: 0xfeed_f00d,
+        };
+        let values = [
+            ColValue::new(10, &[]),
+            ColValue::new(11, &[b"only"]),
+            ColValue::new(12, &[b"a", b"", &[0xab; 300], b"d"]),
+            ColValue::indirect(13, ptr),
+        ];
+        let keys: [&[u8]; 4] = [b"", b"k1", b"user00000000000000000042", b"cold"];
+        let mut pending = PendingRecords::default();
+        for (key, value) in keys.iter().zip(&values) {
+            pending.put(value.version(), key, value);
+        }
+        pending.remove(14, b"gone");
+
+        let first = 1_000_000;
+        let mut want = b"earlier bytes stay".to_vec();
+        let mut sealed = want.clone();
+        for (i, (key, value)) in keys.iter().zip(&values).enumerate() {
+            let (timestamp, version, key) = (first + i as u64, value.version(), key.to_vec());
+            match value.ptr() {
+                Some(ptr) => LogRecord::PutIndirect {
+                    timestamp,
+                    version,
+                    key,
+                    ptr,
+                },
+                None => LogRecord::Put {
+                    timestamp,
+                    version,
+                    key,
+                    cols: (0..value.ncols())
+                        .map(|c| (c as u16, value.col(c).unwrap().to_vec()))
+                        .collect(),
+                },
+            }
+            .encode(&mut want);
+        }
+        LogRecord::Remove {
+            timestamp: first + 4,
+            version: 14,
+            key: b"gone".to_vec(),
+        }
+        .encode(&mut want);
+
+        assert_eq!(pending.count, 5);
+        pending.seal_into(first, &mut sealed);
+        assert_eq!(sealed, want);
+        assert_eq!(pending.count, 0, "sealing empties the queue");
+        assert!(pending.frames.is_empty());
+        let prefix = b"earlier bytes stay".len();
+        assert_eq!(decode_all(&sealed[prefix..]).len(), 5, "and they decode");
+    }
+
+    #[test]
+    fn append_pending_stamps_increasing_timestamps_under_one_lock() {
+        let dir = tmpdir("pending");
+        let path = dir.join("log0");
+        {
+            let w = LogWriter::open(path.clone()).unwrap();
+            let before = w.append_now(|timestamp| LogRecord::Heartbeat { timestamp });
+            let mut pending = PendingRecords::default();
+            for i in 0..50u64 {
+                pending.put(i, format!("k{i}").as_bytes(), &ColValue::single(i, b"v"));
+            }
+            w.append_pending(&mut pending);
+            w.append_pending(&mut pending); // empty: appends nothing
+            assert!(crate::clock::now() > before + 50);
+            assert!(w.force());
+        }
+        let puts: Vec<LogRecord> = read_log(&path)
+            .unwrap()
+            .into_iter()
+            .filter(|r| !r.is_marker())
+            .collect();
+        assert_eq!(puts.len(), 50);
+        for (i, pair) in puts.windows(2).enumerate() {
+            assert_eq!(pair[0].version(), i as u64);
+            assert_eq!(pair[1].timestamp(), pair[0].timestamp() + 1);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,7 +28,7 @@ use mtobs::{Kind as ObsKind, Obs, Recorder, Stage};
 use parking_lot::{Condvar, Mutex};
 
 use crate::checkpoint::{prune_checkpoints, write_checkpoint, CheckpointMeta};
-use crate::log::{CrashPoint, LogRecord, LogWriter};
+use crate::log::{CrashPoint, LogRecord, LogWriter, PendingRecords};
 use crate::value::{ColValue, ValuePtr};
 use crate::vtier::{self, ResolveScratch, ValueError, ValueTier, ValueTierStats};
 
@@ -231,6 +231,11 @@ pub struct Store {
     /// put, so a crash mid-GC replays them (version-gated) instead of
     /// leaving the tree pointing into a segment a later pass deletes.
     gc_log: Mutex<Option<LogWriter>>,
+    /// Batch-planning totals reported by the batch executors
+    /// ([`Store::note_batch_plan`]): phases executed, and how many of
+    /// them a same-key conflict forced.
+    batch_phases: AtomicU64,
+    batch_conflict_splits: AtomicU64,
 }
 
 impl Store {
@@ -303,6 +308,8 @@ impl Store {
             obs: Arc::default(),
             vtier: None,
             gc_log: Mutex::new(None),
+            batch_phases: AtomicU64::new(0),
+            batch_conflict_splits: AtomicU64::new(0),
         }
     }
 
@@ -446,17 +453,11 @@ impl Store {
     /// Spills `newval` to the value tier when separation is on and the
     /// value's data bytes reach the threshold: the payload is appended
     /// to the active value segment and an indirect pointer record is
-    /// installed in its place (reported through `out_ptr` so the WAL
-    /// logs a `PutIndirect`). Below the threshold — or with separation
-    /// off, or on an append failure — the value stays inline, which is
-    /// always correct.
-    fn separate_value(
-        &self,
-        newval: ColValue,
-        version: u64,
-        out_ptr: &mut Option<ValuePtr>,
-    ) -> ColValue {
-        *out_ptr = None;
+    /// returned in its place (which the WAL then logs as a
+    /// `PutIndirect`). Below the threshold — or with separation off, or
+    /// on an append failure — the value stays inline, which is always
+    /// correct.
+    fn separate_value(&self, newval: ColValue, version: u64) -> ColValue {
         let (Some(threshold), Some(tier)) = (self.config.value_threshold, &self.vtier) else {
             return newval;
         };
@@ -469,12 +470,35 @@ impl Store {
         let mut payload = Vec::with_capacity(newval.data_bytes() + 4 * cols.len() + 2);
         vtier::encode_payload(&cols, &mut payload);
         match tier.append(&payload) {
-            Ok(ptr) => {
-                *out_ptr = Some(ptr);
-                ColValue::indirect(version, ptr)
-            }
+            Ok(ptr) => ColValue::indirect(version, ptr),
             Err(_) => newval,
         }
+    }
+
+    /// The write path's value factory, run at a put's linearization
+    /// point (under the owning border node's lock): draws the version,
+    /// builds the resulting value over `old`, spills it to the value
+    /// tier when it qualifies, and — when the session logs — queues the
+    /// WAL record straight from the new value's column slices. The
+    /// record carries the **full resulting value**, not the update
+    /// delta: replay is version-gated and order-insensitive (parallel
+    /// recovery, replica apply), and a delta applied without the
+    /// records it merged over would silently drop the other columns.
+    fn make_value(
+        &self,
+        old: Option<&ColValue>,
+        key: &[u8],
+        updates: &[(usize, &[u8])],
+        dead_ptr: &mut Option<ValuePtr>,
+        wal: Option<&mut PendingRecords>,
+    ) -> ColValue {
+        let version = self.draw_version();
+        let newval = self.build_value(old, updates, version, dead_ptr);
+        let newval = self.separate_value(newval, version);
+        if let Some(wal) = wal {
+            wal.put(version, key, &newval);
+        }
+        newval
     }
 
     /// Credits a superseded pointer's bytes to its segment's dead count.
@@ -1005,6 +1029,24 @@ impl Store {
         self.cache_shared.add_scan_evictions(n);
     }
 
+    /// Adds one executed batch plan ([`crate::PhasePlanner`]) to the
+    /// store-wide totals: its phase count and its conflict splits.
+    pub fn note_batch_plan(&self, phases: u64, conflict_splits: u64) {
+        self.batch_phases.fetch_add(phases, Ordering::Relaxed);
+        self.batch_conflict_splits
+            .fetch_add(conflict_splits, Ordering::Relaxed);
+    }
+
+    /// `(phases, conflict_splits)` over every batch plan executed so
+    /// far: `conflict_splits / phases` is the share of execution phases
+    /// that exist only because a client touched one key twice.
+    pub fn batch_plan_stats(&self) -> (u64, u64) {
+        (
+            self.batch_phases.load(Ordering::Relaxed),
+            self.batch_conflict_splits.load(Ordering::Relaxed),
+        )
+    }
+
     /// Flushes every live session's local cache counters to the shared
     /// sink. Each flush takes that session's (uncontended) cache lock
     /// briefly; dead registry entries are pruned as a side effect.
@@ -1061,6 +1103,7 @@ impl Store {
             cache: None,
             obs: self.obs.recorder(),
             readahead: Mutex::new(ReadaheadScratch::default()),
+            write: Mutex::new(WriteScratch::default()),
         };
         if let Some(cfg) = self.session_cache.lock().clone() {
             session.enable_cache(cfg);
@@ -1133,57 +1176,6 @@ impl Drop for ScopeTimer<'_> {
 
 /// One batched put: a key and its column updates.
 pub type PutOp<'a> = (&'a [u8], &'a [(usize, &'a [u8])]);
-
-/// How one operation in a mixed batch is executed by the batched path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RunKind {
-    /// Point read — groupable into an interleaved `multi_get`.
-    Get,
-    /// Point write — groupable into an interleaved `multi_put`, but a
-    /// run must not contain the same key twice (within one interleaved
-    /// group, duplicate-key order is unspecified).
-    Put,
-    /// Everything else — executed one at a time, in place.
-    Other,
-}
-
-/// Splits a mixed batch into maximal runs executable as one interleaved
-/// group, preserving batch semantics: runs never span different kinds,
-/// and a `Put` run is split at a duplicate key so per-key batch order
-/// holds. Returns `(kind, index range)` pairs covering `ops` in order.
-///
-/// Shared by the network server's batch executor and the batched-YCSB
-/// driver so both apply the same grouping rules.
-pub fn split_batch_runs<T>(
-    ops: &[T],
-    kind: impl Fn(&T) -> RunKind,
-    key: impl Fn(&T) -> &[u8],
-) -> Vec<(RunKind, std::ops::Range<usize>)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < ops.len() {
-        let k = kind(&ops[i]);
-        let mut j = i + 1;
-        match k {
-            RunKind::Get => {
-                while j < ops.len() && kind(&ops[j]) == RunKind::Get {
-                    j += 1;
-                }
-            }
-            RunKind::Put => {
-                let mut seen: std::collections::HashSet<&[u8]> =
-                    std::collections::HashSet::from([key(&ops[i])]);
-                while j < ops.len() && kind(&ops[j]) == RunKind::Put && seen.insert(key(&ops[j])) {
-                    j += 1;
-                }
-            }
-            RunKind::Other => {}
-        }
-        out.push((k, i..j));
-        i = j;
-    }
-    out
-}
 
 /// A resumable-scan cursor over the store's tree (see
 /// [`Session::scan_cursor`] / [`Session::get_range_resumed`]).
@@ -1273,6 +1265,24 @@ struct ReadaheadScratch {
 // between calls.
 unsafe impl Send for ReadaheadScratch {}
 
+/// Reusable buffers for the write path (`put` / `multi_put_with` /
+/// `remove`): the batch's keys, drawn versions, superseded value
+/// pointers and anchor lookups, plus the WAL records its values encode
+/// as they are built. All keep their capacity across calls, so a
+/// steady-state write allocates the new value's own storage and nothing
+/// else (tests/alloc_count.rs).
+#[derive(Default)]
+struct WriteScratch {
+    /// Emptied and re-lent under each batch's key lifetime
+    /// ([`crate::recycle`]).
+    keys: Vec<&'static [u8]>,
+    versions: Vec<u64>,
+    dead_ptrs: Vec<Option<ValuePtr>>,
+    admits: Vec<bool>,
+    hints: Vec<Option<LeafHint<ColValue>>>,
+    wal: PendingRecords,
+}
+
 impl SessionCache {
     /// True when this operation should skip the cache entirely (bypass
     /// engaged and this is not one of the 1-in-64 samples).
@@ -1306,6 +1316,10 @@ pub struct Session {
     /// resolution). Lives on the session, not the optional hint cache:
     /// readahead applies to cache-less sessions too.
     readahead: Mutex<ReadaheadScratch>,
+    /// Reusable write-path buffers (`try_lock`ed per write; a write
+    /// issued from inside another write's visitor works on a fresh
+    /// set).
+    write: Mutex<WriteScratch>,
 }
 
 impl Session {
@@ -1590,26 +1604,34 @@ impl Session {
     /// a full put that refreshes the cache.
     pub fn put(&self, key: &[u8], updates: &[(usize, &[u8])]) -> u64 {
         let t0 = Instant::now();
+        let version = self.with_write_scratch(|w| self.put_logged(key, updates, &mut w.wal));
+        self.obs
+            .record_op(ObsKind::Put, t0.elapsed().as_nanos() as u64);
+        version
+    }
+
+    /// Runs `f` on the session's write scratch — or on a fresh set when
+    /// it is busy (a write issued from inside another write's visitor).
+    fn with_write_scratch<R>(&self, f: impl FnOnce(&mut WriteScratch) -> R) -> R {
+        match self.write.try_lock() {
+            Some(mut w) => f(&mut w),
+            None => f(&mut WriteScratch::default()),
+        }
+    }
+
+    /// [`Session::put`] minus the timing: applies the put, queueing its
+    /// WAL record in `wal`, and appends it to the log.
+    fn put_logged(&self, key: &[u8], updates: &[(usize, &[u8])], wal: &mut PendingRecords) -> u64 {
         let mut version = 0;
-        // Log the full resulting value, not the update delta: replay is
-        // version-gated and order-insensitive (parallel recovery,
-        // replica apply), and a delta applied without the records it
-        // merged over would silently drop the other columns.
-        let logging = self.log.is_some();
-        let mut logged_cols: Vec<(u16, Vec<u8>)> = Vec::new();
-        let mut logged_ptr: Option<ValuePtr> = None;
         let mut dead_ptr: Option<ValuePtr> = None;
         {
             let guard = masstree::pin();
             let mut write = |old: Option<&ColValue>| {
-                version = self.store.draw_version();
-                let newval = self.store.build_value(old, updates, version, &mut dead_ptr);
-                let newval = self.store.separate_value(newval, version, &mut logged_ptr);
-                if logging && logged_ptr.is_none() {
-                    logged_cols = (0..newval.ncols())
-                        .map(|i| (i as u16, newval.col(i).unwrap_or(&[]).to_vec()))
-                        .collect();
-                }
+                let logging = self.log.as_ref().map(|_| &mut *wal);
+                let newval = self
+                    .store
+                    .make_value(old, key, updates, &mut dead_ptr, logging);
+                version = newval.version();
                 newval
             };
             match self.write_cache() {
@@ -1656,23 +1678,8 @@ impl Session {
         }
         self.store.note_dead_ptr(dead_ptr);
         if let Some(log) = &self.log {
-            match logged_ptr {
-                Some(ptr) => log.append_now(|timestamp| LogRecord::PutIndirect {
-                    timestamp,
-                    version,
-                    key: key.to_vec(),
-                    ptr,
-                }),
-                None => log.append_now(|timestamp| LogRecord::Put {
-                    timestamp,
-                    version,
-                    key: key.to_vec(),
-                    cols: std::mem::take(&mut logged_cols),
-                }),
-            };
+            log.append_pending(wal);
         }
-        self.obs
-            .record_op(ObsKind::Put, t0.elapsed().as_nanos() as u64);
         version
     }
 
@@ -1900,30 +1907,50 @@ impl Session {
     /// version per op, positionally matched.
     ///
     /// Within one batch the order in which *duplicate* keys apply is
-    /// unspecified; callers needing per-key ordering (the network server)
-    /// split batches at duplicates. Log records carry versions, and
-    /// replay is version-ordered, so recovery is unaffected either way.
+    /// unspecified; callers needing per-key ordering put same-key
+    /// writes in different batches ([`crate::PhasePlanner`] does). Log
+    /// records carry versions, and replay is version-ordered, so
+    /// recovery is unaffected either way.
     pub fn multi_put(&self, ops: &[PutOp<'_>]) -> Vec<u64> {
-        let keys: Vec<&[u8]> = ops.iter().map(|&(k, _)| k).collect();
-        let mut versions = vec![0u64; ops.len()];
-        // Full resulting values for the log, not deltas (see `put`).
-        let logging = self.log.is_some();
-        let mut logged_cols: Vec<Vec<(u16, Vec<u8>)>> = vec![Vec::new(); ops.len()];
-        let mut logged_ptrs: Vec<Option<ValuePtr>> = vec![None; ops.len()];
-        let mut dead_ptrs: Vec<Option<ValuePtr>> = vec![None; ops.len()];
+        let mut versions = Vec::with_capacity(ops.len());
+        self.multi_put_with(ops, |_, version| versions.push(version));
+        versions
+    }
+
+    /// Visitor form of [`Session::multi_put`]: calls `f(i, version)`
+    /// once per op, in input order, after the whole batch has been
+    /// applied and logged. The batch's bookkeeping lives in per-session
+    /// scratch and its WAL records are appended under one log-buffer
+    /// lock, so a steady-state call allocates nothing beyond the new
+    /// values themselves.
+    pub fn multi_put_with(&self, ops: &[PutOp<'_>], f: impl FnMut(usize, u64)) {
+        self.with_write_scratch(|w| self.multi_put_on(ops, w, f))
+    }
+
+    fn multi_put_on(&self, ops: &[PutOp<'_>], w: &mut WriteScratch, mut f: impl FnMut(usize, u64)) {
+        let WriteScratch {
+            keys: spare_keys,
+            versions,
+            dead_ptrs,
+            admits,
+            hints,
+            wal,
+        } = w;
+        let mut keys: Vec<&[u8]> = crate::recycle(std::mem::take(spare_keys));
+        keys.extend(ops.iter().map(|&(k, _)| k));
+        versions.clear();
+        versions.resize(ops.len(), 0);
+        dead_ptrs.clear();
+        dead_ptrs.resize(ops.len(), None);
         {
             let guard = masstree::pin();
             let store = &self.store;
+            let logging = self.log.is_some();
             let mut factory = |i: usize, old: Option<&ColValue>| {
-                let version = store.draw_version();
-                versions[i] = version;
-                let newval = store.build_value(old, ops[i].1, version, &mut dead_ptrs[i]);
-                let newval = store.separate_value(newval, version, &mut logged_ptrs[i]);
-                if logging && logged_ptrs[i].is_none() {
-                    logged_cols[i] = (0..newval.ncols())
-                        .map(|c| (c as u16, newval.col(c).unwrap_or(&[]).to_vec()))
-                        .collect();
-                }
+                let (key, updates) = ops[i];
+                let wal = logging.then_some(&mut *wal);
+                let newval = store.make_value(old, key, updates, &mut dead_ptrs[i], wal);
+                versions[i] = newval.version();
                 newval
             };
             match self.write_cache() {
@@ -1935,21 +1962,19 @@ impl Session {
                     // descents; the rest run through the interleaved
                     // engine and refresh their anchors.
                     let mut c = sc.table.lock();
-                    let mut admits = vec![false; keys.len()];
-                    let hints: Vec<Option<LeafHint<ColValue>>> = keys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, k)| match c.lookup_write(k) {
-                            Lookup::Hit(h) => Some(h),
-                            Lookup::Miss { admit } => {
-                                admits[i] = admit;
-                                None
-                            }
-                        })
-                        .collect();
+                    admits.clear();
+                    admits.resize(keys.len(), false);
+                    hints.clear();
+                    hints.resize(keys.len(), None);
+                    for (i, k) in keys.iter().enumerate() {
+                        match c.lookup_write(k) {
+                            Lookup::Hit(h) => hints[i] = Some(h),
+                            Lookup::Miss { admit } => admits[i] = admit,
+                        }
+                    }
                     self.store.tree.multi_put_hinted(
                         &keys,
-                        &hints,
+                        hints,
                         &mut factory,
                         &guard,
                         |i, hinted_hit, fresh| {
@@ -1976,28 +2001,16 @@ impl Session {
                 }
             }
         }
-        for dead in dead_ptrs {
+        *spare_keys = crate::recycle(keys);
+        for dead in dead_ptrs.drain(..) {
             self.store.note_dead_ptr(dead);
         }
         if let Some(log) = &self.log {
-            for (i, (&(key, _), &version)) in ops.iter().zip(&versions).enumerate() {
-                match logged_ptrs[i] {
-                    Some(ptr) => log.append_now(|timestamp| LogRecord::PutIndirect {
-                        timestamp,
-                        version,
-                        key: key.to_vec(),
-                        ptr,
-                    }),
-                    None => log.append_now(|timestamp| LogRecord::Put {
-                        timestamp,
-                        version,
-                        key: key.to_vec(),
-                        cols: std::mem::take(&mut logged_cols[i]),
-                    }),
-                };
-            }
+            log.append_pending(wal);
         }
-        versions
+        for (i, &version) in versions.iter().enumerate() {
+            f(i, version);
+        }
     }
 
     /// `remove(k)`. Returns true if the key existed.
@@ -2063,10 +2076,9 @@ impl Session {
                 // A removed indirect value's payload bytes are dead.
                 self.store.note_dead_ptr(prev.ptr());
                 if let Some(log) = &self.log {
-                    log.append_now(|timestamp| LogRecord::Remove {
-                        timestamp,
-                        version,
-                        key: key.to_vec(),
+                    self.with_write_scratch(|w| {
+                        w.wal.remove(version, key);
+                        log.append_pending(&mut w.wal);
                     });
                 }
                 true
@@ -2410,45 +2422,6 @@ mod tests {
         assert_eq!(rows[0].0, b"key010");
         assert_eq!(rows[4].0, b"key014");
         assert_eq!(rows[2].1[0], 12u32.to_le_bytes());
-    }
-
-    #[test]
-    fn split_batch_runs_groups_and_splits() {
-        // (kind, key) pairs: g=Get, p=Put, o=Other.
-        let ops: Vec<(char, &[u8])> = vec![
-            ('g', b"a"),
-            ('g', b"b"),
-            ('p', b"x"),
-            ('p', b"y"),
-            ('p', b"x"), // duplicate: forces a split
-            ('o', b""),
-            ('g', b"c"),
-        ];
-        let runs = split_batch_runs(
-            &ops,
-            |&(k, _)| match k {
-                'g' => RunKind::Get,
-                'p' => RunKind::Put,
-                _ => RunKind::Other,
-            },
-            |&(_, key)| key,
-        );
-        assert_eq!(
-            runs,
-            vec![
-                (RunKind::Get, 0..2),
-                (RunKind::Put, 2..4),
-                (RunKind::Put, 4..5),
-                (RunKind::Other, 5..6),
-                (RunKind::Get, 6..7),
-            ]
-        );
-        assert!(split_batch_runs(
-            &Vec::<(char, &[u8])>::new(),
-            |_| RunKind::Get,
-            |_| b"".as_slice()
-        )
-        .is_empty());
     }
 
     #[test]

@@ -72,16 +72,23 @@ pub struct ColValue {
 impl ColValue {
     /// Builds a value from complete column contents.
     pub fn new(version: u64, cols: &[&[u8]]) -> ColValue {
-        let ncols = cols.len();
-        let data_len: usize = cols.iter().map(|c| c.len()).sum();
+        ColValue::build(version, cols.len(), |i| cols[i])
+    }
+
+    /// Builds a value of `ncols` columns, column `i` being `col(i)`:
+    /// the block is sized and filled straight from the source slices,
+    /// so the only allocation is the value's own storage (`col` is
+    /// evaluated more than once per column and must be pure).
+    fn build<'a>(version: u64, ncols: usize, col: impl Fn(usize) -> &'a [u8]) -> ColValue {
+        let data_len: usize = (0..ncols).map(|i| col(i).len()).sum();
         let mut buf = Vec::with_capacity(4 * ncols + data_len);
         let mut end = 0u32;
-        for c in cols {
-            end += c.len() as u32;
+        for i in 0..ncols {
+            end += col(i).len() as u32;
             buf.extend_from_slice(&end.to_le_bytes());
         }
-        for c in cols {
-            buf.extend_from_slice(c);
+        for i in 0..ncols {
+            buf.extend_from_slice(col(i));
         }
         ColValue {
             version,
@@ -172,35 +179,17 @@ impl ColValue {
     /// (extending the column array if an update targets a column past the
     /// current end) and the remaining columns copied from `self`.
     pub fn with_updates(&self, version: u64, updates: &[(usize, &[u8])]) -> ColValue {
-        let max_updated = updates.iter().map(|(i, _)| i + 1).max().unwrap_or(0);
-        let ncols = self.ncols().max(max_updated);
-        let cols: Vec<&[u8]> = (0..ncols)
-            .map(|i| {
-                updates
-                    .iter()
-                    .rev()
-                    .find(|(j, _)| *j == i)
-                    .map(|(_, d)| *d)
-                    .unwrap_or_else(|| self.col(i).unwrap_or(&[]))
-            })
-            .collect();
-        ColValue::new(version, &cols)
+        let ncols = self.ncols().max(updated_cols(updates));
+        ColValue::build(version, ncols, |i| {
+            updated(updates, i).unwrap_or_else(|| self.col(i).unwrap_or(&[]))
+        })
     }
 
     /// Builds a fresh value from updates alone (no previous value).
     pub fn from_updates(version: u64, updates: &[(usize, &[u8])]) -> ColValue {
-        let ncols = updates.iter().map(|(i, _)| i + 1).max().unwrap_or(0);
-        let cols: Vec<&[u8]> = (0..ncols)
-            .map(|i| {
-                updates
-                    .iter()
-                    .rev()
-                    .find(|(j, _)| *j == i)
-                    .map(|(_, d)| *d)
-                    .unwrap_or(&[])
-            })
-            .collect();
-        ColValue::new(version, &cols)
+        ColValue::build(version, updated_cols(updates), |i| {
+            updated(updates, i).unwrap_or(&[])
+        })
     }
 
     /// An indirect value: a fixed-size pointer record into the value
@@ -285,6 +274,17 @@ impl ColValue {
     pub fn heap_bytes(&self) -> usize {
         self.buf.len() + size_of::<ColValue>()
     }
+}
+
+/// Column count a set of updates implies (one past the highest id).
+fn updated_cols(updates: &[(usize, &[u8])]) -> usize {
+    updates.iter().map(|(i, _)| i + 1).max().unwrap_or(0)
+}
+
+/// Column `i`'s new bytes, if `updates` touches it (the last update to
+/// a column wins within one put).
+fn updated<'a>(updates: &[(usize, &'a [u8])], i: usize) -> Option<&'a [u8]> {
+    updates.iter().rev().find(|(j, _)| *j == i).map(|(_, d)| *d)
 }
 
 #[cfg(test)]

@@ -28,6 +28,12 @@
 //! it only forces this connection's log (no checkpoint, no truncation),
 //! serving clients that just want durability confirmation of their own
 //! writes without paying for a whole cycle.
+//!
+//! Requests have two forms: the owned [`Request`] clients build, and
+//! [`RequestRef`], the same request with its key, column selection and
+//! column data **borrowed** — which is what the server decodes frames
+//! into, straight over the connection's read buffer. There is one
+//! parser ([`RequestRef::decode`]); `Request::decode` copies its result.
 
 /// How a `Scan` request relates to a server-side cursor token.
 ///
@@ -118,6 +124,131 @@ pub enum Request {
     StatsEx,
 }
 
+/// A get's or scan's column selection, borrowed: the ids as they sit on
+/// the wire (unaligned little-endian `u16`s), or an owned request's list.
+#[derive(Debug, Clone, Copy)]
+pub enum ColIds<'a> {
+    Wire(&'a [u8]),
+    Owned(&'a [u16]),
+}
+
+impl<'a> ColIds<'a> {
+    pub fn len(&self) -> usize {
+        match self {
+            ColIds::Wire(bytes) => bytes.len() / 2,
+            ColIds::Owned(ids) => ids.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn iter(&self) -> ColIdsIter<'a> {
+        ColIdsIter(*self)
+    }
+}
+
+/// Iterator over a [`ColIds`] selection.
+pub struct ColIdsIter<'a>(ColIds<'a>);
+
+impl Iterator for ColIdsIter<'_> {
+    type Item = u16;
+
+    fn next(&mut self) -> Option<u16> {
+        match &mut self.0 {
+            ColIds::Wire(bytes) => {
+                let (id, rest) = bytes.split_first_chunk::<2>()?;
+                *bytes = rest;
+                Some(u16::from_le_bytes(*id))
+            }
+            ColIds::Owned(ids) => {
+                let (id, rest) = ids.split_first()?;
+                *ids = rest;
+                Some(*id)
+            }
+        }
+    }
+}
+
+/// A put's column updates, borrowed: the `(u16 col, bytes)*` section as
+/// it sits on the wire (validated by [`RequestRef::decode`]), or an
+/// owned request's list.
+#[derive(Debug, Clone, Copy)]
+pub enum PutCols<'a> {
+    Wire { count: usize, bytes: &'a [u8] },
+    Owned(&'a [(u16, Vec<u8>)]),
+}
+
+impl<'a> PutCols<'a> {
+    pub fn len(&self) -> usize {
+        match self {
+            PutCols::Wire { count, .. } => *count,
+            PutCols::Owned(cols) => cols.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn iter(&self) -> PutColsIter<'a> {
+        PutColsIter(*self)
+    }
+}
+
+/// Iterator over a [`PutCols`] update list.
+pub struct PutColsIter<'a>(PutCols<'a>);
+
+impl<'a> Iterator for PutColsIter<'a> {
+    type Item = (u16, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u16, &'a [u8])> {
+        match &mut self.0 {
+            PutCols::Wire { count, bytes } => {
+                *count = count.checked_sub(1)?;
+                let id = get_u16(bytes)?;
+                Some((id, get_bytes(bytes)?))
+            }
+            PutCols::Owned(cols) => {
+                let ((id, data), rest) = cols.split_first()?;
+                *cols = rest;
+                Some((*id, data))
+            }
+        }
+    }
+}
+
+/// A [`Request`] whose keys, column selections and column data are
+/// **borrowed** — from the connection's read buffer on the server's hot
+/// path ([`RequestRef::decode`] copies nothing), or from an owned
+/// request ([`Request::borrowed`]). The server's executors run on this
+/// type, so a served put costs no allocation before its value is built.
+#[derive(Debug, Clone, Copy)]
+pub enum RequestRef<'a> {
+    Get {
+        key: &'a [u8],
+        cols: Option<ColIds<'a>>,
+    },
+    Put {
+        key: &'a [u8],
+        cols: PutCols<'a>,
+    },
+    Remove {
+        key: &'a [u8],
+    },
+    Scan {
+        key: &'a [u8],
+        count: u32,
+        cols: Option<ColIds<'a>>,
+        resume: Option<ScanResume>,
+    },
+    Stats,
+    Flush,
+    Sync,
+    StatsEx,
+}
+
 /// The durability snapshot carried by [`Response::Stats`]; mirrors
 /// `mtkv::DurabilityStats` plus replication (`mtkv::ReplStats`) and
 /// per-worker connection counters.
@@ -200,6 +331,15 @@ pub struct StatsReply {
     /// Value tier: cold misses that shared another reader's in-flight
     /// segment read instead of issuing their own.
     pub shared_misses: u64,
+    /// Batch execution: phases run by the batch executor — each is at
+    /// most one merged put run, one merged get run and its barrier
+    /// requests.
+    pub phases: u64,
+    /// Batch execution: phases that exist only because one client
+    /// touched the same key twice with a write involved (summed per
+    /// connection). `conflict_splits / phases` near zero means batches
+    /// merge as far as barriers allow.
+    pub conflict_splits: u64,
     /// Live connection count per event-loop worker (index = worker id);
     /// the accept-time rebalancer keeps these near-equal under uniform
     /// load. Empty when the backend is not the event-loop server.
@@ -210,7 +350,7 @@ impl StatsReply {
     /// Fixed `u64` counters this version knows, in wire order. New
     /// counters are appended (never inserted or removed), and the wire
     /// carries the sender's count so either side can be older.
-    const NFIELDS: u16 = 23;
+    const NFIELDS: u16 = 25;
 
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&Self::NFIELDS.to_le_bytes());
@@ -238,6 +378,8 @@ impl StatsReply {
             self.readahead_batches,
             self.coalesced_bytes,
             self.shared_misses,
+            self.phases,
+            self.conflict_splits,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -291,6 +433,8 @@ impl StatsReply {
             readahead_batches: f[20],
             coalesced_bytes: f[21],
             shared_misses: f[22],
+            phases: f[23],
+            conflict_splits: f[24],
             worker_conns,
         })
     }
@@ -419,12 +563,35 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn get_bytes(p: &mut &[u8]) -> Option<Vec<u8>> {
-    let len = u32::from_le_bytes(p.get(..4)?.try_into().ok()?) as usize;
-    *p = &p[4..];
-    let b = p.get(..len)?.to_vec();
-    *p = &p[len..];
-    Some(b)
+fn get_u16(p: &mut &[u8]) -> Option<u16> {
+    let (v, rest) = p.split_first_chunk::<2>()?;
+    *p = rest;
+    Some(u16::from_le_bytes(*v))
+}
+
+fn get_u32(p: &mut &[u8]) -> Option<u32> {
+    let (v, rest) = p.split_first_chunk::<4>()?;
+    *p = rest;
+    Some(u32::from_le_bytes(*v))
+}
+
+fn get_u64(p: &mut &[u8]) -> Option<u64> {
+    let (v, rest) = p.split_first_chunk::<8>()?;
+    *p = rest;
+    Some(u64::from_le_bytes(*v))
+}
+
+/// Splits `n` bytes off the front of `p`.
+fn take<'a>(p: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = p.split_at_checked(n)?;
+    *p = rest;
+    Some(head)
+}
+
+/// A `u32`-length-prefixed byte string, borrowed from `p`.
+fn get_bytes<'a>(p: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let len = get_u32(p)? as usize;
+    take(p, len)
 }
 
 fn put_colset(out: &mut Vec<u8>, cols: &Option<Vec<u16>>) {
@@ -439,18 +606,12 @@ fn put_colset(out: &mut Vec<u8>, cols: &Option<Vec<u16>>) {
     }
 }
 
-fn get_colset(p: &mut &[u8]) -> Option<Option<Vec<u16>>> {
-    let n = u16::from_le_bytes(p.get(..2)?.try_into().ok()?);
-    *p = &p[2..];
+fn get_colset<'a>(p: &mut &'a [u8]) -> Option<Option<ColIds<'a>>> {
+    let n = get_u16(p)?;
     if n == 0xffff {
         return Some(None);
     }
-    let mut ids = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        ids.push(u16::from_le_bytes(p.get(..2)?.try_into().ok()?));
-        *p = &p[2..];
-    }
-    Some(Some(ids))
+    Some(Some(ColIds::Wire(take(p, 2 * n as usize)?)))
 }
 
 impl Request {
@@ -503,59 +664,125 @@ impl Request {
         }
     }
 
+    /// Decodes one request, copying its payload out of `p`.
     pub fn decode(p: &mut &[u8]) -> Option<Request> {
-        let op = *p.first()?;
-        *p = &p[1..];
+        RequestRef::decode(p).map(|r| r.to_owned())
+    }
+
+    /// This request as a [`RequestRef`] borrowing its payload.
+    pub fn borrowed(&self) -> RequestRef<'_> {
+        match self {
+            Request::Get { key, cols } => RequestRef::Get {
+                key,
+                cols: cols.as_deref().map(ColIds::Owned),
+            },
+            Request::Put { key, cols } => RequestRef::Put {
+                key,
+                cols: PutCols::Owned(cols),
+            },
+            Request::Remove { key } => RequestRef::Remove { key },
+            Request::Scan {
+                key,
+                count,
+                cols,
+                resume,
+            } => RequestRef::Scan {
+                key,
+                count: *count,
+                cols: cols.as_deref().map(ColIds::Owned),
+                resume: *resume,
+            },
+            Request::Stats => RequestRef::Stats,
+            Request::Flush => RequestRef::Flush,
+            Request::Sync => RequestRef::Sync,
+            Request::StatsEx => RequestRef::StatsEx,
+        }
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// Decodes one request from the front of `p` without copying: keys,
+    /// column selections and column data stay slices of `p`. The one
+    /// request parser — [`Request::decode`] is this plus
+    /// [`RequestRef::to_owned`].
+    pub fn decode(p: &mut &'a [u8]) -> Option<RequestRef<'a>> {
+        let (&op, rest) = p.split_first()?;
+        *p = rest;
         match op {
-            0x01 => Some(Request::Get {
+            0x01 => Some(RequestRef::Get {
                 key: get_bytes(p)?,
                 cols: get_colset(p)?,
             }),
             0x02 => {
                 let key = get_bytes(p)?;
-                let n = u16::from_le_bytes(p.get(..2)?.try_into().ok()?) as usize;
-                *p = &p[2..];
-                let mut cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = u16::from_le_bytes(p.get(..2)?.try_into().ok()?);
-                    *p = &p[2..];
-                    cols.push((id, get_bytes(p)?));
+                let count = get_u16(p)? as usize;
+                // Walk the updates once to find where they end (and
+                // that they are all there); iteration re-walks them.
+                let section = *p;
+                for _ in 0..count {
+                    get_u16(p)?;
+                    get_bytes(p)?;
                 }
-                Some(Request::Put { key, cols })
+                let bytes = &section[..section.len() - p.len()];
+                Some(RequestRef::Put {
+                    key,
+                    cols: PutCols::Wire { count, bytes },
+                })
             }
-            0x03 => Some(Request::Remove { key: get_bytes(p)? }),
+            0x03 => Some(RequestRef::Remove { key: get_bytes(p)? }),
             0x04 => {
                 let key = get_bytes(p)?;
-                let count = u32::from_le_bytes(p.get(..4)?.try_into().ok()?);
-                *p = &p[4..];
+                let count = get_u32(p)?;
                 let cols = get_colset(p)?;
-                let tag = *p.first()?;
-                *p = &p[1..];
-                let resume = match tag {
+                let resume = match take(p, 1)?[0] {
                     0 => None,
-                    1 | 2 => {
-                        let t = u64::from_le_bytes(p.get(..8)?.try_into().ok()?);
-                        *p = &p[8..];
-                        Some(if tag == 1 {
-                            ScanResume::Resume(t)
-                        } else {
-                            ScanResume::Start(t)
-                        })
-                    }
+                    1 => Some(ScanResume::Resume(get_u64(p)?)),
+                    2 => Some(ScanResume::Start(get_u64(p)?)),
                     _ => return None,
                 };
-                Some(Request::Scan {
+                Some(RequestRef::Scan {
                     key,
                     count,
                     cols,
                     resume,
                 })
             }
-            0x05 => Some(Request::Stats),
-            0x06 => Some(Request::Flush),
-            0x07 => Some(Request::Sync),
-            0x08 => Some(Request::StatsEx),
+            0x05 => Some(RequestRef::Stats),
+            0x06 => Some(RequestRef::Flush),
+            0x07 => Some(RequestRef::Sync),
+            0x08 => Some(RequestRef::StatsEx),
             _ => None,
+        }
+    }
+
+    /// Copies the borrowed payload into an owned [`Request`].
+    pub fn to_owned(&self) -> Request {
+        let ids = |cols: &Option<ColIds<'_>>| cols.map(|c| c.iter().collect());
+        match self {
+            RequestRef::Get { key, cols } => Request::Get {
+                key: key.to_vec(),
+                cols: ids(cols),
+            },
+            RequestRef::Put { key, cols } => Request::Put {
+                key: key.to_vec(),
+                cols: cols.iter().map(|(id, d)| (id, d.to_vec())).collect(),
+            },
+            RequestRef::Remove { key } => Request::Remove { key: key.to_vec() },
+            RequestRef::Scan {
+                key,
+                count,
+                cols,
+                resume,
+            } => Request::Scan {
+                key: key.to_vec(),
+                count: *count,
+                cols: ids(cols),
+                resume: *resume,
+            },
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Flush => Request::Flush,
+            RequestRef::Sync => Request::Sync,
+            RequestRef::StatsEx => Request::StatsEx,
         }
     }
 }
@@ -619,7 +846,7 @@ impl Response {
                 *p = &p[2..];
                 let mut cols = Vec::with_capacity(n);
                 for _ in 0..n {
-                    cols.push(get_bytes(p)?);
+                    cols.push(get_bytes(p)?.to_vec());
                 }
                 Some(Response::Value(Some(cols)))
             }
@@ -638,12 +865,12 @@ impl Response {
                 *p = &p[4..];
                 let mut rows = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let key = get_bytes(p)?;
+                    let key = get_bytes(p)?.to_vec();
                     let nc = u16::from_le_bytes(p.get(..2)?.try_into().ok()?) as usize;
                     *p = &p[2..];
                     let mut cols = Vec::with_capacity(nc);
                     for _ in 0..nc {
-                        cols.push(get_bytes(p)?);
+                        cols.push(get_bytes(p)?.to_vec());
                     }
                     rows.push((key, cols));
                 }
@@ -651,10 +878,10 @@ impl Response {
             }
             0x85 => Some(Response::Stats(StatsReply::decode(p)?)),
             0x86 => Some(Response::Err(
-                String::from_utf8_lossy(&get_bytes(p)?).into_owned(),
+                String::from_utf8_lossy(get_bytes(p)?).into_owned(),
             )),
             0x87 => Some(Response::Redirect(
-                String::from_utf8_lossy(&get_bytes(p)?).into_owned(),
+                String::from_utf8_lossy(get_bytes(p)?).into_owned(),
             )),
             0x88 => Some(Response::StatsEx(StatsExReply::decode(p)?)),
             _ => None,
@@ -807,8 +1034,10 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         let mut p = &buf[..];
-        assert_eq!(Request::decode(&mut p), Some(r));
+        assert_eq!(Request::decode(&mut p), Some(r.clone()));
         assert!(p.is_empty());
+        // The borrowed view of an owned request reads back the same.
+        assert_eq!(r.borrowed().to_owned(), r);
     }
 
     fn roundtrip_resp(r: Response) {
@@ -861,6 +1090,40 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_decode_copies_nothing_and_bounds_every_length() {
+        let mut buf = Vec::new();
+        Request::Put {
+            key: b"key".to_vec(),
+            cols: vec![(2, b"two".to_vec()), (0, vec![])],
+        }
+        .encode(&mut buf);
+        let mut p = &buf[..];
+        let Some(RequestRef::Put { key, cols }) = RequestRef::decode(&mut p) else {
+            panic!("put decodes");
+        };
+        assert!(p.is_empty());
+        let inside = |s: &[u8]| buf.as_ptr_range().contains(&s.as_ptr());
+        assert!(inside(key), "the key is a slice of the input");
+        assert_eq!(cols.len(), 2);
+        let cols: Vec<(u16, &[u8])> = cols.iter().collect();
+        assert_eq!(cols, vec![(2, &b"two"[..]), (0, &b""[..])]);
+        assert!(inside(cols[0].1));
+
+        // A column count or length the body does not back is refused up
+        // front — iteration can then never run off the end.
+        let mut lying = buf.clone();
+        lying[1 + 4 + 3] = 3; // claims three updates, carries two
+        assert!(RequestRef::decode(&mut &lying[..]).is_none());
+        let mut get = Vec::new();
+        Request::Get {
+            key: b"k".to_vec(),
+            cols: Some(vec![1, 2, 3]),
+        }
+        .encode(&mut get);
+        assert!(RequestRef::decode(&mut &get[..get.len() - 1]).is_none());
+    }
+
+    #[test]
     fn response_roundtrips() {
         roundtrip_resp(Response::Value(None));
         roundtrip_resp(Response::Value(Some(vec![b"a".to_vec(), vec![]])));
@@ -894,6 +1157,8 @@ mod tests {
             readahead_batches: 12_345,
             coalesced_bytes: 6 << 25,
             shared_misses: 432,
+            phases: 90_000,
+            conflict_splits: 1_234,
             worker_conns: vec![3, 0, 7, 1],
         }));
         roundtrip_resp(Response::Stats(StatsReply::default()));
@@ -926,13 +1191,14 @@ mod tests {
         assert_eq!(s.readahead_batches, 0);
         assert_eq!(s.coalesced_bytes, 0);
         assert_eq!(s.shared_misses, 0);
+        assert_eq!(s.phases, 0);
         assert_eq!(s.worker_conns, vec![9]);
 
         // A newer peer appends counters we don't know: they are skipped
         // and worker_conns still lines up.
         let mut buf = vec![0x85];
-        buf.extend_from_slice(&25u16.to_le_bytes());
-        for v in 1..=25u64 {
+        buf.extend_from_slice(&27u16.to_le_bytes());
+        for v in 1..=27u64 {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         buf.extend_from_slice(&0u32.to_le_bytes());
@@ -942,6 +1208,7 @@ mod tests {
         };
         assert!(p.is_empty());
         assert_eq!(s.shared_misses, 23);
+        assert_eq!(s.conflict_splits, 25);
         assert!(s.worker_conns.is_empty());
     }
 

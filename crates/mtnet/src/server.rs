@@ -10,30 +10,79 @@
 //! per-request cross-core synchronization exists outside the tree
 //! itself.
 //!
-//! On each readiness wakeup a worker drains and decodes every complete
-//! frame from every ready connection, then **aggregates across
-//! connections**: point gets (and puts) from different connections are
-//! merged into one run through the interleaved batch traversal engine
-//! (`multi_get`/`multi_put` on the worker session), and the responses
-//! are demultiplexed back into each connection's output buffer with the
-//! zero-copy `execute_batch_into` framing. The paper's §7 observation —
-//! "batched query support is vital" — then holds even when each client
-//! sends one-op frames: the server constructs the batches itself.
+//! On each readiness wakeup a worker decodes every complete frame from
+//! every ready connection — **in place**: requests borrow their keys
+//! and column data from the connections' read buffers
+//! ([`RequestRef`]), which are compacted only after the wakeup has
+//! executed — and then executes the lot as one batch, **aggregating
+//! across connections**: point gets (and puts) from different
+//! connections are merged into one run through the interleaved batch
+//! traversal engine (`multi_get_with` / `multi_put_with` on the worker
+//! session), and the responses are demultiplexed back into each
+//! connection's output buffer, gets and scans serialized zero-copy from
+//! the live values. The paper's §7 observation — "batched query support
+//! is vital" — then holds even when each client sends one-op frames:
+//! the server constructs the batches itself. A served put allocates its
+//! value and nothing else: decode, planning, the session's bookkeeping
+//! and the log record (encoded from the new value's own column slices,
+//! a whole run appended under one log-buffer lock) all work in reused
+//! buffers.
 //!
-//! Aggregation never reorders one connection's stream: each
-//! connection's pending requests are first split into maximal
-//! same-kind **runs** (`mtkv::split_batch_runs` — a put run also splits
-//! at an intra-connection duplicate key), and the wakeup then executes
-//! run *phases*: every connection's phase-`p` run executes before any
-//! connection's phase-`p+1` run, with same-kind runs of one phase
-//! merged across connections into a single `multi_get`/`multi_put`.
-//! A connection's own stream therefore executes strictly in order even
-//! when its wakeup mixes kinds (`get,get,put,get` contributes its get
-//! run to phase 0, its put to phase 1, its trailing get to phase 2),
-//! while cross-connection order — which carries no obligation,
-//! concurrent clients already race — is exploited for aggregation.
-//! Per-session logs make the merged put run safe: every write is still
-//! logged by the one worker session that owns the connection.
+//! # Ordering contract
+//!
+//! **Per connection, operations on the same key take effect in the
+//! order sent; operations on different keys that arrive in the same
+//! wakeup take effect in an unspecified order.** Responses always come
+//! back in request order, frame by frame. Nothing orders one connection
+//! against another — concurrent clients already race.
+//!
+//! The executor turns that contract into few, large runs. Each
+//! connection's pending requests (all its complete frames, concatenated)
+//! form one stream, and [`mtkv::PhasePlanner`] gives every request the
+//! earliest **phase** that keeps the stream's per-key order: a get goes
+//! after the last earlier put of its key, a put after the last earlier
+//! get *or* put of its key, and everything else — scan, remove, stats,
+//! flush, sync — is a **barrier**, after everything before it and
+//! before everything after it. Phases run in order; within a phase all
+//! connections' puts execute as one merged `multi_put_with` and all
+//! their gets as one merged `multi_get_with`. Concretely, for one
+//! connection's stream:
+//!
+//! * `[put a, get a]` — two phases; the get sees the put.
+//! * `[get a, put a]` — two phases; the get sees the value before the
+//!   put.
+//! * `[put a, put a]` — two phases; the later put wins and returns the
+//!   larger version.
+//! * `[put a, get b, put c, get d]` — one phase: one put run, one get
+//!   run.
+//! * `[get a, scan, get b]`, `[put a, remove a, get a]` — three phases
+//!   each: a barrier is ordered against everything, so the remove sees
+//!   the put and the get sees the remove.
+//! * `[put a | put a]` across a frame boundary within one wakeup — the
+//!   same two phases; frames delimit replies, not ordering.
+//!
+//! What the contract gives up is cross-key order inside one wakeup:
+//! after `[put a, put b]` from one connection, another client may
+//! briefly observe `b` without `a` — as it already could inside a put
+//! run, whose interleaved engine applies its keys in no particular
+//! order. A client that needs `a` before `b` waits for `a`'s reply (or
+//! puts a `Sync` between them). A stream with no put plans without
+//! looking at keys at all; `phases` and `conflict_splits` in the wire
+//! stats say how much merging the traffic allowed.
+//!
+//! Because phases complete a stream's requests out of order while its
+//! replies must stay in order, each stream tracks the next reply its
+//! output is owed: a request that completes at that position writes
+//! straight into the connection's output buffer, one that completes
+//! early is parked in a reused side arena and copied over when its turn
+//! comes. Puts run first within a phase, so in a mixed stream it is the
+//! 9-byte `PutOk`s that park while get replies stream directly; a
+//! barrier's reply (a scan's rows) is never parked, and a single-kind
+//! stream parks nothing. The same executor serves
+//! [`execute_batch_into`] (one unframed stream) and the
+//! `aggregate: false` path (one frame at a time). Per-session logs make
+//! the merged put run safe: every write is logged by the one worker
+//! session that owns the connection.
 //!
 //! Connections are assigned at accept time to the **lightest** worker
 //! (fewest pending output bytes, then fewest connections) rather than
@@ -46,6 +95,7 @@
 //! (`put`/`remove`/`flush`/`sync`) answers [`Response::Redirect`]
 //! naming the primary, while gets, scans and stats serve locally.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,18 +104,19 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mtkv::{ScanCursor, Session, Store};
+use mtkv::{OpClass, PhasePlanner, PutOp, ScanCursor, Session, Store};
 
 use crate::poll::{Event, Interest, Poller};
 use crate::proto::{
-    begin_batch, finish_batch, parse_batch_frame, write_value_borrowed, write_value_none, Request,
-    Response, RowsWriter, ScanResume, StatsExReply, StatsReply,
+    begin_batch, finish_batch, parse_batch_frame, write_value_borrowed, write_value_none, ColIds,
+    Request, RequestRef, Response, RowsWriter, ScanResume, StatsExReply, StatsReply,
 };
 
-/// Per-connection request executor. The Masstree store is the primary
-/// implementation; the benchmark harness plugs stand-in systems (hash
-/// stores, partitioned stores) behind the same network stack so §7's
-/// system comparison exercises identical I/O paths.
+/// A request executor other than the Masstree store: the benchmark
+/// harness plugs stand-in systems (hash stores, partitioned stores)
+/// behind the same network stack so §7's system comparison exercises
+/// identical I/O paths. (The store itself is served by the event loop's
+/// own batch executor, not through this trait.)
 pub trait Backend: Send + Sync + 'static {
     /// Per-connection state (e.g. a store session owning a log).
     fn connect(&self) -> Box<dyn ConnState>;
@@ -75,9 +126,7 @@ pub trait Backend: Send + Sync + 'static {
 pub trait ConnState: Send {
     fn execute(&mut self, req: Request) -> Response;
 
-    /// Executes one wire batch. The default runs each request in turn;
-    /// the Masstree store overrides this to feed runs of gets/puts
-    /// through the interleaved batch traversal engine.
+    /// Executes one wire batch. The default runs each request in turn.
     fn execute_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
         reqs.into_iter().map(|r| self.execute(r)).collect()
     }
@@ -85,9 +134,7 @@ pub trait ConnState: Send {
     /// Executes one wire batch, encoding the responses directly into the
     /// connection's (reusable) output buffer, and returns the number of
     /// responses written. The default materializes [`Response`]s and
-    /// encodes them; the Masstree store overrides this to serialize
-    /// straight from value slices borrowed under the epoch guard —
-    /// the zero-copy read path.
+    /// encodes them.
     fn execute_batch_into(&mut self, reqs: Vec<Request>, out: &mut Vec<u8>) -> usize {
         let resps = self.execute_batch(reqs);
         for resp in &resps {
@@ -153,104 +200,27 @@ struct WorkerLoad {
     pending: AtomicU64,
 }
 
-/// Execution context threaded through the request executors: the
-/// connection's scan-token cursors plus server-level state the wire
-/// operations consult — the follower-mode redirect target and the
-/// per-worker load counters reported by `Stats`.
+/// Execution context of one request: its connection's scan-token
+/// cursors plus the server-level [`ExecEnv`].
 struct ExecCtx<'a> {
     tokens: &'a mut ScanTokens,
-    /// `Some(primary address)` on a read-only replica: writes answer
-    /// [`Response::Redirect`] instead of executing.
-    redirect: Option<&'a str>,
-    /// Per-worker live-connection counters (empty outside the
-    /// event-loop server).
-    loads: &'a [WorkerLoad],
+    env: ExecEnv<'a>,
 }
 
 impl<'a> ExecCtx<'a> {
     fn standalone(tokens: &'a mut ScanTokens) -> ExecCtx<'a> {
         ExecCtx {
             tokens,
-            redirect: None,
-            loads: &[],
+            env: ExecEnv::STANDALONE,
         }
     }
 
     /// Writes are refused on a read-only replica; the redirect payload
     /// names the primary so clients can re-target.
     fn refuse_write(&self) -> Option<Response> {
-        self.redirect
+        self.env
+            .redirect
             .map(|primary| Response::Redirect(format!("read-only replica; primary at {primary}")))
-    }
-}
-
-/// A connection's server-side state: the store session plus the
-/// resumable-scan cursors addressed by the wire `Scan` resume tokens.
-/// This is the embeddable single-connection executor (benchmarks, the
-/// generic [`Backend`] path); the event-loop server itself holds one
-/// session per **worker** and a per-worker cursor map instead.
-pub struct StoreConn {
-    session: Session,
-    scan_tokens: ScanTokens,
-}
-
-impl StoreConn {
-    pub fn new(session: Session) -> StoreConn {
-        StoreConn {
-            session,
-            scan_tokens: ScanTokens::new(),
-        }
-    }
-
-    /// The underlying store session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl ConnState for StoreConn {
-    fn execute(&mut self, req: Request) -> Response {
-        execute_tokens(
-            &self.session,
-            &mut ExecCtx::standalone(&mut self.scan_tokens),
-            req,
-        )
-    }
-
-    fn execute_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        let mut sink = OwnedSink(Vec::with_capacity(reqs.len()));
-        execute_batch_runs(
-            &self.session,
-            &mut ExecCtx::standalone(&mut self.scan_tokens),
-            reqs,
-            &mut sink,
-        );
-        sink.0
-    }
-
-    fn execute_batch_into(&mut self, reqs: Vec<Request>, out: &mut Vec<u8>) -> usize {
-        let mut sink = WireSink { out, written: 0 };
-        execute_batch_runs(
-            &self.session,
-            &mut ExecCtx::standalone(&mut self.scan_tokens),
-            reqs,
-            &mut sink,
-        );
-        sink.written
-    }
-}
-
-impl ConnState for Session {
-    fn execute(&mut self, req: Request) -> Response {
-        execute(self, req)
-    }
-
-    fn execute_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        execute_batch(self, reqs)
-    }
-
-    fn execute_batch_into(&mut self, reqs: Vec<Request>, out: &mut Vec<u8>) -> usize {
-        execute_batch_into(self, reqs, out)
     }
 }
 
@@ -393,6 +363,7 @@ impl Server {
                     loads: Arc::clone(&loads),
                     kind,
                     conns: Vec::new(),
+                    rd_bufs: Vec::new(),
                     free: Vec::new(),
                     next_conn_seq: 0,
                 };
@@ -522,8 +493,8 @@ struct Conn {
     /// alone (`id >> 32`) — the routing invariant the torture test
     /// checks across workers.
     id: u64,
-    /// Input accumulation: bytes `[rd_pos..]` are not yet parsed.
-    rd: Vec<u8>,
+    /// Parse position in this connection's read buffer (the worker's
+    /// `rd_bufs[slot]`): bytes `[rd_pos..]` are not yet parsed.
     rd_pos: usize,
     /// Output accumulation: bytes `[wr_pos..]` are not yet written.
     wr: Vec<u8>,
@@ -547,13 +518,11 @@ impl Conn {
         self.wr.len() - self.wr_pos
     }
 
-    /// Marks a protocol failure: further input is discarded and never
-    /// parsed; the sweep appends the typed error reply and schedules a
-    /// drain-then-close.
+    /// Marks a protocol failure: further input is never parsed (and is
+    /// discarded by the next read-buffer compaction); the sweep appends
+    /// the typed error reply and schedules a drain-then-close.
     fn poison(&mut self, msg: &str) {
         self.poisoned = Some(msg.to_string());
-        self.rd.clear();
-        self.rd_pos = 0;
     }
 }
 
@@ -570,28 +539,13 @@ enum WorkerKind {
     Backend(Arc<dyn Backend>),
 }
 
-/// One decoded frame: `len` requests at `start` in the wakeup's flat
-/// request arena, owed to connection slot `slot` in arrival order.
+/// One decoded frame: `len` requests at `start` in the wakeup's request
+/// arena, owed to connection slot `slot`. Frames stay grouped per
+/// connection, in arrival order.
 struct Frame {
     slot: usize,
     start: usize,
     len: usize,
-}
-
-/// The wakeup's decoded input, flat so capacity is reused across
-/// wakeups: all frames' requests in one arena, frames grouped per
-/// connection in arrival order.
-#[derive(Default)]
-struct FrameBuf {
-    reqs: Vec<Request>,
-    frames: Vec<Frame>,
-}
-
-impl FrameBuf {
-    fn clear(&mut self) {
-        self.reqs.clear();
-        self.frames.clear();
-    }
 }
 
 struct Worker {
@@ -604,6 +558,11 @@ struct Worker {
     loads: Arc<Vec<WorkerLoad>>,
     kind: WorkerKind,
     conns: Vec<Option<Conn>>,
+    /// Read buffers, one per connection slot (`rd_bufs.len() ==
+    /// conns.len()`). Kept beside the connections rather than inside
+    /// them so a wakeup's decoded requests can borrow the input bytes
+    /// while their responses are written into the connections.
+    rd_bufs: Vec<Vec<u8>>,
     free: Vec<usize>,
     next_conn_seq: u64,
 }
@@ -619,7 +578,12 @@ impl Worker {
         }
         let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut scratch = vec![0u8; 64 * 1024];
-        let mut buf = FrameBuf::default();
+        // The wakeup's decoded input, flat so capacity is reused across
+        // wakeups: every frame's requests in one arena (borrowing the
+        // read buffers, hence re-lent per round), plus the frame list.
+        let mut spare_reqs: Vec<RequestRef<'static>> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut exec = BatchExec::default();
         loop {
             if self.poller.wait(&mut events, -1).is_err() {
                 return;
@@ -638,7 +602,7 @@ impl Worker {
                     flush_conn(conn);
                 }
                 if ev.readable || ev.hangup {
-                    read_conn(conn, &mut scratch);
+                    read_conn(conn, &mut self.rd_bufs[slot], &mut scratch);
                 }
             }
             if woke {
@@ -654,17 +618,33 @@ impl Worker {
             // connections stop parsing at the high-water mark; the
             // writable readiness that drains them re-enters this loop.
             loop {
-                self.collect_frames(&mut buf);
-                if buf.frames.is_empty() {
-                    break;
-                }
-                self.execute_frames(&mut buf);
-                for f in &buf.frames {
-                    if let Some(conn) = self.conns[f.slot].as_mut() {
-                        flush_conn(conn);
+                // The decoded requests borrow the read buffers while
+                // `self` executes them: lend the buffers out for the
+                // round.
+                let mut rd_bufs = std::mem::take(&mut self.rd_bufs);
+                let mut reqs: Vec<RequestRef<'_>> = mtkv::recycle(std::mem::take(&mut spare_reqs));
+                frames.clear();
+                collect_frames(&rd_bufs, &mut self.conns, &mut reqs, &mut frames);
+                if !frames.is_empty() {
+                    self.execute_frames(&reqs, &frames, &mut exec);
+                    for f in &frames {
+                        if let Some(conn) = self.conns[f.slot].as_mut() {
+                            flush_conn(conn);
+                        }
                     }
                 }
-                buf.clear();
+                // Only now — nothing borrows the input any more — may
+                // the read buffers drop their consumed bytes.
+                spare_reqs = mtkv::recycle(reqs);
+                for (conn, rd) in self.conns.iter_mut().zip(&mut rd_bufs) {
+                    if let Some(conn) = conn {
+                        compact_read_buffer(conn, rd);
+                    }
+                }
+                self.rd_bufs = rd_bufs;
+                if frames.is_empty() {
+                    break;
+                }
             }
             self.sweep();
         }
@@ -697,6 +677,7 @@ impl Worker {
             };
             let slot = self.free.pop().unwrap_or_else(|| {
                 self.conns.push(None);
+                self.rd_bufs.push(Vec::new());
                 self.conns.len() - 1
             });
             if self
@@ -713,7 +694,6 @@ impl Worker {
             self.conns[slot] = Some(Conn {
                 stream,
                 id,
-                rd: Vec::new(),
                 rd_pos: 0,
                 wr: Vec::new(),
                 wr_pos: 0,
@@ -726,93 +706,76 @@ impl Worker {
         }
     }
 
-    /// Decodes every complete frame buffered on every connection into
-    /// `buf` (frames stay grouped per connection, in arrival order).
-    fn collect_frames(&mut self, buf: &mut FrameBuf) {
-        for slot in 0..self.conns.len() {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                continue;
-            };
-            if conn.dead || conn.poisoned.is_some() {
-                continue;
-            }
-            while conn.pending_wr() < HIGH_WATER {
-                match parse_batch_frame(&conn.rd[conn.rd_pos..]) {
-                    Ok(Some((consumed, count))) => {
-                        let start = buf.reqs.len();
-                        let mut p = &conn.rd[conn.rd_pos + 8..conn.rd_pos + consumed];
-                        let mut ok = true;
-                        for _ in 0..count {
-                            match Request::decode(&mut p) {
-                                Some(req) => buf.reqs.push(req),
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if !ok {
-                            buf.reqs.truncate(start);
-                            conn.poison("bad batch frame: undecodable request");
-                            break;
-                        }
-                        conn.rd_pos += consumed;
-                        buf.frames.push(Frame {
-                            slot,
-                            start,
-                            len: count as usize,
-                        });
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        conn.poison(&format!("bad batch frame: {e}"));
-                        break;
-                    }
-                }
-            }
-            if conn.rd_pos == conn.rd.len() {
-                conn.rd.clear();
-                conn.rd_pos = 0;
-            } else if conn.rd_pos > 64 * 1024 {
-                conn.rd.drain(..conn.rd_pos);
-                conn.rd_pos = 0;
-            }
-        }
-    }
-
-    fn execute_frames(&mut self, buf: &mut FrameBuf) {
+    fn execute_frames(&mut self, reqs: &[RequestRef<'_>], frames: &[Frame], exec: &mut BatchExec) {
         match &mut self.kind {
             WorkerKind::Store {
                 session,
                 aggregate,
                 redirect,
                 cursors,
-            } => execute_frames_store(
-                self.id,
-                session,
-                cursors,
-                *aggregate,
-                redirect.as_deref(),
-                &self.loads,
-                &mut self.conns,
-                buf,
-                &self.ops,
-            ),
+            } => {
+                let env = ExecEnv {
+                    redirect: redirect.as_deref(),
+                    loads: &self.loads,
+                };
+                let conns = &mut self.conns[..];
+                if *aggregate {
+                    // One stream per connection: its frames (contiguous
+                    // by construction) and their requests, concatenated.
+                    exec.streams.clear();
+                    let mut i = 0;
+                    while i < frames.len() {
+                        let slot = frames[i].slot;
+                        let j = i + frames[i..].iter().take_while(|f| f.slot == slot).count();
+                        let conn = conns[slot].as_ref().expect("frames name live slots");
+                        debug_assert_eq!(
+                            (conn.id >> 32) as usize,
+                            self.id,
+                            "session affinity: a connection's frames execute on its owning worker"
+                        );
+                        let last = &frames[j - 1];
+                        exec.streams.push(StreamPlan::new(
+                            slot,
+                            conn.id,
+                            frames[i].start..last.start + last.len,
+                            i..j,
+                        ));
+                        i = j;
+                    }
+                    exec.run(session, &env, cursors, reqs, frames, conns);
+                } else {
+                    // Aggregation off: the same executor, one frame at a
+                    // time.
+                    for f in frames {
+                        let conn = conns[f.slot].as_ref().expect("frames name live slots");
+                        exec.streams.clear();
+                        exec.streams
+                            .push(StreamPlan::new(f.slot, conn.id, 0..f.len, 0..1));
+                        let frame_reqs = &reqs[f.start..f.start + f.len];
+                        let frame = std::slice::from_ref(f);
+                        exec.run(session, &env, cursors, frame_reqs, frame, conns);
+                    }
+                }
+                self.ops.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+            }
             WorkerKind::Backend(_) => {
-                for f in &buf.frames {
+                for f in frames {
                     let Some(conn) = self.conns[f.slot].as_mut() else {
                         continue;
                     };
                     if conn.dead {
                         continue;
                     }
-                    let reqs = take_frame_reqs(&mut buf.reqs, f);
+                    let owned = reqs[f.start..f.start + f.len]
+                        .iter()
+                        .map(RequestRef::to_owned)
+                        .collect();
                     let Conn { state, wr, .. } = conn;
                     let mark = begin_batch(wr);
                     let written = state
                         .as_mut()
                         .expect("backend connections carry state")
-                        .execute_batch_into(reqs, wr);
+                        .execute_batch_into(owned, wr);
                     if written != f.len {
                         // A misbehaving backend must not desync the framed
                         // protocol: fail the connection, not the count.
@@ -888,6 +851,7 @@ impl Worker {
 
     fn close_conn(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
+            self.rd_bufs[slot] = Vec::new();
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             if let WorkerKind::Store { cursors, .. } = &mut self.kind {
                 // The connection's scan cursors die with it.
@@ -899,7 +863,71 @@ impl Worker {
     }
 }
 
-fn read_conn(conn: &mut Conn, scratch: &mut [u8]) {
+/// Decodes every complete frame buffered on every connection: requests
+/// (borrowing the read buffers) into `reqs`, one [`Frame`] each into
+/// `frames` — grouped per connection, in arrival order. An undecodable
+/// frame — including one whose body its `count` requests do not fully
+/// consume — poisons its connection.
+fn collect_frames<'a>(
+    rd_bufs: &'a [Vec<u8>],
+    conns: &mut [Option<Conn>],
+    reqs: &mut Vec<RequestRef<'a>>,
+    frames: &mut Vec<Frame>,
+) {
+    for (slot, (conn, rd)) in conns.iter_mut().zip(rd_bufs).enumerate() {
+        let Some(conn) = conn else { continue };
+        if conn.dead || conn.poisoned.is_some() {
+            continue;
+        }
+        while conn.pending_wr() < HIGH_WATER {
+            match parse_batch_frame(&rd[conn.rd_pos..]) {
+                Ok(Some((consumed, count))) => {
+                    let start = reqs.len();
+                    let mut p = &rd[conn.rd_pos + 8..conn.rd_pos + consumed];
+                    let decoded = (0..count)
+                        .try_for_each(|_| RequestRef::decode(&mut p).map(|req| reqs.push(req)));
+                    let failure = match decoded {
+                        None => Some("bad batch frame: undecodable request"),
+                        Some(()) if !p.is_empty() => {
+                            Some("bad batch frame: trailing bytes after the last request")
+                        }
+                        Some(()) => None,
+                    };
+                    if let Some(msg) = failure {
+                        reqs.truncate(start);
+                        conn.poison(msg);
+                        break;
+                    }
+                    conn.rd_pos += consumed;
+                    frames.push(Frame {
+                        slot,
+                        start,
+                        len: count as usize,
+                    });
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    conn.poison(&format!("bad batch frame: {e}"));
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// Drops a read buffer's parsed prefix — or all of it, once the
+/// connection no longer parses input.
+fn compact_read_buffer(conn: &mut Conn, rd: &mut Vec<u8>) {
+    if conn.rd_pos == rd.len() || conn.dead || conn.poisoned.is_some() {
+        rd.clear();
+        conn.rd_pos = 0;
+    } else if conn.rd_pos > 64 * 1024 {
+        rd.drain(..conn.rd_pos);
+        conn.rd_pos = 0;
+    }
+}
+
+fn read_conn(conn: &mut Conn, rd: &mut Vec<u8>, scratch: &mut [u8]) {
     if conn.eof || conn.dead || conn.poisoned.is_some() {
         return;
     }
@@ -911,7 +939,7 @@ fn read_conn(conn: &mut Conn, scratch: &mut [u8]) {
                 break;
             }
             Ok(n) => {
-                conn.rd.extend_from_slice(&scratch[..n]);
+                rd.extend_from_slice(&scratch[..n]);
                 budget = budget.saturating_sub(n);
                 if n < scratch.len() {
                     // Socket buffer drained (level-triggered readiness
@@ -959,512 +987,420 @@ fn flush_conn(conn: &mut Conn) {
     }
 }
 
-/// Moves one frame's requests out of the arena (placeholder swap — no
-/// payload clone).
-fn take_frame_reqs(reqs: &mut [Request], f: &Frame) -> Vec<Request> {
-    reqs[f.start..f.start + f.len]
-        .iter_mut()
-        .map(|r| std::mem::replace(r, Request::Remove { key: Vec::new() }))
-        .collect()
-}
-
-/// One connection's wakeup contribution: its requests split into
-/// maximal same-kind runs (run `p` executes in cross-connection phase
-/// `p`), plus the emitter state that demultiplexes responses back into
-/// the connection's frames as they are produced.
+/// One stream of a batch: one connection's share of a wakeup — its
+/// requests (contiguous in the arena) and its frames — or, for the
+/// embeddable executors, one whole unframed batch. Carries the emitter
+/// state that puts responses back in request order.
 ///
-/// The emitter exploits two invariants: a connection's frames are
-/// contiguous in the wakeup buffer (and their requests contiguous in
-/// the arena), and every execution path below produces exactly one
-/// response per request, **in request order** for any one connection.
-/// It therefore just counts responses, opening a batch header at each
-/// frame boundary and length-patching it when the frame's count is
-/// reached.
-struct ConnPlan {
+/// Phases complete a stream's requests out of order, but its output
+/// must answer them **in** order, frame by frame. The emitter keeps the
+/// index of the next response the output is owed: the request that
+/// completes *at* that index writes straight into the output buffer
+/// (gets and scans serialize zero-copy from the live value, exactly as
+/// if nothing were reordered), one that completes early is parked in
+/// the executor's side arena and copied over when its turn comes. A
+/// stream whose requests all land in one kind's run — every
+/// single-kind or barrier-separated stream — never parks anything.
+struct StreamPlan {
+    /// Where the output lives ([`Outputs::out`]): the connection slot.
     slot: usize,
-    /// `(kind, range in the request arena)` per run, in stream order.
-    runs: Vec<(mtkv::RunKind, std::ops::Range<usize>)>,
-    /// This connection's frames (indices into `buf.frames`).
+    /// Owner of the stream's resumable-scan cursors.
+    conn_id: u64,
+    /// This stream's requests in the arena.
+    ops: std::ops::Range<usize>,
+    /// This stream's frames (indices into the frame list); empty for an
+    /// unframed stream, whose responses are written back to back.
     frames: std::ops::Range<usize>,
-    /// Emitter: current frame, responses emitted into it, its
-    /// `begin_batch` mark, and whether the header is open.
+    /// Emitter: the next request owed to the output, the current frame,
+    /// responses emitted into it, its `begin_batch` mark, and whether
+    /// its header is open.
+    next: usize,
     fidx: usize,
     emitted: usize,
     mark: usize,
     open: bool,
 }
 
-impl ConnPlan {
-    /// Opens the current frame's batch header if needed (flushing any
-    /// leading zero-request frames as empty batches).
+impl StreamPlan {
+    fn new(
+        slot: usize,
+        conn_id: u64,
+        ops: std::ops::Range<usize>,
+        frames: std::ops::Range<usize>,
+    ) -> StreamPlan {
+        StreamPlan {
+            slot,
+            conn_id,
+            next: ops.start,
+            ops,
+            fidx: frames.start,
+            frames,
+            emitted: 0,
+            mark: 0,
+            open: false,
+        }
+    }
+
+    /// Answers zero-request frames at the cursor with empty batches.
+    fn skip_empty_frames(&mut self, wr: &mut Vec<u8>, frames: &[Frame]) {
+        while self.fidx < self.frames.end && frames[self.fidx].len == 0 {
+            let mark = begin_batch(wr);
+            finish_batch(wr, mark, 0);
+            self.fidx += 1;
+        }
+    }
+
+    /// Opens the current frame's batch header if needed.
     fn begin_response(&mut self, wr: &mut Vec<u8>, frames: &[Frame]) {
-        if !self.open {
-            while self.fidx < self.frames.end && frames[self.fidx].len == 0 {
-                let mark = begin_batch(wr);
-                finish_batch(wr, mark, 0);
-                self.fidx += 1;
-            }
+        if !self.open && !self.frames.is_empty() {
+            self.skip_empty_frames(wr, frames);
             self.mark = begin_batch(wr);
             self.open = true;
         }
     }
 
     /// Counts one emitted response, closing the frame when full.
-    fn end_response(&mut self, wr: &mut Vec<u8>, frames: &[Frame], ops: &AtomicU64) {
+    fn end_response(&mut self, wr: &mut Vec<u8>, frames: &[Frame]) {
+        self.next += 1;
+        if self.frames.is_empty() {
+            return;
+        }
         self.emitted += 1;
         if self.emitted == frames[self.fidx].len {
             finish_batch(wr, self.mark, self.emitted);
-            ops.fetch_add(self.emitted as u64, Ordering::Relaxed);
             self.fidx += 1;
             self.emitted = 0;
             self.open = false;
         }
     }
 
-    /// Flushes trailing zero-request frames after all runs executed.
+    /// After the last phase: trailing zero-request frames still owe
+    /// their empty batch replies.
     fn finish(&mut self, wr: &mut Vec<u8>, frames: &[Frame]) {
-        debug_assert!(!self.open, "every started frame must have completed");
-        while self.fidx < self.frames.end && frames[self.fidx].len == 0 {
-            let mark = begin_batch(wr);
-            finish_batch(wr, mark, 0);
-            self.fidx += 1;
-        }
-        debug_assert_eq!(self.fidx, self.frames.end, "all frames answered");
+        debug_assert_eq!(self.next, self.ops.end, "every request answered");
+        debug_assert!(!self.open, "every started frame completed");
+        self.skip_empty_frames(wr, frames);
+        debug_assert_eq!(self.fidx, self.frames.end, "every frame answered");
     }
 }
 
-/// The store worker's wakeup executor: splits each connection's pending
-/// requests into runs, executes the runs in cross-connection **phases**
-/// (every connection's run `p` before any run `p+1`, same-kind runs of
-/// one phase merged into a single `multi_get`/`multi_put` through the
-/// interleaved batch engine), and demultiplexes responses back into
-/// each connection's output buffer (zero-copy for gets). See the module
-/// docs for the ordering argument.
-#[allow(clippy::too_many_arguments)]
-fn execute_frames_store(
-    worker_id: usize,
-    session: &Session,
-    cursors: &mut HashMap<u64, ScanTokens>,
-    aggregate: bool,
-    redirect: Option<&str>,
-    loads: &[WorkerLoad],
-    conns: &mut [Option<Conn>],
-    buf: &mut FrameBuf,
-    ops: &AtomicU64,
-) {
-    // Group frames per connection (contiguous by construction) and
-    // split each connection's concatenated requests into runs. On a
-    // read-only replica puts classify as Other so they route through
-    // the single-request path, which answers the typed redirect.
-    let kind_of = |r: &Request| match r {
-        Request::Get { .. } => mtkv::RunKind::Get,
-        Request::Put { .. } if redirect.is_none() => mtkv::RunKind::Put,
-        _ => mtkv::RunKind::Other,
-    };
-    let mut plans: Vec<ConnPlan> = Vec::new();
-    let mut i = 0;
-    while i < buf.frames.len() {
-        let slot = buf.frames[i].slot;
-        let mut j = i + 1;
-        while j < buf.frames.len() && buf.frames[j].slot == slot {
-            j += 1;
-        }
-        let alive = conns[slot].as_ref().is_some_and(|c| !c.dead);
-        if alive {
-            debug_assert_eq!(
-                (conns[slot].as_ref().expect("alive").id >> 32) as usize,
-                worker_id,
-                "session affinity: a connection's frames execute on its owning worker"
-            );
-            let base = buf.frames[i].start;
-            let last = &buf.frames[j - 1];
-            let reqs = &buf.reqs[base..last.start + last.len];
-            let runs = if aggregate {
-                mtkv::split_batch_runs(reqs, kind_of, |r| match r {
-                    Request::Get { key, .. } | Request::Put { key, .. } => key.as_slice(),
-                    _ => &[],
-                })
-                .into_iter()
-                .map(|(k, r)| (k, r.start + base..r.end + base))
-                .collect()
-            } else {
-                Vec::new() // per-frame path below
-            };
-            plans.push(ConnPlan {
-                slot,
-                runs,
-                frames: i..j,
-                fidx: i,
-                emitted: 0,
-                mark: 0,
-                open: false,
-            });
-        }
-        i = j;
+/// Where each stream's response bytes go: the owning connection's
+/// output buffer in the event loop, one plain buffer for the embeddable
+/// executors.
+trait Outputs {
+    fn out(&mut self, slot: usize) -> &mut Vec<u8>;
+}
+
+impl Outputs for [Option<Conn>] {
+    fn out(&mut self, slot: usize) -> &mut Vec<u8> {
+        &mut self[slot].as_mut().expect("streams name live slots").wr
+    }
+}
+
+impl Outputs for Vec<u8> {
+    fn out(&mut self, _slot: usize) -> &mut Vec<u8> {
+        self
+    }
+}
+
+/// Responses completed ahead of their turn (see [`StreamPlan`]): their
+/// bytes, and per arena index the range holding them (empty = none).
+#[derive(Default)]
+struct Parked {
+    bytes: Vec<u8>,
+    at: Vec<std::ops::Range<usize>>,
+}
+
+impl Parked {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.at.clear();
     }
 
-    // ---- aggregation off: the per-frame path ----
-    if !aggregate {
-        for plan in &plans {
-            for fi in plan.frames.clone() {
-                let f = &buf.frames[fi];
-                let conn = conns[f.slot].as_mut().expect("live conn");
-                if conn.dead {
+    fn park(&mut self, i: usize, from: usize) {
+        if self.at.len() <= i {
+            self.at.resize(i + 1, 0..0);
+        }
+        self.at[i] = from..self.bytes.len();
+    }
+
+    fn take(&mut self, i: usize) -> Option<std::ops::Range<usize>> {
+        let at = self.at.get_mut(i)?;
+        (at.end > at.start).then(|| std::mem::replace(at, 0..0))
+    }
+}
+
+/// Server-level state the request executors consult: the follower-mode
+/// redirect target and the per-worker load counters `Stats` reports.
+#[derive(Clone, Copy)]
+struct ExecEnv<'a> {
+    /// `Some(primary address)` on a read-only replica.
+    redirect: Option<&'a str>,
+    /// Per-worker live-connection counters (empty outside the
+    /// event-loop server).
+    loads: &'a [WorkerLoad],
+}
+
+impl ExecEnv<'static> {
+    /// Outside the event-loop server: a primary, no worker pool.
+    const STANDALONE: ExecEnv<'static> = ExecEnv {
+        redirect: None,
+        loads: &[],
+    };
+}
+
+/// The batch executor: plans a set of streams into conflict-aware
+/// phases ([`mtkv::PhasePlanner`] — see the module docs for the
+/// ordering contract) and runs each phase as at most one merged
+/// `multi_put`, one merged `multi_get` and the phase's barrier requests.
+/// The one get/put run loop: the event loop (all of a wakeup's
+/// connections, or one frame at a time with aggregation off) and the
+/// embeddable [`execute_batch_into`] all come through [`BatchExec::run`].
+///
+/// Everything here is scratch that keeps its capacity from batch to
+/// batch, so a warm executor allocates nothing of its own.
+#[derive(Default)]
+struct BatchExec {
+    /// The batch's streams, filled by the caller before [`BatchExec::run`]:
+    /// in arena order, together covering the whole arena.
+    streams: Vec<StreamPlan>,
+    planner: PhasePlanner,
+    parked: Parked,
+    /// A merged run's request indices, by run position.
+    run: Vec<usize>,
+    /// A put run's column updates, flat; `run_updates[j]` is where run
+    /// position `j`'s begin.
+    run_updates: Vec<usize>,
+    /// Vectors of borrowed slices, emptied and re-lent per batch
+    /// ([`mtkv::recycle`]).
+    spare_keys: Vec<&'static [u8]>,
+    spare_updates: Vec<(usize, &'static [u8])>,
+    spare_puts: Vec<PutOp<'static>>,
+}
+
+impl BatchExec {
+    fn run<O: Outputs + ?Sized>(
+        &mut self,
+        session: &Session,
+        env: &ExecEnv<'_>,
+        cursors: &mut HashMap<u64, ScanTokens>,
+        reqs: &[RequestRef<'_>],
+        frames: &[Frame],
+        outs: &mut O,
+    ) {
+        let BatchExec {
+            streams,
+            planner,
+            parked,
+            run,
+            run_updates,
+            spare_keys,
+            spare_updates,
+            spare_puts,
+        } = self;
+        let replica = env.redirect.is_some();
+        planner.clear();
+        let mut covered = 0;
+        for s in streams.iter() {
+            debug_assert_eq!(s.ops.start, covered, "streams tile the arena in order");
+            covered = s.ops.end;
+            planner.push_stream(reqs[s.ops.clone()].iter().map(|r| classify(r, replica)));
+        }
+        debug_assert_eq!(covered, reqs.len());
+        planner.finish();
+        parked.clear();
+
+        let mut keys: Vec<&[u8]> = mtkv::recycle(std::mem::take(spare_keys));
+        let mut updates: Vec<(usize, &[u8])> = mtkv::recycle(std::mem::take(spare_updates));
+        let recorder = session.recorder();
+        for phase in planner.phases() {
+            // Merged put run, first: its replies are the small ones, so
+            // when a stream mixes kinds it is `PutOk`s that wait in the
+            // side arena while the get replies after them serialize
+            // straight from the live values.
+            run.clear();
+            run_updates.clear();
+            updates.clear();
+            for &i in phase {
+                if let (OpClass::Write(_), RequestRef::Put { cols, .. }) =
+                    (classify(&reqs[i as usize], replica), reqs[i as usize])
+                {
+                    run.push(i as usize);
+                    run_updates.push(updates.len());
+                    updates.extend(cols.iter().map(|(col, data)| (col as usize, data)));
+                }
+            }
+            if !run.is_empty() {
+                let mut puts: Vec<PutOp<'_>> = mtkv::recycle(std::mem::take(spare_puts));
+                for (j, &i) in run.iter().enumerate() {
+                    let RequestRef::Put { key, .. } = reqs[i] else {
+                        unreachable!("put runs hold only puts")
+                    };
+                    let to = run_updates.get(j + 1).copied().unwrap_or(updates.len());
+                    puts.push((key, &updates[run_updates[j]..to]));
+                }
+                // Timed (and span-sampled) at run granularity: two clock
+                // reads amortized over the whole interleaved group.
+                let _span = maybe_span(session);
+                let t0 = std::time::Instant::now();
+                let mut at = 0;
+                session.multi_put_with(&puts, |j, version| {
+                    emit(streams, &mut at, outs, frames, parked, run[j], |out| {
+                        Response::PutOk(version).encode(out)
+                    });
+                });
+                recorder.record_op(mtkv::mtobs::Kind::MultiPut, t0.elapsed().as_nanos() as u64);
+                *spare_puts = mtkv::recycle(puts);
+            }
+
+            // Merged get run: the visitor runs in input order, so each
+            // response serializes zero-copy into its stream's output —
+            // or, behind an unanswered request, into the side arena.
+            run.clear();
+            keys.clear();
+            for &i in phase {
+                if let RequestRef::Get { key, .. } = reqs[i as usize] {
+                    run.push(i as usize);
+                    keys.push(key);
+                }
+            }
+            if !run.is_empty() {
+                let _span = maybe_span(session);
+                let t0 = std::time::Instant::now();
+                let mut at = 0;
+                session.multi_get_with(&keys, |j, hit| {
+                    let RequestRef::Get { cols, .. } = reqs[run[j]] else {
+                        unreachable!("get runs hold only gets")
+                    };
+                    emit(streams, &mut at, outs, frames, parked, run[j], |out| {
+                        write_get_response(out, hit, cols)
+                    });
+                });
+                recorder.record_op(mtkv::mtobs::Kind::MultiGet, t0.elapsed().as_nanos() as u64);
+            }
+
+            // Barriers: single-request execution, in place. A barrier
+            // is alone in its stream's phase and everything before it
+            // has been answered, so it always writes directly.
+            let mut at = 0;
+            for &i in phase {
+                let (i, req) = (i as usize, &reqs[i as usize]);
+                if classify(req, replica) != OpClass::Barrier {
                     continue;
                 }
-                let reqs = take_frame_reqs(&mut buf.reqs, f);
-                let tokens = cursors.entry(conn.id).or_default();
+                let conn_id = stream_of(streams, &mut at, i).conn_id;
                 let mut ctx = ExecCtx {
-                    tokens,
-                    redirect,
-                    loads,
+                    tokens: cursors.entry(conn_id).or_default(),
+                    env: *env,
                 };
-                let mark = begin_batch(&mut conn.wr);
-                let mut sink = WireSink {
-                    out: &mut conn.wr,
-                    written: 0,
-                };
-                execute_batch_runs(session, &mut ctx, reqs, &mut sink);
-                let written = sink.written;
-                if written != f.len {
-                    conn.wr.truncate(mark);
-                    conn.dead = true;
-                    continue;
-                }
-                finish_batch(&mut conn.wr, mark, written);
-                ops.fetch_add(f.len as u64, Ordering::Relaxed);
+                emit(streams, &mut at, outs, frames, parked, i, |out| {
+                    execute_into_tokens(session, &mut ctx, req, out)
+                });
             }
         }
+        for s in streams.iter_mut() {
+            s.finish(outs.out(s.slot), frames);
+        }
+        *spare_keys = mtkv::recycle(keys);
+        *spare_updates = mtkv::recycle(updates);
+        session
+            .store()
+            .note_batch_plan(planner.phase_count() as u64, planner.conflict_splits());
+    }
+}
+
+/// How the planner sees a request. On a read-only replica puts plan as
+/// barriers, so the single-request path answers each with the typed
+/// redirect.
+fn classify<'a>(req: &RequestRef<'a>, replica: bool) -> OpClass<'a> {
+    match *req {
+        RequestRef::Get { key, .. } => OpClass::Read(key),
+        RequestRef::Put { key, .. } if !replica => OpClass::Write(key),
+        _ => OpClass::Barrier,
+    }
+}
+
+/// The stream request `i` belongs to, found by moving the cursor `at`
+/// forward (callers ask in ascending `i`).
+fn stream_of<'s>(streams: &'s mut [StreamPlan], at: &mut usize, i: usize) -> &'s mut StreamPlan {
+    while i >= streams[*at].ops.end {
+        *at += 1;
+    }
+    &mut streams[*at]
+}
+
+/// Routes request `i`'s response bytes: straight into its stream's
+/// output when `i` is the next response that output is owed — then
+/// every parked response queued right behind it follows — and into the
+/// side arena otherwise. `at` is the caller's [`stream_of`] cursor.
+fn emit<O: Outputs + ?Sized>(
+    streams: &mut [StreamPlan],
+    at: &mut usize,
+    outs: &mut O,
+    frames: &[Frame],
+    parked: &mut Parked,
+    i: usize,
+    write: impl FnOnce(&mut Vec<u8>),
+) {
+    let stream = stream_of(streams, at, i);
+    if i != stream.next {
+        let from = parked.bytes.len();
+        write(&mut parked.bytes);
+        parked.park(i, from);
         return;
     }
-
-    // ---- phase loop ----
-    let phases = plans.iter().map(|p| p.runs.len()).max().unwrap_or(0);
-    for phase in 0..phases {
-        // Merged put run: flatten every connection's phase-`phase` put
-        // run (intra-connection duplicate keys were already split into
-        // later phases; cross-connection duplicates carry no ordering
-        // obligation), one multi_put, then demux the versions.
-        {
-            let mut flat: Vec<&Request> = Vec::new();
-            // (plan index, put count) per contributing connection.
-            let mut segs: Vec<(usize, usize)> = Vec::new();
-            for (pi, p) in plans.iter().enumerate() {
-                let Some((mtkv::RunKind::Put, r)) = p.runs.get(phase) else {
-                    continue;
-                };
-                flat.extend(buf.reqs[r.clone()].iter());
-                segs.push((pi, r.len()));
-            }
-            if !flat.is_empty() {
-                let updates: Vec<Vec<(usize, &[u8])>> = flat
-                    .iter()
-                    .map(|r| match r {
-                        Request::Put { cols, .. } => cols
-                            .iter()
-                            .map(|(i, d)| (*i as usize, d.as_slice()))
-                            .collect(),
-                        _ => unreachable!("put runs hold only puts"),
-                    })
-                    .collect();
-                let put_ops: Vec<mtkv::PutOp<'_>> = flat
-                    .iter()
-                    .zip(&updates)
-                    .map(|(r, u)| match r {
-                        Request::Put { key, .. } => (key.as_slice(), u.as_slice()),
-                        _ => unreachable!("put runs hold only puts"),
-                    })
-                    .collect();
-                let _span = maybe_span(session);
-                let t0 = std::time::Instant::now();
-                let versions = session.multi_put(&put_ops);
-                session
-                    .recorder()
-                    .record_op(mtkv::mtobs::Kind::MultiPut, t0.elapsed().as_nanos() as u64);
-                let mut v = versions.iter();
-                for &(pi, count) in &segs {
-                    let plan = &mut plans[pi];
-                    let conn = conns[plan.slot].as_mut().expect("live conn");
-                    for _ in 0..count {
-                        plan.begin_response(&mut conn.wr, &buf.frames);
-                        Response::PutOk(*v.next().expect("one version per put"))
-                            .encode(&mut conn.wr);
-                        plan.end_response(&mut conn.wr, &buf.frames, ops);
-                    }
-                }
-            }
-        }
-
-        // Merged get run: one multi_get over every connection's
-        // phase-`phase` get run; the visitor runs in input order, so
-        // each response serializes zero-copy straight into its owning
-        // connection's output buffer via the emitter.
-        {
-            let mut get_keys: Vec<&[u8]> = Vec::new();
-            let mut get_cols: Vec<Option<&[u16]>> = Vec::new();
-            // (plan index, end index in get_keys) per contribution.
-            let mut segs: Vec<(usize, usize)> = Vec::new();
-            for (pi, p) in plans.iter().enumerate() {
-                let Some((mtkv::RunKind::Get, r)) = p.runs.get(phase) else {
-                    continue;
-                };
-                for req in &buf.reqs[r.clone()] {
-                    match req {
-                        Request::Get { key, cols } => {
-                            get_keys.push(key.as_slice());
-                            get_cols.push(cols.as_deref());
-                        }
-                        _ => unreachable!("get runs hold only gets"),
-                    }
-                }
-                segs.push((pi, get_keys.len()));
-            }
-            if !get_keys.is_empty() {
-                // One timing per merged wakeup-wide run (covers the
-                // interleaved traversal and the zero-copy serialization
-                // of every connection's responses).
-                let _span = maybe_span(session);
-                let t0 = std::time::Instant::now();
-                let mut si = 0usize;
-                session.multi_get_with(&get_keys, |i, hit| {
-                    while i >= segs[si].1 {
-                        si += 1;
-                    }
-                    let plan = &mut plans[segs[si].0];
-                    let conn = conns[plan.slot].as_mut().expect("live conn");
-                    plan.begin_response(&mut conn.wr, &buf.frames);
-                    write_get_response(&mut conn.wr, hit, get_cols[i]);
-                    plan.end_response(&mut conn.wr, &buf.frames, ops);
-                });
-                session
-                    .recorder()
-                    .record_op(mtkv::mtobs::Kind::MultiGet, t0.elapsed().as_nanos() as u64);
-            }
-        }
-
-        // Non-groupable runs: single-request execution, in place.
-        for plan in &mut plans {
-            let Some((mtkv::RunKind::Other, r)) = plan.runs.get(phase).cloned() else {
-                continue;
-            };
-            let conn = conns[plan.slot].as_mut().expect("live conn");
-            let tokens = cursors.entry(conn.id).or_default();
-            let mut ctx = ExecCtx {
-                tokens,
-                redirect,
-                loads,
-            };
-            for idx in r {
-                let req =
-                    std::mem::replace(&mut buf.reqs[idx], Request::Remove { key: Vec::new() });
-                plan.begin_response(&mut conn.wr, &buf.frames);
-                execute_into_tokens(session, &mut ctx, req, &mut conn.wr);
-                plan.end_response(&mut conn.wr, &buf.frames, ops);
-            }
-        }
-    }
-
-    // Trailing zero-request frames still owe their empty batch replies.
-    for plan in &mut plans {
-        let conn = conns[plan.slot].as_mut().expect("live conn");
-        plan.finish(&mut conn.wr, &buf.frames);
+    let wr = outs.out(stream.slot);
+    stream.begin_response(wr, frames);
+    write(wr);
+    stream.end_response(wr, frames);
+    while let Some(range) = parked.take(stream.next) {
+        stream.begin_response(wr, frames);
+        wr.extend_from_slice(&parked.bytes[range]);
+        stream.end_response(wr, frames);
     }
 }
 
-/// Where a batch executor's responses go: owned [`Response`]s (the
-/// compatibility path) or wire bytes written straight from borrowed
-/// value slices (the zero-copy path). One implementation of the run
-/// loop ([`execute_batch_runs`]) serves both, so the grouping semantics
-/// cannot drift apart.
-trait ResponseSink {
-    /// Emits one get result from the borrowed value and the request's
-    /// column selection.
-    fn get_result(&mut self, hit: Option<&mtkv::ColValue>, cols: Option<&[u16]>);
-    /// Emits one put result.
-    fn put_ok(&mut self, version: u64);
-    /// Executes and emits one non-groupable request.
-    fn single(&mut self, session: &Session, ctx: &mut ExecCtx<'_>, req: Request);
+thread_local! {
+    /// The embeddable executors' scratch (the event loop owns its own).
+    static STANDALONE: RefCell<BatchExec> = RefCell::default();
 }
 
-/// Materializes owned [`Response`]s (copying the selected columns).
-struct OwnedSink(Vec<Response>);
-
-impl ResponseSink for OwnedSink {
-    fn get_result(&mut self, hit: Option<&mtkv::ColValue>, cols: Option<&[u16]>) {
-        self.0.push(Response::Value(hit.map(|v| {
-            match cols {
-                None => v.cols(),
-                Some(ids) => ids
-                    .iter()
-                    .map(|&c| v.col(c as usize).unwrap_or(&[]).to_vec())
-                    .collect(),
-            }
-        })));
-    }
-
-    fn put_ok(&mut self, version: u64) {
-        self.0.push(Response::PutOk(version));
-    }
-
-    fn single(&mut self, session: &Session, ctx: &mut ExecCtx<'_>, req: Request) {
-        self.0.push(execute_tokens(session, ctx, req));
-    }
+/// Executes a whole batch of borrowed requests against a store session,
+/// serializing the responses — in request order — directly into `out`,
+/// and returns how many were written. The batch runs through the same
+/// planner and run loop as a served wakeup: gets and puts that the
+/// ordering contract (module docs) leaves unordered merge into
+/// interleaved `multi_get` / `multi_put` runs, get and scan responses
+/// are encoded from column slices borrowed under the epoch guard, and
+/// a warm call allocates nothing beyond the values its puts build.
+pub fn execute_refs_into(session: &Session, reqs: &[RequestRef<'_>], out: &mut Vec<u8>) -> usize {
+    STANDALONE.with(|exec| {
+        let mut exec = exec.borrow_mut();
+        exec.streams.clear();
+        exec.streams
+            .push(StreamPlan::new(0, 0, 0..reqs.len(), 0..0));
+        let env = ExecEnv::STANDALONE;
+        exec.run(session, &env, &mut HashMap::new(), reqs, &[], out);
+    });
+    reqs.len()
 }
 
-/// Serializes responses directly into the connection's output buffer.
-struct WireSink<'a> {
-    out: &'a mut Vec<u8>,
-    written: usize,
-}
-
-impl ResponseSink for WireSink<'_> {
-    fn get_result(&mut self, hit: Option<&mtkv::ColValue>, cols: Option<&[u16]>) {
-        write_get_response(self.out, hit, cols);
-        self.written += 1;
-    }
-
-    fn put_ok(&mut self, version: u64) {
-        Response::PutOk(version).encode(self.out);
-        self.written += 1;
-    }
-
-    fn single(&mut self, session: &Session, ctx: &mut ExecCtx<'_>, req: Request) {
-        execute_into_tokens(session, ctx, req, self.out);
-        self.written += 1;
-    }
-}
-
-/// The shared batch run loop: splits the batch into maximal groupable
-/// runs, feeds get/put runs through the interleaved batch traversal
-/// engine (`masstree::batch`) instead of N sequential descents, and
-/// hands every result to `sink`.
-///
-/// Batch semantics are preserved exactly: responses are positionally
-/// matched, requests of different kinds never reorder across each other,
-/// and a run of puts is split at a duplicate key so writes to the same
-/// key apply in batch order (within an interleaved group, duplicate-key
-/// order would otherwise be unspecified).
-fn execute_batch_runs<S: ResponseSink>(
-    session: &Session,
-    ctx: &mut ExecCtx<'_>,
-    mut reqs: Vec<Request>,
-    sink: &mut S,
-) {
-    // On a read-only replica puts classify as Other so the single path
-    // answers the typed redirect instead of writing.
-    let redirecting = ctx.redirect.is_some();
-    let runs = mtkv::split_batch_runs(
-        &reqs,
-        |r| match r {
-            Request::Get { .. } => mtkv::RunKind::Get,
-            Request::Put { .. } if !redirecting => mtkv::RunKind::Put,
-            _ => mtkv::RunKind::Other,
-        },
-        |r| match r {
-            Request::Get { key, .. } | Request::Put { key, .. } => key.as_slice(),
-            _ => &[],
-        },
-    );
-    for (kind, range) in runs {
-        let run = &reqs[range.clone()];
-        match kind {
-            mtkv::RunKind::Get if run.len() >= 2 => {
-                let keys: Vec<&[u8]> = run
-                    .iter()
-                    .map(|r| match r {
-                        Request::Get { key, .. } => key.as_slice(),
-                        _ => unreachable!("run holds only gets"),
-                    })
-                    .collect();
-                // Timed at run granularity — two clock reads amortized
-                // over the whole interleaved group, so the ≤2% overhead
-                // budget on the batched read path holds.
-                let _span = maybe_span(session);
-                let t0 = std::time::Instant::now();
-                // Each request's own column selection is applied against
-                // the live value inside the visitor — the sink decides
-                // whether that means copying (owned) or encoding (wire).
-                session.multi_get_with(&keys, |i, hit| {
-                    let Request::Get { cols, .. } = &run[i] else {
-                        unreachable!("run holds only gets")
-                    };
-                    sink.get_result(hit, cols.as_deref());
-                });
-                session
-                    .recorder()
-                    .record_op(mtkv::mtobs::Kind::MultiGet, t0.elapsed().as_nanos() as u64);
-            }
-            mtkv::RunKind::Put if run.len() >= 2 => {
-                let updates: Vec<Vec<(usize, &[u8])>> = run
-                    .iter()
-                    .map(|r| match r {
-                        Request::Put { cols, .. } => cols
-                            .iter()
-                            .map(|(i, d)| (*i as usize, d.as_slice()))
-                            .collect(),
-                        _ => unreachable!("run holds only puts"),
-                    })
-                    .collect();
-                let ops: Vec<mtkv::PutOp<'_>> = run
-                    .iter()
-                    .zip(&updates)
-                    .map(|(r, u)| match r {
-                        Request::Put { key, .. } => (key.as_slice(), u.as_slice()),
-                        _ => unreachable!("run holds only puts"),
-                    })
-                    .collect();
-                let _span = maybe_span(session);
-                let t0 = std::time::Instant::now();
-                for version in session.multi_put(&ops) {
-                    sink.put_ok(version);
-                }
-                session
-                    .recorder()
-                    .record_op(mtkv::mtobs::Kind::MultiPut, t0.elapsed().as_nanos() as u64);
-            }
-            _ => {
-                // Singleton or non-groupable run: execute in place. The
-                // placeholder swap lets us move the request out without
-                // cloning its payload.
-                for idx in range {
-                    let req =
-                        std::mem::replace(&mut reqs[idx], Request::Remove { key: Vec::new() });
-                    sink.single(session, ctx, req);
-                }
-            }
-        }
-    }
-}
-
-/// Executes a whole wire batch against a store session, returning owned
-/// responses. See [`execute_batch_runs`] for the grouping semantics.
-pub fn execute_batch(session: &Session, reqs: Vec<Request>) -> Vec<Response> {
-    let mut sink = OwnedSink(Vec::with_capacity(reqs.len()));
-    execute_batch_runs(
-        session,
-        &mut ExecCtx::standalone(&mut ScanTokens::new()),
-        reqs,
-        &mut sink,
-    );
-    sink.0
-}
-
-/// Executes a whole wire batch against a store session, serializing
-/// responses directly into `out` — the zero-copy read path. Runs of
-/// consecutive gets go through the interleaved batch traversal engine
-/// and their responses are encoded **inside the `multi_get_with`
-/// visitor**, with column slices borrowed straight out of each live
-/// `ColValue` under the epoch guard; nothing is copied into intermediate
-/// `Vec<Response>` payloads. Returns the number of responses written.
+/// [`execute_refs_into`] for owned requests.
 pub fn execute_batch_into(session: &Session, reqs: Vec<Request>, out: &mut Vec<u8>) -> usize {
-    let mut sink = WireSink { out, written: 0 };
-    execute_batch_runs(
-        session,
-        &mut ExecCtx::standalone(&mut ScanTokens::new()),
-        reqs,
-        &mut sink,
-    );
-    sink.written
+    let refs: Vec<RequestRef<'_>> = reqs.iter().map(Request::borrowed).collect();
+    execute_refs_into(session, &refs, out)
+}
+
+/// Executes a whole batch one request at a time, in order, returning
+/// owned responses: the sequential **reference** the batch executor's
+/// output is compared against (`tests/end_to_end.rs`), not a serving
+/// path.
+pub fn execute_batch(session: &Session, reqs: Vec<Request>) -> Vec<Response> {
+    let mut tokens = ScanTokens::new();
+    let mut ctx = ExecCtx::standalone(&mut tokens);
+    reqs.into_iter()
+        .map(|req| execute_tokens(session, &mut ctx, req))
+        .collect()
 }
 
 /// Executes one request against a store session, serializing the
@@ -1475,7 +1411,7 @@ pub fn execute_into(session: &Session, req: Request, out: &mut Vec<u8>) {
     execute_into_tokens(
         session,
         &mut ExecCtx::standalone(&mut ScanTokens::new()),
-        req,
+        &req.borrowed(),
         out,
     )
 }
@@ -1483,65 +1419,65 @@ pub fn execute_into(session: &Session, req: Request, out: &mut Vec<u8>) {
 /// [`execute_into`] with the connection's execution context, so
 /// resumable `Scan` requests re-enter the tree at their remembered
 /// border nodes and replica mode refuses writes.
-fn execute_into_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request, out: &mut Vec<u8>) {
+fn execute_into_tokens(
+    session: &Session,
+    ctx: &mut ExecCtx<'_>,
+    req: &RequestRef<'_>,
+    out: &mut Vec<u8>,
+) {
     let _span = maybe_span(session);
-    match req {
-        Request::Get { key, cols } => {
-            session.get_with(&key, |hit| write_get_response(out, hit, cols.as_deref()));
+    match *req {
+        RequestRef::Get { key, cols } => {
+            session.get_with(key, |hit| write_get_response(out, hit, cols));
         }
-        Request::Put { key, cols } => {
+        RequestRef::Put { key, cols } => {
             if let Some(resp) = ctx.refuse_write() {
                 return resp.encode(out);
             }
-            let updates: Vec<(usize, &[u8])> = cols
-                .iter()
-                .map(|(i, d)| (*i as usize, d.as_slice()))
-                .collect();
-            Response::PutOk(session.put(&key, &updates)).encode(out);
+            let updates: Vec<(usize, &[u8])> = cols.iter().map(|(i, d)| (i as usize, d)).collect();
+            Response::PutOk(session.put(key, &updates)).encode(out);
         }
-        Request::Remove { key } => {
+        RequestRef::Remove { key } => {
             if let Some(resp) = ctx.refuse_write() {
                 return resp.encode(out);
             }
-            Response::RemoveOk(session.remove(&key)).encode(out)
+            Response::RemoveOk(session.remove(key)).encode(out)
         }
-        Request::Scan {
+        RequestRef::Scan {
             key,
             count,
             cols,
             resume,
         } => {
             let start = out.len();
-            let ok =
-                {
-                    let mut rows = RowsWriter::begin(out);
-                    let ok = scan_with_tokens(session, ctx.tokens, &key, count, resume, |k, v| {
-                        match &cols {
-                            None => rows.push_row(
-                                k,
-                                v.ncols(),
-                                (0..v.ncols()).map(|c| v.col(c).unwrap_or(&[])),
-                            ),
-                            Some(ids) => rows.push_row(
-                                k,
-                                ids.len(),
-                                ids.iter().map(|&c| v.col(c as usize).unwrap_or(&[])),
-                            ),
-                        }
+            let ok = {
+                let mut rows = RowsWriter::begin(out);
+                let ok =
+                    scan_with_tokens(session, ctx.tokens, key, count, resume, |k, v| match cols {
+                        None => rows.push_row(
+                            k,
+                            v.ncols(),
+                            (0..v.ncols()).map(|c| v.col(c).unwrap_or(&[])),
+                        ),
+                        Some(ids) => rows.push_row(
+                            k,
+                            ids.len(),
+                            ids.iter().map(|c| v.col(c as usize).unwrap_or(&[])),
+                        ),
                     });
-                    if ok {
-                        rows.finish();
-                    }
-                    ok
-                };
+                if ok {
+                    rows.finish();
+                }
+                ok
+            };
             if !ok {
                 out.truncate(start);
                 Response::Err(UNKNOWN_SCAN_TOKEN.into()).encode(out);
             }
         }
         // Admin requests: small fixed-size replies, no zero-copy need.
-        req @ (Request::Stats | Request::Flush | Request::Sync | Request::StatsEx) => {
-            execute_tokens(session, ctx, req).encode(out)
+        RequestRef::Stats | RequestRef::Flush | RequestRef::Sync | RequestRef::StatsEx => {
+            execute_tokens(session, ctx, req.to_owned()).encode(out)
         }
     }
 }
@@ -1611,7 +1547,7 @@ where
 
 /// Writes a get's `Response::Value` wire bytes from a borrowed value,
 /// applying the request's column selection slice-by-slice.
-fn write_get_response(out: &mut Vec<u8>, hit: Option<&mtkv::ColValue>, cols: Option<&[u16]>) {
+fn write_get_response(out: &mut Vec<u8>, hit: Option<&mtkv::ColValue>, cols: Option<ColIds<'_>>) {
     match hit {
         None => write_value_none(out),
         Some(v) => match cols {
@@ -1623,7 +1559,7 @@ fn write_get_response(out: &mut Vec<u8>, hit: Option<&mtkv::ColValue>, cols: Opt
             Some(ids) => write_value_borrowed(
                 out,
                 ids.len(),
-                ids.iter().map(|&c| v.col(c as usize).unwrap_or(&[])),
+                ids.iter().map(|c| v.col(c as usize).unwrap_or(&[])),
             ),
         },
     }
@@ -1633,9 +1569,9 @@ fn write_get_response(out: &mut Vec<u8>, hit: Option<&mtkv::ColValue>, cols: Opt
     mtkv::mtobs::span::mark(mtkv::mtobs::Stage::Respond);
 }
 
-/// Executes one request against a store session (token-less: resumable
-/// `Scan` requests fall back to fresh scans; the server's per-connection
-/// state routes them through [`StoreConn`] instead).
+/// Executes one request against a store session, returning an owned
+/// response (no connection state: a resumable `Scan`'s cursor does not
+/// outlive the call).
 pub fn execute(session: &Session, req: Request) -> Response {
     execute_tokens(
         session,
@@ -1690,7 +1626,7 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
             }
             Response::Rows(rows)
         }
-        Request::Stats => Response::Stats(gather_stats(session, ctx.loads)),
+        Request::Stats => Response::Stats(gather_stats(session, ctx.env.loads)),
         Request::StatsEx => Response::StatsEx(StatsExReply {
             // `Obs::snapshot` merges every live recorder (all sessions
             // across all workers), retired recorders from closed
@@ -1713,7 +1649,7 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
                     return Response::Err(format!("flush failed: durability cycle: {e}"));
                 }
             }
-            Response::Stats(gather_stats(session, ctx.loads))
+            Response::Stats(gather_stats(session, ctx.env.loads))
         }
         Request::Sync => {
             // Group-commit barrier only (§5's per-core log force): make
@@ -1723,7 +1659,7 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
             if !session.force_log() {
                 return Response::Err("sync failed: log writer is dead (I/O error)".into());
             }
-            Response::Stats(gather_stats(session, ctx.loads))
+            Response::Stats(gather_stats(session, ctx.env.loads))
         }
     }
 }
@@ -1744,6 +1680,7 @@ fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
     let (repl_role, repl_followers, repl_lag_bytes, repl_lag_ts_us) =
         session.store().repl_stats().snapshot();
     let v = session.store().value_tier_stats();
+    let (phases, conflict_splits) = session.store().batch_plan_stats();
     StatsReply {
         checkpoints: s.checkpoints,
         last_checkpoint_start_ts: s.last_checkpoint_start_ts,
@@ -1768,9 +1705,15 @@ fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
         readahead_batches: v.readahead_batches,
         coalesced_bytes: v.coalesced_bytes,
         shared_misses: v.shared_misses,
+        phases,
+        conflict_splits,
         worker_conns: loads
             .iter()
             .map(|l| l.conns.load(Ordering::Relaxed))
             .collect(),
     }
 }
+
+#[cfg(test)]
+#[path = "server_tests.rs"]
+mod tests;

@@ -83,10 +83,12 @@ fn stats_on_in_memory_store_is_all_zero() {
     c.put(b"k", vec![(0, b"v".to_vec())]).unwrap();
     let s = c.stats().unwrap();
     // Everything durability/replication-related is zero; the live
-    // per-worker connection counts must still see this one connection.
+    // per-worker connection counts must still see this one connection,
+    // and the batch executor has run one phase (the put's).
     assert_eq!(s.worker_conns.iter().sum::<u64>(), 1, "{s:?}");
     let expect = mtnet::StatsReply {
         worker_conns: s.worker_conns.clone(),
+        phases: 1,
         ..Default::default()
     };
     assert_eq!(s, expect);
@@ -392,6 +394,13 @@ fn interleaved_batch_path_matches_sequential_semantics() {
         .collect();
     assert!(versions[2] > versions[0], "batch order preserved per key");
     assert_eq!(c.get(b"dup", None).unwrap(), Some(vec![b"second".to_vec()]));
+    // The duplicate key cost exactly one extra phase, and says so.
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.conflict_splits, 1, "{stats:?}");
+    assert_eq!(
+        stats.phases, 3,
+        "two for the puts, one for the get: {stats:?}"
+    );
 
     // A mixed batch: get-run, remove, get-run again; responses stay
     // positionally matched and read-your-writes holds across runs.
@@ -717,48 +726,54 @@ fn oversized_frame_gets_typed_error_then_clean_close() {
 }
 
 #[test]
-fn undecodable_request_gets_typed_error_after_earlier_frames() {
+fn undecodable_frame_gets_typed_error_after_earlier_frames() {
     use std::io::Write;
     let server = start_in_memory();
     let mut good = Client::connect(server.addr()).unwrap();
     good.put(b"poison/keep", vec![(0, b"v".to_vec())]).unwrap();
-
-    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
-    // First a valid single-Get frame, then a frame whose body is not a
-    // decodable request. The valid frame's reply must still arrive
-    // before the typed error and the close (drain-then-close).
-    let mut body = Vec::new();
+    let mut get = Vec::new();
     Request::Get {
         key: b"poison/keep".to_vec(),
         cols: None,
     }
-    .encode(&mut body);
-    s.write_all(&mtnet::proto::frame_batch(1, &body)).unwrap();
-    let garbage = [0xFFu8, 0xEE, 0xDD];
-    s.write_all(&mtnet::proto::frame_batch(1, &garbage))
-        .unwrap();
-    s.flush().unwrap();
+    .encode(&mut get);
 
-    let mut r = std::io::BufReader::new(s.try_clone().unwrap());
-    let (count, body) = mtnet::proto::read_batch(&mut r)
-        .unwrap()
-        .expect("get reply");
-    assert_eq!(count, 1);
-    let mut p = &body[..];
-    assert!(
-        matches!(Response::decode(&mut p), Some(Response::Value(Some(_)))),
-        "frame parsed before the poison still gets its reply"
-    );
-    let (count, body) = mtnet::proto::read_batch(&mut r)
-        .unwrap()
-        .expect("error batch");
-    assert_eq!(count, 1);
-    let mut p = &body[..];
-    match Response::decode(&mut p) {
-        Some(Response::Err(msg)) => assert!(msg.contains("bad"), "{msg}"),
-        other => panic!("expected Response::Err, got {other:?}"),
+    // Two ways a frame body can fail to be exactly `count` requests:
+    // bytes that decode as no request at all, and a valid request
+    // followed by bytes its count does not cover (which used to be
+    // silently accepted, the remainder dropped).
+    let garbage = vec![0xFFu8, 0xEE, 0xDD];
+    let trailing = [&get[..], &[0x03]].concat();
+    for (bad, what) in [(garbage, "undecodable"), (trailing, "trailing bytes")] {
+        let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+        // First a valid single-Get frame, then the bad one. The valid
+        // frame's reply must still arrive before the typed error and the
+        // close (drain-then-close).
+        s.write_all(&mtnet::proto::frame_batch(1, &get)).unwrap();
+        s.write_all(&mtnet::proto::frame_batch(1, &bad)).unwrap();
+        s.flush().unwrap();
+
+        let mut r = std::io::BufReader::new(s.try_clone().unwrap());
+        let (count, body) = mtnet::proto::read_batch(&mut r)
+            .unwrap()
+            .expect("get reply");
+        assert_eq!(count, 1);
+        let mut p = &body[..];
+        assert!(
+            matches!(Response::decode(&mut p), Some(Response::Value(Some(_)))),
+            "frame parsed before the poison still gets its reply"
+        );
+        let (count, body) = mtnet::proto::read_batch(&mut r)
+            .unwrap()
+            .expect("error batch");
+        assert_eq!(count, 1);
+        let mut p = &body[..];
+        match Response::decode(&mut p) {
+            Some(Response::Err(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected Response::Err, got {other:?}"),
+        }
+        assert!(mtnet::proto::read_batch(&mut r).unwrap().is_none());
     }
-    assert!(mtnet::proto::read_batch(&mut r).unwrap().is_none());
 }
 
 #[test]

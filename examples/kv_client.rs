@@ -101,6 +101,8 @@ fn main() {
             println!("coalesced_bytes: {}", s.coalesced_bytes);
             println!("shared_misses: {}", s.shared_misses);
             println!("live_segment_bytes: {}", s.live_segment_bytes);
+            println!("phases: {}", s.phases);
+            println!("conflict_splits: {}", s.conflict_splits);
             println!(
                 "worker_conns: {}",
                 s.worker_conns

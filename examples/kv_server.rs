@@ -41,7 +41,9 @@
 //!
 //! * `MT_METRICS_LISTEN=<addr>` serves Prometheus text exposition on
 //!   `GET /metrics`: per-op-kind latency histograms (`mt_op_latency_
-//!   seconds`) plus durability/replication/value-tier gauges.
+//!   seconds`) plus durability/replication/value-tier gauges and the
+//!   batch executor's `mt_batch_phases_total` /
+//!   `mt_batch_conflict_splits_total`.
 //! * `MT_STATS_INTERVAL=<secs>` prints one structured `STATS` line per
 //!   interval: op rates, p99 latencies, slow-op and trace counts,
 //!   replication lag, checkpoint and GC activity.
@@ -282,6 +284,7 @@ fn render_metrics(store: &Arc<Store>) -> String {
     let c = store.cache_stats();
     let (repl_role, repl_followers, repl_lag_bytes, repl_lag_ts_us) = store.repl_stats().snapshot();
     let v = store.value_tier_stats();
+    let (phases, conflict_splits) = store.batch_plan_stats();
     mtobs::render_prometheus(
         &snap,
         &[
@@ -302,6 +305,8 @@ fn render_metrics(store: &Arc<Store>) -> String {
             ("mt_shared_misses_total", v.shared_misses),
             ("mt_gc_rewritten_bytes_total", v.gc_rewritten_bytes),
             ("mt_live_segment_bytes", v.live_segment_bytes),
+            ("mt_batch_phases_total", phases),
+            ("mt_batch_conflict_splits_total", conflict_splits),
         ],
     )
 }

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! With `--batch`, each mix is additionally driven in batched mode: every
-//! worker draws operations in groups and executes runs of gets/puts
-//! through the interleaved multi-get/multi-put path (`masstree::batch`),
+//! worker draws operations in groups and executes each group's gets and
+//! puts through the interleaved multi-get/multi-put path
+//! (`masstree::batch`), ordered by the server's own phase planner,
 //! sweeping batch sizes {1, 4, 8, 16, 32} so the sequential-vs-pipelined
 //! comparison is printed per mix.
 
@@ -89,6 +90,7 @@ fn run_mix(
             s.spawn(move || {
                 let session = store.session().unwrap();
                 let mut wl = MycsbWorkload::new(mix, records, 7 + t);
+                let mut planner = mtkv::PhasePlanner::default();
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     if batch <= 1 {
@@ -97,7 +99,7 @@ fn run_mix(
                     } else {
                         let ops = wl.next_ops(batch);
                         n += ops.len() as u64;
-                        execute_batched(&session, ops);
+                        execute_batched(&session, &mut planner, ops);
                     }
                 }
                 total.fetch_add(n, Ordering::Relaxed);
@@ -113,59 +115,48 @@ fn execute_one(session: &Session, op: MycsbOp) {
     execute_one_ref(session, &op)
 }
 
-/// Executes one drawn batch, feeding runs of gets and puts through the
-/// interleaved engine. Run grouping (and put-run splitting at duplicate
-/// keys, which preserves per-key order) is shared with the network
-/// server via [`mtkv::split_batch_runs`].
-fn execute_batched(session: &Session, ops: Vec<MycsbOp>) {
-    let runs = mtkv::split_batch_runs(
-        &ops,
-        |o| match o {
-            MycsbOp::Get { .. } => mtkv::RunKind::Get,
-            MycsbOp::Put { .. } => mtkv::RunKind::Put,
-            MycsbOp::GetRange { .. } => mtkv::RunKind::Other,
-        },
-        |o| match o {
-            MycsbOp::Get { key } | MycsbOp::Put { key, .. } => key.as_slice(),
-            MycsbOp::GetRange { .. } => &[],
-        },
-    );
-    for (kind, range) in runs {
-        let run = &ops[range];
-        match kind {
-            mtkv::RunKind::Get if run.len() >= 2 => {
-                let keys: Vec<&[u8]> = run
-                    .iter()
-                    .map(|o| match o {
-                        MycsbOp::Get { key } => key.as_slice(),
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                std::hint::black_box(session.multi_get(&keys, None));
-            }
-            mtkv::RunKind::Put if run.len() >= 2 => {
-                let updates: Vec<[(usize, &[u8]); 1]> = run
-                    .iter()
-                    .map(|o| match o {
-                        MycsbOp::Put { column, data, .. } => [(*column, data.as_slice())],
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                let puts: Vec<mtkv::PutOp<'_>> = run
-                    .iter()
-                    .zip(&updates)
-                    .map(|(o, u)| match o {
-                        MycsbOp::Put { key, .. } => (key.as_slice(), u.as_slice()),
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                session.multi_put(&puts);
-            }
-            _ => {
-                for op in run {
-                    execute_one_ref(session, op);
-                }
-            }
+/// Executes one drawn batch the way the network server executes a
+/// wakeup: [`mtkv::PhasePlanner`] orders only same-key conflicts (and
+/// range reads, which are barriers), and each phase's gets and puts go
+/// through the interleaved engine as one `multi_get` / `multi_put`.
+fn execute_batched(session: &Session, planner: &mut mtkv::PhasePlanner, ops: Vec<MycsbOp>) {
+    planner.clear();
+    planner.push_stream(ops.iter().map(|o| match o {
+        MycsbOp::Get { key } => mtkv::OpClass::Read(key),
+        MycsbOp::Put { key, .. } => mtkv::OpClass::Write(key),
+        MycsbOp::GetRange { .. } => mtkv::OpClass::Barrier,
+    }));
+    planner.finish();
+    for phase in planner.phases() {
+        let in_phase = || phase.iter().map(|&i| &ops[i as usize]);
+        let updates: Vec<[(usize, &[u8]); 1]> = in_phase()
+            .filter_map(|o| match o {
+                MycsbOp::Put { column, data, .. } => Some([(*column, data.as_slice())]),
+                _ => None,
+            })
+            .collect();
+        let puts: Vec<mtkv::PutOp<'_>> = in_phase()
+            .filter_map(|o| match o {
+                MycsbOp::Put { key, .. } => Some(key.as_slice()),
+                _ => None,
+            })
+            .zip(&updates)
+            .map(|(key, u)| (key, u.as_slice()))
+            .collect();
+        if !puts.is_empty() {
+            session.multi_put(&puts);
+        }
+        let keys: Vec<&[u8]> = in_phase()
+            .filter_map(|o| match o {
+                MycsbOp::Get { key } => Some(key.as_slice()),
+                _ => None,
+            })
+            .collect();
+        if !keys.is_empty() {
+            std::hint::black_box(session.multi_get(&keys, None));
+        }
+        for op in in_phase().filter(|o| matches!(o, MycsbOp::GetRange { .. })) {
+            execute_one_ref(session, op);
         }
     }
 }
