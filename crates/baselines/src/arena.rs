@@ -4,7 +4,7 @@
 //!
 //! We cannot port Streamflow or force 2 MB x86 superpages from a
 //! container, so the two allocator bars are approximated by what made
-//! them fast (see DESIGN.md §4.7): per-thread bump allocation from large
+//! them fast: per-thread bump allocation from large
 //! chunks (no per-object free, no cross-thread synchronization on the
 //! allocation path) and, for the superpage variant, 2 MB-aligned chunks —
 //! which Linux's transparent huge pages will typically back with 2 MB

@@ -11,7 +11,7 @@
 //! Configuration axes (the factor-analysis ladder):
 //! * `IntCmp` — compare the first 8 key bytes as one big-endian integer
 //!   before falling back to byte comparison (§4.2's trick).
-//! * allocator — global allocator, or a bump [`Arena`] (DESIGN.md §4.7).
+//! * allocator — global allocator, or a bump [`Arena`].
 
 use std::cmp::Ordering as Ord_;
 use std::sync::atomic::{AtomicPtr, Ordering};

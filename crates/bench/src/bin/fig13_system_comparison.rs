@@ -1,8 +1,8 @@
 //! **Figure 13** — system comparison (§7): Masstree vs stand-ins for
-//! MongoDB, VoltDB, Redis and memcached (see `bench::standins` and
-//! DESIGN.md §4.8 — the real systems cannot run here, so each stand-in
-//! reproduces the architectural property the paper credits for its
-//! result; rows are labelled accordingly).
+//! MongoDB, VoltDB, Redis and memcached (see `bench::standins` — the
+//! real systems cannot run here, so each stand-in reproduces the
+//! architectural property the paper credits for its result; rows are
+//! labelled accordingly).
 //!
 //! Workloads, as in the paper: uniform-popularity 1-to-10-byte decimal
 //! keys with one 8-byte column (get, put, 1-core get, 1-core put), and
@@ -61,7 +61,7 @@ fn main() {
         "# Figure 13: system comparison — {records} records, {} client threads, {:.1}s per cell",
         p.threads, p.secs
     );
-    println!("# stand-ins are architectural models, not the real systems (DESIGN.md §4.8)");
+    println!("# stand-ins are architectural models, not the real systems");
 
     let masstree_store = Store::persistent(&dir.join("masstree")).unwrap();
     let systems: Vec<SystemUnderTest> = vec![

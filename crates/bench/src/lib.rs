@@ -5,8 +5,7 @@
 //! and simple CLI parameter handling.
 //!
 //! Absolute numbers will not match the paper's 2012 Opteron testbed; the
-//! harness reproduces *shapes*: orderings, ratios and crossovers (see
-//! EXPERIMENTS.md).
+//! harness reproduces *shapes*: orderings, ratios and crossovers.
 
 pub mod params;
 pub mod runner;
@@ -16,16 +15,3 @@ pub mod unified;
 pub use params::Params;
 pub use runner::{run_fixed_ops, run_timed, Throughput};
 pub use unified::AnyIndex;
-
-/// Host/run metadata lines for a `BENCH_*.json` payload: the machine's
-/// `available_parallelism` and the run's worker/thread count. Every
-/// emitter includes this so numbers from the single-core CI container
-/// are distinguishable from real multicore runs when comparing
-/// artifacts. Returns complete `"key": value,` lines (two-space
-/// indented, trailing-comma) ready to splice after the opening brace.
-pub fn host_meta_json(workers: usize) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    format!("  \"available_parallelism\": {cores},\n  \"workers\": {workers},\n")
-}

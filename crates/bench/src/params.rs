@@ -57,14 +57,6 @@ impl Params {
         p.keys = ((p.keys as f64) * scale).max(1000.0) as usize;
         p
     }
-
-    /// A reduced clone for prefill-heavy experiments.
-    pub fn with_keys(&self, keys: usize) -> Params {
-        Params {
-            keys,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! Stand-in systems for the §7 comparison (Figure 13).
 //!
 //! MongoDB, VoltDB, Redis and memcached cannot be run in this
-//! environment, so — per the substitution rule in DESIGN.md §4.8 — each is
-//! replaced by a stand-in that reproduces the *architectural property*
-//! the paper credits for its result, served through the same `mtnet`
-//! network stack Masstree uses:
+//! environment, so each is replaced by a stand-in that reproduces the
+//! *architectural property* the paper credits for its result, served
+//! through the same `mtnet` network stack Masstree uses:
 //!
 //! * **memcached stand-in** — 16 hash-table partitions, no persistence,
 //!   no range queries; gets batch, puts pay one round trip each (the
@@ -22,7 +21,7 @@
 //!
 //! These stand-ins support honest *shape* comparisons (who wins, rough
 //! factors, which workloads a system cannot run); they are not the real
-//! systems and EXPERIMENTS.md labels them accordingly.
+//! systems, and `fig13_system_comparison` labels its rows accordingly.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -8,7 +8,7 @@
 //!
 //! [`Masstree::validate`] is the test harness's whole-tree invariant
 //! checker; it requires `&mut self` (quiescence) and verifies the
-//! structural invariants from §4 (see DESIGN.md §8).
+//! structural invariants from §4.
 
 use core::sync::atomic::Ordering;
 
@@ -317,7 +317,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
 }
 
 impl<V: Send + Sync + 'static> Masstree<V> {
-    /// Validates every structural invariant of the tree (DESIGN.md §8).
+    /// Validates every structural invariant of the tree.
     /// Requires exclusive access; returns a summary or a description of
     /// the first violation.
     pub fn validate(&mut self) -> Result<TreeReport, String> {

@@ -645,7 +645,7 @@ mod tests {
         assert_eq!(align_of::<InteriorNode<u64>>(), 64);
         // Border nodes should stay within a small number of cache lines
         // (the paper uses 4; our per-slot suffix pointers cost more — see
-        // DESIGN.md §4.2 — but the node must stay prefetchable).
+        // `suffix.rs` — but the node must stay prefetchable).
         assert!(
             size_of::<BorderNode<u64>>() <= 64 * 10,
             "{}",

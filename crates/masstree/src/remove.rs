@@ -243,8 +243,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     ///
     /// Lock order: we block on `bn.prev` while holding `bn` — a leftward
     /// wait. All other waits in the system point upward or are
-    /// unlock-then-lock rightward walks, so no cycle can form (DESIGN.md
-    /// §4.3).
+    /// unlock-then-lock rightward walks, so no cycle can form.
     ///
     /// # Safety
     ///

@@ -3,10 +3,10 @@
 //! A border-node slot whose key extends past the 8-byte slice stores the
 //! remainder in a heap block referenced from the node. The paper's
 //! `keysuffix_t` adaptively inlines suffixes in the node; we use one
-//! immutable, epoch-reclaimed block per slot (see DESIGN.md §4.2 for the
-//! trade-off). Blocks are single allocations with an inline length header,
-//! so reading a suffix costs at most one extra memory reference — the bound
-//! the paper's analysis relies on.
+//! immutable, epoch-reclaimed block per slot. Blocks are single
+//! allocations with an inline length header, so reading a suffix costs at
+//! most one extra memory reference — the bound the paper's analysis
+//! relies on.
 
 use core::alloc::Layout;
 use core::ptr;

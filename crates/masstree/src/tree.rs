@@ -192,7 +192,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
 
     /// Locks the border node responsible for `ikey`, starting from a node
     /// found by an optimistic descent. Walks right (unlock-then-lock, so
-    /// no two sibling locks are ever held — see DESIGN.md §4.3) if a
+    /// no two sibling locks are ever held) if a
     /// concurrent split moved the key. Errors if the chain hits a deleted
     /// node.
     pub(crate) fn lock_border_for_ikey<'g>(

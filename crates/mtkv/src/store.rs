@@ -1693,30 +1693,15 @@ impl Session {
     /// single epoch pin. Results are positionally matched to `keys`;
     /// column selection follows [`Session::get`].
     pub fn multi_get(&self, keys: &[&[u8]], cols: Option<&[usize]>) -> Vec<Option<Vec<Vec<u8>>>> {
-        self.multi_get_project(keys, |_, v| match cols {
+        let project = |v: &ColValue| match cols {
             None => v.cols(),
             Some(ids) => ids
                 .iter()
                 .map(|&i| v.col(i).unwrap_or(&[]).to_vec())
                 .collect(),
-        })
-    }
-
-    /// Batched whole-value `get_c` (all columns).
-    pub fn multi_get_full(&self, keys: &[&[u8]]) -> Vec<Option<Vec<Vec<u8>>>> {
-        self.multi_get(keys, None)
-    }
-
-    /// Batched lookup with per-key column projection: `project(i, value)`
-    /// runs against the live value (no intermediate whole-value copy), so
-    /// callers with heterogeneous column selections — the network server —
-    /// copy only the bytes each request asked for.
-    pub fn multi_get_project<F>(&self, keys: &[&[u8]], mut project: F) -> Vec<Option<Vec<Vec<u8>>>>
-    where
-        F: FnMut(usize, &ColValue) -> Vec<Vec<u8>>,
-    {
+        };
         let mut out = Vec::with_capacity(keys.len());
-        self.multi_get_with(keys, |i, hit| out.push(hit.map(|v| project(i, v))));
+        self.multi_get_with(keys, |_, hit| out.push(hit.map(project)));
         out
     }
 
@@ -1821,7 +1806,8 @@ impl Session {
             }
         }
         if !cold_reqs.is_empty() {
-            self.store.resolve_indirect_many(cold_reqs, cold_out, resolve);
+            self.store
+                .resolve_indirect_many(cold_reqs, cold_out, resolve);
             mtobs::span::mark(Stage::ValueResolve);
         }
         let mut r = 0usize;
@@ -2160,7 +2146,11 @@ impl Session {
             };
             let (mut cur, matched, cached) = match &self.cache {
                 Some(sc) if !sc.skip_this_op() => {
-                    match sc.cursors.try_lock().map(|mut cc| cc.take_or_start(key, false)) {
+                    match sc
+                        .cursors
+                        .try_lock()
+                        .map(|mut cc| cc.take_or_start(key, false))
+                    {
                         Some((cur, matched)) => (cur, matched, true),
                         None => (spare(&mut ra), false, false),
                     }
@@ -2443,7 +2433,7 @@ mod tests {
             assert_eq!(got, s.get(k, Some(&[0])));
         }
         // Full-value variant matches too.
-        let full = s.multi_get_full(&refs);
+        let full = s.multi_get(&refs, None);
         for (k, got) in refs.iter().zip(full) {
             assert_eq!(got, s.get(k, None));
         }
@@ -2513,7 +2503,7 @@ mod tests {
             .map(|i| format!("ck{i:04}").into_bytes())
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        assert_eq!(cached.multi_get_full(&refs), plain.multi_get_full(&refs));
+        assert_eq!(cached.multi_get(&refs, None), plain.multi_get(&refs, None));
         let s = cached.cache_stats().unwrap();
         assert!(s.hits > 0, "repeat gets must hit: {s:?}");
         assert_eq!(s.lookups, s.hits + s.stale + s.misses);

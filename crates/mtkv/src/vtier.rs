@@ -1012,7 +1012,10 @@ impl ValueTier {
         let key = (ptr.seg, ptr.off);
         let obs = self.obs.get();
         let fill_t0 = obs.map(|_| std::time::Instant::now());
-        match self.cache.probe_or_lead(key, (ptr.len as usize).saturating_sub(2)) {
+        match self
+            .cache
+            .probe_or_lead(key, (ptr.len as usize).saturating_sub(2))
+        {
             Probe::Hit(v) => {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 Ok(v)
@@ -1133,7 +1136,9 @@ impl ValueTier {
             while x < scratch.misses.len() {
                 let (p, _, _) = scratch.misses[x];
                 let pend = p.off + p.len as u64;
-                if p.seg != seg || p.off > end + COALESCE_GAP || pend - start > READAHEAD_WINDOW_BYTES
+                if p.seg != seg
+                    || p.off > end + COALESCE_GAP
+                    || pend - start > READAHEAD_WINDOW_BYTES
                 {
                     break;
                 }
@@ -1142,8 +1147,6 @@ impl ValueTier {
             }
             self.fill_window(
                 &scratch.misses[w..x],
-                seg,
-                start,
                 end,
                 &mut scratch.buf,
                 &mut scratch.map,
@@ -1158,25 +1161,26 @@ impl ValueTier {
         }
     }
 
-    /// Resolves one coalesced run of misses with a single clustered
-    /// segment read, carving, CRC-checking, and caching each payload
-    /// out of the window. A failed window read falls back to
-    /// per-pointer reads: a tear inside the window must not condemn the
-    /// intact payloads before it.
+    /// Resolves one coalesced run of misses — one segment, sorted by
+    /// offset, so the window starts at the first miss and runs to `end`
+    /// — with a single clustered segment read, carving, CRC-checking,
+    /// and caching each payload out of the window. A failed window read
+    /// falls back to per-pointer reads: a tear inside the window must
+    /// not condemn the intact payloads before it.
     fn fill_window(
         &self,
         misses: &[(ValuePtr, u64, u32)],
-        seg: u64,
-        start: u64,
         end: u64,
         buf: &mut Vec<u8>,
         map_cache: &mut Option<(u64, u64, Arc<SegMap>)>,
         out: &mut [Option<Arc<ColValue>>],
     ) {
+        let (seg, start) = (misses[0].0.seg, misses[0].0.off);
         let len = (end - start) as usize;
         self.segment_reads.fetch_add(1, Ordering::Relaxed);
         self.clustered_reads.fetch_add(1, Ordering::Relaxed);
-        self.coalesced_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        self.coalesced_bytes
+            .fetch_add(len as u64, Ordering::Relaxed);
         // Mapped segments serve the window with zero copies — carve,
         // CRC, and decode run directly over the page cache. Otherwise
         // `pread` into the reusable scratch buffer (grow-only: the read
@@ -1207,7 +1211,11 @@ impl ValueTier {
             if buf.len() < len {
                 buf.resize(len, 0);
             }
-            if self.reader.read_clustered(seg, start, &mut buf[..len]).is_err() {
+            if self
+                .reader
+                .read_clustered(seg, start, &mut buf[..len])
+                .is_err()
+            {
                 for &(ptr, version, i) in misses {
                     self.fill_single(ptr, version, i, out);
                 }
@@ -1277,13 +1285,7 @@ impl ValueTier {
     /// mapping, so it heals stale-mapping failures), caching on success
     /// and counting `unresolved_reads` on failure — the same outcome a
     /// single [`ValueTier::resolve`] miss would produce.
-    fn fill_single(
-        &self,
-        ptr: ValuePtr,
-        version: u64,
-        i: u32,
-        out: &mut [Option<Arc<ColValue>>],
-    ) {
+    fn fill_single(&self, ptr: ValuePtr, version: u64, i: u32, out: &mut [Option<Arc<ColValue>>]) {
         self.segment_reads.fetch_add(1, Ordering::Relaxed);
         match self.reader.read_value(ptr, version) {
             Ok(v) => {

@@ -15,6 +15,6 @@ pub use client::Client;
 pub use proto::{Request, RequestRef, Response, ScanResume, StatsExReply, StatsReply};
 pub use repl::{Follower, FollowerConfig, FollowerStatus, ReplConfig, ReplSource};
 pub use server::{
-    execute, execute_batch, execute_batch_into, execute_into, execute_refs_into, Backend,
-    ConnState, Server, ServerConfig,
+    execute, execute_batch, execute_batch_into, execute_refs_into, Backend, ConnState, Server,
+    ServerConfig,
 };

@@ -79,8 +79,7 @@
 //! 9-byte `PutOk`s that park while get replies stream directly; a
 //! barrier's reply (a scan's rows) is never parked, and a single-kind
 //! stream parks nothing. The same executor serves
-//! [`execute_batch_into`] (one unframed stream) and the
-//! `aggregate: false` path (one frame at a time). Per-session logs make
+//! [`execute_batch_into`] (one unframed stream). Per-session logs make
 //! the merged put run safe: every write is logged by the one worker
 //! session that owns the connection.
 //!
@@ -103,6 +102,7 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use mtkv::{OpClass, PhasePlanner, PutOp, ScanCursor, Session, Store};
 
@@ -225,27 +225,14 @@ impl<'a> ExecCtx<'a> {
 }
 
 /// Event-loop server tunables.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServerConfig {
     /// Worker (event-loop) threads; `0` means `available_parallelism`.
     pub workers: usize,
-    /// Cross-connection batch aggregation on store workers. On by
-    /// default; benchmarks switch it off to measure the per-frame path.
-    pub aggregate: bool,
     /// Read-only replica mode: `Some(primary address)` makes every
     /// write request answer [`Response::Redirect`] naming the primary
     /// instead of executing. Reads, scans and stats serve locally.
     pub redirect: Option<String>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            workers: 0,
-            aggregate: true,
-            redirect: None,
-        }
-    }
 }
 
 impl ServerConfig {
@@ -294,10 +281,9 @@ impl Server {
         for _ in 0..n {
             // One session — one log — per worker, opened before serving
             // so a failure surfaces here, not on some later connection.
-            let session = store.session()?;
+            let session = Box::new(store.session()?);
             kinds.push(WorkerKind::Store {
                 session,
-                aggregate: config.aggregate,
                 redirect: config.redirect.clone(),
                 cursors: HashMap::new(),
             });
@@ -485,6 +471,12 @@ const HIGH_WATER: usize = 1 << 20;
 /// cannot starve its worker's other connections.
 const READ_BUDGET: usize = 1 << 20;
 
+/// A worker that has just served requests polls this long for more
+/// before it parks in the poller: parking costs the next request a
+/// thread wake-up, tens of µs on a virtual core and only as steady as
+/// the host. A wakeup that executed nothing parks at once (idle = 0 CPU).
+const POLL_BEFORE_PARK: Duration = Duration::from_micros(50);
+
 struct Conn {
     stream: TcpStream,
     /// Globally unique, shard-routable id: `worker << 32 | seq`. Scan
@@ -528,8 +520,8 @@ impl Conn {
 
 enum WorkerKind {
     Store {
-        session: Session,
-        aggregate: bool,
+        /// Boxed: a session is ~600 bytes, the other variant one `Arc`.
+        session: Box<Session>,
         /// Follower mode: the primary address writes are redirected to.
         redirect: Option<String>,
         /// The per-worker cursor map (replacing the per-connection one):
@@ -584,10 +576,18 @@ impl Worker {
         let mut spare_reqs: Vec<RequestRef<'static>> = Vec::new();
         let mut frames: Vec<Frame> = Vec::new();
         let mut exec = BatchExec::default();
+        let mut served = false;
         loop {
-            if self.poller.wait(&mut events, -1).is_err() {
-                return;
+            let poll_until = served.then(|| Instant::now() + POLL_BEFORE_PARK);
+            loop {
+                let park = poll_until.is_none_or(|t| Instant::now() >= t);
+                match self.poller.wait(&mut events, if park { -1 } else { 0 }) {
+                    Ok(()) if events.is_empty() && !park => std::hint::spin_loop(),
+                    Ok(()) => break,
+                    Err(_) => return,
+                }
             }
+            served = false;
             let mut woke = false;
             for ev in &events {
                 if ev.token == WAKE_TOKEN {
@@ -626,6 +626,7 @@ impl Worker {
                 frames.clear();
                 collect_frames(&rd_bufs, &mut self.conns, &mut reqs, &mut frames);
                 if !frames.is_empty() {
+                    served = true;
                     self.execute_frames(&reqs, &frames, &mut exec);
                     for f in &frames {
                         if let Some(conn) = self.conns[f.slot].as_mut() {
@@ -710,7 +711,6 @@ impl Worker {
         match &mut self.kind {
             WorkerKind::Store {
                 session,
-                aggregate,
                 redirect,
                 cursors,
             } => {
@@ -719,43 +719,29 @@ impl Worker {
                     loads: &self.loads,
                 };
                 let conns = &mut self.conns[..];
-                if *aggregate {
-                    // One stream per connection: its frames (contiguous
-                    // by construction) and their requests, concatenated.
-                    exec.streams.clear();
-                    let mut i = 0;
-                    while i < frames.len() {
-                        let slot = frames[i].slot;
-                        let j = i + frames[i..].iter().take_while(|f| f.slot == slot).count();
-                        let conn = conns[slot].as_ref().expect("frames name live slots");
-                        debug_assert_eq!(
-                            (conn.id >> 32) as usize,
-                            self.id,
-                            "session affinity: a connection's frames execute on its owning worker"
-                        );
-                        let last = &frames[j - 1];
-                        exec.streams.push(StreamPlan::new(
-                            slot,
-                            conn.id,
-                            frames[i].start..last.start + last.len,
-                            i..j,
-                        ));
-                        i = j;
-                    }
-                    exec.run(session, &env, cursors, reqs, frames, conns);
-                } else {
-                    // Aggregation off: the same executor, one frame at a
-                    // time.
-                    for f in frames {
-                        let conn = conns[f.slot].as_ref().expect("frames name live slots");
-                        exec.streams.clear();
-                        exec.streams
-                            .push(StreamPlan::new(f.slot, conn.id, 0..f.len, 0..1));
-                        let frame_reqs = &reqs[f.start..f.start + f.len];
-                        let frame = std::slice::from_ref(f);
-                        exec.run(session, &env, cursors, frame_reqs, frame, conns);
-                    }
+                // One stream per connection: its frames (contiguous by
+                // construction) and their requests, concatenated.
+                exec.streams.clear();
+                let mut i = 0;
+                while i < frames.len() {
+                    let slot = frames[i].slot;
+                    let j = i + frames[i..].iter().take_while(|f| f.slot == slot).count();
+                    let conn = conns[slot].as_ref().expect("frames name live slots");
+                    debug_assert_eq!(
+                        (conn.id >> 32) as usize,
+                        self.id,
+                        "session affinity: a connection's frames execute on its owning worker"
+                    );
+                    let last = &frames[j - 1];
+                    exec.streams.push(StreamPlan::new(
+                        slot,
+                        conn.id,
+                        frames[i].start..last.start + last.len,
+                        i..j,
+                    ));
+                    i = j;
                 }
+                exec.run(session, &env, cursors, reqs, frames, conns);
                 self.ops.fetch_add(reqs.len() as u64, Ordering::Relaxed);
             }
             WorkerKind::Backend(_) => {
@@ -1154,8 +1140,8 @@ impl ExecEnv<'static> {
 /// ordering contract) and runs each phase as at most one merged
 /// `multi_put`, one merged `multi_get` and the phase's barrier requests.
 /// The one get/put run loop: the event loop (all of a wakeup's
-/// connections, or one frame at a time with aggregation off) and the
-/// embeddable [`execute_batch_into`] all come through [`BatchExec::run`].
+/// connections) and the embeddable [`execute_batch_into`] both come
+/// through [`BatchExec::run`].
 ///
 /// Everything here is scratch that keeps its capacity from batch to
 /// batch, so a warm executor allocates nothing of its own.
@@ -1403,22 +1389,12 @@ pub fn execute_batch(session: &Session, reqs: Vec<Request>) -> Vec<Response> {
         .collect()
 }
 
-/// Executes one request against a store session, serializing the
-/// response directly into `out`. Gets and scans write column slices
-/// borrowed under the epoch guard (via `get_with` / `get_range_with`);
-/// puts and removes encode their small fixed-size replies.
-pub fn execute_into(session: &Session, req: Request, out: &mut Vec<u8>) {
-    execute_into_tokens(
-        session,
-        &mut ExecCtx::standalone(&mut ScanTokens::new()),
-        &req.borrowed(),
-        out,
-    )
-}
-
-/// [`execute_into`] with the connection's execution context, so
-/// resumable `Scan` requests re-enter the tree at their remembered
-/// border nodes and replica mode refuses writes.
+/// Executes one request against a store session with the connection's
+/// execution context, serializing the response directly into `out`.
+/// Gets and scans write column slices borrowed under the epoch guard
+/// (via `get_with` / `get_range_with`); puts and removes encode their
+/// small fixed-size replies; resumable `Scan` requests re-enter the tree
+/// at their remembered border nodes and replica mode refuses writes.
 fn execute_into_tokens(
     session: &Session,
     ctx: &mut ExecCtx<'_>,

@@ -180,7 +180,6 @@ fn many_pipelined_connections_torture() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: WORKERS,
-                aggregate: true,
                 ..Default::default()
             },
         )

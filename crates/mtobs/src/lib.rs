@@ -33,7 +33,7 @@
 //! exposition from a snapshot; the wire layer (`mtnet`) serializes
 //! snapshots sparsely for the `StatsEx` op.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 pub mod span;
@@ -390,11 +390,6 @@ pub struct Obs {
     sample_shift: AtomicUsize,
     sample_tick: AtomicU64,
     slow_ops: AtomicU64,
-    /// Master switch: `false` makes [`Recorder::record`] /
-    /// [`Recorder::record_op`] and [`Obs::should_sample`] no-ops (one
-    /// relaxed load), so benchmarks can measure recording overhead
-    /// on-vs-off under otherwise identical instrumentation.
-    enabled: AtomicBool,
 }
 
 impl Default for Obs {
@@ -408,7 +403,6 @@ impl Default for Obs {
             sample_shift: AtomicUsize::new(10), // 1 in 1024
             sample_tick: AtomicU64::new(0),
             slow_ops: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 }
@@ -461,17 +455,6 @@ impl Obs {
         out
     }
 
-    /// Master recording switch (default on). Off: recorders and the
-    /// sampler become no-ops; background `global()` timers still
-    /// record (they are off the request hot path).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Sets the slow-op dump threshold in microseconds (`None`
     /// disables).
     pub fn set_slow_threshold_us(&self, us: Option<u64>) {
@@ -499,7 +482,7 @@ impl Obs {
     #[inline]
     pub fn should_sample(&self) -> bool {
         let shift = self.sample_shift.load(Ordering::Relaxed);
-        if shift >= 64 || !self.enabled.load(Ordering::Relaxed) {
+        if shift >= 64 {
             return false;
         }
         let t = self.sample_tick.fetch_add(1, Ordering::Relaxed);
@@ -551,9 +534,7 @@ pub struct Recorder {
 impl Recorder {
     #[inline]
     pub fn record(&self, kind: Kind, ns: u64) {
-        if self.obs.enabled.load(Ordering::Relaxed) {
-            self.set.record(kind, ns);
-        }
+        self.set.record(kind, ns);
     }
 
     /// Records and runs the slow-op / span-completion hook. Use for
@@ -561,9 +542,6 @@ impl Recorder {
     /// frames); plain [`Recorder::record`] for sub-operations.
     #[inline]
     pub fn record_op(&self, kind: Kind, ns: u64) {
-        if !self.obs.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.set.record(kind, ns);
         // One relaxed load on the common (fast, untraced) path.
         if ns >= self.obs.slow_ns.load(Ordering::Relaxed) || span::is_active() {

@@ -24,21 +24,6 @@ pub fn decimal_key(v: u64) -> Vec<u8> {
     buf[i..].to_vec()
 }
 
-/// A YCSB-style record key: `"user"` + the zero-padded decimal digits
-/// of a hash of the record id — exactly how stock YCSB builds
-/// `usertable` keys (`"user" + fnv(id)`). The multiplier is odd, so the
-/// mapping is bijective on `u64`; keys are 23-24 bytes and their digit
-/// structure spreads records over several trie layers (unlike the short
-/// §6.1 decimal keys, which a single layer absorbs).
-#[inline]
-pub fn ycsb_key(id: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(24);
-    k.extend_from_slice(b"user");
-    let hashed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    k.extend_from_slice(format!("{hashed:019}").as_bytes());
-    k
-}
-
 /// An 8-byte random alphabetical key (`a..=z`), as used for the §6.4
 /// hash-table benchmark ("digit-only keys caused collisions").
 #[inline]

@@ -10,7 +10,7 @@ pub mod mycsb;
 pub mod skew;
 pub mod zipf;
 
-pub use decimal::{alpha_key, decimal_key, ycsb_key, DecimalKeys};
+pub use decimal::{alpha_key, decimal_key, DecimalKeys};
 pub use keylen::PrefixedKeys;
 pub use mycsb::{Mix, MycsbOp, MycsbWorkload};
 pub use skew::SkewRouter;

@@ -107,8 +107,7 @@ impl Zipfian {
 
 /// A reproducible stream of point-get key ids over `[0, n)`: Zipfian
 /// with exponent `theta` (ranks scattered over the id space), or uniform
-/// when `theta == 0`. The hot-cache benchmark sweeps `theta` with this
-/// one generator so skewed and uniform runs share the key population.
+/// when `theta == 0`, so skewed and uniform runs share the key population.
 #[derive(Clone, Debug)]
 pub struct PointGets {
     dist: Option<Zipfian>,

@@ -85,21 +85,14 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create data dir");
 
     // Event-loop worker pool: MT_SERVER_WORKERS=<n> fixes the worker
-    // count (0/unset = available_parallelism); MT_SERVER_AGGREGATE=0|1
-    // (default 1) gates cross-connection batch aggregation, so the
-    // per-frame path stays reachable for comparison and debugging.
+    // count (0/unset = available_parallelism).
     let workers: usize = std::env::var("MT_SERVER_WORKERS")
         .ok()
         .map(|v| v.parse().expect("MT_SERVER_WORKERS=<count>"))
         .unwrap_or(0);
-    let aggregate = match std::env::var("MT_SERVER_AGGREGATE").as_deref() {
-        Ok("0") => false,
-        Ok("1") | Err(_) => true,
-        Ok(other) => panic!("MT_SERVER_AGGREGATE must be 0 or 1, got {other:?}"),
-    };
 
     if let Some(primary) = follow {
-        run_follower(&addr, &dir, &primary, workers, aggregate);
+        run_follower(&addr, &dir, &primary, workers);
         return;
     }
 
@@ -166,13 +159,12 @@ fn main() {
 
     let config = ServerConfig {
         workers,
-        aggregate,
         redirect: None,
     };
     let server = Server::start_with(store.clone(), &addr, config).expect("bind");
     println!("masstree server listening on {}", server.addr());
     println!(
-        "event-loop workers: {} (cross-connection aggregation {})",
+        "event-loop workers: {}",
         if workers == 0 {
             format!(
                 "{} (available_parallelism)",
@@ -180,8 +172,7 @@ fn main() {
             )
         } else {
             workers.to_string()
-        },
-        if aggregate { "on" } else { "off" }
+        }
     );
     println!("press ctrl-c to stop; data persists in {}", dir.display());
 
@@ -367,13 +358,12 @@ impl StatsTicker {
 
 /// Read-replica mode: replay the primary's log stream, serve reads,
 /// redirect writes.
-fn run_follower(addr: &str, dir: &std::path::Path, primary: &str, workers: usize, aggregate: bool) {
+fn run_follower(addr: &str, dir: &std::path::Path, primary: &str, workers: usize) {
     let follower = Follower::start(dir, primary).expect("start follower");
     let redirect = std::env::var("MT_REDIRECT").unwrap_or_else(|_| primary.to_string());
     let stats_interval = setup_observability(&follower.store());
     let config = ServerConfig {
         workers,
-        aggregate,
         redirect: Some(redirect.clone()),
     };
     let server = Server::start_with(follower.store(), addr, config).expect("bind");

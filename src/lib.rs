@@ -1,8 +1,7 @@
 //! Umbrella crate for the Masstree reproduction workspace.
 //!
 //! Re-exports the member crates so that examples and integration tests can
-//! use a single dependency. See `README.md` for an overview and `DESIGN.md`
-//! for the system inventory.
+//! use a single dependency. See `README.md` for an overview.
 
 pub use baselines;
 pub use masstree;
