@@ -16,6 +16,14 @@
 //! recovery time bounded while the store runs (§5: "log data older than
 //! a completed checkpoint is truncated").
 //!
+//! Truncation runs beside request processing on every durability cycle,
+//! so its cost is bounded: one streaming pass through a fixed
+//! [`WALK_WINDOW`] ([`SegmentWalker`]); only segments that end up
+//! deleted are read to the end (the others stop at their first frame or
+//! at their first record the checkpoint does not cover); nothing is
+//! decoded into owned records — the walk borrows each frame in place
+//! ([`LogRecord::decode_ref`], the same validator [`decode_all`] uses).
+//!
 //! Record wire format (little-endian):
 //!
 //! ```text
@@ -29,7 +37,7 @@
 //! ```
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -157,9 +165,9 @@ impl LogRecord {
         match self {
             LogRecord::Put { .. } => OP_PUT,
             LogRecord::Remove { .. } => OP_REMOVE,
-            LogRecord::Heartbeat { .. } => 3,
-            LogRecord::CleanClose { .. } => 4,
-            LogRecord::SessionCreate { .. } => 5,
+            LogRecord::Heartbeat { .. } => OP_HEARTBEAT,
+            LogRecord::CleanClose { .. } => OP_CLEAN_CLOSE,
+            LogRecord::SessionCreate { .. } => OP_SESSION_CREATE,
             LogRecord::PutIndirect { .. } => OP_PUT_INDIRECT,
         }
     }
@@ -184,71 +192,132 @@ impl LogRecord {
     /// Decodes one record from `buf`, returning it and the bytes consumed.
     /// `None` on a torn or corrupt tail (recovery stops there, §5).
     pub fn decode(buf: &[u8]) -> Option<(LogRecord, usize)> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(buf[..4].try_into().ok()?) as usize;
-        if buf.len() < 4 + len + 4 {
-            return None;
-        }
-        let payload = &buf[4..4 + len];
-        let stored_crc = u32::from_le_bytes(buf[4 + len..4 + len + 4].try_into().ok()?);
+        Self::decode_ref(buf).map(|(rec, used)| (rec.to_owned(), used))
+    }
+
+    /// Validates the record frame at the head of `buf` — length, CRC,
+    /// known op, well-formed columns or value pointer — and returns it
+    /// borrowed, with the bytes it spans. `None` on a torn or corrupt
+    /// frame. The log's one parser: [`LogRecord::decode`] copies its
+    /// result.
+    pub fn decode_ref(buf: &[u8]) -> Option<(LogRecordRef<'_>, usize)> {
+        let (len, rest) = buf.split_first_chunk::<4>()?;
+        let payload = rest.get(..u32::from_le_bytes(*len) as usize)?;
+        let stored_crc = u32::from_le_bytes(*rest[payload.len()..].first_chunk::<4>()?);
         if crc32(payload) != stored_crc {
             return None;
         }
-        let mut p = payload;
-        let op = *p.first()?;
-        p = &p[1..];
-        let timestamp = u64::from_le_bytes(p.get(..8)?.try_into().ok()?);
-        p = &p[8..];
-        let version = u64::from_le_bytes(p.get(..8)?.try_into().ok()?);
-        p = &p[8..];
-        let klen = u32::from_le_bytes(p.get(..4)?.try_into().ok()?) as usize;
-        p = &p[4..];
-        let key = p.get(..klen)?.to_vec();
-        p = &p[klen..];
-        let ncols = u16::from_le_bytes(p.get(..2)?.try_into().ok()?) as usize;
-        p = &p[2..];
-        let rec = match op {
-            1 => {
-                let mut cols = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    let id = u16::from_le_bytes(p.get(..2)?.try_into().ok()?);
-                    p = &p[2..];
-                    let dlen = u32::from_le_bytes(p.get(..4)?.try_into().ok()?) as usize;
-                    p = &p[4..];
-                    cols.push((id, p.get(..dlen)?.to_vec()));
-                    p = &p[dlen..];
-                }
-                LogRecord::Put {
-                    timestamp,
-                    version,
-                    key,
-                    cols,
+        let (&op, p) = payload.split_first()?;
+        let (timestamp, p) = p.split_first_chunk::<8>()?;
+        let (version, p) = p.split_first_chunk::<8>()?;
+        let (klen, p) = p.split_first_chunk::<4>()?;
+        let key = p.get(..u32::from_le_bytes(*klen) as usize)?;
+        let body = &p[key.len()..];
+        let (ncols, mut rest) = body.split_first_chunk::<2>()?;
+        match op {
+            OP_PUT => {
+                for _ in 0..u16::from_le_bytes(*ncols) {
+                    take_col(&mut rest)?;
                 }
             }
-            2 => LogRecord::Remove {
-                timestamp,
-                version,
-                key,
-            },
-            6 => LogRecord::PutIndirect {
-                timestamp,
-                version,
-                key,
-                ptr: ValuePtr::decode(&mut p)?,
-            },
-            3 => LogRecord::Heartbeat { timestamp },
-            4 => LogRecord::CleanClose { timestamp },
-            5 => LogRecord::SessionCreate { timestamp },
+            OP_PUT_INDIRECT => {
+                ValuePtr::decode(&mut rest)?;
+            }
+            OP_REMOVE | OP_HEARTBEAT | OP_CLEAN_CLOSE | OP_SESSION_CREATE => {}
             _ => return None,
+        }
+        let rec = LogRecordRef {
+            op,
+            timestamp: u64::from_le_bytes(*timestamp),
+            version: u64::from_le_bytes(*version),
+            key,
+            body,
         };
-        Some((rec, 4 + len + 4))
+        Some((rec, 4 + payload.len() + 4))
     }
+}
+
+/// A [`LogRecord`] borrowed from the bytes it was decoded from: key and
+/// body stay slices of the input, so walking a segment allocates nothing
+/// per record. Only [`LogRecord::decode_ref`] makes one, after checking
+/// the whole frame — which is what lets [`LogRecordRef::to_owned`]
+/// re-read the body without checks.
+#[derive(Debug, Clone, Copy)]
+pub struct LogRecordRef<'a> {
+    /// Wire op byte (see the module docs).
+    op: u8,
+    timestamp: u64,
+    version: u64,
+    key: &'a [u8],
+    /// Everything after the key: the `u16` column count and the columns,
+    /// then — indirect puts only — the value pointer.
+    body: &'a [u8],
+}
+
+impl LogRecordRef<'_> {
+    pub fn timestamp(&self) -> u64 {
+        self.timestamp
+    }
+
+    /// True for marker records (see [`LogRecord::is_marker`]).
+    pub fn is_marker(&self) -> bool {
+        matches!(self.op, OP_HEARTBEAT | OP_CLEAN_CLOSE | OP_SESSION_CREATE)
+    }
+
+    /// True for the clean-close sentinel that seals a segment.
+    pub fn is_clean_close(&self) -> bool {
+        self.op == OP_CLEAN_CLOSE
+    }
+
+    /// Copies the borrowed record into an owned [`LogRecord`].
+    pub fn to_owned(&self) -> LogRecord {
+        const CHECKED: &str = "body checked by LogRecord::decode_ref";
+        let (timestamp, version) = (self.timestamp, self.version);
+        let (ncols, mut rest) = self.body.split_first_chunk::<2>().expect(CHECKED);
+        match self.op {
+            OP_PUT => LogRecord::Put {
+                timestamp,
+                version,
+                key: self.key.to_vec(),
+                cols: (0..u16::from_le_bytes(*ncols))
+                    .map(|_| {
+                        let (id, data) = take_col(&mut rest).expect(CHECKED);
+                        (id, data.to_vec())
+                    })
+                    .collect(),
+            },
+            OP_REMOVE => LogRecord::Remove {
+                timestamp,
+                version,
+                key: self.key.to_vec(),
+            },
+            OP_PUT_INDIRECT => LogRecord::PutIndirect {
+                timestamp,
+                version,
+                key: self.key.to_vec(),
+                ptr: ValuePtr::decode(&mut rest).expect(CHECKED),
+            },
+            OP_HEARTBEAT => LogRecord::Heartbeat { timestamp },
+            OP_CLEAN_CLOSE => LogRecord::CleanClose { timestamp },
+            _ => LogRecord::SessionCreate { timestamp },
+        }
+    }
+}
+
+/// Splits one `(u16 id, u32 len, bytes)` column off the front of `p`.
+fn take_col<'a>(p: &mut &'a [u8]) -> Option<(u16, &'a [u8])> {
+    let (id, rest) = p.split_first_chunk::<2>()?;
+    let (len, rest) = rest.split_first_chunk::<4>()?;
+    let data = rest.get(..u32::from_le_bytes(*len) as usize)?;
+    *p = &rest[data.len()..];
+    Some((u16::from_le_bytes(*id), data))
 }
 
 const OP_PUT: u8 = 1;
 const OP_REMOVE: u8 = 2;
+const OP_HEARTBEAT: u8 = 3;
+const OP_CLEAN_CLOSE: u8 = 4;
+const OP_SESSION_CREATE: u8 = 5;
 const OP_PUT_INDIRECT: u8 = 6;
 /// Byte offset of the timestamp within a record frame (after the
 /// `u32` length prefix and the op byte).
@@ -765,22 +834,17 @@ fn mark_logger_dead(shared: &LogShared) {
 fn logger_loop(shared: Arc<LogShared>, file: File, cfg: LoggerCfg, existing: u64) {
     let mut out = BufWriter::with_capacity(1 << 20, file);
     let mut written = existing; // bytes handed to the active segment file
-                                // Max timestamp among record frames written to this chain so far;
-                                // rotation markers are stamped with it (never `clock::now()`, which
-                                // would run ahead of records already stamped but not yet durable in
-                                // the successor segment — see `rotate_segment`). Seeded from the
-                                // pre-existing file when one is reopened, so the first rotation's
-                                // markers are sound even then.
+
+    // Max timestamp among record frames written to this chain so far;
+    // rotation markers are stamped with it (never `clock::now()`, which
+    // would run ahead of records already stamped but not yet durable in
+    // the successor segment — see `rotate_segment`). Seeded from the
+    // pre-existing file when one is reopened, so the first rotation's
+    // markers are sound even then.
     let mut max_ts = match &cfg.rotate {
-        Some((dir, session)) if existing > 0 => std::fs::read(segment_path(dir, *session, 0))
-            .map(|data| {
-                decode_all(&data)
-                    .iter()
-                    .map(|(r, _)| r.timestamp())
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0),
+        Some((dir, session)) if existing > 0 => SegmentWalker::default()
+            .scan(&segment_path(dir, *session, 0), |_| true)
+            .map_or(0, |s| s.max_ts),
         _ => 0,
     };
     let mut seg = 0u64;
@@ -1050,11 +1114,165 @@ pub fn read_log(path: &Path) -> std::io::Result<Vec<LogRecord>> {
     Ok(decode_all(&data).into_iter().map(|(r, _)| r).collect())
 }
 
+/// Bytes a [`SegmentWalker`] reads at a time: all the memory a pass over
+/// a log segment holds, unless a single frame is larger.
+pub const WALK_WINDOW: usize = 1 << 20;
+
+/// Streams log segments through one reused read window, yielding
+/// borrowed records ([`LogRecordRef`]) — a pass over a segment of any
+/// size allocates the window once and nothing per record.
+///
+/// The window grows only to hold one frame larger than itself, and only
+/// when that frame's length fits in what is left of the file: a garbage
+/// length prefix reads as a torn tail, as in [`decode_all`], never as a
+/// huge allocation. One walker serves any number of files in turn.
+#[derive(Debug, Default)]
+pub struct SegmentWalker {
+    window: Vec<u8>,
+}
+
+impl SegmentWalker {
+    /// Opens `path` for a walk over its intact records. The walk ends at
+    /// the file's length as of this call.
+    pub fn walk(&mut self, path: &Path) -> std::io::Result<SegmentWalk<'_>> {
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        Ok(SegmentWalk {
+            file,
+            window: &mut self.window,
+            start: 0,
+            end: 0,
+            unread: file_len,
+            file_len,
+            bytes_read: 0,
+        })
+    }
+
+    /// Walks `path`'s intact records while `go_on` returns true for the
+    /// record just folded into the summary — so `|_| false` reads the
+    /// first frame only, and `|_| true` the whole segment.
+    pub fn scan(
+        &mut self,
+        path: &Path,
+        mut go_on: impl FnMut(&LogRecordRef<'_>) -> bool,
+    ) -> std::io::Result<SegmentSummary> {
+        let mut walk = self.walk(path)?;
+        let mut sum = SegmentSummary {
+            file_len: walk.file_len,
+            ..SegmentSummary::default()
+        };
+        while let Some(rec) = walk.next_record()? {
+            sum.nonempty = true;
+            sum.sealed = rec.is_clean_close();
+            sum.max_ts = sum.max_ts.max(rec.timestamp);
+            if !rec.is_marker() {
+                sum.max_data_ts = sum.max_data_ts.max(rec.timestamp);
+            }
+            if !go_on(&rec) {
+                break;
+            }
+        }
+        sum.bytes_read = walk.bytes_read;
+        Ok(sum)
+    }
+}
+
+/// What [`SegmentWalker::scan`] learned about one segment.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SegmentSummary {
+    /// At least one intact record.
+    pub nonempty: bool,
+    /// The last record walked is a clean-close sentinel (after a full
+    /// walk: the segment is sealed).
+    pub sealed: bool,
+    /// Largest timestamp of any record walked, markers included (0 if
+    /// none).
+    pub max_ts: u64,
+    /// Largest timestamp of a data record walked (0 if none).
+    pub max_data_ts: u64,
+    /// File length when the walk began.
+    pub file_len: u64,
+    /// Bytes read from the file.
+    pub bytes_read: u64,
+}
+
+/// One walk over a segment (see [`SegmentWalker::walk`]).
+pub struct SegmentWalk<'w> {
+    file: File,
+    window: &'w mut Vec<u8>,
+    /// `window[start..end]` holds the bytes read but not yet consumed.
+    start: usize,
+    end: usize,
+    /// Bytes of the file not yet read, up to `file_len`.
+    unread: u64,
+    file_len: u64,
+    bytes_read: u64,
+}
+
+impl SegmentWalk<'_> {
+    /// The next intact record, or `None` at the end of the file or at
+    /// the first torn or corrupt frame — exactly where [`decode_all`]
+    /// stops.
+    pub fn next_record(&mut self) -> std::io::Result<Option<LogRecordRef<'_>>> {
+        loop {
+            let have = (self.end - self.start) as u64;
+            let need = match self.window[self.start..self.end].first_chunk::<4>() {
+                Some(len) => 4 + u64::from(u32::from_le_bytes(*len)) + 4,
+                None => 4,
+            };
+            if have >= need {
+                break;
+            }
+            if need > have + self.unread {
+                return Ok(None); // torn: the frame runs past the end of the file
+            }
+            self.fill(need as usize)?;
+        }
+        let Some((rec, used)) = LogRecord::decode_ref(&self.window[self.start..self.end]) else {
+            return Ok(None);
+        };
+        self.start += used;
+        Ok(Some(rec))
+    }
+
+    /// Slides the unconsumed bytes to the front of the window and reads
+    /// the file in behind them, growing the window past [`WALK_WINDOW`]
+    /// only as far as one `need`-byte frame requires.
+    fn fill(&mut self, need: usize) -> std::io::Result<()> {
+        self.window.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let size = need.max((self.end as u64 + self.unread).min(WALK_WINDOW as u64) as usize);
+        if self.window.len() < size {
+            self.window.reserve_exact(size - self.window.len());
+            self.window.resize(size, 0);
+        }
+        while self.end < self.window.len() && self.unread > 0 {
+            let unread = usize::try_from(self.unread).unwrap_or(usize::MAX);
+            let room = (self.window.len() - self.end).min(unread);
+            match self.file.read(&mut self.window[self.end..self.end + room]) {
+                // Shorter than at open: what is left is a torn tail.
+                Ok(0) => self.unread = 0,
+                Ok(n) => {
+                    self.end += n;
+                    self.unread -= n as u64;
+                    self.bytes_read += n as u64;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
 /// What [`truncate_covered_segments`] reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TruncateReport {
     pub segments_deleted: u64,
     pub bytes_deleted: u64,
+    /// Bytes read to decide every segment's fate.
+    pub bytes_scanned: u64,
 }
 
 /// Deletes every log segment wholly covered by a checkpoint that began
@@ -1092,57 +1310,49 @@ pub fn truncate_covered_segments(dir: &Path, cutoff_ts: u64) -> std::io::Result<
 /// The caller must only pass `cutoff_ts` from a checkpoint whose
 /// manifest is already durable: truncation erases the only other copy of
 /// those records.
+///
+/// **Cost**: one streaming pass through a [`WALK_WINDOW`]-sized window;
+/// nothing is decoded into owned records. Each chain is judged newest
+/// segment first, because whether a segment may go depends only on the
+/// segments after it. A segment that cannot go whatever it holds — the
+/// newest of a live session, or one with no non-empty successor — is
+/// read only as far as its first frame (which says whether it is
+/// non-empty); a candidate's walk stops at its first data record stamped
+/// at or after `cutoff_ts`. So only segments that end up deleted (and
+/// torn crash debris) are read to the end.
 pub fn truncate_covered_segments_excluding(
     dir: &Path,
     cutoff_ts: u64,
     live_sessions: &[u64],
 ) -> std::io::Result<TruncateReport> {
-    struct SegInfo {
-        path: PathBuf,
-        bytes: u64,
-        nonempty: bool,
-        sealed: bool,
-        covered: bool,
-    }
     let mut report = TruncateReport::default();
+    let mut walker = SegmentWalker::default();
     for (session, segs) in crate::recovery::session_segments(dir) {
-        // One read + decode pass per segment feeds every decision below.
-        let infos: Vec<SegInfo> = segs
-            .iter()
-            .map(|(_, path)| {
-                let data = std::fs::read(path).unwrap_or_default();
-                let records = decode_all(&data);
-                SegInfo {
-                    path: path.clone(),
-                    bytes: data.len() as u64,
-                    nonempty: !records.is_empty(),
-                    sealed: matches!(records.last(), Some((LogRecord::CleanClose { .. }, _))),
-                    covered: records
-                        .iter()
-                        .filter(|(r, _)| !r.is_marker())
-                        .all(|(r, _)| r.timestamp() < cutoff_ts),
-                }
-            })
-            .collect();
         let live = live_sessions.contains(&session);
-        for (i, info) in infos.iter().enumerate() {
-            if !info.sealed || !info.covered {
-                continue; // active, torn, or holding post-checkpoint data
-            }
-            let is_last = i + 1 == infos.len();
-            let deletable = if is_last {
+        let mut later_nonempty = false;
+        for (i, (_, path)) in segs.iter().enumerate().rev() {
+            let candidate = if i + 1 == segs.len() {
                 !live // a live session's chain is still growing: the
                       // listing may have raced a rotation
             } else {
                 // Keep the session's last durable-timestamp evidence.
-                infos[i + 1..].iter().any(|s| s.nonempty)
+                later_nonempty
             };
-            if !deletable {
-                continue;
+            // An unreadable segment counts as empty, and is kept.
+            let seg = walker
+                .scan(path, |r| {
+                    candidate && (r.is_marker() || r.timestamp < cutoff_ts)
+                })
+                .unwrap_or_default();
+            report.bytes_scanned += seg.bytes_read;
+            later_nonempty |= seg.nonempty;
+            // Not sealed: active, torn, or — the walk stopped on a data
+            // record — holding post-checkpoint data.
+            if candidate && seg.sealed {
+                std::fs::remove_file(path)?;
+                report.segments_deleted += 1;
+                report.bytes_deleted += seg.file_len;
             }
-            std::fs::remove_file(&info.path)?;
-            report.segments_deleted += 1;
-            report.bytes_deleted += info.bytes;
         }
     }
     Ok(report)

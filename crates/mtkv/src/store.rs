@@ -666,6 +666,7 @@ impl Store {
             && !self.log_poison.load(Ordering::Acquire)
             && !self.repl_pin.load(Ordering::Acquire);
         if gates_held {
+            let truncate_t0 = Instant::now();
             let tr = crate::log::truncate_covered_segments_excluding(
                 &dir,
                 meta.start_ts,
@@ -674,6 +675,9 @@ impl Store {
             self.truncated
                 .fetch_add(tr.segments_deleted, Ordering::Relaxed);
             prune_checkpoints(&dir, self.config.keep_checkpoints.max(1))?;
+            self.obs
+                .global()
+                .record(ObsKind::Truncate, truncate_t0.elapsed().as_nanos() as u64);
         }
         // Value-segment GC rides the same cadence and the same gates.
         self.run_value_gc(gates_held, meta.start_ts);

@@ -9,7 +9,10 @@
 //! decode through the server's batch executor — only their new values'.
 //! Any future regression that sneaks a `Vec`/`Box` back into `get`, the
 //! batch engine, the scanner, request decoding, batch planning or the
-//! log append trips this test.
+//! log append trips this test. The background log-truncation pass is
+//! held to a memory budget the same way: a fixed count of allocations
+//! and no single one larger than its read window plus slack, however
+//! long the chain it reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,20 +29,23 @@ struct CountingAlloc;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: the allocator also runs during thread teardown.
     let _ = COUNTING.try_with(|armed| {
         if armed.get() {
             let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
         }
     });
 }
 
-/// Zeroes this thread's counter and starts counting its allocations.
+/// Zeroes this thread's counters and starts counting its allocations.
 fn arm() {
     ALLOCS.with(|n| n.set(0));
+    LARGEST.with(|m| m.set(0));
     COUNTING.with(|armed| armed.set(true));
 }
 
@@ -49,22 +55,27 @@ fn disarm() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// The largest single request (bytes) this thread made while armed.
+fn largest() -> usize {
+    LARGEST.with(Cell::get)
+}
+
 // SAFETY: defers all real work to `System`; only adds counter bumps.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded verbatim.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded verbatim.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: forwarded verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -570,5 +581,60 @@ fn steady_state_served_writes_allocate_only_their_values() {
         );
         assert!(session.force_log());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn truncation_streams_a_long_chain_through_one_window() {
+    let _serial = serial();
+    // Three segments of ≥ 3 MiB, ≥ 100k records: reading a segment whole
+    // would be one allocation past the 2 MiB cap, and decoding it into
+    // owned records several allocations per record.
+    const SEGMENT_BYTES: u64 = 3 << 20;
+    const RECORDS: u32 = 120_000;
+    let dir = std::env::temp_dir().join(format!("mtkv-alloc-trunc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let store = mtkv::Store::persistent_with(
+            &dir,
+            mtkv::DurabilityConfig::tiny_segments(SEGMENT_BYTES),
+        )
+        .unwrap();
+        let session = store.session().unwrap();
+        let value = [0x11u8; 16];
+        for i in 0..RECORDS {
+            session.put(format!("k{i:08}").as_bytes(), &[(0, &value[..])]);
+        }
+        assert!(session.force_log());
+    }
+    let chains = mtkv::session_segments(&dir);
+    let [(&session, segs)] = chains.iter().collect::<Vec<_>>()[..] else {
+        panic!("one session chain expected: {chains:?}");
+    };
+    assert_eq!(segs.len(), 3, "{segs:?}");
+
+    // The chain closed cleanly, but naming its session live keeps the
+    // newest segment: two are deleted, one is read only up to its first
+    // frame.
+    arm();
+    let report =
+        mtkv::log::truncate_covered_segments_excluding(&dir, u64::MAX, &[session]).unwrap();
+    let allocs = disarm();
+    let largest = largest();
+
+    assert_eq!(report.segments_deleted, 2, "{report:?}");
+    assert!(report.bytes_deleted >= 2 * SEGMENT_BYTES, "{report:?}");
+    assert!(
+        allocs <= 64,
+        "truncating {RECORDS} records made {allocs} allocations"
+    );
+    assert!(
+        largest <= 2 << 20,
+        "one allocation of {largest} bytes: a segment read whole?"
+    );
+    assert!(
+        report.bytes_scanned <= report.bytes_deleted + mtkv::log::WALK_WINDOW as u64,
+        "the kept segment was read past one window: {report:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

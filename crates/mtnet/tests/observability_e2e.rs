@@ -114,6 +114,32 @@ fn statsex_percentiles_roundtrip() {
     assert!((p50 - 500_000.0).abs() / 500_000.0 < 0.25, "p50={p50}");
 }
 
+/// A durability cycle is a live signal: after one `Flush`, `StatsEx`
+/// (what `kv_client stats --histograms` renders) and the Prometheus
+/// text (what `/metrics` serves) show its checkpoint, its barrier and
+/// its truncation pass.
+#[test]
+fn durability_cycle_phases_reach_statsex_and_metrics() {
+    let dir = std::env::temp_dir().join(format!("mtnet-obs-cycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let server = Server::start(Store::persistent(&dir).unwrap(), "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        c.put(b"cycle", vec![(0, b"v".to_vec())]).unwrap();
+        assert_eq!(c.flush().unwrap().checkpoints, 1);
+        let snap = c.stats_ex().unwrap().snap;
+        for k in [Kind::Checkpoint, Kind::Barrier, Kind::Truncate] {
+            assert_eq!(snap.kind(k).count(), 1, "{}: {snap:?}", k.name());
+        }
+        let text = mtkv::mtobs::render_prometheus(&snap, &[]);
+        assert!(
+            text.contains("mt_op_latency_seconds_count{op=\"truncate\"} 1\n"),
+            "{text}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Dropping sessions (connection churn) folds their histograms into
 /// the retained sink: totals never go backwards.
 #[test]

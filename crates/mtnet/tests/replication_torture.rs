@@ -60,6 +60,10 @@ fn key_of(i: u64) -> Vec<u8> {
 /// order — the unit of primary/follower comparison.
 type TreeState = Vec<(Vec<u8>, u64, Vec<Vec<u8>>)>;
 
+/// A key's latest acked state: `(version, columns)`, or `None` once
+/// removed.
+type VersionedCols = Option<(u64, Vec<Vec<u8>>)>;
+
 fn snapshot(session: &Session) -> TreeState {
     let mut out = Vec::new();
     session.get_range_with(b"", usize::MAX, |k, v| {
@@ -180,7 +184,6 @@ fn seeded_kill_restart_torture() {
     // Every `(key, assigned version) → cols` state the primary produced
     // (prefix-consistency oracle), and the latest state per key
     // (read-your-writes / zero-loss oracle).
-    type VersionedCols = Option<(u64, Vec<Vec<u8>>)>;
     let mut history: HashMap<(Vec<u8>, u64), Vec<Vec<u8>>> = HashMap::new();
     let mut latest: HashMap<Vec<u8>, VersionedCols> = HashMap::new();
 
@@ -357,7 +360,7 @@ fn value_separated_replication_torture() {
         })
         .collect();
 
-    let mut latest: HashMap<Vec<u8>, Option<(u64, Vec<Vec<u8>>)>> = HashMap::new();
+    let mut latest: HashMap<Vec<u8>, VersionedCols> = HashMap::new();
     const VROUNDS: usize = 8;
     const VKEYSPACE: u64 = 120;
 

@@ -128,10 +128,12 @@ pub enum Kind {
     /// One cold miss that waited on another reader's in-flight segment
     /// read instead of issuing its own (latency = time blocked).
     VsegSharedMiss = 16,
+    /// One log truncation + checkpoint prune pass of a durability cycle.
+    Truncate = 17,
 }
 
 impl Kind {
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
     pub const ALL: [Kind; Kind::COUNT] = [
         Kind::GetHit,
         Kind::GetDescent,
@@ -150,6 +152,7 @@ impl Kind {
         Kind::ReplReplay,
         Kind::VsegReadahead,
         Kind::VsegSharedMiss,
+        Kind::Truncate,
     ];
 
     pub fn name(self) -> &'static str {
@@ -171,6 +174,7 @@ impl Kind {
             Kind::ReplReplay => "repl_replay",
             Kind::VsegReadahead => "vseg_readahead",
             Kind::VsegSharedMiss => "vseg_shared_miss",
+            Kind::Truncate => "truncate",
         }
     }
 

@@ -15,6 +15,7 @@ fn merged_totals_equal_sum_of_per_worker_records() {
     let expected_sum = Arc::new(AtomicU64::new(0));
     const WORKERS: usize = 8;
     const OPS: u64 = 50_000;
+    const BACKGROUND: u64 = 1_000;
 
     std::thread::scope(|s| {
         for w in 0..WORKERS {
@@ -35,6 +36,14 @@ fn merged_totals_equal_sum_of_per_worker_records() {
                 expected_sum.fetch_add(local_sum, Ordering::Relaxed);
             });
         }
+        // A background subsystem (the durability cycle's truncation
+        // pass) records into the global recorder at the same time.
+        let obs_bg = Arc::clone(&obs);
+        s.spawn(move || {
+            for i in 0..BACKGROUND {
+                obs_bg.global().record(Kind::Truncate, 1_000 + i);
+            }
+        });
         // Concurrent snapshot reader: totals must be monotone and
         // well-formed while recording races.
         let obs_reader = Arc::clone(&obs);
@@ -54,6 +63,9 @@ fn merged_totals_equal_sum_of_per_worker_records() {
     let h = snap.kind(Kind::GetDescent);
     assert_eq!(h.count(), expected_count.load(Ordering::Relaxed));
     assert_eq!(h.sum, expected_sum.load(Ordering::Relaxed));
+    let t = snap.kind(Kind::Truncate);
+    assert_eq!(t.count(), BACKGROUND);
+    assert_eq!(t.sum, (1_000..1_000 + BACKGROUND).sum::<u64>());
 }
 
 #[test]

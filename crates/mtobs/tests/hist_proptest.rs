@@ -5,7 +5,10 @@
 //! `log_proptest` discipline), so failures reproduce from the printed
 //! seed.
 
-use mtobs::{bucket_lower, bucket_of, bucket_upper, Hist, HistSnapshot, MAX_VALUE, NBUCKETS};
+use mtobs::{
+    bucket_lower, bucket_of, bucket_upper, Hist, HistSet, HistSnapshot, Kind, Snapshot, MAX_VALUE,
+    NBUCKETS,
+};
 
 struct Rng(u64);
 
@@ -151,6 +154,38 @@ fn percentiles_bracket_the_exact_order_statistic() {
                 bucket_upper(idx)
             );
         }
+    }
+}
+
+#[test]
+fn every_kind_owns_exactly_one_histogram() {
+    // The kind table behind `StatsEx` and `/metrics`: each kind listed
+    // once, at its own index, under its own name.
+    assert_eq!(Kind::ALL.len(), Kind::COUNT);
+    let mut names = std::collections::HashSet::new();
+    for (i, k) in Kind::ALL.into_iter().enumerate() {
+        assert_eq!(k as usize, i, "{}", k.name());
+        assert_eq!(Kind::from_u8(i as u8), Some(k));
+        assert!(names.insert(k.name()), "duplicate name {}", k.name());
+    }
+    assert_eq!(Kind::from_u8(Kind::COUNT as u8), None);
+
+    // Recording into one kind moves that kind's histogram and no other.
+    let mut rng = Rng(seed());
+    let set = HistSet::default();
+    let mut want = [(0u64, 0u64); Kind::COUNT];
+    for _ in 0..20_000 {
+        let k = Kind::ALL[(rng.next() % Kind::COUNT as u64) as usize];
+        let v = rng.latency();
+        set.record(k, v);
+        want[k as usize].0 += 1;
+        want[k as usize].1 += v;
+    }
+    let mut snap = Snapshot::empty();
+    set.snapshot_into(&mut snap);
+    for k in Kind::ALL {
+        let h = snap.kind(k);
+        assert_eq!((h.count(), h.sum), want[k as usize], "{}", k.name());
     }
 }
 
