@@ -1,31 +1,27 @@
 //! The validated-anchor core: **one** validation story for every hinted
-//! entry into the tree.
+//! read entry into the tree.
 //!
 //! A [`DescentAnchor`] is a remembered descent endpoint — a border node,
 //! the slab generation and OCC version it was observed under, and the
-//! trie-layer byte offset the node indexes. Every operation that wants
-//! to skip the root-to-leaf descent routes through this type:
+//! trie-layer byte offset the node indexes. Both reads that skip the
+//! root-to-leaf descent route through this type:
 //!
-//! * **reads** ([`crate::hint::LeafHint`], which wraps an anchor plus a
-//!   permutation snapshot for its exact-match fast path) validate with
-//!   [`DescentAnchor::enter`] / [`DescentAnchor::still_valid`] — the
-//!   Figure 7 bracket, generalized;
-//! * **writes** ([`Masstree::put_at_hint`] / [`Masstree::remove_at_hint`])
-//!   enter with [`DescentAnchor::lock_for_write`], which proves the
-//!   anchored memory is still the *same live incarnation* before the
-//!   caller starts `lock_border_for_ikey`'s walk at it;
+//! * **point reads** ([`crate::hint::LeafHint`], which wraps an anchor
+//!   plus a permutation snapshot for its exact-match fast path) validate
+//!   with [`DescentAnchor::enter`] / [`DescentAnchor::still_valid`] —
+//!   the Figure 7 bracket, generalized;
 //! * **scans** ([`crate::scan::ScanCursor`]) re-enter their last border
 //!   node with [`DescentAnchor::enter_for_scan`], which tolerates
 //!   concurrent *inserts* (the per-node snapshot re-validates anyway)
 //!   but rejects splits and deletions, the changes that move key ranges.
 //!
-//! Validation failure is always safe: the caller falls back to a normal
-//! descent, which refreshes the anchor. See `hint.rs` for the original
-//! read-side soundness argument; the write- and scan-side arguments are
-//! documented on their methods below.
+//! Writes never enter through an anchor: every put, remove and update
+//! descends from the root and locks its border node as §4.6 describes.
 //!
-//! [`Masstree::put_at_hint`]: crate::tree::Masstree::put_at_hint
-//! [`Masstree::remove_at_hint`]: crate::tree::Masstree::remove_at_hint
+//! Validation failure is always safe: the caller falls back to a normal
+//! descent, which refreshes the anchor. See `hint.rs` for the read-side
+//! soundness argument; the scan-side argument is documented on
+//! [`DescentAnchor::enter_for_scan`].
 
 use core::marker::PhantomData;
 use core::sync::atomic::Ordering;
@@ -92,7 +88,7 @@ unsafe impl<V: Send + Sync> Sync for NodeRef<V> {}
 /// A validated descent endpoint: border node + slab generation + the
 /// version it was observed under + the trie-layer byte offset the node
 /// indexes. The unit of "conjecture, then validate" shared by hinted
-/// reads, hinted writes and resumable scans.
+/// reads and resumable scans.
 pub struct DescentAnchor<V> {
     pub(crate) ptr: *const BorderNode<V>,
     pub(crate) gen: u32,
@@ -216,59 +212,6 @@ impl<V> DescentAnchor<V> {
         crate::prefetch::prefetch(self.ptr);
         let v = bn.version().load(Ordering::Acquire);
         if self.version.has_split(v) || bn.generation() as u32 != self.gen {
-            return None;
-        }
-        Some(bn)
-    }
-
-    /// **Write-side entry**: lock the anchored node if — and only if —
-    /// it is provably the same live incarnation that was captured.
-    /// Returns the node *locked*; the caller continues with the
-    /// walk-right of `lock_border_for_ikey` exactly as if a descent had
-    /// delivered the node, and owns the lock either way.
-    ///
-    /// # Why this cannot lock the wrong node
-    ///
-    /// The lock acquisition is [`crate::version::VersionCell::lock_unless_deleted`]:
-    /// a CAS, which (being an RMW) always observes the **latest** value
-    /// of the version word — unlike the optimistic loads of the read
-    /// path, it cannot act on a stale snapshot. Three cases:
-    ///
-    /// 1. *Same incarnation, live*: the CAS saw no DELETED bit, so the
-    ///    node was not even retired at that instant (deletion marks
-    ///    DELETED before retiring). Holding the lock now pins it: a
-    ///    deleter needs this lock to mark DELETED, and freeing requires
-    ///    retirement. The post-lock generation check passes and the
-    ///    caller proceeds on a node that is exactly as safe as one a
-    ///    descent just delivered.
-    /// 2. *Freed but not yet recycled*: the version word still carries
-    ///    the DELETED bit the deleter left (node reinit is the only
-    ///    thing that clears it, and it hasn't run) — the CAS refuses.
-    /// 3. *Recycled into a different node*: we may lock the **new**
-    ///    incarnation (briefly, harmlessly — we modify nothing). The
-    ///    CAS's acquire on the reinitialized version word synchronizes
-    ///    with the reinit's release store, which the slab free-list
-    ///    hand-off orders after the generation bump — so the post-lock
-    ///    generation load observes the bump, and we unlock and bail.
-    ///
-    /// The post-lock generation re-check is therefore the linchpin: a
-    /// pass proves no free since capture, collapsing every outcome into
-    /// case 1.
-    #[inline]
-    pub(crate) fn lock_for_write<'g>(&self, _guard: &'g Guard) -> Option<&'g BorderNode<V>> {
-        // SAFETY: as in `enter` — type-stable memory, atomic accesses
-        // only, trusted only after validation.
-        let bn = unsafe { &*self.ptr };
-        crate::prefetch::prefetch(self.ptr);
-        // Cheap pre-filter: don't spin on somebody else's lock if the
-        // memory was already recycled.
-        if bn.generation() as u32 != self.gen {
-            return None;
-        }
-        bn.version().lock_unless_deleted()?;
-        if bn.generation() as u32 != self.gen {
-            // Case 3 above: we locked a recycled incarnation. Undo.
-            bn.version().unlock();
             return None;
         }
         Some(bn)

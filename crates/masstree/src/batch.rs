@@ -467,8 +467,8 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
 
     /// The locked write completion: the walk-right plus the **shared**
     /// border-level put completion (`put.rs`'s `put_at_border`, the same
-    /// code the sequential and anchored writes run), executed within one
-    /// step so no lock spans a yield.
+    /// code the sequential put runs), executed within one step so no
+    /// lock spans a yield.
     fn write_border(
         &mut self,
         tree: &Masstree<V>,
@@ -488,13 +488,8 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
         };
         let root_slot = self.slot.as_root_slot(tree);
         match tree.put_at_border(bn, &self.k, &root_slot, &mut fac, guard) {
-            BorderWrite::Done { prev, hint } => {
+            BorderWrite::Done { prev } => {
                 self.result = prev.map(|p| p as *const V as *mut V as *mut ());
-                // Anchor-only capture (taken under the lock by the
-                // shared completion) so batched write misses can
-                // refresh a hint cache, exactly like the sequential
-                // write paths.
-                self.hint = hint;
                 Phase::Done
             }
             BorderWrite::Layer { root, node, slot } => self.enter_layer(root, node, slot),
@@ -747,72 +742,6 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                 None => f(i, v, HintResult::Hit),
             }
         }
-    }
-
-    /// Hinted batch write: each `(key, hint)` first attempts
-    /// [`Masstree::put_at_hint`] (locked anchor entry, zero descent);
-    /// the stale/unhinted ops run through the interleaved batch
-    /// traversal engine, capturing fresh anchors at their completion
-    /// nodes. `factory(i, old)` runs exactly once per op under its
-    /// border node's lock, as in [`Masstree::multi_put_with`]. `fate(i,
-    /// hinted_hit, refreshed)` reports, per op, whether its hint served
-    /// the write and any replacement hint to remember.
-    ///
-    /// Returns the previous value per op, in input order. As with
-    /// [`Masstree::multi_put`], the apply order of *duplicate* keys
-    /// within one batch is unspecified (hinted ops complete before
-    /// engine ops); callers needing per-key ordering split batches at
-    /// duplicates, as the network server does.
-    pub fn multi_put_hinted<'g, F, G>(
-        &self,
-        keys: &[&[u8]],
-        hints: &[Option<LeafHint<V>>],
-        mut factory: F,
-        guard: &'g Guard,
-        mut fate: G,
-    ) -> Vec<Option<&'g V>>
-    where
-        F: FnMut(usize, Option<&V>) -> V,
-        G: FnMut(usize, bool, Option<LeafHint<V>>),
-    {
-        assert_eq!(keys.len(), hints.len(), "one hint slot per key");
-        for h in hints.iter().flatten() {
-            h.node().prefetch();
-        }
-        let mut out: Vec<Option<&'g V>> = vec![None; keys.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, (key, hint)) in keys.iter().zip(hints).enumerate() {
-            match hint {
-                Some(h) => match self.put_at_hint(key, h, |old| factory(i, old), guard) {
-                    Ok((prev, fresh)) => {
-                        out[i] = prev;
-                        // A hinted hit can still stale the hint it used
-                        // (freed-slot insert, split): hand back the
-                        // under-lock capture so the caller refreshes.
-                        fate(i, true, fresh);
-                    }
-                    Err(crate::put::AnchorStale) => misses.push(i),
-                },
-                None => misses.push(i),
-            }
-        }
-        for chunk in misses.chunks(MAX_GROUP) {
-            let mut cursors: Vec<Cursor<'_, V>> = chunk
-                .iter()
-                .map(|&i| Cursor::new(i, Mode::Put, keys[i], self))
-                .collect();
-            run_group(self, &mut cursors, &mut factory, guard);
-            self.stats
-                .batched_ops
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            for c in cursors {
-                // SAFETY: the previous value, kept live for `'g` by epoch
-                // reclamation (it was retired under this guard).
-                out[c.idx] = c.result.map(|p| unsafe { &*p.cast::<V>() });
-                fate(c.idx, false, c.hint);
-            }
-        }
-        out
     }
 
     /// Inserts or updates a batch of keys with interleaved descents.

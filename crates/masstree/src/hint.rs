@@ -11,11 +11,10 @@
 //! A `LeafHint` is a [`DescentAnchor`] (the shared validated-anchor
 //! core, `anchor.rs`) plus a permutation/slot snapshot powering an
 //! exact-match **fast path**. All generation/version validation — the
-//! leading check, the trailing Figure 7 bracket, the write-side locked
-//! entry — lives in `DescentAnchor`; this module only adds the
-//! read-specific slot logic. Hinted writes ([`Masstree::put_at_hint`])
-//! and resumable scans ([`crate::scan::ScanCursor`]) consume the same
-//! anchor, so a hint captured by any path serves every path.
+//! leading check and the trailing Figure 7 bracket — lives in
+//! `DescentAnchor`; this module only adds the read-specific slot logic.
+//! Hints are captured only by reads: writes always descend (§4.6), and
+//! never record or consume a hint.
 //!
 //! # Why hinted reads can never be stale
 //!
@@ -80,8 +79,7 @@ use crate::suffix::KeySuffix;
 use crate::tree::Masstree;
 use crate::version::Version;
 
-/// Slot sentinel in a hint captured for an *absent* key (or by a write,
-/// which records no slot at all).
+/// Slot sentinel in a hint captured for an *absent* key.
 const NO_SLOT: u8 = u8::MAX;
 
 /// Permutation sentinel that can never equal a live permutation word
@@ -89,18 +87,15 @@ const NO_SLOT: u8 = u8::MAX;
 /// take the fast path. Used when absence was concluded from a *suffix
 /// mismatch* — such a slot can later be converted into a layer that
 /// contains the key without any version or permutation movement, so the
-/// absence must be re-established against live state on every use —
-/// and by write-captured hints, which snapshot no slot.
+/// absence must be re-established against live state on every use.
 const PERM_NEVER: u64 = u64::MAX;
 
 /// A remembered lookup endpoint: a [`DescentAnchor`] (border node + the
 /// version it validated under + the trie-layer byte offset) plus the
 /// permutation snapshot, matched slot and keylen code (or [`NO_SLOT`]
 /// for an absent key). 32 bytes. Captured by
-/// [`Masstree::get_capturing_hint`] / [`Masstree::multi_get_hinted`] and
-/// (anchor-only) by the write paths; consumed by
-/// [`Masstree::get_at_hint`], [`Masstree::put_at_hint`] and
-/// [`Masstree::remove_at_hint`].
+/// [`Masstree::get_capturing_hint`] / [`Masstree::multi_get_hinted`];
+/// consumed by [`Masstree::get_at_hint`].
 ///
 /// The permutation/slot/keylen snapshot powers the **fast path**: if
 /// the node's version *and* permutation are exactly unchanged since
@@ -197,41 +192,14 @@ impl<V> LeafHint<V> {
         }
     }
 
-    /// Captures an **anchor-only** hint at the border node a write is
-    /// completing on, *while the write still holds the node's lock*: no
-    /// slot snapshot, so hinted reads through it always take the
-    /// live-search path — but both reads and writes still skip the
-    /// whole descent.
-    ///
-    /// The recorded version is the one the imminent `unlock` will
-    /// publish ([`crate::version::VersionCell::unlocked_value`]). This
-    /// must happen under the lock: it is the only moment the node
-    /// provably covers the written key, so "version unchanged since
-    /// capture" keeps meaning "the node still covers this key" — a
-    /// post-unlock snapshot could race another writer's split and stamp
-    /// a version under which the node never covered the key at all.
-    #[inline]
-    pub(crate) fn capture_locked_anchor(bn: &BorderNode<V>, offset: usize) -> Self {
-        LeafHint {
-            ptr: bn as *const BorderNode<V>,
-            perm: PERM_NEVER,
-            gen: bn.generation() as u32,
-            version: bn.version().unlocked_value(),
-            offset: offset as u32,
-            slot: NO_SLOT,
-            keylen: 0,
-            _marker: PhantomData,
-        }
-    }
-
     /// The generation-stamped node this hint remembers.
     #[inline]
     pub fn node(&self) -> NodeRef<V> {
         NodeRef::new(self.ptr, self.gen)
     }
 
-    /// The shared validated-anchor view of this hint — what the write
-    /// paths and any other anchor consumer validate against.
+    /// The shared validated-anchor view of this hint — what hinted
+    /// reads validate against.
     #[inline]
     pub fn anchor(&self) -> DescentAnchor<V> {
         DescentAnchor {
@@ -255,7 +223,7 @@ pub enum HintedGet<'g, V> {
 }
 
 /// What happened to the hint during [`Masstree::get_with_hint`] /
-/// [`Masstree::multi_get_hinted`] (and their write-path analogues).
+/// [`Masstree::multi_get_hinted`].
 pub enum HintResult<V> {
     /// The provided hint validated and served the operation.
     Hit,

@@ -44,13 +44,6 @@ pub fn slice_at(key: &[u8], offset: usize) -> u64 {
     }
 }
 
-/// Reconstructs the significant bytes of an ikey produced by [`slice_at`].
-#[inline]
-pub fn ikey_bytes(ikey: u64, len: usize) -> [u8; SLICE_LEN] {
-    debug_assert!(len <= SLICE_LEN);
-    ikey.to_be_bytes()
-}
-
 /// A cursor over a full key, tracking the current trie layer.
 ///
 /// `ikey()` yields the current layer's slice; [`KeyCursor::advance`] moves

@@ -63,7 +63,6 @@ pub use anchor::{DescentAnchor, NodeRef};
 pub use batch::HintBatchScratch;
 pub use hint::{HintResult, HintedGet, LeafHint};
 pub use maintain::TreeReport;
-pub use put::AnchorStale;
 pub use scan::{ScanCursor, ScanResumeOutcome, ScanScratch};
 pub use stats::{Stats, StatsSnapshot};
 pub use tree::Masstree;

@@ -587,11 +587,6 @@ pub enum RootSlot<'a, V> {
         node: *const BorderNode<V>,
         slot: usize,
     },
-    /// The layer was entered through a validated anchor, so the slot
-    /// holding its root pointer is unknown: root updates are left
-    /// entirely to §4.6.4's lazy healing (`find_border` climbs past the
-    /// stale pointer; the next descending writer repairs it).
-    Detached,
 }
 
 impl<V> RootSlot<'_, V> {
@@ -599,7 +594,6 @@ impl<V> RootSlot<'_, V> {
     /// is harmless: stale roots are healed by `find_border`'s parent climb.
     pub fn cas(&self, old: *mut NodeHeader, new: *mut NodeHeader) {
         match self {
-            RootSlot::Detached => {}
             RootSlot::Tree(slot) => {
                 let _ = slot.compare_exchange(old, new, Ordering::AcqRel, Ordering::Relaxed);
             }

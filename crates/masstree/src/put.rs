@@ -1,12 +1,17 @@
 //! The write path: `put`, border inserts (§4.6.2), new-layer creation
 //! (§4.6.3) and splits (Figure 5, §4.6.4).
+//!
+//! Every put descends from the tree root, as the paper's does: the
+//! optimistic descent finds the border node, `lock_border_for_ikey`
+//! locks it (walking right past concurrent splits), and the shared
+//! locked completion ([`Masstree::put_at_border`]) finishes the write.
+//! The batch engine's write cursors run the same completion.
 
 use core::sync::atomic::Ordering;
 
 use crossbeam::epoch::Guard;
 
 use crate::gc;
-use crate::hint::LeafHint;
 use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE, SLICE_LEN};
 use crate::node::{BorderNode, BorderSearch, InteriorNode, NodePtr, RootSlot};
 use crate::permutation::{Permutation, WIDTH};
@@ -14,24 +19,11 @@ use crate::stats::Stats;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 
-/// Returned by the hinted write entries ([`Masstree::put_at_hint`],
-/// [`Masstree::remove_at_hint`]) when the anchor failed validation (the
-/// node was freed, deleted, or the chain restarted): the caller must
-/// fall back to a full descent, which refreshes the hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnchorStale;
-
 /// Outcome of completing a write at one locked border node (the lock is
 /// consumed either way).
 pub(crate) enum BorderWrite<'g, V> {
-    /// The put completed; `prev` is the previous value and `hint` an
-    /// anchor-only hint captured **under the lock** at the completion
-    /// node (absent for splits, where the key's final node's lock is
-    /// consumed deep in the ascent).
-    Done {
-        prev: Option<&'g V>,
-        hint: Option<LeafHint<V>>,
-    },
+    /// The put completed; `prev` is the previous value.
+    Done { prev: Option<&'g V> },
     /// The key continues in a deeper trie layer rooted at `root`,
     /// reached through `node[slot]` (which heals lazily).
     Layer {
@@ -112,140 +104,26 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         guard: &'g Guard,
     ) -> Option<&'g V> {
         loop {
-            let mut k = KeyCursor::new(key);
-            match self.put_descend(
-                &mut k,
-                self.load_root(),
-                RootSlot::Tree(&self.root),
-                factory,
-                guard,
-            ) {
-                Ok((prev, _hint)) => return prev,
-                Err(Restart) => continue,
+            if let Ok(prev) = self.put_descend(key, factory, guard) {
+                return prev;
             }
         }
     }
 
-    /// [`Masstree::put_with`], additionally capturing an anchor-only
-    /// [`LeafHint`] at the border node the put completed on (so write
-    /// misses can refresh a hint cache). `None` when the node was
-    /// deleted before the capture could be taken.
-    pub fn put_with_capture<'g, F>(
-        &self,
-        key: &[u8],
-        mut f: F,
-        guard: &'g Guard,
-    ) -> (Option<&'g V>, Option<LeafHint<V>>)
-    where
-        F: FnMut(Option<&V>) -> V,
-    {
-        let factory: &mut dyn ValueFactory<V> = &mut FromFn(&mut f);
-        loop {
-            let mut k = KeyCursor::new(key);
-            match self.put_descend(
-                &mut k,
-                self.load_root(),
-                RootSlot::Tree(&self.root),
-                factory,
-                guard,
-            ) {
-                Ok((prev, hint)) => return (prev, hint),
-                Err(Restart) => continue,
-            }
-        }
-    }
-
-    /// Hinted write: installs `f(current)` for `key` starting at the
-    /// hint's **validated anchor** instead of a root-to-leaf descent.
-    ///
-    /// The anchor enters through
-    /// [`crate::anchor::DescentAnchor::lock_for_write`] (which proves
-    /// the remembered node is still the same live incarnation — see its
-    /// docs for why a stale anchor can never lock the wrong node), then
-    /// completes exactly as a descending put would: walk-right to the
-    /// responsible sibling, then the shared locked border completion —
-    /// including layer descents, new-layer creation and splits. The
-    /// result is indistinguishable from [`Masstree::put_with`].
-    ///
-    /// Returns the previous value plus the **fresh anchor** captured
-    /// under the completion lock (when one was capturable): an insert
-    /// into a freed slot or a split can stale the hint that served this
-    /// very write, and the replacement is free — callers should record
-    /// it so subsequent reads keep their zero-descent entry.
-    ///
-    /// Errors with [`AnchorStale`] — *without* consuming `f` — when the
-    /// anchor fails validation or the chain restarts; the caller falls
-    /// back to a full put (e.g. [`Masstree::put_with_capture`]) which
-    /// refreshes the hint.
-    #[allow(clippy::type_complexity)]
-    pub fn put_at_hint<'g, F>(
-        &self,
-        key: &[u8],
-        hint: &LeafHint<V>,
-        mut f: F,
-        guard: &'g Guard,
-    ) -> Result<(Option<&'g V>, Option<LeafHint<V>>), AnchorStale>
-    where
-        F: FnMut(Option<&V>) -> V,
-    {
-        let anchor = hint.anchor();
-        let offset = anchor.offset();
-        debug_assert!(offset.is_multiple_of(SLICE_LEN));
-        let mut k = KeyCursor::with_offset(key, offset);
-        let Some(bn) = anchor.lock_for_write(guard) else {
-            return Err(AnchorStale);
-        };
-        let bn = match self.walk_right_locked(bn, k.ikey()) {
-            Ok(bn) => bn,
-            Err(Restart) => return Err(AnchorStale),
-        };
-        // The anchored layer's root slot: at layer 0 it is the tree
-        // root; deeper, the owning layer-link slot is unknown, so root
-        // updates there fall back entirely to §4.6.4 lazy healing.
-        let root_slot = if offset == 0 {
-            RootSlot::Tree(&self.root)
-        } else {
-            RootSlot::Detached
-        };
-        let factory: &mut dyn ValueFactory<V> = &mut FromFn(&mut f);
-        match self.put_at_border(bn, &k, &root_slot, factory, guard) {
-            BorderWrite::Done { prev, hint } => Ok((prev, hint)),
-            BorderWrite::Layer { root, node, slot } => {
-                // The key continues below the anchored node: from here
-                // on this is a normal descent (every node reached under
-                // this call's pin), so restarts could retry — but the
-                // fallback full put is just as good and keeps one
-                // restart story.
-                k.advance();
-                match self.put_descend(
-                    &mut k,
-                    root,
-                    RootSlot::LayerLink { node, slot },
-                    factory,
-                    guard,
-                ) {
-                    Ok((prev, fresh)) => Ok((prev, fresh)),
-                    Err(Restart) => Err(AnchorStale),
-                }
-            }
-        }
-    }
-
-    /// The descending half of a put: from `root` (whose pointer lives in
-    /// `root_slot`), find and lock the responsible border node of each
-    /// layer and run the shared locked completion, following layer links
-    /// down. Returns the previous value and the completion anchor (when
-    /// one was capturable); `Err(Restart)` propagates deleted-node
-    /// retries to the caller's restart loop **before** the factory has
-    /// run.
+    /// The descending half of a put: from the tree root, find and lock
+    /// the responsible border node of each layer and run the shared
+    /// locked completion, following layer links down. Returns the
+    /// previous value; `Err(Restart)` propagates deleted-node retries to
+    /// the caller's restart loop **before** the factory has run.
     fn put_descend<'g>(
         &self,
-        k: &mut KeyCursor<'_>,
-        mut root: NodePtr<V>,
-        mut root_slot: RootSlot<'_, V>,
+        key: &[u8],
         factory: &mut dyn ValueFactory<V>,
         guard: &'g Guard,
-    ) -> Result<(Option<&'g V>, Option<LeafHint<V>>), Restart> {
+    ) -> Result<Option<&'g V>, Restart> {
+        let mut k = KeyCursor::new(key);
+        let mut root = self.load_root();
+        let mut root_slot = RootSlot::Tree(&self.root);
         loop {
             let ikey = k.ikey();
             let entered = root;
@@ -263,8 +141,8 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                 root_slot.cas(entered.raw(), root.raw());
             }
             let bn = self.lock_border_for_ikey(start, ikey)?;
-            match self.put_at_border(bn, k, &root_slot, factory, guard) {
-                BorderWrite::Done { prev, hint } => return Ok((prev, hint)),
+            match self.put_at_border(bn, &k, &root_slot, factory, guard) {
+                BorderWrite::Done { prev } => return Ok(prev),
                 BorderWrite::Layer {
                     root: link,
                     node,
@@ -279,10 +157,9 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     }
 
     /// The locked border-level completion of a put — shared verbatim by
-    /// descending puts ([`Masstree::put_descend`]), the batch engine's
-    /// write cursors, and anchored writes ([`Masstree::put_at_hint`]).
-    /// `bn` must be locked and cover the cursor's current `ikey`; the
-    /// lock is consumed.
+    /// descending puts ([`Masstree::put_descend`]) and the batch engine's
+    /// write cursors. `bn` must be locked and cover the cursor's current
+    /// `ikey`; the lock is consumed.
     pub(crate) fn put_at_border<'g>(
         &self,
         bn: &'g BorderNode<V>,
@@ -325,7 +202,6 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                             // SAFETY: the slot's live value.
                             let vptr = factory.make(Some(unsafe { &*old.cast::<V>() }));
                             bn.lv[slot].store(vptr, Ordering::Release);
-                            let hint = Some(LeafHint::capture_locked_anchor(bn, k.offset()));
                             bn.version().unlock();
                             // SAFETY: `old` was this key's value and
                             // is now unreachable from the tree.
@@ -333,7 +209,6 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                                 gc::retire_value::<V>(guard, old);
                                 return BorderWrite::Done {
                                     prev: Some(&*old.cast::<V>()),
-                                    hint,
                                 };
                             }
                         }
@@ -356,14 +231,12 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         // SAFETY: the slot's live value.
                         let vptr = factory.make(Some(unsafe { &*old.cast::<V>() }));
                         bn.lv[slot].store(vptr, Ordering::Release);
-                        let hint = Some(LeafHint::capture_locked_anchor(bn, k.offset()));
                         bn.version().unlock();
                         // SAFETY: as in the suffix-update arm.
                         unsafe {
                             gc::retire_value::<V>(guard, old);
                             BorderWrite::Done {
                                 prev: Some(&*old.cast::<V>()),
-                                hint,
                             }
                         }
                     }
@@ -373,24 +246,15 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                 let vptr = factory.make(None);
                 if !perm.is_full() {
                     self.insert_into_border(bn, perm, pos, k, vptr);
-                    // Capture under the lock: the node provably covers
-                    // the key right now (a post-unlock capture could
-                    // race a split that moves it away).
-                    let hint = Some(LeafHint::capture_locked_anchor(bn, k.offset()));
                     bn.version().unlock();
-                    return BorderWrite::Done { prev: None, hint };
+                    return BorderWrite::Done { prev: None };
                 }
                 // SAFETY: `bn` is locked and full; `vptr` ownership
-                // moves into the split. No anchor capture: the key may
-                // land in the right sibling, whose lock the ascent
-                // consumes before we could stamp a version here.
+                // moves into the split.
                 unsafe {
                     self.split_and_insert(bn, pos, k, vptr, root_slot, guard);
                 }
-                BorderWrite::Done {
-                    prev: None,
-                    hint: None,
-                }
+                BorderWrite::Done { prev: None }
             }
         }
     }

@@ -13,10 +13,8 @@ use core::sync::atomic::Ordering;
 use crossbeam::epoch::Guard;
 
 use crate::gc;
-use crate::hint::LeafHint;
-use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE, SLICE_LEN};
+use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, NodePtr};
-use crate::put::AnchorStale;
 use crate::stats::Stats;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
@@ -60,66 +58,25 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         guard: &'g Guard,
     ) -> Option<(&'g V, R)> {
         loop {
-            let mut k = KeyCursor::new(key);
-            match self.remove_descend(&mut k, self.load_root(), f, guard) {
-                Ok(removed) => return removed,
-                Err(Restart) => continue,
+            if let Ok(removed) = self.remove_descend(key, f, guard) {
+                return removed;
             }
         }
     }
 
-    /// Hinted remove: removes `key` starting at the hint's **validated
-    /// anchor** instead of a root-to-leaf descent, entering through
-    /// [`crate::anchor::DescentAnchor::lock_for_write`] and completing
-    /// with the same locked border logic as [`Masstree::remove_with`]
-    /// (`f` runs under the lock at the linearization point). Errors with
-    /// [`AnchorStale`] — without consuming `f` — when the anchor fails
-    /// validation; the caller falls back to a full remove.
-    #[allow(clippy::type_complexity)]
-    pub fn remove_at_hint<'g, R>(
-        &self,
-        key: &[u8],
-        hint: &LeafHint<V>,
-        f: impl FnOnce(&V) -> R,
-        guard: &'g Guard,
-    ) -> Result<Option<(&'g V, R)>, AnchorStale> {
-        let anchor = hint.anchor();
-        let offset = anchor.offset();
-        debug_assert!(offset.is_multiple_of(SLICE_LEN));
-        let mut k = KeyCursor::with_offset(key, offset);
-        let Some(bn) = anchor.lock_for_write(guard) else {
-            return Err(AnchorStale);
-        };
-        let bn = match self.walk_right_locked(bn, k.ikey()) {
-            Ok(bn) => bn,
-            Err(Restart) => return Err(AnchorStale),
-        };
-        let mut f = Some(f);
-        let f: &mut dyn FnMut(&V) -> R = &mut |v| (f.take().expect("called once"))(v);
-        match self.remove_at_border(bn, &k, f, guard) {
-            BorderRemove::Done(removed) => Ok(removed),
-            BorderRemove::Layer(root) => {
-                k.advance();
-                match self.remove_descend(&mut k, root, f, guard) {
-                    Ok(removed) => Ok(removed),
-                    Err(Restart) => Err(AnchorStale),
-                }
-            }
-        }
-    }
-
-    /// The descending half of a remove: find and lock the responsible
-    /// border node of each layer, run the shared locked completion,
-    /// follow layer links down. `Err(Restart)` propagates **before**
-    /// `f` has run.
+    /// The descending half of a remove: from the tree root, find and
+    /// lock the responsible border node of each layer, run the shared
+    /// locked completion, follow layer links down. `Err(Restart)`
+    /// propagates **before** `f` has run.
     #[allow(clippy::type_complexity)]
     fn remove_descend<'g, R>(
         &self,
-        k: &mut KeyCursor<'_>,
-        mut root: NodePtr<V>,
+        key: &[u8],
         f: &mut dyn FnMut(&V) -> R,
         guard: &'g Guard,
     ) -> Result<Option<(&'g V, R)>, Restart> {
+        let mut k = KeyCursor::new(key);
+        let mut root = self.load_root();
         loop {
             let ikey = k.ikey();
             let start = match self.find_border(&mut root, ikey, guard) {
@@ -130,7 +87,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                 }
             };
             let bn = self.lock_border_for_ikey(start, ikey)?;
-            match self.remove_at_border(bn, k, f, guard) {
+            match self.remove_at_border(bn, &k, f, guard) {
                 BorderRemove::Done(removed) => return Ok(removed),
                 BorderRemove::Layer(link) => {
                     root = link;

@@ -207,11 +207,10 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     /// The already-locked body of [`Masstree::lock_border_for_ikey`]:
     /// given a locked border node whose `lowkey` once covered `ikey`,
     /// walks the leaf list right (unlock-then-lock) until the node
-    /// responsible for `ikey` is held. Shared by descending writers, the
-    /// batch engine's write cursors, and anchored writes (which enter
-    /// with [`crate::anchor::DescentAnchor::lock_for_write`] instead of
-    /// a descent). Errors (releasing the lock) if the chain hits a
-    /// deleted node.
+    /// responsible for `ikey` is held. Shared by descending writers and
+    /// the batch engine's write cursors (which take the lock with
+    /// `try_lock` so a contended node yields instead of spinning).
+    /// Errors (releasing the lock) if the chain hits a deleted node.
     pub(crate) fn walk_right_locked<'g>(
         &self,
         start: &'g BorderNode<V>,

@@ -6,24 +6,21 @@
 //! compare-and-swap built on it would resurrect a concurrently removed
 //! key. The value-separation GC relocates payloads out of mostly-dead
 //! segments and must install the relocated pointer **only** if the key
-//! still holds the exact version it read; these entry points give it
-//! that, riding the same locked border completion (and the same
-//! validated-anchor fast path) as every other write.
+//! still holds the exact version it read; [`Masstree::update_with`]
+//! gives it that. Like every write, it descends from the root and
+//! locks the key's border node before running its closure.
 
 use core::sync::atomic::Ordering;
 
 use crossbeam::epoch::Guard;
 
 use crate::gc;
-use crate::hint::LeafHint;
-use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE, SLICE_LEN};
+use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, NodePtr};
-use crate::put::AnchorStale;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 
-/// Outcome of a conditional update ([`Masstree::update_with`] /
-/// [`Masstree::update_at_hint`]).
+/// Outcome of a conditional update ([`Masstree::update_with`]).
 #[derive(Debug)]
 pub enum Update<'g, V> {
     /// The key was present and the closure produced a replacement; the
@@ -39,7 +36,7 @@ pub enum Update<'g, V> {
 /// Border-level result: either the update finished here, or the key
 /// continues in a deeper trie layer.
 enum BorderUpdate<'g, V> {
-    Done(Update<'g, V>, Option<LeafHint<V>>),
+    Done(Update<'g, V>),
     Layer { root: NodePtr<V> },
 }
 
@@ -55,82 +52,29 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         F: FnMut(&V) -> Option<V>,
     {
         loop {
-            let mut k = KeyCursor::new(key);
-            match self.update_descend(&mut k, self.load_root(), &mut f, guard) {
-                Ok((u, _hint)) => return u,
-                Err(Restart) => continue,
+            if let Ok(u) = self.update_descend(key, &mut f, guard) {
+                return u;
             }
         }
     }
 
-    /// [`Masstree::update_with`] entered at a hint's validated anchor
-    /// instead of a root-to-leaf descent (see
-    /// [`Masstree::put_at_hint`] for the anchor protocol). Also returns
-    /// the fresh anchor captured under the completion lock, when one
-    /// was capturable. Errors with [`AnchorStale`] — without running
-    /// `f` — when the anchor fails validation; fall back to
-    /// [`Masstree::update_with`].
-    #[allow(clippy::type_complexity)]
-    pub fn update_at_hint<'g, F>(
-        &self,
-        key: &[u8],
-        hint: &LeafHint<V>,
-        mut f: F,
-        guard: &'g Guard,
-    ) -> Result<(Update<'g, V>, Option<LeafHint<V>>), AnchorStale>
-    where
-        F: FnMut(&V) -> Option<V>,
-    {
-        let anchor = hint.anchor();
-        let offset = anchor.offset();
-        debug_assert!(offset.is_multiple_of(SLICE_LEN));
-        let mut k = KeyCursor::with_offset(key, offset);
-        let Some(bn) = anchor.lock_for_write(guard) else {
-            return Err(AnchorStale);
-        };
-        let bn = match self.walk_right_locked(bn, k.ikey()) {
-            Ok(bn) => bn,
-            Err(Restart) => return Err(AnchorStale),
-        };
-        match self.update_at_border(bn, &k, &mut f, guard) {
-            BorderUpdate::Done(u, h) => Ok((u, h)),
-            BorderUpdate::Layer { root } => {
-                k.advance();
-                match self.update_descend_from(&mut k, root, &mut f, guard) {
-                    Ok(r) => Ok(r),
-                    Err(Restart) => Err(AnchorStale),
-                }
-            }
-        }
-    }
-
-    /// Full-descent update loop (restartable from the tree root).
+    /// Descends from the tree root, locking the responsible border node
+    /// of each layer and running the update completion, following layer
+    /// links down. `Err(Restart)` propagates **before** `f` has run.
     fn update_descend<'g>(
         &self,
-        k: &mut KeyCursor<'_>,
-        root: NodePtr<V>,
+        key: &[u8],
         f: &mut dyn FnMut(&V) -> Option<V>,
         guard: &'g Guard,
-    ) -> Result<(Update<'g, V>, Option<LeafHint<V>>), Restart> {
-        self.update_descend_from(k, root, f, guard)
-    }
-
-    /// Descends from `root` (a tree or layer root), locking the
-    /// responsible border node of each layer and running the update
-    /// completion, following layer links down.
-    fn update_descend_from<'g>(
-        &self,
-        k: &mut KeyCursor<'_>,
-        mut root: NodePtr<V>,
-        f: &mut dyn FnMut(&V) -> Option<V>,
-        guard: &'g Guard,
-    ) -> Result<(Update<'g, V>, Option<LeafHint<V>>), Restart> {
+    ) -> Result<Update<'g, V>, Restart> {
+        let mut k = KeyCursor::new(key);
+        let mut root = self.load_root();
         loop {
             let ikey = k.ikey();
             let (start, _) = self.find_border(&mut root, ikey, guard)?;
             let bn = self.lock_border_for_ikey(start, ikey)?;
-            match self.update_at_border(bn, k, f, guard) {
-                BorderUpdate::Done(u, h) => return Ok((u, h)),
+            match self.update_at_border(bn, &k, f, guard) {
+                BorderUpdate::Done(u) => return Ok(u),
                 BorderUpdate::Layer { root: link } => {
                     root = link;
                     k.advance();
@@ -176,20 +120,20 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                             // absent, and unlike a put we create no
                             // layer for it.
                             bn.version().unlock();
-                            return BorderUpdate::Done(Update::Absent, None);
+                            return BorderUpdate::Done(Update::Absent);
                         }
-                        self.replace_slot(bn, slot, k, f, guard)
+                        self.replace_slot(bn, slot, f, guard)
                     }
                     _ => {
                         debug_assert_eq!(code as usize, k.slice_len());
                         debug_assert!(!k.has_suffix());
-                        self.replace_slot(bn, slot, k, f, guard)
+                        self.replace_slot(bn, slot, f, guard)
                     }
                 }
             }
             BorderSearch::Missing { .. } => {
                 bn.version().unlock();
-                BorderUpdate::Done(Update::Absent, None)
+                BorderUpdate::Done(Update::Absent)
             }
         }
     }
@@ -200,7 +144,6 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         &self,
         bn: &'g BorderNode<V>,
         slot: usize,
-        k: &KeyCursor<'_>,
         f: &mut dyn FnMut(&V) -> Option<V>,
         guard: &'g Guard,
     ) -> BorderUpdate<'g, V> {
@@ -209,21 +152,19 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         let old_ref = unsafe { &*old.cast::<V>() };
         match f(old_ref) {
             None => {
-                let hint = Some(LeafHint::capture_locked_anchor(bn, k.offset()));
                 bn.version().unlock();
-                BorderUpdate::Done(Update::Kept, hint)
+                BorderUpdate::Done(Update::Kept)
             }
             Some(new) => {
                 let vptr = Box::into_raw(Box::new(new)).cast::<()>();
                 bn.lv[slot].store(vptr, Ordering::Release);
-                let hint = Some(LeafHint::capture_locked_anchor(bn, k.offset()));
                 bn.version().unlock();
                 // SAFETY: `old` was this key's value and is now
                 // unreachable from the tree.
                 unsafe {
                     gc::retire_value::<V>(guard, old);
                 }
-                BorderUpdate::Done(Update::Replaced(old_ref), hint)
+                BorderUpdate::Done(Update::Replaced(old_ref))
             }
         }
     }
@@ -268,27 +209,26 @@ mod tests {
     }
 
     #[test]
-    fn update_at_hint_fast_path_and_fallback() {
+    fn update_with_across_splits_then_absent_after_remove() {
+        // Enough keys that the target sits behind splits and interior
+        // nodes: the update's descent must find and lock the same
+        // border node a put would.
         let t: Masstree<u64> = Masstree::new();
         let g = pin();
         for i in 0..500u64 {
             t.put(format!("uk{i:04}").as_bytes(), i, &g);
         }
-        let (v, hint) = t.get_capturing_hint(b"uk0042", &g);
-        assert_eq!(v, Some(&42));
-        let (u, fresh) = t
-            .update_at_hint(b"uk0042", &hint, |old| Some(old * 2), &g)
-            .expect("anchor valid");
-        assert!(matches!(u, Update::Replaced(&42)));
-        assert!(fresh.is_some());
+        assert!(matches!(
+            t.update_with(b"uk0042", |old| Some(old * 2), &g),
+            Update::Replaced(&42)
+        ));
         assert_eq!(t.get(b"uk0042", &g), Some(&84));
-        // A removed key declines through the same anchor.
+        // A removed key declines: the closure never runs.
         t.remove(b"uk0042", &g);
-        match t.update_at_hint(b"uk0042", &hint, |_| Some(1), &g) {
-            Ok((Update::Absent, _)) => {}
-            Ok((other, _)) => panic!("expected Absent, got {other:?}"),
-            Err(AnchorStale) => {} // also acceptable: remove staled it
-        }
+        assert!(matches!(
+            t.update_with(b"uk0042", |_| panic!("closure ran on an absent key"), &g),
+            Update::Absent
+        ));
         assert_eq!(t.get(b"uk0042", &g), None);
     }
 }

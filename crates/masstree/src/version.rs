@@ -53,14 +53,6 @@ impl Version {
         self.0 & LOCKED != 0
     }
     #[inline]
-    pub fn is_inserting(self) -> bool {
-        self.0 & INSERTING != 0
-    }
-    #[inline]
-    pub fn is_splitting(self) -> bool {
-        self.0 & SPLITTING != 0
-    }
-    #[inline]
     pub fn is_dirty(self) -> bool {
         self.0 & DIRTY_MASK != 0
     }
@@ -210,34 +202,6 @@ impl VersionCell {
         }
     }
 
-    /// `lock`, refusing nodes marked DELETED: spins while the lock is
-    /// held, returns `None` the moment the latest version word carries
-    /// the DELETED bit.
-    ///
-    /// This is the write-side anchor-validation primitive
-    /// (`anchor.rs`): because the CAS is an RMW it always acts on the
-    /// **latest** value of the word, so a success proves the node was
-    /// not deleted at acquisition time — a property optimistic loads
-    /// cannot give on memory that may have been freed.
-    #[inline]
-    pub fn lock_unless_deleted(&self) -> Option<Version> {
-        loop {
-            let cur = self.0.load(Ordering::Relaxed);
-            if cur & DELETED != 0 {
-                return None;
-            }
-            if cur & LOCKED == 0
-                && self
-                    .0
-                    .compare_exchange_weak(cur, cur | LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return Some(Version(cur | LOCKED));
-            }
-            core::hint::spin_loop();
-        }
-    }
-
     /// Attempts to claim the lock without spinning.
     #[inline]
     pub fn try_lock(&self) -> Option<Version> {
@@ -287,13 +251,9 @@ impl VersionCell {
     }
 
     /// The version word [`VersionCell::unlock`] will publish, given the
-    /// current (locked) value. Writers use this to capture an anchor's
-    /// version snapshot **under the lock** — the only moment the node
-    /// provably covers the key just written: an anchor stamped with this
-    /// value validates exactly when nothing at all happened to the node
-    /// after the write's unlock.
+    /// current (locked) value.
     #[inline]
-    pub fn unlocked_value(&self) -> Version {
+    fn unlocked_value(&self) -> Version {
         let v = self.0.load(Ordering::Relaxed);
         debug_assert!(v & LOCKED != 0, "caller must hold the lock");
         let mut nv = v;

@@ -145,214 +145,3 @@ fn hints_survive_node_deletion_and_slab_reuse() {
     }
     assert!(stale > 0, "deleted/recycled nodes must invalidate hints");
 }
-
-// ---- hinted writes (validated-anchor entry for put/remove) ----
-
-#[test]
-fn put_at_hint_updates_inserts_and_converts_layers() {
-    let tree: Masstree<u64> = Masstree::new();
-    let g = masstree::pin();
-    tree.put(b"wh-alpha", 1, &g);
-    let (_, hint) = tree.get_capturing_hint(b"wh-alpha", &g);
-
-    // Update through the anchor.
-    let (prev, _fresh) = tree
-        .put_at_hint(b"wh-alpha", &hint, |old| old.copied().unwrap_or(0) + 10, &g)
-        .expect("fresh anchor must validate");
-    assert_eq!(prev.copied(), Some(1));
-    assert_eq!(tree.get(b"wh-alpha", &g).copied(), Some(11));
-
-    // Insert a brand-new key through an absent-key anchor.
-    let (miss, hint2) = tree.get_capturing_hint(b"wh-beta", &g);
-    assert!(miss.is_none());
-    let (prev, fresh) = tree
-        .put_at_hint(b"wh-beta", &hint2, |_| 77, &g)
-        .expect("anchor insert");
-    assert!(prev.is_none());
-    // An anchored insert hands back a replacement anchor (the insert
-    // may have staled the one it used) — and it serves reads.
-    let fresh = fresh.expect("non-split completion captures an anchor");
-    match tree.get_at_hint(b"wh-beta", &fresh, &g) {
-        HintedGet::Hit(v) => assert_eq!(v.copied(), Some(77)),
-        HintedGet::Stale => panic!("fresh post-insert anchor must validate"),
-    }
-    assert_eq!(tree.get(b"wh-beta", &g).copied(), Some(77));
-
-    // A colliding suffix forces a layer conversion underneath the
-    // anchored node; the hinted put must follow it down.
-    tree.put(b"collision-prefix-A", 1, &g);
-    let (_, hint3) = tree.get_capturing_hint(b"collision-prefix-A", &g);
-    let (prev, _fresh) = tree
-        .put_at_hint(b"collision-prefix-B", &hint3, |_| 2, &g)
-        .expect("layer conversion through anchor");
-    assert!(prev.is_none());
-    assert_eq!(tree.get(b"collision-prefix-A", &g).copied(), Some(1));
-    assert_eq!(tree.get(b"collision-prefix-B", &g).copied(), Some(2));
-}
-
-#[test]
-fn put_at_hint_splits_full_nodes_correctly() {
-    let tree: Masstree<u64> = Masstree::new();
-    let g = masstree::pin();
-    // Fill one border node, then keep inserting through a (refreshing)
-    // hint so anchored writes drive the splits themselves.
-    tree.put(b"sp0000", 0, &g);
-    let (_, mut hint) = tree.get_capturing_hint(b"sp0000", &g);
-    for i in 1..500u64 {
-        let k = format!("sp{i:04}");
-        match tree.put_at_hint(k.as_bytes(), &hint, |_| i, &g) {
-            Ok((prev, fresh)) => {
-                assert!(prev.is_none(), "fresh key");
-                if let Some(h) = fresh {
-                    hint = h;
-                }
-            }
-            Err(_) => {
-                let (prev, fresh) = tree.put_with_capture(k.as_bytes(), |_| i, &g);
-                assert!(prev.is_none());
-                if let Some(h) = fresh {
-                    hint = h;
-                }
-            }
-        }
-    }
-    for i in 0..500u64 {
-        assert_eq!(
-            tree.get(format!("sp{i:04}").as_bytes(), &g).copied(),
-            Some(i),
-            "key sp{i:04} after anchored splits"
-        );
-    }
-}
-
-#[test]
-fn remove_at_hint_matches_plain_remove() {
-    let tree: Masstree<u64> = Masstree::new();
-    let g = masstree::pin();
-    for i in 0..200u64 {
-        tree.put(format!("rm{i:04}").as_bytes(), i, &g);
-    }
-    for i in (0..200u64).step_by(2) {
-        let k = format!("rm{i:04}");
-        let (_, hint) = tree.get_capturing_hint(k.as_bytes(), &g);
-        match tree.remove_at_hint(k.as_bytes(), &hint, |v| *v, &g) {
-            Ok(Some((v, hooked))) => {
-                assert_eq!(*v, i);
-                assert_eq!(hooked, i, "hook ran under the lock on the live value");
-            }
-            Ok(None) => panic!("key {k} was present"),
-            Err(_) => {
-                assert!(tree.remove(k.as_bytes(), &g).is_some());
-            }
-        }
-        // Removing an absent key through a (now stale-ish) anchor
-        // reports absence, never a phantom.
-        match tree.remove_at_hint(k.as_bytes(), &hint, |v| *v, &g) {
-            Ok(removed) => assert!(removed.is_none(), "double remove must be absent"),
-            Err(_) => assert!(tree.remove(k.as_bytes(), &g).is_none()),
-        }
-    }
-    for i in 0..200u64 {
-        let expect = if i % 2 == 0 { None } else { Some(i) };
-        assert_eq!(
-            tree.get(format!("rm{i:04}").as_bytes(), &g).copied(),
-            expect
-        );
-    }
-}
-
-#[test]
-fn stale_write_anchor_is_rejected_after_node_deletion() {
-    let tree: Masstree<u64> = Masstree::new();
-    let g = masstree::pin();
-    // Two nodes' worth of keys; capture an anchor in the right node,
-    // then empty it so the node is deleted.
-    for i in 0..32u64 {
-        tree.put(format!("del{i:04}").as_bytes(), i, &g);
-    }
-    let (_, hint) = tree.get_capturing_hint(b"del0030", &g);
-    for i in 16..32u64 {
-        tree.remove(format!("del{i:04}").as_bytes(), &g);
-    }
-    // The anchored node may now be deleted; the hinted write must either
-    // refuse (Stale) or — if the anchor still names a live node — land
-    // the write where a descent would.
-    match tree.put_at_hint(b"del0030", &hint, |_| 999, &g) {
-        Ok(_) => assert_eq!(tree.get(b"del0030", &g).copied(), Some(999)),
-        Err(_) => assert_eq!(tree.get(b"del0030", &g), None),
-    }
-}
-
-#[test]
-fn multi_put_hinted_matches_multi_put() {
-    let tree: Masstree<u64> = Masstree::new();
-    let g = masstree::pin();
-    let keys: Vec<Vec<u8>> = (0..300u64)
-        .map(|i| format!("mp{i:04}").into_bytes())
-        .collect();
-    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    tree.multi_put(&refs, (0..300u64).collect(), &g);
-
-    // Capture hints for every key, then batch-update through them.
-    let hints: Vec<Option<LeafHint<u64>>> = refs
-        .iter()
-        .map(|k| Some(tree.get_capturing_hint(k, &g).1))
-        .collect();
-    let mut hinted_hits = 0usize;
-    let mut refreshed = 0usize;
-    let prev = tree.multi_put_hinted(
-        &refs,
-        &hints,
-        |_i, old| old.copied().unwrap_or(0) + 1000,
-        &g,
-        |_, hit, fresh| {
-            hinted_hits += hit as usize;
-            refreshed += fresh.is_some() as usize;
-        },
-    );
-    for (i, p) in prev.iter().enumerate() {
-        assert_eq!(p.copied(), Some(i as u64), "previous value per op");
-    }
-    for (i, k) in refs.iter().enumerate() {
-        assert_eq!(tree.get(k, &g).copied(), Some(i as u64 + 1000));
-    }
-    assert!(hinted_hits > 0, "fresh hints must serve batched writes");
-
-    // Unhinted batch through the same API equals multi_put_with.
-    let none: Vec<Option<LeafHint<u64>>> = vec![None; refs.len()];
-    let mut engine_refreshed = 0usize;
-    tree.multi_put_hinted(
-        &refs,
-        &none,
-        |_, old| old.copied().unwrap_or(0) + 1,
-        &g,
-        |_, hit, fresh| {
-            assert!(!hit);
-            engine_refreshed += fresh.is_some() as usize;
-        },
-    );
-    assert!(engine_refreshed > 0, "engine captures anchors for misses");
-    for (i, k) in refs.iter().enumerate() {
-        assert_eq!(tree.get(k, &g).copied(), Some(i as u64 + 1001));
-    }
-}
-
-#[test]
-fn write_captured_hints_serve_reads_and_writes() {
-    let tree: Masstree<u64> = Masstree::new();
-    let g = masstree::pin();
-    for i in 0..50u64 {
-        tree.put(format!("wc{i:03}").as_bytes(), i, &g);
-    }
-    let (_, hint) = tree.put_with_capture(b"wc025", |_| 25, &g);
-    let hint = hint.expect("live completion node");
-    // Read through the write-captured anchor.
-    match tree.get_at_hint(b"wc025", &hint, &g) {
-        HintedGet::Hit(v) => assert_eq!(v.copied(), Some(25)),
-        HintedGet::Stale => panic!("fresh write anchor must serve reads"),
-    }
-    // Write through it again.
-    tree.put_at_hint(b"wc025", &hint, |_| 26, &g)
-        .expect("fresh write anchor must serve writes");
-    assert_eq!(tree.get(b"wc025", &g).copied(), Some(26));
-}

@@ -3,8 +3,9 @@
 //! A **per-worker** cache mapping hot keys to [`LeafHint`]s — remembered
 //! `(border node, version, trie-layer offset)` lookup endpoints — so a
 //! hit jumps straight to the right border node and serves the value with
-//! zero descent (`masstree::hint`). The tier is deliberately *not*
-//! shared:
+//! zero descent (`masstree::hint`). Only reads consult the table: writes
+//! always descend from the root, as the paper's do, and never record a
+//! hint. The tier is deliberately *not* shared:
 //!
 //! * **Per-core replacement** — each worker session owns its own table,
 //!   so lookups and replacement touch no shared cache lines and need no
@@ -100,14 +101,6 @@ pub struct CacheConfig {
     /// Whether the adaptive bypass governor may disengage the table on
     /// reuse-free workloads (see the module docs).
     pub adaptive_bypass: bool,
-    /// Whether the **write path** (`put`/`remove`/`multi_put`) consults
-    /// the table too: read and write anchors share slots (a hint
-    /// captured by either side serves both), so a hot key's updates
-    /// start `lock_border_for_ikey` at the anchored node and skip the
-    /// descent. Validation makes a stale anchor harmless — it is
-    /// rejected and the write falls back to a descent — so this is a
-    /// pure routing decision, not a safety one.
-    pub cache_writes: bool,
 }
 
 impl Default for CacheConfig {
@@ -138,7 +131,6 @@ impl CacheConfig {
             counters,
             age_every: (counters / 16).max(64) as u32,
             adaptive_bypass: true,
-            cache_writes: true,
         }
     }
 }
@@ -166,15 +158,6 @@ pub struct CacheStats {
     pub evicted: u64,
     /// Entries dropped by explicit invalidation (`remove`).
     pub invalidated: u64,
-    /// Write-path lookup attempts (`put`/`remove` consulting the
-    /// table). Disjoint from `lookups`, which counts reads:
-    /// `write_lookups = write_hits + write_stale + write misses`.
-    pub write_lookups: u64,
-    /// Writes served through a validated anchor (zero descent).
-    pub write_hits: u64,
-    /// Writes whose anchor failed validation and fell back to a full
-    /// descent.
-    pub write_stale: u64,
     /// Scans resumed at a validated anchor (zero descent).
     pub scan_resumes: u64,
     /// Scan resumptions that fell back to a full descent (no anchor, or
@@ -199,9 +182,6 @@ impl CacheStats {
             rejected: self.rejected - since.rejected,
             evicted: self.evicted - since.evicted,
             invalidated: self.invalidated - since.invalidated,
-            write_lookups: self.write_lookups - since.write_lookups,
-            write_hits: self.write_hits - since.write_hits,
-            write_stale: self.write_stale - since.write_stale,
             scan_resumes: self.scan_resumes - since.scan_resumes,
             scan_stale: self.scan_stale - since.scan_stale,
             scan_evictions: self.scan_evictions - since.scan_evictions,
@@ -225,9 +205,6 @@ pub struct CacheStatsShared {
     rejected: AtomicU64,
     evicted: AtomicU64,
     invalidated: AtomicU64,
-    write_lookups: AtomicU64,
-    write_hits: AtomicU64,
-    write_stale: AtomicU64,
     scan_resumes: AtomicU64,
     scan_stale: AtomicU64,
     scan_evictions: AtomicU64,
@@ -244,10 +221,6 @@ impl CacheStatsShared {
         self.rejected.fetch_add(d.rejected, Ordering::Relaxed);
         self.evicted.fetch_add(d.evicted, Ordering::Relaxed);
         self.invalidated.fetch_add(d.invalidated, Ordering::Relaxed);
-        self.write_lookups
-            .fetch_add(d.write_lookups, Ordering::Relaxed);
-        self.write_hits.fetch_add(d.write_hits, Ordering::Relaxed);
-        self.write_stale.fetch_add(d.write_stale, Ordering::Relaxed);
         self.scan_resumes
             .fetch_add(d.scan_resumes, Ordering::Relaxed);
         self.scan_stale.fetch_add(d.scan_stale, Ordering::Relaxed);
@@ -274,9 +247,6 @@ impl CacheStatsShared {
             rejected: self.rejected.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
-            write_lookups: self.write_lookups.load(Ordering::Relaxed),
-            write_hits: self.write_hits.load(Ordering::Relaxed),
-            write_stale: self.write_stale.load(Ordering::Relaxed),
             scan_resumes: self.scan_resumes.load(Ordering::Relaxed),
             scan_stale: self.scan_stale.load(Ordering::Relaxed),
             scan_evictions: self.scan_evictions.load(Ordering::Relaxed),
@@ -485,40 +455,20 @@ impl<V> HintCache<V> {
         self.bypass
     }
 
-    /// Looks up a hint for `key` on behalf of a **read**. A hit touches
-    /// the tag line and one slot line — the admission sketch is only
-    /// consulted (and bumped) on misses, where admission decisions
-    /// happen. The caller validates a returned hint and reports the
-    /// outcome via [`HintCache::note_hit`] / [`HintCache::note_stale`].
+    /// Looks up a hint for `key` on behalf of a read (writes never
+    /// consult the table). A hit touches the tag line and one slot line
+    /// — the admission sketch is only consulted (and bumped) on misses,
+    /// where admission decisions happen. The caller validates a
+    /// returned hint and reports the outcome via
+    /// [`HintCache::note_hit`] / [`HintCache::note_stale`].
     pub fn lookup(&mut self, key: &[u8]) -> Lookup<V> {
-        self.lookup_kind(key, false)
-    }
-
-    /// Looks up an anchor for `key` on behalf of a **write** (`put` /
-    /// `remove`). Identical probe — read and write anchors share slots,
-    /// so a hint captured by either side serves both — but accounted
-    /// under the `write_*` counters; report the validation outcome via
-    /// [`HintCache::note_write_hit`] / [`HintCache::note_write_stale`].
-    /// Write misses feed the shared admission sketch: a write-hot key
-    /// earns its slot just like a read-hot one.
-    pub fn lookup_write(&mut self, key: &[u8]) -> Lookup<V> {
-        self.lookup_kind(key, true)
-    }
-
-    fn lookup_kind(&mut self, key: &[u8], write: bool) -> Lookup<V> {
-        if write {
-            self.stats.write_lookups += 1;
-        } else {
-            self.stats.lookups += 1;
-        }
+        self.stats.lookups += 1;
         self.tick();
         if key.len() > MAX_KEY {
             // Uncacheable: don't feed the sketch (it would earn useless
             // admission credit and send every later get through a
             // doomed `record`) and don't probe.
-            if !write {
-                self.stats.misses += 1;
-            }
+            self.stats.misses += 1;
             self.govern(false);
             return Lookup::Miss { admit: false };
         }
@@ -542,9 +492,7 @@ impl<V> HintCache<V> {
             return Lookup::Hit(unsafe { s.hint.assume_init() });
         }
         self.govern(false);
-        if !write {
-            self.stats.misses += 1;
-        }
+        self.stats.misses += 1;
         // Sampled hot-key accounting: saturating bump, periodic halving.
         let c = &mut self.counters[hash as usize & self.counter_mask];
         *c = c.saturating_add(1);
@@ -572,17 +520,6 @@ impl<V> HintCache<V> {
         // A stale probe was still a table hit structurally; feeding it
         // to the governor as a hit is correct — bypass is about table
         // coldness, not tree churn.
-    }
-
-    /// Counts a write served through a validated anchor (zero descent).
-    pub fn note_write_hit(&mut self) {
-        self.stats.write_hits += 1;
-    }
-
-    /// Counts a write whose anchor failed validation (fell back to a
-    /// full descent).
-    pub fn note_write_stale(&mut self) {
-        self.stats.write_stale += 1;
     }
 
     /// Counts a scan resumed at a validated anchor (zero descent).
@@ -922,7 +859,6 @@ mod tests {
             counters: 64,
             age_every: 1_000_000,
             adaptive_bypass: false,
-            cache_writes: true,
         };
         let mut c: HintCache<u64> = HintCache::new(&cfg);
         // Overfill: every key hashes somewhere in the one set.
@@ -966,7 +902,6 @@ mod tests {
             counters: 256,
             age_every: 1024,
             adaptive_bypass: true,
-            cache_writes: true,
         };
         let mut c: HintCache<u64> = HintCache::new(&cfg);
         assert!(!c.bypass_recommended());

@@ -109,7 +109,6 @@ fn run_round(seed: u64) {
         counters: 2048,
         age_every: 1 << 20,
         adaptive_bypass: false,
-        cache_writes: true,
     };
     let mut cache: HintCache<u64> = HintCache::new(&cfg);
     let mut rng = Rng64::new(seed ^ 0xdead);

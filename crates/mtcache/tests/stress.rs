@@ -17,7 +17,6 @@ fn split_and_remove_churn_forces_validation_failures() {
         counters: 1024,
         age_every: 1 << 20,
         adaptive_bypass: false,
-        cache_writes: true,
     };
     let mut cache: HintCache<u64> = HintCache::new(&cfg);
     let mut rng = Rng64::new(7);

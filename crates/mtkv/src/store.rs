@@ -22,7 +22,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use masstree::hint::{HintResult, HintedGet};
-use masstree::{AnchorStale, HintBatchScratch, LeafHint, Masstree};
+use masstree::{HintBatchScratch, LeafHint, Masstree};
 use mtcache::{CacheConfig, CacheStats, CacheStatsShared, CursorCache, HintCache, Lookup};
 use mtobs::{Kind as ObsKind, Obs, Recorder, Stage};
 use parking_lot::{Condvar, Mutex};
@@ -698,8 +698,8 @@ impl Store {
     /// records — which may hold old pointers — can still replay.
     ///
     /// **Relocation** (phase B) rewrites the still-live values of
-    /// mostly-dead sealed segments to the active segment via hinted
-    /// conditional updates (`update_at_hint`: the pointer is installed
+    /// mostly-dead sealed segments to the active segment via
+    /// conditional updates (`update_with`: the pointer is installed
     /// only if the key still holds the exact version the scan saw — a
     /// plain put would resurrect concurrently removed keys), logs each
     /// rewrite as a `PutIndirect` to the GC's own log chain, and
@@ -770,11 +770,7 @@ impl Store {
                     None // a concurrent writer already superseded it
                 }
             };
-            let (_, hint) = self.tree.get_capturing_hint(&key, &guard);
-            let outcome = match self.tree.update_at_hint(&key, &hint, &mut relocate, &guard) {
-                Ok((u, _)) => u,
-                Err(AnchorStale) => self.tree.update_with(&key, &mut relocate, &guard),
-            };
+            let outcome = self.tree.update_with(&key, &mut relocate, &guard);
             let replaced = matches!(outcome, masstree::Update::Replaced(_));
             drop(guard);
             if replaced {
@@ -1124,11 +1120,6 @@ impl Store {
         self.next_version.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Highest version handed out so far.
-    pub fn current_version(&self) -> u64 {
-        self.next_version.load(Ordering::Relaxed)
-    }
-
     /// Runs one structural maintenance pass (empty-layer GC, §4.6.5).
     pub fn maintain(&self) {
         let guard = masstree::pin();
@@ -1201,8 +1192,6 @@ struct SessionCache {
     /// a session is a per-worker handle, so the lock is uncontended on
     /// the hot path. It is never held while user callbacks run.
     table: Mutex<HintCache<ColValue>>,
-    /// Whether writes consult the table ([`CacheConfig::cache_writes`]).
-    cache_writes: bool,
     /// Reusable buffers for the cached batch read path (guarded
     /// separately from the table so results can outlive the table
     /// lock); `try_lock`-ed, with an allocating fallback for reentrant
@@ -1270,9 +1259,8 @@ struct ReadaheadScratch {
 unsafe impl Send for ReadaheadScratch {}
 
 /// Reusable buffers for the write path (`put` / `multi_put_with` /
-/// `remove`): the batch's keys, drawn versions, superseded value
-/// pointers and anchor lookups, plus the WAL records its values encode
-/// as they are built. All keep their capacity across calls, so a
+/// `remove`): the batch's keys, drawn versions and superseded value
+/// pointers, plus the WAL records its values encode as they are built. All keep their capacity across calls, so a
 /// steady-state write allocates the new value's own storage and nothing
 /// else (tests/alloc_count.rs).
 #[derive(Default)]
@@ -1282,8 +1270,6 @@ struct WriteScratch {
     keys: Vec<&'static [u8]>,
     versions: Vec<u64>,
     dead_ptrs: Vec<Option<ValuePtr>>,
-    admits: Vec<bool>,
-    hints: Vec<Option<LeafHint<ColValue>>>,
     wal: PendingRecords,
 }
 
@@ -1340,14 +1326,12 @@ impl Session {
     }
 
     /// Attaches a per-worker hint cache to this session: point lookups
-    /// (`get`/`get_with`/`multi_get*`) consult it, writes
-    /// (`put`/`remove`/`multi_put`, when [`CacheConfig::cache_writes`])
-    /// start their locked border entry at cached anchors, and chunked
-    /// range reads resume at cached scan cursors — all falling back to
-    /// a full descent on validation failure and refreshing the cache
-    /// with the descent's endpoint. See `mtcache` and
-    /// `masstree::anchor` for why no hinted operation can ever be
-    /// stale.
+    /// (`get`/`get_with`/`multi_get*`) consult it and chunked range
+    /// reads resume at cached scan cursors — both falling back to a
+    /// full descent on validation failure and refreshing the cache with
+    /// the descent's endpoint. Writes never consult it: they always
+    /// descend (`remove` only drops the key's entry). See `mtcache` and
+    /// `masstree::anchor` for why no hinted read can ever be stale.
     pub fn enable_cache(&mut self, config: CacheConfig) {
         let sc = Arc::new(SessionCache {
             bypass: AtomicBool::new(false),
@@ -1356,7 +1340,6 @@ impl Session {
                 &config,
                 Arc::clone(&self.store.cache_shared),
             )),
-            cache_writes: config.cache_writes,
             batch: Mutex::new(BatchScratch::default()),
             cursors: Mutex::new(CursorCache::new()),
         });
@@ -1364,16 +1347,6 @@ impl Session {
         registry.retain(|w| w.strong_count() > 0);
         registry.push(Arc::downgrade(&sc));
         self.cache = Some(sc);
-    }
-
-    /// The session cache, if writes should route through it this op.
-    #[inline]
-    fn write_cache(&self) -> Option<&SessionCache> {
-        let sc = self.cache.as_deref()?;
-        if !sc.cache_writes || sc.skip_this_op() {
-            return None;
-        }
-        Some(sc)
     }
 
     /// This session's local cache counters (`None` when no cache is
@@ -1600,12 +1573,6 @@ impl Session {
     /// so version order equals the tree's serialization order — which is
     /// what makes version-ordered log replay reconstruct exactly the
     /// pre-crash state (§5).
-    ///
-    /// With a write-enabled session cache, the put first tries the
-    /// key's cached anchor ([`masstree::Masstree::put_at_hint`]): a
-    /// validated anchor starts the locked border entry directly at the
-    /// remembered node, skipping the descent; a stale one falls back to
-    /// a full put that refreshes the cache.
     pub fn put(&self, key: &[u8], updates: &[(usize, &[u8])]) -> u64 {
         let t0 = Instant::now();
         let version = self.with_write_scratch(|w| self.put_logged(key, updates, &mut w.wal));
@@ -1638,47 +1605,7 @@ impl Session {
                 version = newval.version();
                 newval
             };
-            match self.write_cache() {
-                None => {
-                    self.store.tree.put_with(key, &mut write, &guard);
-                }
-                Some(sc) => {
-                    let mut c = sc.table.lock();
-                    match c.lookup_write(key) {
-                        Lookup::Hit(h) => {
-                            match self.store.tree.put_at_hint(key, &h, &mut write, &guard) {
-                                Ok((_prev, fresh)) => {
-                                    c.note_write_hit();
-                                    // The write itself can stale the hint
-                                    // it used (freed-slot insert, split);
-                                    // keep the entry fresh for readers.
-                                    if let Some(h) = fresh {
-                                        c.record(key, h);
-                                    }
-                                }
-                                Err(AnchorStale) => {
-                                    c.note_write_stale();
-                                    let (_, fresh) =
-                                        self.store.tree.put_with_capture(key, &mut write, &guard);
-                                    if let Some(h) = fresh {
-                                        c.record(key, h);
-                                    }
-                                }
-                            }
-                        }
-                        Lookup::Miss { admit } => {
-                            let (_, fresh) =
-                                self.store.tree.put_with_capture(key, &mut write, &guard);
-                            if admit {
-                                if let Some(h) = fresh {
-                                    c.record(key, h);
-                                }
-                            }
-                        }
-                    }
-                    sc.sync_bypass(&c);
-                }
-            }
+            self.store.tree.put_with(key, &mut write, &guard);
         }
         self.store.note_dead_ptr(dead_ptr);
         if let Some(log) = &self.log {
@@ -1922,8 +1849,6 @@ impl Session {
             keys: spare_keys,
             versions,
             dead_ptrs,
-            admits,
-            hints,
             wal,
         } = w;
         let mut keys: Vec<&[u8]> = crate::recycle(std::mem::take(spare_keys));
@@ -1943,53 +1868,7 @@ impl Session {
                 versions[i] = newval.version();
                 newval
             };
-            match self.write_cache() {
-                None => {
-                    self.store.tree.multi_put_with(&keys, &mut factory, &guard);
-                }
-                Some(sc) => {
-                    // Hinted batch write: anchored ops skip their
-                    // descents; the rest run through the interleaved
-                    // engine and refresh their anchors.
-                    let mut c = sc.table.lock();
-                    admits.clear();
-                    admits.resize(keys.len(), false);
-                    hints.clear();
-                    hints.resize(keys.len(), None);
-                    for (i, k) in keys.iter().enumerate() {
-                        match c.lookup_write(k) {
-                            Lookup::Hit(h) => hints[i] = Some(h),
-                            Lookup::Miss { admit } => admits[i] = admit,
-                        }
-                    }
-                    self.store.tree.multi_put_hinted(
-                        &keys,
-                        hints,
-                        &mut factory,
-                        &guard,
-                        |i, hinted_hit, fresh| {
-                            if hinted_hit {
-                                c.note_write_hit();
-                                // Refresh in place: the hit may have
-                                // staled its own hint (see put_at_hint).
-                                if let Some(h) = fresh {
-                                    c.record(keys[i], h);
-                                }
-                            } else if hints[i].is_some() {
-                                c.note_write_stale();
-                                if let Some(h) = fresh {
-                                    c.record(keys[i], h);
-                                }
-                            } else if admits[i] {
-                                if let Some(h) = fresh {
-                                    c.record(keys[i], h);
-                                }
-                            }
-                        },
-                    );
-                    sc.sync_bypass(&c);
-                }
-            }
+            self.store.tree.multi_put_with(&keys, &mut factory, &guard);
         }
         *spare_keys = crate::recycle(keys);
         for dead in dead_ptrs.drain(..) {
@@ -2015,51 +1894,15 @@ impl Session {
     pub fn remove(&self, key: &[u8]) -> bool {
         let t0 = Instant::now();
         let guard = masstree::pin();
+        if let Some(sc) = &self.cache {
+            sc.table.lock().invalidate(key);
+        }
         // Draw the version at the removal's linearization point (under
         // the node lock) so replay ordering matches live ordering.
-        let removed = match self.write_cache() {
-            None => {
-                if let Some(sc) = &self.cache {
-                    sc.table.lock().invalidate(key);
-                }
-                self.store
-                    .tree
-                    .remove_with(key, |_| self.store.draw_version(), &guard)
-            }
-            Some(sc) => {
-                // Hinted remove: the cached anchor locates the border
-                // node with zero descent; a stale anchor falls back.
-                // Either way the entry is dropped afterwards.
-                let mut c = sc.table.lock();
-                let removed = match c.lookup_write(key) {
-                    Lookup::Hit(h) => match self.store.tree.remove_at_hint(
-                        key,
-                        &h,
-                        |_| self.store.draw_version(),
-                        &guard,
-                    ) {
-                        Ok(r) => {
-                            c.note_write_hit();
-                            r
-                        }
-                        Err(AnchorStale) => {
-                            c.note_write_stale();
-                            self.store
-                                .tree
-                                .remove_with(key, |_| self.store.draw_version(), &guard)
-                        }
-                    },
-                    Lookup::Miss { .. } => {
-                        self.store
-                            .tree
-                            .remove_with(key, |_| self.store.draw_version(), &guard)
-                    }
-                };
-                c.invalidate(key);
-                sc.sync_bypass(&c);
-                removed
-            }
-        };
+        let removed = self
+            .store
+            .tree
+            .remove_with(key, |_| self.store.draw_version(), &guard);
         let existed = match removed {
             None => false,
             Some((prev, version)) => {
@@ -2217,12 +2060,6 @@ impl Session {
         ScanCursor::forward(start)
     }
 
-    /// A descending resumable-scan cursor starting at `start`
-    /// (inclusive).
-    pub fn scan_cursor_rev(&self, start: &[u8]) -> ScanCursor {
-        ScanCursor::reverse_from(start)
-    }
-
     /// Borrowed chunked `getrange_c`: visits up to `n` rows continuing
     /// from `cursor` (in the cursor's direction), advancing it to the
     /// new stop point. When the cursor's validated anchor holds, the
@@ -2342,11 +2179,6 @@ impl Session {
                 }
             },
         }
-    }
-
-    /// Active log segment number (0 for in-memory sessions).
-    pub fn current_log_segment(&self) -> u64 {
-        self.log.as_ref().map(|l| l.current_segment()).unwrap_or(0)
     }
 
     /// Kills this session's logger **without** the clean-shutdown
@@ -2531,6 +2363,38 @@ mod tests {
         drop(cached);
         let agg = store.cache_stats();
         assert!(agg.lookups > 0 && agg.hits > 0, "{agg:?}");
+    }
+
+    #[test]
+    fn writes_never_touch_the_read_hint_table() {
+        // Admit-on-first-sight with bypass off: any probe or capture a
+        // write made would show up in these counters.
+        let store = Store::in_memory();
+        store.set_session_cache(Some(CacheConfig {
+            admit_threshold: 1,
+            adaptive_bypass: false,
+            ..CacheConfig::default()
+        }));
+        let s = store.session().unwrap();
+        let keys: Vec<Vec<u8>> = (0..200u32)
+            .map(|i| format!("wk{i:04}").into_bytes())
+            .collect();
+        let update: [(usize, &[u8]); 1] = [(0, b"w")];
+        let ops: Vec<PutOp<'_>> = keys.iter().map(|k| (k.as_slice(), &update[..])).collect();
+        for _round in 0..3 {
+            for k in &keys {
+                s.put(k, &[(0, b"v")]);
+            }
+            s.multi_put(&ops);
+        }
+        for k in keys.iter().step_by(2) {
+            assert!(s.remove(k));
+        }
+        let c = s.cache_stats().expect("cache attached");
+        assert!(
+            c.lookups == 0 && c.admitted == 0,
+            "writes must neither probe nor fill the hint table: {c:?}"
+        );
     }
 
     #[test]

@@ -286,11 +286,11 @@ pub struct StatsReply {
     /// Hot-path cache tier: hints that failed validation (split, delete,
     /// reuse) and fell back to a full descent.
     pub cache_stale: u64,
-    /// Validated-anchor write path: writes served through a cached
-    /// anchor (zero descent).
+    /// Retired, always 0: writes no longer route through the hint
+    /// cache. The slot stays because reply fields are positional and
+    /// append-only.
     pub cache_write_hits: u64,
-    /// Validated-anchor write path: writes whose anchor failed
-    /// validation and fell back to a full descent.
+    /// Retired, always 0 (see `cache_write_hits`).
     pub cache_write_stale: u64,
     /// Resumable scans: chunks resumed at a validated anchor (zero
     /// descent).

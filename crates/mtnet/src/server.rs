@@ -1666,8 +1666,9 @@ fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
         cache_lookups: c.lookups,
         cache_hits: c.hits,
         cache_stale: c.stale,
-        cache_write_hits: c.write_hits,
-        cache_write_stale: c.write_stale,
+        // Retired wire slots: writes no longer route through the cache.
+        cache_write_hits: 0,
+        cache_write_stale: 0,
         cache_scan_resumes: c.scan_resumes,
         cache_scan_evictions: c.scan_evictions,
         repl_role,

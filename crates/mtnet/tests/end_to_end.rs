@@ -585,15 +585,17 @@ fn stats_aggregate_every_connections_cache_counters() {
         "stats must aggregate both connections' lookups: {s:?}"
     );
     assert!(s.cache_hits > 0, "repeat gets hit: {s:?}");
-    // Writes through cached anchors are visible in the write counters.
+    // Writes always descend: hot-key updates never touch the hint table,
+    // so the retired write slots read 0.
     for i in 0..20u32 {
         a.put(format!("agg{i:02}").as_bytes(), vec![(0, b"w".to_vec())])
             .unwrap();
     }
     let s = b.stats().unwrap();
-    assert!(
-        s.cache_write_hits > 0,
-        "hot-key updates must be served by write anchors: {s:?}"
+    assert_eq!(
+        (s.cache_write_hits, s.cache_write_stale),
+        (0, 0),
+        "retired write-anchor slots must read 0: {s:?}"
     );
 }
 

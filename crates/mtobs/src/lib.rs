@@ -313,10 +313,6 @@ impl HistSet {
         self.hists[kind as usize].record(ns);
     }
 
-    pub fn hist(&self, kind: Kind) -> &Hist {
-        &self.hists[kind as usize]
-    }
-
     pub fn snapshot_into(&self, out: &mut Snapshot) {
         for k in Kind::ALL {
             out.hists[k as usize].merge(&self.hists[k as usize].snapshot());
@@ -464,10 +460,6 @@ impl Obs {
     pub fn set_slow_threshold_us(&self, us: Option<u64>) {
         let ns = us.map_or(u64::MAX, |u| u.saturating_mul(1000));
         self.slow_ns.store(ns, Ordering::Relaxed);
-    }
-
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_ns.load(Ordering::Relaxed)
     }
 
     /// Sets the trace sampling rate to 1-in-`n` (rounded up to a power

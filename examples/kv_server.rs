@@ -124,27 +124,12 @@ fn main() {
     );
 
     // Hot-path cache tier: MT_CACHE=<slots> gives every connection's
-    // session a per-worker validated-anchor cache (`mtcache`); the
-    // `stats` admin request reports its read/write/scan counters.
-    // MT_CACHE_WRITES=0|1 (default 1) additionally gates whether
-    // puts/removes route through cached anchors, so the write-hint path
-    // is testable end to end with the flag off as well as on.
+    // session a per-worker validated-anchor cache (`mtcache`) for reads
+    // and scans; the `stats` admin request reports its counters.
     if let Ok(slots) = std::env::var("MT_CACHE") {
         let slots: usize = slots.parse().expect("MT_CACHE=<hint slots>");
-        let cache_writes = match std::env::var("MT_CACHE_WRITES").as_deref() {
-            Ok("0") => false,
-            Ok("1") | Err(_) => true,
-            Ok(other) => panic!("MT_CACHE_WRITES must be 0 or 1, got {other:?}"),
-        };
-        store.set_session_cache(Some(mtkv::CacheConfig {
-            cache_writes,
-            ..mtkv::CacheConfig::with_capacity(slots)
-        }));
-        println!(
-            "validated-anchor cache enabled: {slots} slots per connection \
-             (writes {})",
-            if cache_writes { "hinted" } else { "unhinted" }
-        );
+        store.set_session_cache(Some(mtkv::CacheConfig::with_capacity(slots)));
+        println!("validated-anchor cache enabled: {slots} slots per connection");
     }
 
     // Primary replication endpoint: followers connect here and stream
