@@ -33,6 +33,25 @@
 //! restarting (deleted node, split underneath it) never disturbs the
 //! rest of the group.
 //!
+//! # The value stage
+//!
+//! A get cursor does not stop at the border node's slot: once the read
+//! validates, it prefetches the value the slot points to before it
+//! reports `Done`, and the hinted path does the same for every validated
+//! hint. The value's lines then arrive while the rest of the group is
+//! still descending, rather than when the caller first reads it.
+//!
+//! The engine only knows `V`'s fixed-size part. A value that points at a
+//! further block (the storage layer's `ColValue`: a header, then its
+//! data block) needs one more stage, and only the caller can run it. So
+//! a caller should *buffer* a batch's results before reading any of
+//! them: reading each value as the engine hands it out loads the header
+//! and then the data block one key after another, two dependent misses
+//! per key with nothing else in flight. `mtkv`'s `Session::multi_get_with`
+//! collects every result pointer first, prefetches each inline value's
+//! data block (cold pointers go to the value tier as one batch), and
+//! only then emits in input order.
+//!
 //! Writers complete their border-node work (lock, insert, split, layer
 //! creation) inline within a single step, reusing the exact same
 //! `put.rs` primitives as the sequential path; no lock is ever held
@@ -433,6 +452,10 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
                 Phase::Done
             }
             Outcome::Value(p) => {
+                // The value stage: start fetching the value itself now,
+                // so its lines arrive while the rest of the group is
+                // still descending instead of when the caller reads it.
+                crate::prefetch::prefetch(p.cast_const().cast::<V>());
                 self.result = Some(p);
                 self.hint = Some(LeafHint::capture(
                     bn,
@@ -595,11 +618,14 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     /// Visitor form of [`Masstree::multi_get`]: calls `f(i, hit)` once
     /// per key, in input order, with the looked-up value borrowed under
     /// the guard. This is the zero-copy batch read path: cursors live in
-    /// a fixed stack array and results are handed out as they are
-    /// collected, so a steady-state call performs **no heap allocation**
-    /// — callers (the storage layer's `multi_get_with`, the network
-    /// server's response serializer) consume the borrowed values in
-    /// place.
+    /// a fixed stack array and results are handed out as each group of
+    /// [`MAX_GROUP`] keys finishes, so a steady-state call performs **no
+    /// heap allocation**. In a batch of two or more keys every present
+    /// value's prefetch has been issued by the time `f` sees it (see
+    /// "The value stage" in the module docs; a single key takes the
+    /// plain [`Masstree::get`]). A caller that follows a pointer inside
+    /// the value should buffer the results before reading them, as the
+    /// storage layer's `multi_get_with` does.
     pub fn multi_get_with<'g, F>(&self, keys: &[&[u8]], guard: &'g Guard, mut f: F)
     where
         F: FnMut(usize, Option<&'g V>),
@@ -645,28 +671,10 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     ///
     /// Results are identical to [`Masstree::multi_get_with`] under the
     /// same guard — a validated hint is indistinguishable from a full
-    /// descent. Allocates a fresh [`HintBatchScratch`] per call; hot
-    /// paths (the storage layer's cached batch reads) hold a reusable
-    /// scratch and call [`Masstree::multi_get_hinted_with`], which is
-    /// allocation-free in steady state.
-    pub fn multi_get_hinted<'g, F>(
-        &self,
-        keys: &[&[u8]],
-        hints: &[Option<LeafHint<V>>],
-        guard: &'g Guard,
-        f: F,
-    ) where
-        F: FnMut(usize, Option<&'g V>, HintResult<V>),
-    {
-        let mut scratch = HintBatchScratch::new();
-        self.multi_get_hinted_with(keys, hints, &mut scratch, guard, f);
-    }
-
-    /// [`Masstree::multi_get_hinted`] with an explicit, reusable
-    /// [`HintBatchScratch`]: the result and refreshed-hint buffers keep
-    /// their capacity across calls, so a warm scratch makes the whole
-    /// hinted batch read perform **zero heap allocations** — restoring
-    /// the uncached `multi_get_with` guarantee for the cached path.
+    /// descent. The result and refreshed-hint buffers live in the
+    /// caller's reusable [`HintBatchScratch`] and keep their capacity
+    /// across calls, so a warm scratch makes the whole hinted batch read
+    /// perform **zero heap allocations**, like `multi_get_with`.
     pub fn multi_get_hinted_with<'g, F>(
         &self,
         keys: &[&[u8]],
@@ -691,11 +699,14 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         for (i, (key, hint)) in keys.iter().zip(hints).enumerate() {
             match hint {
                 Some(h) => match self.get_at_hint(key, h, guard) {
-                    // Present values keep their pointer; absent stays
+                    // Present values keep their pointer (and start their
+                    // value stage, as in `read_border`); absent stays
                     // null — `misses` records which nulls are pending.
-                    HintedGet::Hit(v) => {
-                        scratch.results[i] = v.map_or(core::ptr::null(), |r| r as *const V)
+                    HintedGet::Hit(Some(v)) => {
+                        crate::prefetch::prefetch(v);
+                        scratch.results[i] = v;
                     }
+                    HintedGet::Hit(None) => {}
                     HintedGet::Stale => scratch.misses.push(i),
                 },
                 None => scratch.misses.push(i),

@@ -94,7 +94,7 @@ const PERM_NEVER: u64 = u64::MAX;
 /// version it validated under + the trie-layer byte offset) plus the
 /// permutation snapshot, matched slot and keylen code (or [`NO_SLOT`]
 /// for an absent key). 32 bytes. Captured by
-/// [`Masstree::get_capturing_hint`] / [`Masstree::multi_get_hinted`];
+/// [`Masstree::get_capturing_hint`] / [`Masstree::multi_get_hinted_with`];
 /// consumed by [`Masstree::get_at_hint`].
 ///
 /// The permutation/slot/keylen snapshot powers the **fast path**: if
@@ -223,7 +223,7 @@ pub enum HintedGet<'g, V> {
 }
 
 /// What happened to the hint during [`Masstree::get_with_hint`] /
-/// [`Masstree::multi_get_hinted`].
+/// [`Masstree::multi_get_hinted_with`].
 pub enum HintResult<V> {
     /// The provided hint validated and served the operation.
     Hit,

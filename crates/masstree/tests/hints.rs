@@ -3,7 +3,7 @@
 //! node deletion and slab reuse.
 
 use masstree::hint::{HintResult, HintedGet};
-use masstree::{LeafHint, Masstree};
+use masstree::{HintBatchScratch, LeafHint, Masstree};
 
 #[test]
 fn hinted_gets_match_plain_gets_across_workload() {
@@ -67,8 +67,10 @@ fn multi_get_hinted_matches_multi_get() {
     // First pass: no hints; everything refreshes.
     let empty: Vec<Option<LeafHint<u64>>> = vec![None; refs.len()];
     let mut hints: Vec<Option<LeafHint<u64>>> = vec![None; refs.len()];
+    // One scratch across all three passes, as the storage layer reuses it.
+    let mut scratch = HintBatchScratch::new();
     let mut seen = Vec::new();
-    tree.multi_get_hinted(&refs, &empty, &g, |i, v, fate| {
+    tree.multi_get_hinted_with(&refs, &empty, &mut scratch, &g, |i, v, fate| {
         seen.push((i, v.copied()));
         if let HintResult::Refreshed(h) = fate {
             hints[i] = Some(h);
@@ -84,7 +86,7 @@ fn multi_get_hinted_matches_multi_get() {
     // Second pass: all hinted; on an unchanged tree every key hits.
     let mut hits = 0usize;
     let snapshot = hints.clone();
-    tree.multi_get_hinted(&refs, &snapshot, &g, |i, v, fate| {
+    tree.multi_get_hinted_with(&refs, &snapshot, &mut scratch, &g, |i, v, fate| {
         assert_eq!(v.copied(), tree.get(&keys[i], &g).copied());
         if matches!(fate, HintResult::Hit) {
             hits += 1;
@@ -96,7 +98,7 @@ fn multi_get_hinted_matches_multi_get() {
     for i in 0..4_000u64 {
         tree.put(format!("mk{i:05}").as_bytes(), i + 50_000, &g);
     }
-    tree.multi_get_hinted(&refs, &snapshot, &g, |i, v, _| {
+    tree.multi_get_hinted_with(&refs, &snapshot, &mut scratch, &g, |i, v, _| {
         assert_eq!(v.copied(), tree.get(&keys[i], &g).copied());
     });
 }

@@ -1103,6 +1103,7 @@ impl Store {
             cache: None,
             obs: self.obs.recorder(),
             readahead: Mutex::new(ReadaheadScratch::default()),
+            batch: Mutex::new(BatchScratch::default()),
             write: Mutex::new(WriteScratch::default()),
         };
         if let Some(cfg) = self.session_cache.lock().clone() {
@@ -1179,8 +1180,7 @@ pub type ScanCursor = masstree::ScanCursor<ColValue>;
 /// A session's hint-cache state: the table plus a lock-free mirror of
 /// its adaptive-bypass recommendation, so reuse-free workloads pay one
 /// relaxed counter bump instead of a lock + probe per get — and the
-/// per-session scan-cursor cache and reusable batch scratch that ride
-/// along with it.
+/// per-session scan-cursor cache that rides along with it.
 struct SessionCache {
     /// Mirror of [`HintCache::bypass_recommended`], refreshed after
     /// every locked cache interaction.
@@ -1192,22 +1192,18 @@ struct SessionCache {
     /// a session is a per-worker handle, so the lock is uncontended on
     /// the hot path. It is never held while user callbacks run.
     table: Mutex<HintCache<ColValue>>,
-    /// Reusable buffers for the cached batch read path (guarded
-    /// separately from the table so results can outlive the table
-    /// lock); `try_lock`-ed, with an allocating fallback for reentrant
-    /// batch reads from inside a visitor.
-    batch: Mutex<BatchScratch>,
     /// Per-session resumable-scan cursors, keyed by expected start key.
     cursors: Mutex<CursorCache<ColValue>>,
 }
 
-/// Reusable buffers for the cached `multi_get_with`: lookup results
-/// (hints + admission flags), the tree-side hinted-batch scratch, and
-/// the type-erased result pointers handed to the visitor after the
-/// cache lock is released. All retain capacity across batches, making
-/// the cached batch read allocation-free in steady state (the raw
-/// pointers are written and read back within one epoch-pinned call, and
-/// cleared at the top of the next — see `tests/alloc_count.rs`).
+/// Reusable buffers for [`Session::multi_get_with`]: hint-cache lookup
+/// results (hints + admission flags) and the tree-side hinted-batch
+/// scratch, the type-erased result pointers buffered before emission,
+/// and the batch's cold-pointer resolution. All retain capacity across
+/// batches, making the batch read allocation-free in steady state with
+/// or without a cache (the raw pointers are written and read back
+/// within one epoch-pinned call, and cleared at the top of the next —
+/// see `tests/alloc_count.rs`).
 #[derive(Default)]
 struct BatchScratch {
     admits: Vec<bool>,
@@ -1306,6 +1302,10 @@ pub struct Session {
     /// resolution). Lives on the session, not the optional hint cache:
     /// readahead applies to cache-less sessions too.
     readahead: Mutex<ReadaheadScratch>,
+    /// Reusable batch-read buffers (`try_lock`ed per
+    /// [`Session::multi_get_with`]; a batch read issued from inside
+    /// another one's visitor works on a fresh set).
+    batch: Mutex<BatchScratch>,
     /// Reusable write-path buffers (`try_lock`ed per write; a write
     /// issued from inside another write's visitor works on a fresh
     /// set).
@@ -1340,7 +1340,6 @@ impl Session {
                 &config,
                 Arc::clone(&self.store.cache_shared),
             )),
-            batch: Mutex::new(BatchScratch::default()),
             cursors: Mutex::new(CursorCache::new()),
         });
         let mut registry = self.store.cache_registry.lock();
@@ -1494,8 +1493,8 @@ impl Session {
 
     /// Borrowed `get_c(k)`: runs `f` against the live [`ColValue`] (or
     /// `None` if the key is absent) **without copying anything** — column
-    /// slices come straight out of the value's single allocation
-    /// (§4.7).
+    /// slices come straight out of the value's data block (§4.7; see
+    /// `value.rs` for the header + data-block layout).
     ///
     /// The borrow is scoped to the callback because it is protected by an
     /// epoch guard pinned for the duration of the call: the value cannot
@@ -1640,44 +1639,36 @@ impl Session {
     /// traversal under a single epoch pin, visiting `f(i, hit)` once per
     /// key in input order with the value borrowed in place — the batch
     /// analogue of [`Session::get_with`], and like it **zero-allocation**
-    /// in steady state (cursors live on the stack, nothing is copied).
-    /// The network server serializes responses straight out of this
-    /// visitor.
+    /// in steady state (results are buffered in the session's reusable
+    /// scratch, nothing is copied). The network server serializes
+    /// responses straight out of this visitor.
     ///
     /// Each borrowed value is valid only for its `f` call (the guard is
     /// released when `multi_get_with` returns; copy out anything that
     /// must outlive it).
-    pub fn multi_get_with<F>(&self, keys: &[&[u8]], mut f: F)
+    pub fn multi_get_with<F>(&self, keys: &[&[u8]], f: F)
+    where
+        F: FnMut(usize, Option<&ColValue>),
+    {
+        match self.batch.try_lock() {
+            Some(mut bs) => self.multi_get_on(keys, &mut bs, f),
+            // A visitor re-entered `multi_get_with`: the scratch is busy.
+            None => self.multi_get_on(keys, &mut BatchScratch::default(), f),
+        }
+    }
+
+    /// [`Session::multi_get_with`] on one batch scratch, in four steps:
+    /// collect every result pointer, start each value's data-block
+    /// fetch, resolve the cold pointers as one batch, then emit in input
+    /// order. Emission waits for the whole batch so that the header
+    /// (prefetched by the tree engine) and data-block fetches of all
+    /// keys overlap instead of missing one key after another (see
+    /// `masstree::batch`, "The value stage").
+    fn multi_get_on<F>(&self, keys: &[&[u8]], bs: &mut BatchScratch, mut f: F)
     where
         F: FnMut(usize, Option<&ColValue>),
     {
         let guard = masstree::pin();
-        let Some(sc) = &self.cache else {
-            self.store
-                .tree
-                .multi_get_with(keys, &guard, |i, hit| self.with_resolved(hit, |h| f(i, h)));
-            return;
-        };
-        if sc.skip_this_op() {
-            self.store
-                .tree
-                .multi_get_with(keys, &guard, |i, hit| self.with_resolved(hit, |h| f(i, h)));
-            return;
-        }
-        // Hinted batch: keys with valid hints complete with zero
-        // descent; the misses run through the interleaved traversal
-        // engine and refresh their hints. Results are buffered as
-        // type-erased pointers in the session's reusable batch scratch
-        // (they are only read back below, under this same guard) so `f`
-        // runs in input order *after* the cache lock is released —
-        // keeping the cached batch path **zero-allocation** in steady
-        // state, like the uncached one (tests/alloc_count.rs covers
-        // both). A reentrant batch read from inside a visitor finds the
-        // scratch busy and takes the allocating fallback.
-        let Some(mut bs) = sc.batch.try_lock() else {
-            self.multi_get_with_cached_alloc(keys, sc, &guard, f);
-            return;
-        };
         let BatchScratch {
             admits,
             hints,
@@ -1686,70 +1677,78 @@ impl Session {
             cold_reqs,
             cold_out,
             resolve,
-        } = &mut *bs;
-        admits.clear();
-        admits.resize(keys.len(), false);
-        hints.clear();
-        hints.resize(keys.len(), None);
+        } = bs;
+        // 1. Collect. Results are buffered as type-erased pointers, read
+        // back only below under this same guard, so `f` also runs after
+        // the cache lock is released.
         out.clear();
-        {
-            let mut c = sc.table.lock();
-            for (i, k) in keys.iter().enumerate() {
-                match c.lookup(k) {
-                    Lookup::Hit(h) => hints[i] = Some(h),
-                    Lookup::Miss { admit } => admits[i] = admit,
+        match self.cache.as_deref().filter(|sc| !sc.skip_this_op()) {
+            None => self.store.tree.multi_get_with(keys, &guard, |_, v| {
+                out.push(v.map_or(core::ptr::null(), |r| r as *const ColValue))
+            }),
+            // Hinted batch: keys with valid hints complete with zero
+            // descent; the misses run through the interleaved traversal
+            // engine and refresh their hints.
+            Some(sc) => {
+                admits.clear();
+                admits.resize(keys.len(), false);
+                hints.clear();
+                hints.resize(keys.len(), None);
+                let mut c = sc.table.lock();
+                for (i, k) in keys.iter().enumerate() {
+                    match c.lookup(k) {
+                        Lookup::Hit(h) => hints[i] = Some(h),
+                        Lookup::Miss { admit } => admits[i] = admit,
+                    }
                 }
-            }
-            self.store
-                .tree
-                .multi_get_hinted_with(keys, hints, engine, &guard, |i, v, fate| {
-                    match fate {
-                        HintResult::Hit => c.note_hit(),
-                        HintResult::Refreshed(h) => {
-                            if hints[i].is_some() {
-                                c.note_stale();
-                                c.record(keys[i], h);
-                            } else if admits[i] {
-                                c.record(keys[i], h);
+                self.store
+                    .tree
+                    .multi_get_hinted_with(keys, hints, engine, &guard, |i, v, fate| {
+                        match fate {
+                            HintResult::Hit => c.note_hit(),
+                            HintResult::Refreshed(h) => {
+                                if hints[i].is_some() {
+                                    c.note_stale();
+                                    c.record(keys[i], h);
+                                } else if admits[i] {
+                                    c.record(keys[i], h);
+                                }
                             }
                         }
-                    }
-                    out.push(v.map_or(core::ptr::null(), |r| r as *const ColValue));
-                });
-            sc.sync_bypass(&c);
+                        out.push(v.map_or(core::ptr::null(), |r| r as *const ColValue));
+                    });
+                sc.sync_bypass(&c);
+            }
         }
-        // Batch the cold pointers: every indirect hit in this run
-        // resolves through one `resolve_many` — concurrent cold keys
-        // coalesce into clustered segment reads instead of stampeding
-        // the tier with one read per key.
+        // 2. The data stage: every inline value's data block starts
+        // arriving now. Cold pointers are gathered instead, so every
+        // indirect hit in this run resolves through one `resolve_many` —
+        // concurrent cold keys coalesce into clustered segment reads
+        // instead of stampeding the tier with one read per key.
         cold_reqs.clear();
         for p in out.iter() {
-            if p.is_null() {
-                continue;
-            }
             // SAFETY: written above under this call's pinned guard;
             // epoch reclamation keeps the value live until it drops.
-            let v = unsafe { &**p };
-            if v.is_indirect() {
-                if let Some(ptr) = v.ptr() {
-                    cold_reqs.push((ptr, v.version()));
-                }
+            let Some(v) = (unsafe { p.as_ref() }) else {
+                continue;
+            };
+            if !v.is_indirect() {
+                v.prefetch_data();
+            } else if let Some(ptr) = v.ptr() {
+                cold_reqs.push((ptr, v.version()));
             }
         }
+        // 3. Resolve.
         if !cold_reqs.is_empty() {
             self.store
                 .resolve_indirect_many(cold_reqs, cold_out, resolve);
             mtobs::span::mark(Stage::ValueResolve);
         }
+        // 4. Emit, in input order.
         let mut r = 0usize;
         for (i, p) in out.iter().enumerate() {
             // SAFETY: as above — same pinned guard.
-            let hit = if p.is_null() {
-                None
-            } else {
-                Some(unsafe { &**p })
-            };
-            match hit {
+            match unsafe { p.as_ref() } {
                 Some(v) if v.is_indirect() => {
                     // Resolution order matches collection order; a
                     // malformed pointer record never made it into the
@@ -1765,55 +1764,6 @@ impl Session {
                 }
                 other => f(i, other),
             }
-        }
-    }
-
-    /// The allocating fallback of the cached batch read, used when the
-    /// reusable scratch is busy (a visitor re-entered `multi_get_with`).
-    #[cold]
-    fn multi_get_with_cached_alloc<F>(
-        &self,
-        keys: &[&[u8]],
-        sc: &SessionCache,
-        guard: &masstree::Guard,
-        mut f: F,
-    ) where
-        F: FnMut(usize, Option<&ColValue>),
-    {
-        let mut c = sc.table.lock();
-        let mut admits = vec![false; keys.len()];
-        let hints: Vec<Option<LeafHint<ColValue>>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| match c.lookup(k) {
-                Lookup::Hit(h) => Some(h),
-                Lookup::Miss { admit } => {
-                    admits[i] = admit;
-                    None
-                }
-            })
-            .collect();
-        let mut out: Vec<Option<&ColValue>> = Vec::with_capacity(keys.len());
-        self.store
-            .tree
-            .multi_get_hinted(keys, &hints, guard, |i, v, fate| {
-                match fate {
-                    HintResult::Hit => c.note_hit(),
-                    HintResult::Refreshed(h) => {
-                        if hints[i].is_some() {
-                            c.note_stale();
-                            c.record(keys[i], h);
-                        } else if admits[i] {
-                            c.record(keys[i], h);
-                        }
-                    }
-                }
-                out.push(v);
-            });
-        sc.sync_bypass(&c);
-        drop(c);
-        for (i, v) in out.into_iter().enumerate() {
-            self.with_resolved(v, |h| f(i, h));
         }
     }
 

@@ -1,11 +1,16 @@
 //! Multi-column versioned values (§4.7 of the paper).
 //!
 //! A value is a version number plus an array of variable-length byte
-//! columns, stored in **one memory block** (the paper's small-value
-//! design: good cache behaviour, and a whole-value replace is a single
-//! pointer store). Values are immutable once built; a put constructs a
-//! new block, copying unmodified columns from the old one, so concurrent
-//! readers see all or none of a multi-column modification.
+//! columns. The paper stores both in one memory block; here a value is
+//! **two allocations**: a fixed 32-byte [`ColValue`] header (version,
+//! column count, data-block pointer and length), boxed in the tree's
+//! leaf, and one data block holding the column offsets and bytes back
+//! to back. A read therefore touches the header and then the data
+//! block; batched reads prefetch both ([`ColValue::prefetch_data`]).
+//! Values are immutable once built; a put constructs a new value,
+//! copying unmodified columns from the old one, and installs it with a
+//! single pointer store, so concurrent readers see all or none of a
+//! multi-column modification.
 
 /// A fixed-size pointer into the value-separation tier (`vtier`): the
 /// leaf keeps this 24-byte record instead of the column bytes for
@@ -54,11 +59,11 @@ impl ValuePtr {
 /// "no columns" rather than misreading the pointer bytes as offsets.
 const INDIRECT_TAG: u32 = u32::MAX;
 
-/// A versioned, multi-column value in a single allocation.
+/// A versioned, multi-column value: this header plus its data block.
 ///
-/// Layout of `buf`: `ncols × u32` column end-offsets, then the column
-/// bytes back to back. (The version lives in a separate field of this
-/// struct but the struct itself is one heap object inside the tree.)
+/// Layout of `buf` (the data block): `ncols × u32` column end-offsets,
+/// then the column bytes back to back. The header itself is a separate
+/// heap object, boxed inside the tree's leaf.
 ///
 /// When `ncols` is [`INDIRECT_TAG`] the value is *indirect*: `buf`
 /// instead holds a [`ValuePtr`] into the value-separation tier.
@@ -218,6 +223,14 @@ impl ColValue {
         }
         let mut p: &[u8] = &self.buf;
         ValuePtr::decode(&mut p)
+    }
+
+    /// Prefetches every cache line of the data block (column offsets
+    /// and bytes, or an indirect value's pointer record): the second
+    /// allocation a read of this value touches, after the header.
+    #[inline]
+    pub fn prefetch_data(&self) {
+        masstree::prefetch::prefetch_object(self.buf.as_ptr(), self.buf.len());
     }
 
     /// The value's version number (used by log replay ordering, §5).
