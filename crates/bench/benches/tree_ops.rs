@@ -53,7 +53,7 @@ fn bench_put(c: &mut Criterion) {
 fn bench_deep_prefix(c: &mut Criterion) {
     // 40-byte shared prefix: five trie layers per lookup (Figure 9's
     // regime).
-    let tree = Masstree::new();
+    let tree: Masstree<u64> = Masstree::new();
     let g = masstree::pin();
     let prefix = "P".repeat(40);
     for i in 0..100_000u64 {

@@ -42,13 +42,13 @@ use crate::version::Version;
 /// the same flavor of assumption the version counters already make,
 /// with a far wider margin), which keeps a [`crate::hint::LeafHint`]
 /// at 32 bytes.
-pub struct NodeRef<V> {
+pub struct NodeRef<V: ?Sized> {
     pub(crate) ptr: *const BorderNode<V>,
     pub(crate) gen: u32,
-    _marker: PhantomData<fn(V) -> V>,
+    _marker: PhantomData<fn(&V) -> &V>,
 }
 
-impl<V> NodeRef<V> {
+impl<V: ?Sized> NodeRef<V> {
     #[inline]
     pub(crate) fn new(ptr: *const BorderNode<V>, gen: u32) -> Self {
         NodeRef {
@@ -66,13 +66,13 @@ impl<V> NodeRef<V> {
     }
 }
 
-impl<V> Clone for NodeRef<V> {
+impl<V: ?Sized> Clone for NodeRef<V> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<V> Copy for NodeRef<V> {}
-impl<V> core::fmt::Debug for NodeRef<V> {
+impl<V: ?Sized> Copy for NodeRef<V> {}
+impl<V: ?Sized> core::fmt::Debug for NodeRef<V> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "NodeRef({:p}@g{})", self.ptr, self.gen)
     }
@@ -81,29 +81,29 @@ impl<V> core::fmt::Debug for NodeRef<V> {
 // SAFETY: a NodeRef is an opaque token; the pointer is only dereferenced
 // under the validation protocol, which is sound from any thread (all
 // node fields are atomics in type-stable memory).
-unsafe impl<V: Send + Sync> Send for NodeRef<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Send for NodeRef<V> {}
 // SAFETY: as above.
-unsafe impl<V: Send + Sync> Sync for NodeRef<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Sync for NodeRef<V> {}
 
 /// A validated descent endpoint: border node + slab generation + the
 /// version it was observed under + the trie-layer byte offset the node
 /// indexes. The unit of "conjecture, then validate" shared by hinted
 /// reads and resumable scans.
-pub struct DescentAnchor<V> {
+pub struct DescentAnchor<V: ?Sized> {
     pub(crate) ptr: *const BorderNode<V>,
     pub(crate) gen: u32,
     pub(crate) version: Version,
     pub(crate) offset: u32,
-    pub(crate) _marker: PhantomData<fn(V) -> V>,
+    pub(crate) _marker: PhantomData<fn(&V) -> &V>,
 }
 
-impl<V> Clone for DescentAnchor<V> {
+impl<V: ?Sized> Clone for DescentAnchor<V> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<V> Copy for DescentAnchor<V> {}
-impl<V> core::fmt::Debug for DescentAnchor<V> {
+impl<V: ?Sized> Copy for DescentAnchor<V> {}
+impl<V: ?Sized> core::fmt::Debug for DescentAnchor<V> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
@@ -115,11 +115,11 @@ impl<V> core::fmt::Debug for DescentAnchor<V> {
 
 // SAFETY: as for NodeRef — an opaque token, dereferenced only under the
 // validation protocol.
-unsafe impl<V: Send + Sync> Send for DescentAnchor<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Send for DescentAnchor<V> {}
 // SAFETY: as above.
-unsafe impl<V: Send + Sync> Sync for DescentAnchor<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Sync for DescentAnchor<V> {}
 
-impl<V> DescentAnchor<V> {
+impl<V: ?Sized> DescentAnchor<V> {
     /// Captures an anchor at a border node observed under `version`
     /// (which must be a validated, non-deleted snapshot) while indexing
     /// the trie layer at byte `offset`.

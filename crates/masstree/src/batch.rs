@@ -41,16 +41,18 @@
 //! hint. The value's lines then arrive while the rest of the group is
 //! still descending, rather than when the caller first reads it.
 //!
-//! The engine only knows `V`'s fixed-size part. A value that points at a
-//! further block (the storage layer's `ColValue`: a header, then its
-//! data block) needs one more stage, and only the caller can run it. So
-//! a caller should *buffer* a batch's results before reading any of
-//! them: reading each value as the engine hands it out loads the header
-//! and then the data block one key after another, two dependent misses
-//! per key with nothing else in flight. `mtkv`'s `Session::multi_get_with`
-//! collects every result pointer first, prefetches each inline value's
-//! data block (cold pointers go to the value tier as one batch), and
-//! only then emits in input order.
+//! What "the value" covers is `V`'s [`Stored::prefetch`]: a sized type's
+//! whole box, and for the storage layer's `ColValue` — one block holding
+//! the header, column offsets and bytes — the block's first 128 bytes,
+//! which is all of a 64-byte single-column value wherever the block
+//! starts within its line. A larger value has lines past that, and only
+//! the caller knows it is reading them. So a caller should *buffer* a
+//! batch's results before reading any of them: reading each value as the
+//! engine hands it out would fetch the rest of one value after another,
+//! a dependent miss per key with nothing else in flight. `mtkv`'s
+//! `Session::multi_get_with` collects every result pointer first,
+//! prefetches the remaining lines of each inline value (cold pointers go
+//! to the value tier as one batch), and only then emits in input order.
 //!
 //! Writers complete their border-node work (lock, insert, split, layer
 //! creation) inline within a single step, reusing the exact same
@@ -66,6 +68,7 @@ use crate::key::{keylen_rank, KeyCursor, KEYLEN_SUFFIX};
 use crate::node::{BorderNode, BorderSearch, ExtractedLv, NodePtr, RootSlot};
 use crate::put::{BorderWrite, ValueFactory};
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::Masstree;
 use crate::tree::Restart;
@@ -89,7 +92,7 @@ enum Mode {
 
 /// Where the current trie layer's root pointer lives, for lazy root
 /// healing and split ascents (put cursors only).
-enum LayerSlot<V> {
+enum LayerSlot<V: ?Sized> {
     Tree,
     Link {
         node: *const BorderNode<V>,
@@ -97,7 +100,7 @@ enum LayerSlot<V> {
     },
 }
 
-impl<V> LayerSlot<V> {
+impl<V: ?Sized + Stored> LayerSlot<V> {
     fn as_root_slot<'t>(&self, tree: &'t Masstree<V>) -> RootSlot<'t, V> {
         match self {
             LayerSlot::Tree => RootSlot::Tree(&tree.root),
@@ -111,7 +114,7 @@ impl<V> LayerSlot<V> {
 
 /// The per-cursor resume point. Every variant names a node that has
 /// already been prefetched by the transition that created the variant.
-enum Phase<V> {
+enum Phase<V: ?Sized> {
     /// About to read the current layer root (`Cursor::root`).
     EnterLayer,
     /// `parent` (validated at version `pv`) chose `child`; the child's
@@ -135,7 +138,7 @@ enum Phase<V> {
 }
 
 /// One in-flight operation.
-struct Cursor<'k, V> {
+struct Cursor<'k, V: ?Sized> {
     idx: usize,
     mode: Mode,
     k: KeyCursor<'k>,
@@ -152,7 +155,7 @@ struct Cursor<'k, V> {
     hint: Option<LeafHint<V>>,
 }
 
-impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
+impl<'k, V: ?Sized + Stored> Cursor<'k, V> {
     fn new(idx: usize, mode: Mode, key: &'k [u8], tree: &Masstree<V>) -> Self {
         let root = tree.load_root();
         root.prefetch();
@@ -268,7 +271,7 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
     fn step(
         &mut self,
         tree: &Masstree<V>,
-        factory: &mut dyn FnMut(usize, Option<&V>) -> V,
+        factory: &mut dyn FnMut(usize, Option<&V>) -> V::Owned,
         guard: &Guard,
     ) -> bool {
         let next = match core::mem::replace(&mut self.phase, Phase::Done) {
@@ -455,7 +458,7 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
                 // The value stage: start fetching the value itself now,
                 // so its lines arrive while the rest of the group is
                 // still descending instead of when the caller reads it.
-                crate::prefetch::prefetch(p.cast_const().cast::<V>());
+                V::prefetch(p);
                 self.result = Some(p);
                 self.hint = Some(LeafHint::capture(
                     bn,
@@ -496,7 +499,7 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
         &mut self,
         tree: &Masstree<V>,
         bn: &BorderNode<V>,
-        factory: &mut dyn FnMut(usize, Option<&V>) -> V,
+        factory: &mut dyn FnMut(usize, Option<&V>) -> V::Owned,
         guard: &Guard,
     ) -> Phase<V> {
         // `lock_border_for_ikey`'s walk-right, starting already locked:
@@ -512,7 +515,7 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
         let root_slot = self.slot.as_root_slot(tree);
         match tree.put_at_border(bn, &self.k, &root_slot, &mut fac, guard) {
             BorderWrite::Done { prev } => {
-                self.result = prev.map(|p| p as *const V as *mut V as *mut ());
+                self.result = prev.map(|p| (p as *const V).cast_mut().cast::<()>());
                 Phase::Done
             }
             BorderWrite::Layer { root, node, slot } => self.enter_layer(root, node, slot),
@@ -521,15 +524,15 @@ impl<'k, V: Send + Sync + 'static> Cursor<'k, V> {
 }
 
 /// Adapts the batch engine's indexed factory to `put.rs`'s
-/// [`ValueFactory`] (which boxes the produced value).
-struct IdxFactory<'a, V> {
+/// [`ValueFactory`] (which stores the produced value).
+struct IdxFactory<'a, V: ?Sized + Stored> {
     idx: usize,
-    f: &'a mut dyn FnMut(usize, Option<&V>) -> V,
+    f: &'a mut dyn FnMut(usize, Option<&V>) -> V::Owned,
 }
 
-impl<V> ValueFactory<V> for IdxFactory<'_, V> {
+impl<V: ?Sized + Stored> ValueFactory<V> for IdxFactory<'_, V> {
     fn make(&mut self, old: Option<&V>) -> *mut () {
-        Box::into_raw(Box::new((self.f)(self.idx, old))).cast::<()>()
+        V::into_raw((self.f)(self.idx, old))
     }
 }
 
@@ -543,13 +546,13 @@ impl<V> ValueFactory<V> for IdxFactory<'_, V> {
 /// wrote them — while that call's guard is pinned — and are cleared at
 /// the top of every call, so a stale pointer from a previous epoch can
 /// never be dereferenced.
-pub struct HintBatchScratch<V> {
-    results: Vec<*const V>,
+pub struct HintBatchScratch<V: ?Sized> {
+    results: Vec<*const ()>,
     refreshed: Vec<Option<LeafHint<V>>>,
     misses: Vec<usize>,
 }
 
-impl<V> HintBatchScratch<V> {
+impl<V: ?Sized> HintBatchScratch<V> {
     /// An empty scratch (buffers grow on first use, then are reused).
     pub fn new() -> HintBatchScratch<V> {
         HintBatchScratch {
@@ -560,7 +563,7 @@ impl<V> HintBatchScratch<V> {
     }
 }
 
-impl<V> Default for HintBatchScratch<V> {
+impl<V: ?Sized> Default for HintBatchScratch<V> {
     fn default() -> Self {
         Self::new()
     }
@@ -570,7 +573,7 @@ impl<V> Default for HintBatchScratch<V> {
 // dereferenced outside the call that wrote them, under its own pinned
 // guard); moving the buffers across threads is therefore safe whenever
 // the value type itself is.
-unsafe impl<V: Send + Sync> Send for HintBatchScratch<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Send for HintBatchScratch<V> {}
 
 /// Round-robin scheduler core: calls `step(i)` for every unfinished
 /// slot `0..n` per sweep until all have reported completion, so each
@@ -592,16 +595,16 @@ fn run_round_robin(n: usize, mut step: impl FnMut(usize) -> bool) {
 }
 
 /// Round-robin scheduler over a cursor slice.
-fn run_group<V: Send + Sync + 'static>(
+fn run_group<V: ?Sized + Stored>(
     tree: &Masstree<V>,
     cursors: &mut [Cursor<'_, V>],
-    factory: &mut dyn FnMut(usize, Option<&V>) -> V,
+    factory: &mut dyn FnMut(usize, Option<&V>) -> V::Owned,
     guard: &Guard,
 ) {
     run_round_robin(cursors.len(), |i| cursors[i].step(tree, factory, guard));
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Looks up a batch of keys with interleaved, software-pipelined
     /// descents, returning one result per key in input order.
     ///
@@ -656,7 +659,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                 let c = slot.as_ref().expect("chunk cursors are initialized");
                 // SAFETY: a validated value pointer for this key; epoch
                 // reclamation keeps it live for `'g`.
-                f(base + i, c.result.map(|p| unsafe { &*p.cast::<V>() }));
+                f(base + i, c.result.map(|p| unsafe { V::deref(p) }));
             }
         }
     }
@@ -703,8 +706,9 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                     // value stage, as in `read_border`); absent stays
                     // null — `misses` records which nulls are pending.
                     HintedGet::Hit(Some(v)) => {
-                        crate::prefetch::prefetch(v);
-                        scratch.results[i] = v;
+                        let p = (v as *const V).cast::<()>();
+                        V::prefetch(p);
+                        scratch.results[i] = p;
                     }
                     HintedGet::Hit(None) => {}
                     HintedGet::Stale => scratch.misses.push(i),
@@ -732,7 +736,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                 .fetch_add(chunk.len() as u64, Ordering::Relaxed);
             for (ci, &i) in chunk.iter().enumerate() {
                 let c = cursors[ci].as_ref().expect("chunk cursors are initialized");
-                scratch.results[i] = c.result.map_or(core::ptr::null(), |p| p.cast::<V>());
+                scratch.results[i] = c.result.map_or(core::ptr::null(), |p| p.cast_const());
                 debug_assert!(c.hint.is_some(), "finished get cursors capture a hint");
                 scratch.refreshed[i] = c.hint;
             }
@@ -746,7 +750,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
             let v = if p.is_null() {
                 None
             } else {
-                Some(unsafe { &*p })
+                Some(unsafe { V::deref(p) })
             };
             match scratch.refreshed[i] {
                 Some(h) => f(i, v, HintResult::Refreshed(h)),
@@ -765,11 +769,11 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     pub fn multi_put<'g>(
         &self,
         keys: &[&[u8]],
-        values: Vec<V>,
+        values: Vec<V::Owned>,
         guard: &'g Guard,
     ) -> Vec<Option<&'g V>> {
         assert_eq!(keys.len(), values.len(), "one value per key");
-        let mut slots: Vec<Option<V>> = values.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<V::Owned>> = values.into_iter().map(Some).collect();
         self.multi_put_with(
             keys,
             |i, _old| slots[i].take().expect("value factory called once per op"),
@@ -788,7 +792,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         guard: &'g Guard,
     ) -> Vec<Option<&'g V>>
     where
-        F: FnMut(usize, Option<&V>) -> V,
+        F: FnMut(usize, Option<&V>) -> V::Owned,
     {
         let mut out = Vec::with_capacity(keys.len());
         if keys.len() < 2 {
@@ -811,7 +815,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
             for c in cursors {
                 // SAFETY: the previous value, kept live for `'g` by epoch
                 // reclamation (it was retired under this guard).
-                out.push(c.result.map(|p| unsafe { &*p.cast::<V>() }));
+                out.push(c.result.map(|p| unsafe { V::deref(p) }));
             }
         }
         out

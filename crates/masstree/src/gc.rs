@@ -8,20 +8,21 @@
 use crossbeam::epoch::Guard;
 
 use crate::node::NodePtr;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 
 /// Schedules a value for destruction after the current epoch.
 ///
 /// # Safety
 ///
-/// `p` must have come from `Box::into_raw(Box<V>)`, must be unreachable
+/// `p` must have come from [`Stored::into_raw`], must be unreachable
 /// from the tree, and must not be retired twice.
-pub(crate) unsafe fn retire_value<V: 'static>(guard: &Guard, p: *mut ()) {
-    let p = p.cast::<V>() as usize;
+pub(crate) unsafe fn retire_value<V: ?Sized + Stored>(guard: &Guard, p: *mut ()) {
+    let p = p as usize;
     // SAFETY: per caller contract; the closure runs once, after all
     // readers that could observe `p` have unpinned.
     unsafe {
-        guard.defer_unchecked(move || drop(Box::from_raw(p as *mut V)));
+        guard.defer_unchecked(move || V::drop_raw(p as *mut ()));
     }
 }
 
@@ -53,7 +54,7 @@ pub(crate) unsafe fn retire_suffix(guard: &Guard, p: *mut KeySuffix) {
 ///
 /// The node must be unlinked from the tree (marked deleted) and must not
 /// be retired twice.
-pub(crate) unsafe fn retire_node<V: 'static>(guard: &Guard, n: NodePtr<V>) {
+pub(crate) unsafe fn retire_node<V: ?Sized + 'static>(guard: &Guard, n: NodePtr<V>) {
     let raw = n.raw() as usize;
     // SAFETY: per caller contract.
     unsafe {

@@ -75,6 +75,7 @@ pub use crate::anchor::NodeRef;
 use crate::key::{keylen_rank, KeyCursor, KEYLEN_SUFFIX};
 use crate::node::{BorderNode, BorderSearch, ExtractedLv};
 use crate::permutation::Permutation;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::Masstree;
 use crate::version::Version;
@@ -105,7 +106,7 @@ const PERM_NEVER: u64 = u64::MAX;
 /// is just `lv[slot]`, skipping the border search *and* the suffix
 /// comparison. Only the value pointer is re-read, so in-place updates
 /// are always observed.
-pub struct LeafHint<V> {
+pub struct LeafHint<V: ?Sized> {
     pub(crate) ptr: *const BorderNode<V>,
     pub(crate) perm: u64,
     pub(crate) gen: u32,
@@ -113,22 +114,22 @@ pub struct LeafHint<V> {
     pub(crate) offset: u32,
     pub(crate) slot: u8,
     pub(crate) keylen: u8,
-    pub(crate) _marker: PhantomData<fn(V) -> V>,
+    pub(crate) _marker: PhantomData<fn(&V) -> &V>,
 }
 
 // SAFETY: as for NodeRef — an opaque token, dereferenced only under the
 // validation protocol.
-unsafe impl<V: Send + Sync> Send for LeafHint<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Send for LeafHint<V> {}
 // SAFETY: as above.
-unsafe impl<V: Send + Sync> Sync for LeafHint<V> {}
+unsafe impl<V: ?Sized + Send + Sync> Sync for LeafHint<V> {}
 
-impl<V> Clone for LeafHint<V> {
+impl<V: ?Sized> Clone for LeafHint<V> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<V> Copy for LeafHint<V> {}
-impl<V> core::fmt::Debug for LeafHint<V> {
+impl<V: ?Sized> Copy for LeafHint<V> {}
+impl<V: ?Sized> core::fmt::Debug for LeafHint<V> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
@@ -140,7 +141,7 @@ impl<V> core::fmt::Debug for LeafHint<V> {
     }
 }
 
-impl<V> LeafHint<V> {
+impl<V: ?Sized> LeafHint<V> {
     /// Captures a hint for a key found at `slot` (with keylen `code`).
     #[inline]
     pub(crate) fn capture(
@@ -213,7 +214,7 @@ impl<V> LeafHint<V> {
 }
 
 /// Outcome of a hinted lookup.
-pub enum HintedGet<'g, V> {
+pub enum HintedGet<'g, V: ?Sized> {
     /// The hint validated; this is the answer a full descent would give
     /// (`None` = key absent).
     Hit(Option<&'g V>),
@@ -224,7 +225,7 @@ pub enum HintedGet<'g, V> {
 
 /// What happened to the hint during [`Masstree::get_with_hint`] /
 /// [`Masstree::multi_get_hinted_with`].
-pub enum HintResult<V> {
+pub enum HintResult<V: ?Sized> {
     /// The provided hint validated and served the operation.
     Hit,
     /// The operation fell back to a full descent (no hint, or a stale
@@ -233,7 +234,7 @@ pub enum HintResult<V> {
     Refreshed(LeafHint<V>),
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Attempts to serve `get(key)` from a leaf hint with **zero
     /// descent**: jump to the remembered border node, prove it unchanged
     /// (generation + version, via the shared [`DescentAnchor`] core),
@@ -347,7 +348,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         // permutation publishes; its retirement cannot precede our pin
         // (the publishing store did not), so epoch reclamation keeps it
         // live for `'g`.
-        HintedGet::Hit(out.map(|p| unsafe { &*p.cast::<V>() }))
+        HintedGet::Hit(out.map(|p| unsafe { V::deref(p) }))
     }
 
     /// `get(key)` through an optional hint: validates the hint first,

@@ -15,6 +15,10 @@
 //!   atomic store.
 //! * **Epoch reclamation** — removed values and nodes stay readable until
 //!   concurrent readers finish (`crossbeam::epoch`).
+//! * **One pointer per value** — a leaf slot holds a thin pointer; how a
+//!   value is allocated, borrowed and freed is its [`Stored`] impl (a
+//!   `Box` for sized types, one self-describing block for `mtkv`'s
+//!   values).
 //! * **Cache craftiness** — 8-byte key slices compared as big-endian
 //!   integers, wide nodes prefetched whole, hot data packed in few lines.
 //!
@@ -56,6 +60,7 @@ mod remove;
 mod scan;
 mod scan_rev;
 mod slab;
+mod stored;
 mod tree;
 mod update;
 
@@ -65,6 +70,7 @@ pub use hint::{HintResult, HintedGet, LeafHint};
 pub use maintain::TreeReport;
 pub use scan::{ScanCursor, ScanResumeOutcome, ScanScratch};
 pub use stats::{Stats, StatsSnapshot};
+pub use stored::Stored;
 pub use tree::Masstree;
 pub use update::Update;
 

@@ -19,6 +19,7 @@ use crate::key::{keylen_rank, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, NodePtr, RootSlot};
 use crate::permutation::WIDTH;
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::tree::Masstree;
 
 /// Summary returned by [`Masstree::validate`].
@@ -37,7 +38,7 @@ pub struct TreeReport {
 }
 
 /// A candidate produced by the maintenance scan.
-enum Candidate<V> {
+enum Candidate<V: ?Sized> {
     /// An empty layer hanging off `parent[?]`; remove the link.
     EmptyLayer {
         parent: *const BorderNode<V>,
@@ -52,12 +53,12 @@ enum Candidate<V> {
 }
 
 /// Identifies where a layer's root pointer is stored.
-enum LayerSlot<V> {
+enum LayerSlot<V: ?Sized> {
     Tree,
     Link(*const BorderNode<V>, u64),
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Performs one maintenance pass: collects empty layer-≥1 trees and
     /// collapses single-child layer roots (§4.6.5). Returns the number of
     /// structural repairs made. Best-effort: candidates that race with
@@ -316,7 +317,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     }
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Validates every structural invariant of the tree.
     /// Requires exclusive access; returns a summary or a description of
     /// the first violation.
@@ -521,7 +522,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     }
 }
 
-impl<V> Drop for Masstree<V> {
+impl<V: ?Sized + Stored> Drop for Masstree<V> {
     fn drop(&mut self) {
         let root = NodePtr::<V>::from_raw(*self.root.get_mut());
         // SAFETY: `&mut self` means no concurrent users; every reachable
@@ -538,7 +539,7 @@ impl<V> Drop for Masstree<V> {
 /// # Safety
 ///
 /// Requires a quiescent tree (or nodes pinned live by an epoch guard).
-unsafe fn true_root<V>(mut n: NodePtr<V>) -> NodePtr<V> {
+unsafe fn true_root<V: ?Sized>(mut n: NodePtr<V>) -> NodePtr<V> {
     loop {
         // SAFETY: per caller contract.
         let v = unsafe { n.version() }.load(Ordering::Relaxed);
@@ -559,7 +560,7 @@ unsafe fn true_root<V>(mut n: NodePtr<V>) -> NodePtr<V> {
 /// # Safety
 ///
 /// Exclusive access; nodes live; called once per reachable node.
-unsafe fn drop_subtree<V>(n: NodePtr<V>) {
+unsafe fn drop_subtree<V: ?Sized + Stored>(n: NodePtr<V>) {
     if n.is_null() {
         return;
     }
@@ -581,15 +582,9 @@ unsafe fn drop_subtree<V>(n: NodePtr<V>) {
                         if !s.is_null() {
                             crate::suffix::KeySuffix::free(s);
                         }
-                        drop(Box::from_raw(
-                            b.lv[slot].load(Ordering::Relaxed).cast::<V>(),
-                        ));
+                        V::drop_raw(b.lv[slot].load(Ordering::Relaxed));
                     }
-                    _ => {
-                        drop(Box::from_raw(
-                            b.lv[slot].load(Ordering::Relaxed).cast::<V>(),
-                        ));
-                    }
+                    _ => V::drop_raw(b.lv[slot].load(Ordering::Relaxed)),
                 }
             }
             n.free();

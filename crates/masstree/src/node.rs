@@ -57,7 +57,7 @@ impl NodeHeader {
 /// A border (leaf) node: keys, values, suffixes and layer links, plus the
 /// doubly-linked leaf list used by scans and concurrent remove.
 #[repr(C, align(64))]
-pub struct BorderNode<V> {
+pub struct BorderNode<V: ?Sized> {
     pub header: NodeHeader,
     /// Slots freed by `remove` since last reuse; inserting into one of
     /// these requires a vinsert bump (§4.6.5).
@@ -68,7 +68,8 @@ pub struct BorderNode<V> {
     pub permutation: AtomicU64,
     /// 8-byte key slices as big-endian integers.
     pub keyslice: [AtomicU64; WIDTH],
-    /// Value pointer (`*mut V`) or next-layer root (`*mut NodeHeader`),
+    /// Value pointer (`V`'s thin [`crate::Stored`] pointer) or next-layer
+    /// root (`*mut NodeHeader`),
     /// discriminated by `keylen` (the paper's `link_or_value`).
     pub lv: [AtomicPtr<()>; WIDTH],
     /// Suffix blocks for slots with `keylen == KEYLEN_SUFFIX`.
@@ -80,18 +81,18 @@ pub struct BorderNode<V> {
     /// node's lifetime (§4.6.4); meaningless for the leftmost node, whose
     /// logical lowkey is −∞.
     pub lowkey: AtomicU64,
-    pub _marker: PhantomData<fn(V) -> V>,
+    pub _marker: PhantomData<fn(&V) -> &V>,
 }
 
 /// An interior node: separators and children of the width-15 B+-tree.
 #[repr(C, align(64))]
-pub struct InteriorNode<V> {
+pub struct InteriorNode<V: ?Sized> {
     pub header: NodeHeader,
     pub nkeys: AtomicU8,
     pub keyslice: [AtomicU64; WIDTH],
     pub child: [AtomicPtr<NodeHeader>; WIDTH + 1],
     pub parent: AtomicPtr<InteriorNode<V>>,
-    pub _marker: PhantomData<fn(V) -> V>,
+    pub _marker: PhantomData<fn(&V) -> &V>,
 }
 
 /// Result of searching a border node for a `(slice, rank)` pair.
@@ -127,7 +128,7 @@ fn atomic_u8_array<const N: usize>() -> [AtomicU8; N] {
     [const { AtomicU8::new(0) }; N]
 }
 
-impl<V> BorderNode<V> {
+impl<V: ?Sized> BorderNode<V> {
     /// Allocates an empty border node from the slab (`slab.rs`).
     pub fn alloc(is_root: bool, locked: bool, lowkey: u64) -> *mut BorderNode<V> {
         let (raw, fresh) = crate::slab::alloc_node(Layout::new::<BorderNode<V>>());
@@ -312,7 +313,7 @@ impl<V> BorderNode<V> {
     }
 }
 
-impl<V> InteriorNode<V> {
+impl<V: ?Sized> InteriorNode<V> {
     /// Allocates an interior node with no keys and no children from the
     /// slab (`slab.rs`).
     pub fn alloc(is_root: bool, locked: bool) -> *mut InteriorNode<V> {
@@ -399,27 +400,27 @@ impl<V> InteriorNode<V> {
 /// The `ISBORDER` bit of the version word (constant for a node's lifetime)
 /// selects the concrete type. Both node structs are `#[repr(C)]` with
 /// `NodeHeader` first, making the casts layout-sound.
-pub struct NodePtr<V>(*mut NodeHeader, PhantomData<fn(V) -> V>);
+pub struct NodePtr<V: ?Sized>(*mut NodeHeader, PhantomData<fn(&V) -> &V>);
 
-impl<V> Clone for NodePtr<V> {
+impl<V: ?Sized> Clone for NodePtr<V> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<V> Copy for NodePtr<V> {}
-impl<V> PartialEq for NodePtr<V> {
+impl<V: ?Sized> Copy for NodePtr<V> {}
+impl<V: ?Sized> PartialEq for NodePtr<V> {
     fn eq(&self, other: &Self) -> bool {
         self.0 == other.0
     }
 }
-impl<V> Eq for NodePtr<V> {}
-impl<V> core::fmt::Debug for NodePtr<V> {
+impl<V: ?Sized> Eq for NodePtr<V> {}
+impl<V: ?Sized> core::fmt::Debug for NodePtr<V> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "NodePtr({:p})", self.0)
     }
 }
 
-impl<V> NodePtr<V> {
+impl<V: ?Sized> NodePtr<V> {
     #[allow(dead_code)]
     #[inline]
     pub fn null() -> Self {
@@ -581,7 +582,7 @@ impl<V> NodePtr<V> {
 /// Where a layer's root pointer lives: the tree-wide root or a `lv` slot in
 /// a parent-layer border node. Used to install new roots on root splits
 /// and collapses (§4.6.4's lazy root update, made eager where possible).
-pub enum RootSlot<'a, V> {
+pub enum RootSlot<'a, V: ?Sized> {
     Tree(&'a AtomicPtr<NodeHeader>),
     LayerLink {
         node: *const BorderNode<V>,
@@ -589,7 +590,7 @@ pub enum RootSlot<'a, V> {
     },
 }
 
-impl<V> RootSlot<'_, V> {
+impl<V: ?Sized> RootSlot<'_, V> {
     /// Best-effort CAS of the root pointer from `old` to `new`. A failure
     /// is harmless: stale roots are healed by `find_border`'s parent climb.
     pub fn cas(&self, old: *mut NodeHeader, new: *mut NodeHeader) {

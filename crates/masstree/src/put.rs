@@ -16,12 +16,13 @@ use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNS
 use crate::node::{BorderNode, BorderSearch, InteriorNode, NodePtr, RootSlot};
 use crate::permutation::{Permutation, WIDTH};
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 
 /// Outcome of completing a write at one locked border node (the lock is
 /// consumed either way).
-pub(crate) enum BorderWrite<'g, V> {
+pub(crate) enum BorderWrite<'g, V: ?Sized> {
     /// The put completed; `prev` is the previous value.
     Done { prev: Option<&'g V> },
     /// The key continues in a deeper trie layer rooted at `root`,
@@ -44,15 +45,16 @@ enum SplitSide {
 /// (if any) visible. This is what makes multi-column read-copy-update
 /// values (§4.7) atomic: no other writer can interleave between reading
 /// the old value and publishing the new one.
-pub(crate) trait ValueFactory<V> {
-    /// Returns a `Box<V>` raw pointer. Called exactly once per put.
+pub(crate) trait ValueFactory<V: ?Sized> {
+    /// Returns a [`Stored::into_raw`] pointer. Called exactly once per
+    /// put.
     fn make(&mut self, old: Option<&V>) -> *mut ();
 }
 
-/// A value boxed ahead of time (plain `put`).
+/// A value stored ahead of time (plain `put`).
 struct Ready(*mut ());
 
-impl<V> ValueFactory<V> for Ready {
+impl<V: ?Sized> ValueFactory<V> for Ready {
     fn make(&mut self, _old: Option<&V>) -> *mut () {
         debug_assert!(!self.0.is_null(), "value factory called twice");
         std::mem::replace(&mut self.0, core::ptr::null_mut())
@@ -60,23 +62,22 @@ impl<V> ValueFactory<V> for Ready {
 }
 
 /// A value computed from the old one under the lock (`put_with`).
-struct FromFn<'a, V>(&'a mut dyn FnMut(Option<&V>) -> V);
+struct FromFn<'a, V: ?Sized + Stored>(&'a mut dyn FnMut(Option<&V>) -> V::Owned);
 
-impl<V> ValueFactory<V> for FromFn<'_, V> {
+impl<V: ?Sized + Stored> ValueFactory<V> for FromFn<'_, V> {
     fn make(&mut self, old: Option<&V>) -> *mut () {
-        Box::into_raw(Box::new((self.0)(old))).cast::<()>()
+        V::into_raw((self.0)(old))
     }
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Inserts or updates `key → value`.
     ///
     /// Returns the previous value if the key was present; the reference is
     /// valid for the guard's lifetime (the old value is reclaimed after
     /// all current readers unpin).
-    pub fn put<'g>(&self, key: &[u8], value: V, guard: &'g Guard) -> Option<&'g V> {
-        let vptr = Box::into_raw(Box::new(value)).cast::<()>();
-        self.put_inner(key, &mut Ready(vptr), guard)
+    pub fn put<'g>(&self, key: &[u8], value: V::Owned, guard: &'g Guard) -> Option<&'g V> {
+        self.put_inner(key, &mut Ready(V::into_raw(value)), guard)
     }
 
     /// Atomically installs `f(current)` for `key`.
@@ -91,7 +92,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     /// Returns the previous value, if any.
     pub fn put_with<'g, F>(&self, key: &[u8], mut f: F, guard: &'g Guard) -> Option<&'g V>
     where
-        F: FnMut(Option<&V>) -> V,
+        F: FnMut(Option<&V>) -> V::Owned,
     {
         self.put_inner(key, &mut FromFn(&mut f), guard)
     }
@@ -200,7 +201,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                             // lock, publish with one atomic store.
                             let old = bn.lv[slot].load(Ordering::Acquire);
                             // SAFETY: the slot's live value.
-                            let vptr = factory.make(Some(unsafe { &*old.cast::<V>() }));
+                            let vptr = factory.make(Some(unsafe { V::deref(old) }));
                             bn.lv[slot].store(vptr, Ordering::Release);
                             bn.version().unlock();
                             // SAFETY: `old` was this key's value and
@@ -208,7 +209,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                             unsafe {
                                 gc::retire_value::<V>(guard, old);
                                 return BorderWrite::Done {
-                                    prev: Some(&*old.cast::<V>()),
+                                    prev: Some(V::deref(old)),
                                 };
                             }
                         }
@@ -229,14 +230,14 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         debug_assert!(!k.has_suffix());
                         let old = bn.lv[slot].load(Ordering::Acquire);
                         // SAFETY: the slot's live value.
-                        let vptr = factory.make(Some(unsafe { &*old.cast::<V>() }));
+                        let vptr = factory.make(Some(unsafe { V::deref(old) }));
                         bn.lv[slot].store(vptr, Ordering::Release);
                         bn.version().unlock();
                         // SAFETY: as in the suffix-update arm.
                         unsafe {
                             gc::retire_value::<V>(guard, old);
                             BorderWrite::Done {
-                                prev: Some(&*old.cast::<V>()),
+                                prev: Some(V::deref(old)),
                             }
                         }
                     }

@@ -16,19 +16,20 @@ use crate::gc;
 use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, NodePtr};
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 
 /// Outcome of completing a remove at one locked border node (the lock
 /// is consumed either way).
-enum BorderRemove<'g, V, R> {
+enum BorderRemove<'g, V: ?Sized, R> {
     /// The remove completed (or the key was absent).
     Done(Option<(&'g V, R)>),
     /// The key continues in a deeper trie layer rooted here.
     Layer(NodePtr<V>),
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Removes `key`, returning its value if it was present (valid for the
     /// guard's lifetime; the allocation is reclaimed after all current
     /// readers unpin).
@@ -174,7 +175,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         // The removal's linearization point: run the caller's hook under
         // the lock, against the value being unpublished.
         // SAFETY: the slot's live value; we hold the lock.
-        let hook_result = f(unsafe { &*old_value.cast::<V>() });
+        let hook_result = f(unsafe { V::deref(old_value) });
         bn.publish_permutation(nperm);
         bn.mark_freed(slot);
         // SAFETY: the entry is no longer visible to new readers; epoch
@@ -190,7 +191,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
             bn.version().unlock();
         }
         // SAFETY: the old value stays live for `'g` via the epoch.
-        (unsafe { &*old_value.cast::<V>() }, hook_result)
+        (unsafe { V::deref(old_value) }, hook_result)
     }
 
     /// Deletes the locked, empty, non-leftmost border node `bn`: marks it

@@ -49,6 +49,7 @@ use crate::key::{slice_at, KEYLEN_LAYER, KEYLEN_SUFFIX, SLICE_LEN};
 use crate::node::{BorderNode, ExtractedLv, NodePtr};
 use crate::permutation::WIDTH;
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 use crate::version::Version;
@@ -94,7 +95,7 @@ pub(crate) struct Redescend;
 /// Where a stopped scan resumes: written at the innermost stop site and
 /// propagated out untouched (the full-key bound travels in
 /// [`ScanScratch::restart`]). Shared with the reverse scanner.
-pub(crate) enum StopPoint<V> {
+pub(crate) enum StopPoint<V: ?Sized> {
     /// Resume at `scratch.restart`, optionally with a validated anchor
     /// for the border node the scan stopped in.
     At { anchor: Option<DescentAnchor<V>> },
@@ -161,14 +162,14 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
 /// feed it to [`Masstree::scan_resume`] repeatedly; `is_done` reports
 /// tree exhaustion. The bound buffer is reused across resumes, so a
 /// warm cursor allocates nothing.
-pub struct ScanCursor<V> {
+pub struct ScanCursor<V: ?Sized> {
     pub(crate) anchor: Option<DescentAnchor<V>>,
     pub(crate) bound: Vec<u8>,
     pub(crate) reverse: bool,
     pub(crate) done: bool,
 }
 
-impl<V> ScanCursor<V> {
+impl<V: ?Sized> ScanCursor<V> {
     /// A cursor for an ascending scan starting at `start` (inclusive).
     pub fn forward(start: &[u8]) -> ScanCursor<V> {
         ScanCursor {
@@ -236,7 +237,7 @@ impl<V> ScanCursor<V> {
     }
 }
 
-impl<V> core::fmt::Debug for ScanCursor<V> {
+impl<V: ?Sized> core::fmt::Debug for ScanCursor<V> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
@@ -277,7 +278,7 @@ fn increment_prefix(p: &[u8], out: &mut Vec<u8>) -> bool {
     false
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Visits keys at or after `start` in lexicographic order, calling
     /// `f(key, value)` until it returns `false` or the tree is exhausted.
     /// Returns the number of entries visited.
@@ -653,7 +654,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         scratch.prefix.extend_from_slice(&slice_bytes);
                         scratch.prefix.extend_from_slice(sb);
                         // SAFETY: validated value pointer, epoch-live.
-                        let keep = f(&scratch.prefix, unsafe { &*e.lv.cast::<V>() });
+                        let keep = f(&scratch.prefix, unsafe { V::deref(e.lv) });
                         scratch.prefix.truncate(plen);
                         // Advance the bound past the emitted key *before*
                         // honoring a stop, so the stop point is always
@@ -671,7 +672,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         let plen = scratch.prefix.len();
                         scratch.prefix.extend_from_slice(&slice_bytes[..len]);
                         // SAFETY: validated value pointer, epoch-live.
-                        let keep = f(&scratch.prefix, unsafe { &*e.lv.cast::<V>() });
+                        let keep = f(&scratch.prefix, unsafe { V::deref(e.lv) });
                         scratch.prefix.truncate(plen);
                         scratch.bound.clear();
                         scratch.bound.extend_from_slice(&slice_bytes[..len]);

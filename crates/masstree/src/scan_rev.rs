@@ -33,11 +33,12 @@ use crate::node::{BorderNode, ExtractedLv, NodePtr};
 use crate::permutation::WIDTH;
 use crate::scan::{with_scratch, Entry, Redescend, ScanScratch, ScanStatus, StopPoint};
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 use crate::version::Version;
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Visits keys at or *below* `start` in descending lexicographic
     /// order, calling `f(key, value)` until it returns `false` or the
     /// tree is exhausted. Returns the number of entries visited.
@@ -243,7 +244,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         scratch.prefix.extend_from_slice(&slice_bytes);
                         scratch.prefix.extend_from_slice(sb);
                         // SAFETY: validated value pointer, epoch-live.
-                        let keep = f(&scratch.prefix, unsafe { &*e.lv.cast::<V>() });
+                        let keep = f(&scratch.prefix, unsafe { V::deref(e.lv) });
                         scratch.prefix.truncate(plen);
                         // Advance the bound below the emitted key before
                         // honoring a stop, so the stop point is always
@@ -262,7 +263,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         let plen = scratch.prefix.len();
                         scratch.prefix.extend_from_slice(&slice_bytes[..len]);
                         // SAFETY: validated value pointer, epoch-live.
-                        let keep = f(&scratch.prefix, unsafe { &*e.lv.cast::<V>() });
+                        let keep = f(&scratch.prefix, unsafe { V::deref(e.lv) });
                         scratch.prefix.truncate(plen);
                         let more = prev_bound_into(e.ikey, e.code, None, &mut scratch.bound);
                         *everything = false;

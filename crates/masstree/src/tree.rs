@@ -10,6 +10,7 @@ use crate::hint::LeafHint;
 use crate::key::{keylen_rank, KeyCursor, KEYLEN_SUFFIX};
 use crate::node::{BorderNode, BorderSearch, ExtractedLv, InteriorNode, NodeHeader, NodePtr};
 use crate::stats::Stats;
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::version::Version;
 
@@ -21,30 +22,30 @@ use crate::version::Version;
 /// epoch-based: operations take a [`Guard`] (see [`crate::pin`]), and
 /// borrowed values remain valid for the guard's lifetime even if
 /// concurrently removed.
-pub struct Masstree<V> {
+///
+/// A value `V` is owned through one thin pointer per key; [`Stored`]
+/// says how (every sized type is boxed). `V: Send + Sync` is part of
+/// that bound, because the tree hands out `&V` across threads and frees
+/// values on whichever thread collects them, so the tree is itself
+/// `Send` and `Sync`: all of its shared state is atomics guarded by the
+/// OCC protocol.
+pub struct Masstree<V: ?Sized + Stored> {
     pub(crate) root: AtomicPtr<NodeHeader>,
     pub(crate) stats: Stats,
     pub(crate) _marker: PhantomData<Box<V>>,
 }
 
-// SAFETY: the tree hands out `&V` across threads and moves `V` between
-// threads during reclamation, so both bounds are required. All internal
-// shared state is atomics guarded by the OCC protocol.
-unsafe impl<V: Send + Sync> Send for Masstree<V> {}
-// SAFETY: as above.
-unsafe impl<V: Send + Sync> Sync for Masstree<V> {}
-
 /// Signal that an operation must restart from the top of the tree (it
 /// encountered a deleted node or a removed layer).
 pub(crate) struct Restart;
 
-impl<V: Send + Sync + 'static> Default for Masstree<V> {
+impl<V: ?Sized + Stored> Default for Masstree<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Creates an empty tree.
     ///
     /// The initial node is a border node that is the root of the layer-0
@@ -353,7 +354,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
                         // epoch reclamation keeps it live for `'g`.
                         GetOutcome::Value(p) => {
                             return (
-                                Some(unsafe { &*p.cast::<V>() }),
+                                Some(unsafe { V::deref(p) }),
                                 LeafHint::capture(n, v, perm, found.0, found.1, k.offset()),
                             );
                         }

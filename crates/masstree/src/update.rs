@@ -17,12 +17,13 @@ use crossbeam::epoch::Guard;
 use crate::gc;
 use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, NodePtr};
+use crate::stored::Stored;
 use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 
 /// Outcome of a conditional update ([`Masstree::update_with`]).
 #[derive(Debug)]
-pub enum Update<'g, V> {
+pub enum Update<'g, V: ?Sized> {
     /// The key was present and the closure produced a replacement; the
     /// previous value is borrowed for the guard's lifetime.
     Replaced(&'g V),
@@ -35,12 +36,12 @@ pub enum Update<'g, V> {
 
 /// Border-level result: either the update finished here, or the key
 /// continues in a deeper trie layer.
-enum BorderUpdate<'g, V> {
+enum BorderUpdate<'g, V: ?Sized> {
     Done(Update<'g, V>),
     Layer { root: NodePtr<V> },
 }
 
-impl<V: Send + Sync + 'static> Masstree<V> {
+impl<V: ?Sized + Stored> Masstree<V> {
     /// Atomically replaces `key`'s value with `f(current)` **iff the
     /// key is present and `f` returns `Some`**. Unlike
     /// [`Masstree::put_with`], an absent key is left absent — `f` runs
@@ -49,7 +50,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     /// update if the value is still the one I expect".
     pub fn update_with<'g, F>(&self, key: &[u8], mut f: F, guard: &'g Guard) -> Update<'g, V>
     where
-        F: FnMut(&V) -> Option<V>,
+        F: FnMut(&V) -> Option<V::Owned>,
     {
         loop {
             if let Ok(u) = self.update_descend(key, &mut f, guard) {
@@ -64,7 +65,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
     fn update_descend<'g>(
         &self,
         key: &[u8],
-        f: &mut dyn FnMut(&V) -> Option<V>,
+        f: &mut dyn FnMut(&V) -> Option<V::Owned>,
         guard: &'g Guard,
     ) -> Result<Update<'g, V>, Restart> {
         let mut k = KeyCursor::new(key);
@@ -91,7 +92,7 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         &self,
         bn: &'g BorderNode<V>,
         k: &KeyCursor<'_>,
-        f: &mut dyn FnMut(&V) -> Option<V>,
+        f: &mut dyn FnMut(&V) -> Option<V::Owned>,
         guard: &'g Guard,
     ) -> BorderUpdate<'g, V> {
         let ikey = k.ikey();
@@ -144,19 +145,19 @@ impl<V: Send + Sync + 'static> Masstree<V> {
         &self,
         bn: &'g BorderNode<V>,
         slot: usize,
-        f: &mut dyn FnMut(&V) -> Option<V>,
+        f: &mut dyn FnMut(&V) -> Option<V::Owned>,
         guard: &'g Guard,
     ) -> BorderUpdate<'g, V> {
         let old = bn.lv[slot].load(Ordering::Acquire);
         // SAFETY: the slot's live value (lock held).
-        let old_ref = unsafe { &*old.cast::<V>() };
+        let old_ref = unsafe { V::deref(old) };
         match f(old_ref) {
             None => {
                 bn.version().unlock();
                 BorderUpdate::Done(Update::Kept)
             }
             Some(new) => {
-                let vptr = Box::into_raw(Box::new(new)).cast::<()>();
+                let vptr = V::into_raw(new);
                 bn.lv[slot].store(vptr, Ordering::Release);
                 bn.version().unlock();
                 // SAFETY: `old` was this key's value and is now

@@ -261,14 +261,14 @@ impl CacheStatsShared {
 /// (an `Option` discriminant would push the slot to 72 bytes) and is
 /// written before the tag ever becomes nonzero.
 #[repr(align(64))]
-struct Slot<V> {
+struct Slot<V: ?Sized> {
     hint: MaybeUninit<LeafHint<V>>,
     key_len: u8,
     referenced: bool,
     key: [u8; MAX_KEY],
 }
 
-impl<V> Slot<V> {
+impl<V: ?Sized> Slot<V> {
     fn vacant() -> Slot<V> {
         Slot {
             hint: MaybeUninit::uninit(),
@@ -291,7 +291,7 @@ impl<V> Slot<V> {
 struct TagSet([u64; ASSOC]);
 
 /// Result of a table lookup.
-pub enum Lookup<V> {
+pub enum Lookup<V: ?Sized> {
     /// An entry matched; validate this hint against the tree.
     Hit(LeafHint<V>),
     /// No usable entry. `admit` reports whether the key has earned a
@@ -306,7 +306,7 @@ pub enum Lookup<V> {
 /// A per-worker hint table. All methods take `&mut self` — ownership is
 /// the synchronization (sessions wrap it in a cheap uncontended mutex
 /// only to stay `Sync`).
-pub struct HintCache<V> {
+pub struct HintCache<V: ?Sized> {
     /// Per-set hash tags; scanned before slots are touched so a miss
     /// costs one cache line per set.
     tags: Vec<TagSet>,
@@ -357,7 +357,7 @@ fn hash_key(key: &[u8]) -> u64 {
     h | 1
 }
 
-impl<V> HintCache<V> {
+impl<V: ?Sized> HintCache<V> {
     pub fn new(cfg: &CacheConfig) -> HintCache<V> {
         Self::build(cfg, None)
     }
@@ -608,7 +608,7 @@ impl<V> HintCache<V> {
     }
 }
 
-impl<V> Drop for HintCache<V> {
+impl<V: ?Sized> Drop for HintCache<V> {
     fn drop(&mut self) {
         self.flush_stats();
     }
@@ -627,12 +627,12 @@ impl<V> Drop for HintCache<V> {
 /// Entries recycle their buffers on takeover (the expected-bound string
 /// and the cursor's own bound vector keep their capacity), so a warm
 /// cursor cache allocates nothing in steady state.
-pub struct CursorCache<V> {
+pub struct CursorCache<V: ?Sized> {
     entries: Vec<CursorEntry<V>>,
     clock: u64,
 }
 
-struct CursorEntry<V> {
+struct CursorEntry<V: ?Sized> {
     /// Full-key start the cached cursor continues from (empty = vacant;
     /// an empty *live* bound is representable via `live`).
     expected: Vec<u8>,
@@ -646,7 +646,7 @@ struct CursorEntry<V> {
 /// than a couple of independent range streams per connection.
 const CURSOR_WAYS: usize = 4;
 
-impl<V> CursorCache<V> {
+impl<V: ?Sized> CursorCache<V> {
     pub fn new() -> CursorCache<V> {
         CursorCache {
             entries: Vec::new(),
@@ -758,7 +758,7 @@ impl<V> CursorCache<V> {
     }
 }
 
-impl<V> Default for CursorCache<V> {
+impl<V: ?Sized> Default for CursorCache<V> {
     fn default() -> Self {
         Self::new()
     }
@@ -774,7 +774,7 @@ mod tests {
         tree.get_capturing_hint(key, &g).1
     }
 
-    fn admit_of<V>(l: Lookup<V>) -> bool {
+    fn admit_of<V: ?Sized>(l: Lookup<V>) -> bool {
         match l {
             Lookup::Miss { admit } => admit,
             Lookup::Hit(_) => panic!("expected a miss"),

@@ -313,7 +313,7 @@ pub fn recover_with(
                                     // would destroy an indirect pointer
                                     // record (its payload lives in the
                                     // value tier, not in columns).
-                                    Some(prev) if prev.version() >= *version => prev.clone(),
+                                    Some(prev) if prev.version() >= *version => prev.to_owned(),
                                     // Records carry the full resulting
                                     // value (not an update delta), so a
                                     // newer record replaces outright —
@@ -347,7 +347,7 @@ pub fn recover_with(
                                         key,
                                         |old| match old {
                                             Some(prev) if prev.version() >= *version => {
-                                                prev.clone()
+                                                prev.to_owned()
                                             }
                                             _ => ColValue::indirect(*version, *ptr),
                                         },
@@ -367,7 +367,7 @@ pub fn recover_with(
                             tree.put_with(
                                 key,
                                 |old| match old {
-                                    Some(prev) if prev.version() >= *version => prev.clone(),
+                                    Some(prev) if prev.version() >= *version => prev.to_owned(),
                                     _ => ColValue::new(*version, &[]),
                                 },
                                 &guard,

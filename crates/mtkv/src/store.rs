@@ -17,6 +17,7 @@
 //! uptime.
 
 use std::path::{Path, PathBuf};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -434,7 +435,7 @@ impl Store {
         updates: &[(usize, &[u8])],
         version: u64,
         dead_ptr: &mut Option<ValuePtr>,
-    ) -> ColValue {
+    ) -> Box<ColValue> {
         match old {
             None => ColValue::from_updates(version, updates),
             Some(prev) => match prev.ptr() {
@@ -457,7 +458,7 @@ impl Store {
     /// `PutIndirect`). Below the threshold — or with separation off, or
     /// on an append failure — the value stays inline, which is always
     /// correct.
-    fn separate_value(&self, newval: ColValue, version: u64) -> ColValue {
+    fn separate_value(&self, newval: Box<ColValue>, version: u64) -> Box<ColValue> {
         let (Some(threshold), Some(tier)) = (self.config.value_threshold, &self.vtier) else {
             return newval;
         };
@@ -491,7 +492,7 @@ impl Store {
         updates: &[(usize, &[u8])],
         dead_ptr: &mut Option<ValuePtr>,
         wal: Option<&mut PendingRecords>,
-    ) -> ColValue {
+    ) -> Box<ColValue> {
         let version = self.draw_version();
         let newval = self.build_value(old, updates, version, dead_ptr);
         let newval = self.separate_value(newval, version);
@@ -926,7 +927,7 @@ impl Store {
                 // Keep-by-clone, not by column rebuild: the resident
                 // value may be an indirect pointer record (zero
                 // columns), which a rebuild would silently destroy.
-                Some(prev) if prev.version() >= version => prev.clone(),
+                Some(prev) if prev.version() >= version => prev.to_owned(),
                 _ => {
                     let updates: Vec<(usize, &[u8])> = cols
                         .iter()
@@ -950,7 +951,7 @@ impl Store {
         self.tree.put_with(
             key,
             |old| match old {
-                Some(prev) if prev.version() >= version => prev.clone(),
+                Some(prev) if prev.version() >= version => prev.to_owned(),
                 _ => ColValue::indirect(version, ptr),
             },
             &guard,
@@ -1198,7 +1199,7 @@ struct SessionCache {
 
 /// Reusable buffers for [`Session::multi_get_with`]: hint-cache lookup
 /// results (hints + admission flags) and the tree-side hinted-batch
-/// scratch, the type-erased result pointers buffered before emission,
+/// scratch, the raw result pointers buffered before emission,
 /// and the batch's cold-pointer resolution. All retain capacity across
 /// batches, making the batch read allocation-free in steady state with
 /// or without a cache (the raw pointers are written and read back
@@ -1209,7 +1210,7 @@ struct BatchScratch {
     admits: Vec<bool>,
     hints: Vec<Option<LeafHint<ColValue>>>,
     engine: HintBatchScratch<ColValue>,
-    out: Vec<*const ColValue>,
+    out: Vec<Option<NonNull<ColValue>>>,
     /// The batch's cold pointers, fed through one
     /// [`ValueTier::resolve_many`] (clustered segment reads on misses)
     /// instead of one segment read per key — the server's per-wakeup
@@ -1226,7 +1227,7 @@ unsafe impl Send for BatchScratch {}
 /// Reusable buffers for the leaf-batched scan readahead path
 /// ([`Session::get_range_with`] / [`Session::get_range_resumed`]): one
 /// chunk's row keys (copied out — the scan's assembled key bytes are
-/// valid only per visitor call), type-erased value pointers (written
+/// valid only per visitor call), raw value pointers (written
 /// and read back under the collecting call's epoch guard, like
 /// [`BatchScratch::out`]), and the value tier's batched-resolution
 /// requests/results. All retain capacity across chunks, keeping warm
@@ -1236,9 +1237,9 @@ struct ReadaheadScratch {
     /// Collected row keys, concatenated; row `i` ends at `key_ends[i]`.
     keys: Vec<u8>,
     key_ends: Vec<usize>,
-    /// One pointer per collected row (null = indirect row with a
+    /// One pointer per collected row (`None` = indirect row with a
     /// malformed pointer record, skipped at emit like the inline path).
-    vals: Vec<*const ColValue>,
+    vals: Vec<Option<NonNull<ColValue>>>,
     /// The chunk's cold pointers and their row indices, in row order.
     reqs: Vec<(ValuePtr, u64)>,
     req_rows: Vec<u32>,
@@ -1403,7 +1404,7 @@ impl Session {
 
     /// One leaf-batched readahead scan round: collects up to `want`
     /// rows from `cursor` into the session's readahead scratch (key
-    /// bytes copied, value refs type-erased — both consumed below under
+    /// bytes copied, value refs as raw pointers — both consumed below under
     /// this call's `guard`), batch-resolves the chunk's cold pointers
     /// through [`ValueTier::resolve_many`] (clustered segment reads on
     /// misses), then emits the rows to `f` in original key order. Rows
@@ -1436,13 +1437,13 @@ impl Session {
                     Some(p) => {
                         ra.req_rows.push(ra.vals.len() as u32);
                         ra.reqs.push((p, v.version()));
-                        ra.vals.push(v as *const ColValue);
+                        ra.vals.push(Some(NonNull::from(v)));
                     }
                     // Malformed pointer record: unresolvable, skipped.
-                    None => ra.vals.push(core::ptr::null()),
+                    None => ra.vals.push(None),
                 }
             } else {
-                ra.vals.push(v as *const ColValue);
+                ra.vals.push(Some(NonNull::from(v)));
             }
             ra.vals.len() < want
         });
@@ -1463,14 +1464,18 @@ impl Session {
                     emitted += 1;
                 }
                 r += 1;
-            } else if !ra.vals[i].is_null() {
+            } else if let Some(p) = ra.vals[i] {
                 // SAFETY: collected above under this call's pinned
                 // guard; epoch reclamation keeps the value live.
-                let v = unsafe { &*ra.vals[i] };
+                let v = unsafe { p.as_ref() };
                 f(key, v);
                 emitted += 1;
             }
         }
+        // Let go of the resolved values now: a block the value cache
+        // evicts later is then the cache's alone, and its pool can
+        // recycle it into the next fill.
+        ra.resolved.clear();
         (ra.vals.len(), emitted, out.resumed)
     }
 
@@ -1493,8 +1498,8 @@ impl Session {
 
     /// Borrowed `get_c(k)`: runs `f` against the live [`ColValue`] (or
     /// `None` if the key is absent) **without copying anything** — column
-    /// slices come straight out of the value's data block (§4.7; see
-    /// `value.rs` for the header + data-block layout).
+    /// slices come straight out of the value's one block (§4.7; see
+    /// `value.rs` for the layout).
     ///
     /// The borrow is scoped to the callback because it is protected by an
     /// epoch guard pinned for the duration of the call: the value cannot
@@ -1658,12 +1663,12 @@ impl Session {
     }
 
     /// [`Session::multi_get_with`] on one batch scratch, in four steps:
-    /// collect every result pointer, start each value's data-block
-    /// fetch, resolve the cold pointers as one batch, then emit in input
-    /// order. Emission waits for the whole batch so that the header
-    /// (prefetched by the tree engine) and data-block fetches of all
-    /// keys overlap instead of missing one key after another (see
-    /// `masstree::batch`, "The value stage").
+    /// collect every result pointer, start fetching the rest of each
+    /// large value, resolve the cold pointers as one batch, then emit in
+    /// input order. Emission waits for the whole batch so that the value
+    /// fetches of all keys (the first 128 bytes of each block prefetched
+    /// by the tree engine, the rest here) overlap instead of missing one
+    /// key after another (see `masstree::batch`, "The value stage").
     fn multi_get_on<F>(&self, keys: &[&[u8]], bs: &mut BatchScratch, mut f: F)
     where
         F: FnMut(usize, Option<&ColValue>),
@@ -1678,14 +1683,15 @@ impl Session {
             cold_out,
             resolve,
         } = bs;
-        // 1. Collect. Results are buffered as type-erased pointers, read
-        // back only below under this same guard, so `f` also runs after
-        // the cache lock is released.
+        // 1. Collect. Results are buffered as raw pointers, read back
+        // only below under this same guard, so `f` also runs after the
+        // cache lock is released.
         out.clear();
         match self.cache.as_deref().filter(|sc| !sc.skip_this_op()) {
-            None => self.store.tree.multi_get_with(keys, &guard, |_, v| {
-                out.push(v.map_or(core::ptr::null(), |r| r as *const ColValue))
-            }),
+            None => self
+                .store
+                .tree
+                .multi_get_with(keys, &guard, |_, v| out.push(v.map(NonNull::from))),
             // Hinted batch: keys with valid hints complete with zero
             // descent; the misses run through the interleaved traversal
             // engine and refresh their hints.
@@ -1715,13 +1721,14 @@ impl Session {
                                 }
                             }
                         }
-                        out.push(v.map_or(core::ptr::null(), |r| r as *const ColValue));
+                        out.push(v.map(NonNull::from));
                     });
                 sc.sync_bypass(&c);
             }
         }
-        // 2. The data stage: every inline value's data block starts
-        // arriving now. Cold pointers are gathered instead, so every
+        // 2. The rest of each value: an inline value's lines past the
+        // 128 bytes the engine prefetched start arriving now (a 64-byte
+        // value has none). Cold pointers are gathered instead, so every
         // indirect hit in this run resolves through one `resolve_many` —
         // concurrent cold keys coalesce into clustered segment reads
         // instead of stampeding the tier with one read per key.
@@ -1729,11 +1736,11 @@ impl Session {
         for p in out.iter() {
             // SAFETY: written above under this call's pinned guard;
             // epoch reclamation keeps the value live until it drops.
-            let Some(v) = (unsafe { p.as_ref() }) else {
+            let Some(v) = p.map(|p| unsafe { p.as_ref() }) else {
                 continue;
             };
             if !v.is_indirect() {
-                v.prefetch_data();
+                v.prefetch_rest();
             } else if let Some(ptr) = v.ptr() {
                 cold_reqs.push((ptr, v.version()));
             }
@@ -1748,7 +1755,7 @@ impl Session {
         let mut r = 0usize;
         for (i, p) in out.iter().enumerate() {
             // SAFETY: as above — same pinned guard.
-            match unsafe { p.as_ref() } {
+            match p.map(|p| unsafe { p.as_ref() }) {
                 Some(v) if v.is_indirect() => {
                     // Resolution order matches collection order; a
                     // malformed pointer record never made it into the
@@ -1765,6 +1772,9 @@ impl Session {
                 other => f(i, other),
             }
         }
+        // As after a readahead scan: the cache's evicted blocks recycle
+        // only once no batch still holds them.
+        cold_out.clear();
     }
 
     /// Batched `put_c`: applies every `(key, column updates)` pair with

@@ -146,27 +146,30 @@ pub fn decode_payload(buf: &[u8]) -> Option<Vec<&[u8]>> {
     Some(cols)
 }
 
-/// Decodes a payload straight into a [`ColValue`] — the bulk twin of
-/// [`decode_payload`] for the cache-miss read path: the column bytes
-/// are copied once from the read buffer into the value's single block,
-/// with no intermediate slice vector. `spare` is recycled as the
-/// value's backing block when it fits (see
-/// [`ColValue::from_packed_reusing`]).
-fn decode_payload_value_reusing(
+/// Decodes a payload straight into a cacheable [`ColValue`] — the bulk
+/// twin of [`decode_payload`] for the cache-miss read path: the column
+/// bytes are copied once from the read buffer into the value's single
+/// block, with no intermediate slice vector. An evicted block of the
+/// same size (`spare`, uniquely owned) is rewritten in place
+/// ([`ColValue::refill_packed`]), so a fill that finds one allocates
+/// nothing.
+fn decode_payload_value(
     buf: &[u8],
     version: u64,
-    spare: Option<Box<[u8]>>,
-) -> Option<ColValue> {
+    spare: Option<Arc<ColValue>>,
+) -> Option<Arc<ColValue>> {
     let ncols = u16::from_le_bytes(buf.get(..2)?.try_into().ok()?) as usize;
-    let lens = buf.get(2..2 + 4 * ncols)?;
+    let lens = buf
+        .get(2..2 + 4 * ncols)?
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()));
     let data = &buf[2 + 4 * ncols..];
-    ColValue::from_packed_reusing(
-        version,
-        lens.chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        data,
-        spare,
-    )
+    if let Some(mut v) = spare {
+        if Arc::get_mut(&mut v).is_some_and(|b| b.refill_packed(version, lens.clone(), data)) {
+            return Some(v);
+        }
+    }
+    ColValue::from_packed(version, lens, data).map(Arc::from)
 }
 
 /// Per-segment payload byte accounting, driving GC candidate selection
@@ -401,31 +404,25 @@ impl SegReader {
         Ok(buf)
     }
 
-    /// [`SegReader::read`] decoded into a [`ColValue`] at `version`.
+    /// [`SegReader::read`] decoded into a [`ColValue`] at `version`,
+    /// rewriting `spare` when it fits (see [`decode_payload_value`]).
     /// Prefers the segment mapping — CRC and decode run straight over
     /// the mapped bytes, skipping the syscall and the staging `Vec`.
-    pub fn read_value(&self, ptr: ValuePtr, version: u64) -> Result<ColValue, ValueError> {
-        self.read_value_reusing(ptr, version, None)
-    }
-
-    /// [`SegReader::read_value`] with a recycled backing block for the
-    /// decoded value (see [`ColValue::from_packed_reusing`]).
-    fn read_value_reusing(
+    pub fn read_value(
         &self,
         ptr: ValuePtr,
         version: u64,
-        spare: Option<Box<[u8]>>,
-    ) -> Result<ColValue, ValueError> {
+        spare: Option<Arc<ColValue>>,
+    ) -> Result<Arc<ColValue>, ValueError> {
         if let Some(m) = self.mapped(ptr.seg, ptr.off + u64::from(ptr.len)) {
             let payload = &m.bytes()[ptr.off as usize..][..ptr.len as usize];
             if crc32(payload) != ptr.crc {
                 return Err(ValueError::ChecksumMismatch);
             }
-            return decode_payload_value_reusing(payload, version, spare)
-                .ok_or(ValueError::BadLength);
+            return decode_payload_value(payload, version, spare).ok_or(ValueError::BadLength);
         }
         let buf = self.read(ptr)?;
-        decode_payload_value_reusing(&buf, version, spare).ok_or(ValueError::BadLength)
+        decode_payload_value(&buf, version, spare).ok_or(ValueError::BadLength)
     }
 
     /// Reads a raw clustered window (`buf.len()` bytes at `off`) from
@@ -518,10 +515,10 @@ enum Probe {
     Join(Arc<InFlight>),
     /// This caller leads the fill: read, decode, then
     /// [`LeadGuard::publish`] (cache insert + marker removal are one
-    /// atomic step, so later probes can never re-read). Carries a
-    /// recycled backing block for the decode when the shard pool had
+    /// atomic step, so later probes can never re-read). Carries an
+    /// evicted block for the decode to rewrite when the shard pool had
     /// one of the right size.
-    Lead(Option<Box<[u8]>>),
+    Lead(Option<Arc<ColValue>>),
 }
 
 struct CacheShard {
@@ -536,14 +533,14 @@ struct CacheShard {
     ring: VecDeque<(u64, u64)>,
     bytes: usize,
     budget: usize,
-    /// Backing blocks harvested from evicted values the sweep held the
-    /// last reference to, recycled into new fills of the same size —
-    /// at steady state (evict one ≈1 KB value, decode another) the
-    /// allocator drops out of the miss path entirely.
-    pool: Vec<Box<[u8]>>,
+    /// Evicted values the sweep held the last reference to, rewritten
+    /// in place by new fills of the same size — at steady state (evict
+    /// one ≈1 KB value, decode another) the allocator drops out of the
+    /// miss path entirely. Every block here is uniquely owned.
+    pool: Vec<Arc<ColValue>>,
 }
 
-/// Per-shard cap on pooled backing blocks. Bounds idle pool memory at
+/// Per-shard cap on pooled blocks. Bounds idle pool memory at
 /// `CACHE_SHARDS × cap × payload size` while still covering a whole
 /// clustered window's worth of fills per shard.
 const POOL_CAP: usize = 16;
@@ -592,8 +589,8 @@ impl CacheShard {
     /// key is dropped, a referenced entry gets its second chance, an
     /// unreferenced one is evicted. Terminates: every step either
     /// shrinks the ring or clears a flag that is never re-set here.
-    /// An evicted value nobody else holds surrenders its backing block
-    /// to the shard's recycling pool.
+    /// An evicted value nobody else holds goes to the shard's recycling
+    /// pool.
     fn sweep(&mut self) {
         while self.bytes > self.budget && self.map.len() > 1 {
             let Some(k) = self.ring.pop_front() else {
@@ -606,12 +603,10 @@ impl CacheShard {
                         e.get_mut().referenced = false;
                         self.ring.push_back(k);
                     } else {
-                        let ent = e.remove();
+                        let mut ent = e.remove();
                         self.bytes -= ent.bytes;
-                        if self.pool.len() < POOL_CAP {
-                            if let Ok(v) = Arc::try_unwrap(ent.val) {
-                                self.pool.push(v.into_buf());
-                            }
+                        if self.pool.len() < POOL_CAP && Arc::get_mut(&mut ent.val).is_some() {
+                            self.pool.push(ent.val);
                         }
                     }
                 }
@@ -619,11 +614,11 @@ impl CacheShard {
         }
     }
 
-    /// Takes a pooled backing block of exactly `need` bytes, if one is
-    /// on hand (linear scan — the pool is tiny and shards see uniform
-    /// payload sizes in practice).
-    fn pool_take(&mut self, need: usize) -> Option<Box<[u8]>> {
-        let i = self.pool.iter().position(|b| b.len() == need)?;
+    /// Takes a pooled block whose buffer is exactly `need` bytes, if
+    /// one is on hand (linear scan — the pool is tiny and shards see
+    /// uniform payload sizes in practice).
+    fn pool_take(&mut self, need: usize) -> Option<Arc<ColValue>> {
+        let i = self.pool.iter().position(|v| v.buf_len() == need)?;
         Some(self.pool.swap_remove(i))
     }
 }
@@ -701,8 +696,9 @@ impl ValueCache {
     /// marker removal (those are also one atomic step,
     /// [`ValueCache::finish_lead`]): every reader sees a hit, an
     /// in-flight fill to join, or cleanly leads a fresh fill. `need`
-    /// is the decoded block size the fill would build, so a leader can
-    /// take a recycled block from the shard pool under the same lock.
+    /// is the buffer length of the block the fill would build, so a
+    /// leader can take a recycled block from the shard pool under the
+    /// same lock.
     fn probe_or_lead(&self, key: (u64, u64), need: usize) -> Probe {
         let mut shard = self.shards[shard_of(key)].lock();
         if let Some(e) = shard.map.get_mut(&key) {
@@ -1045,13 +1041,10 @@ impl ValueTier {
                     published: false,
                 };
                 self.segment_reads.fetch_add(1, Ordering::Relaxed);
-                let out = match self.reader.read_value_reusing(ptr, version, spare) {
-                    Ok(v) => Ok(Arc::new(v)),
-                    Err(e) => {
-                        self.unresolved.fetch_add(1, Ordering::Relaxed);
-                        Err(e)
-                    }
-                };
+                let out = self.reader.read_value(ptr, version, spare);
+                if out.is_err() {
+                    self.unresolved.fetch_add(1, Ordering::Relaxed);
+                }
                 lead.publish(&out);
                 if let (Some(obs), Some(t0)) = (obs, fill_t0) {
                     obs.global()
@@ -1228,8 +1221,8 @@ impl ValueTier {
         };
         // One pass — CRC, decode, insert — under locked shard runs:
         // region sharding puts a whole window's keys in one or two
-        // shards, so a run holds one lock, recycles evicted backing
-        // blocks through the shard pool into the decodes, and pays one
+        // shards, so a run holds one lock, recycles evicted blocks
+        // through the shard pool into the decodes, and pays one
         // eviction sweep per run instead of one per payload. A payload
         // that fails CRC or decode inside the window retries through a
         // fresh per-pointer read (symmetric with the torn-window
@@ -1261,11 +1254,10 @@ impl ValueTier {
             }
             let guard = &mut cur.as_mut().unwrap().1;
             let spare = guard.pool_take(payload.len().saturating_sub(2));
-            match decode_payload_value_reusing(payload, version, spare) {
+            match decode_payload_value(payload, version, spare) {
                 Some(v) => {
-                    let arc = Arc::new(v);
-                    guard.insert_locked(key, Arc::clone(&arc));
-                    out[i as usize] = Some(arc);
+                    guard.insert_locked(key, Arc::clone(&v));
+                    out[i as usize] = Some(v);
                 }
                 None => {
                     if let Some((_, mut done)) = cur.take() {
@@ -1287,11 +1279,10 @@ impl ValueTier {
     /// single [`ValueTier::resolve`] miss would produce.
     fn fill_single(&self, ptr: ValuePtr, version: u64, i: u32, out: &mut [Option<Arc<ColValue>>]) {
         self.segment_reads.fetch_add(1, Ordering::Relaxed);
-        match self.reader.read_value(ptr, version) {
+        match self.reader.read_value(ptr, version, None) {
             Ok(v) => {
-                let arc = Arc::new(v);
-                self.cache.insert((ptr.seg, ptr.off), Arc::clone(&arc));
-                out[i as usize] = Some(arc);
+                self.cache.insert((ptr.seg, ptr.off), Arc::clone(&v));
+                out[i as usize] = Some(v);
             }
             Err(_) => {
                 self.unresolved.fetch_add(1, Ordering::Relaxed);
@@ -1514,6 +1505,38 @@ mod tests {
         tier.resolve(ptrs[3], 3).unwrap();
         assert_eq!(tier.stats().value_cache_hits, before + 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shard_never_holds_more_than_its_budget() {
+        // Each entry is charged what its block occupies, and the sweep
+        // evicts until the charges fit again, so the blocks a shard
+        // keeps never add up to more than its budget.
+        const BUDGET: usize = 4096;
+        let cache = ValueCache::new(CACHE_SHARDS * BUDGET);
+        let mut shard = cache.shards[0].lock();
+        let mut seed = 7u64;
+        for i in 0..2_000u64 {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let len = (seed >> 33) as usize % 1500;
+            shard.insert_locked((0, i), Arc::from(ColValue::single(i, &vec![i as u8; len])));
+            // Some second chances, so the hand has to skip entries.
+            if i % 3 == 0 {
+                shard.get_locked((0, i / 2));
+            }
+            shard.sweep();
+            let held: usize = shard.map.values().map(|e| size_of_val(&*e.val)).sum();
+            assert_eq!(shard.bytes, held, "charged bytes are the blocks' sizes");
+            assert!(
+                held <= BUDGET,
+                "{held} bytes held against a {BUDGET}-byte budget"
+            );
+        }
+        // Evicted blocks nobody else held went to the pool, uniquely owned.
+        assert_eq!(shard.pool.len(), POOL_CAP);
+        assert!(shard.pool.iter_mut().all(|v| Arc::get_mut(v).is_some()));
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! deferred garbage, the hot read calls — `get_with`, `multi_get_with`,
 //! `get_range_with` — must perform **zero** heap allocations, and the
 //! write paths — `put`, and a served mixed frame from borrowed wire
-//! decode through the server's batch executor — only their new values'.
-//! Any future regression that sneaks a `Vec`/`Box` back into `get`, the
-//! batch engine, the scanner, request decoding, batch planning or the
-//! log append trips this test. The background log-truncation pass is
-//! held to a memory budget the same way: a fixed count of allocations
-//! and no single one larger than its read window plus slack, however
-//! long the chain it reads.
+//! decode through the server's batch executor — only their new values'
+//! one block each. Cold reads that miss a small value cache and fill it
+//! rewrite evicted blocks in place and allocate nothing. Any future
+//! regression that sneaks a `Vec`/`Box` back into `get`, the batch
+//! engine, the scanner, request decoding, batch planning, the log
+//! append or the cold fill trips this test. The background
+//! log-truncation pass is held to a memory budget the same way: a fixed
+//! count of allocations and no single one larger than its read window
+//! plus slack, however long the chain it reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -298,13 +300,14 @@ fn steady_state_overwrites_do_not_box_their_retirements() {
 
     let puts = ROUNDS * keys.len() as u64;
     let per_put = allocs as f64 / puts as f64;
-    // Measured baseline: ~2.3/put (the new value's own storage — the
-    // tree's box and one column block — plus amortized bag/collection
-    // bookkeeping). Boxing the deferred again would add exactly
-    // +1.0/put (~3.3), so 2.8 cleanly separates the two without being
-    // flaky about the amortized remainder.
+    eprintln!("plain put: {per_put:.4}/put");
+    // Measured: 1.3125/put — the new value's one block plus amortized
+    // bag/collection bookkeeping. Boxing the deferred again, or a value
+    // that takes a second allocation, adds exactly +1.0/put (~2.3), so
+    // measured + 0.5 separates the two without being flaky about the
+    // amortized remainder.
     assert!(
-        per_put < 2.8,
+        per_put < 1.8,
         "steady-state overwrite allocates too much: {allocs} allocations \
          over {puts} puts ({per_put:.3}/put) — did the epoch retire path \
          start boxing its deferreds again?"
@@ -386,6 +389,91 @@ fn steady_state_cold_readahead_scans_do_not_allocate() {
             allocs, 0,
             "steady-state readahead scans over cached cold values must \
              perform zero heap allocations, found {allocs}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn steady_state_cold_fills_recycle_evicted_blocks() {
+    let _serial = serial();
+    // A value cache far smaller than the cold working set, so the
+    // measured point gets and scans miss and fill, and each fill's sweep
+    // evicts about as much as it inserted. An evicted value nobody else
+    // holds goes to its shard's pool, and the next fill of the same size
+    // rewrites that block in place: with the pool warm and the segment
+    // mapped, a fill allocates nothing. A fill that built a fresh value
+    // would allocate it (and turning a boxed value into an `Arc` would
+    // allocate again and copy).
+    const KEYS: u32 = 4_096;
+    let dir = std::env::temp_dir().join(format!("mtkv-alloc-fill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        // 128 KiB over 16 shards: ~36 decoded 200-byte rows per shard,
+        // room for a whole scan's rows, a tenth of the working set.
+        let store = mtkv::Store::persistent_with(
+            &dir,
+            mtkv::DurabilityConfig::default().with_value_separation(32, 128 << 10),
+        )
+        .unwrap();
+        let session = store.session().unwrap();
+        let keys: Vec<Vec<u8>> = (0..KEYS).map(|i| format!("f{i:06}").into_bytes()).collect();
+        let key = |i: u32| &keys[(i % KEYS) as usize][..];
+        let payload = [0x6bu8; 200];
+        for i in 0..KEYS {
+            session.put(key(i), &[(0, &payload[..])]);
+        }
+        assert!(session.force_log());
+
+        // Point gets stride through every key and scans march across
+        // the key space, so no row is read again until thousands of
+        // others have been.
+        let mut sink = 0usize;
+        let mut round = 0u32;
+        let mut run_reads = |sink: &mut usize| {
+            for j in 0..64 {
+                session.get_with(key((round * 64 + j) * 61), |hit| {
+                    *sink += hit.map_or(0, |v| v.col(0).map_or(0, <[u8]>::len));
+                });
+            }
+            session.get_range_with(key(round * 16 * 7), 16, |k, v| {
+                *sink += k.len() + v.col(0).map_or(0, <[u8]>::len);
+            });
+            round += 1;
+        };
+
+        // Warm-up: maps the segment, grows the shard maps, rings, pools
+        // and the scratch buffers to steady capacity.
+        for _ in 0..256 {
+            run_reads(&mut sink);
+        }
+        drain_gc();
+
+        let before = store.value_tier_stats();
+        arm();
+        for _ in 0..256 {
+            run_reads(&mut sink);
+        }
+        let allocs = disarm();
+        let after = store.value_tier_stats();
+
+        let reads = after.indirect_reads - before.indirect_reads;
+        let fills = reads - (after.value_cache_hits - before.value_cache_hits);
+        let per_fill = allocs as f64 / fills as f64;
+        eprintln!("cold fills: {allocs} allocations over {fills} fills of {reads} reads");
+        assert!(sink > 0, "reads actually observed data");
+        assert!(
+            fills * 10 >= reads * 9,
+            "most reads must fill: {fills} of {reads}"
+        );
+        assert_eq!(after.unresolved_reads, before.unresolved_reads);
+        // Measured: 0. A fill that allocates its value — a new block, or
+        // a new `Arc` around a recycled buffer — adds at least 1.0.
+        assert!(
+            per_fill == 0.0,
+            "steady-state cold fills allocate: {allocs} allocations over \
+             {fills} fills ({per_fill:.3}/fill) — are evicted blocks still \
+             rewritten in place?"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -479,7 +567,7 @@ fn steady_state_served_writes_allocate_only_their_values() {
     // 64 B + 8 gets, kinds alternating) decoded **borrowed** off their
     // wire bytes and run through the server's batch executor on a
     // persistent (logging) store. In steady state a put may allocate
-    // its value — the tree's box and the value's one column block —
+    // its value — one block: header, column offsets and bytes —
     // plus amortized epoch-GC bookkeeping for the value it replaces;
     // decode, planning, reply parking, the session's batch bookkeeping
     // and the WAL record must all work in reused buffers. The same
@@ -566,8 +654,12 @@ fn steady_state_served_writes_allocate_only_their_values() {
         let puts = 4 * KEYS as u64;
         assert_eq!(replies, 7 * (16 + 8) * (KEYS as usize / 8));
         let per_put = with_gets as f64 / puts as f64;
+        eprintln!("served put: {per_put:.4}/put ({without} without gets)");
+        // Measured: 1.3594/put; the bound is that + 0.5, below the
+        // +1.0/put a boxed epoch deferred or a second value allocation
+        // would add.
         assert!(
-            per_put <= 3.0,
+            per_put <= 1.85,
             "served steady-state overwrites allocate too much: {with_gets} \
              allocations over {puts} puts ({per_put:.3}/put)"
         );
