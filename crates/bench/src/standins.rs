@@ -429,9 +429,11 @@ impl ConnState for TreeConn {
                 let part = s.parts[p].lock();
                 part.put_with(
                     &key,
-                    |old| match old {
-                        None => ColValue::from_updates(version, &updates),
-                        Some(prev) => prev.with_updates(version, &updates),
+                    |old| {
+                        Some(match old {
+                            None => ColValue::from_updates(version, &updates),
+                            Some(prev) => prev.with_updates(version, &updates),
+                        })
                     },
                     &guard,
                 );

@@ -797,7 +797,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
         let mut out = Vec::with_capacity(keys.len());
         if keys.len() < 2 {
             if let Some(k) = keys.first() {
-                out.push(self.put_with(k, |old| factory(0, old), guard));
+                out.push(self.put_with(k, |old| Some(factory(0, old)), guard));
             }
             return out;
         }

@@ -62,7 +62,6 @@ mod scan_rev;
 mod slab;
 mod stored;
 mod tree;
-mod update;
 
 pub use anchor::{DescentAnchor, NodeRef};
 pub use batch::HintBatchScratch;
@@ -72,7 +71,6 @@ pub use scan::{ScanCursor, ScanResumeOutcome, ScanScratch};
 pub use stats::{Stats, StatsSnapshot};
 pub use stored::Stored;
 pub use tree::Masstree;
-pub use update::Update;
 
 pub use crossbeam::epoch::Guard;
 

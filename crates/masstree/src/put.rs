@@ -23,7 +23,8 @@ use crate::tree::{Masstree, Restart};
 /// Outcome of completing a write at one locked border node (the lock is
 /// consumed either way).
 pub(crate) enum BorderWrite<'g, V: ?Sized> {
-    /// The put completed; `prev` is the previous value.
+    /// The put completed or was declined; `prev` is the value the
+    /// factory saw.
     Done { prev: Option<&'g V> },
     /// The key continues in a deeper trie layer rooted at `root`,
     /// reached through `node[slot]` (which heals lazily).
@@ -46,8 +47,8 @@ enum SplitSide {
 /// values (§4.7) atomic: no other writer can interleave between reading
 /// the old value and publishing the new one.
 pub(crate) trait ValueFactory<V: ?Sized> {
-    /// Returns a [`Stored::into_raw`] pointer. Called exactly once per
-    /// put.
+    /// Returns a [`Stored::into_raw`] pointer, or null to decline: the
+    /// key is then left exactly as it was. Called exactly once per put.
     fn make(&mut self, old: Option<&V>) -> *mut ();
 }
 
@@ -61,12 +62,13 @@ impl<V: ?Sized> ValueFactory<V> for Ready {
     }
 }
 
-/// A value computed from the old one under the lock (`put_with`).
-struct FromFn<'a, V: ?Sized + Stored>(&'a mut dyn FnMut(Option<&V>) -> V::Owned);
+/// A value computed from the old one under the lock (`put_with`); `None`
+/// declines.
+struct FromFn<'a, V: ?Sized + Stored>(&'a mut dyn FnMut(Option<&V>) -> Option<V::Owned>);
 
 impl<V: ?Sized + Stored> ValueFactory<V> for FromFn<'_, V> {
     fn make(&mut self, old: Option<&V>) -> *mut () {
-        V::into_raw((self.0)(old))
+        (self.0)(old).map_or(core::ptr::null_mut(), V::into_raw)
     }
 }
 
@@ -80,19 +82,29 @@ impl<V: ?Sized + Stored> Masstree<V> {
         self.put_inner(key, &mut Ready(V::into_raw(value)), guard)
     }
 
-    /// Atomically installs `f(current)` for `key`.
+    /// Atomically installs `f(current)` for `key`, or — when `f`
+    /// returns `None` — leaves the key as it was.
     ///
-    /// `f` runs under the owning border node's lock, so the read of the
-    /// current value and the publication of the new one form one atomic
-    /// step — concurrent `put_with` calls to the same key serialize. This
-    /// is the paper's §4.7 value protocol: a put builds a fresh value
-    /// object, copying unmodified columns from the old one. Keep `f`
-    /// short; it executes inside a spinlock critical section.
+    /// `f` runs exactly once, under the owning border node's lock, so
+    /// the read of the current value and the publication of the new one
+    /// form one atomic step — concurrent `put_with` calls to the same key
+    /// serialize. This is the paper's §4.7 value protocol: a put builds a
+    /// fresh value object, copying unmodified columns from the old one.
+    /// Keep `f` short; it executes inside a spinlock critical section.
     ///
-    /// Returns the previous value, if any.
+    /// A decline allocates, retires and splits nothing, which makes
+    /// `put_with` the tree's one conditional write: log replay keeps a
+    /// newer resident value, and the value tier's GC relocates a payload
+    /// only while the key still holds the version its scan saw — an
+    /// unconditional put would resurrect a concurrently removed key. (An
+    /// absent key that shares its 8-byte slice with a resident suffix key
+    /// still moves that key one layer down first, §4.6.3, as every layer
+    /// creation does on its way.)
+    ///
+    /// Returns the value `f` saw.
     pub fn put_with<'g, F>(&self, key: &[u8], mut f: F, guard: &'g Guard) -> Option<&'g V>
     where
-        F: FnMut(Option<&V>) -> V::Owned,
+        F: FnMut(Option<&V>) -> Option<V::Owned>,
     {
         self.put_inner(key, &mut FromFn(&mut f), guard)
     }
@@ -197,21 +209,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         // concurrently).
                         let sb = unsafe { KeySuffix::bytes(sp) };
                         if sb == k.suffix() {
-                            // Update: build the new value under the
-                            // lock, publish with one atomic store.
-                            let old = bn.lv[slot].load(Ordering::Acquire);
-                            // SAFETY: the slot's live value.
-                            let vptr = factory.make(Some(unsafe { V::deref(old) }));
-                            bn.lv[slot].store(vptr, Ordering::Release);
-                            bn.version().unlock();
-                            // SAFETY: `old` was this key's value and
-                            // is now unreachable from the tree.
-                            unsafe {
-                                gc::retire_value::<V>(guard, old);
-                                return BorderWrite::Done {
-                                    prev: Some(V::deref(old)),
-                                };
-                            }
+                            return Self::replace_slot(bn, slot, factory, guard);
                         }
                         // Two distinct keys share the slice: move
                         // the resident key one layer down, then
@@ -228,23 +226,17 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         // Exact inline match: update in place.
                         debug_assert_eq!(code as usize, k.slice_len());
                         debug_assert!(!k.has_suffix());
-                        let old = bn.lv[slot].load(Ordering::Acquire);
-                        // SAFETY: the slot's live value.
-                        let vptr = factory.make(Some(unsafe { V::deref(old) }));
-                        bn.lv[slot].store(vptr, Ordering::Release);
-                        bn.version().unlock();
-                        // SAFETY: as in the suffix-update arm.
-                        unsafe {
-                            gc::retire_value::<V>(guard, old);
-                            BorderWrite::Done {
-                                prev: Some(V::deref(old)),
-                            }
-                        }
+                        Self::replace_slot(bn, slot, factory, guard)
                     }
                 }
             }
             BorderSearch::Missing { pos } => {
                 let vptr = factory.make(None);
+                if vptr.is_null() {
+                    // Declined: the key stays absent, nothing splits.
+                    bn.version().unlock();
+                    return BorderWrite::Done { prev: None };
+                }
                 if !perm.is_full() {
                     self.insert_into_border(bn, perm, pos, k, vptr);
                     bn.version().unlock();
@@ -258,6 +250,31 @@ impl<V: ?Sized + Stored> Masstree<V> {
                 BorderWrite::Done { prev: None }
             }
         }
+    }
+
+    /// Updates the key at locked `bn[slot]`, consuming the lock: publishes
+    /// the factory's value with one atomic store and retires the old one,
+    /// or leaves the slot untouched when the factory declines.
+    fn replace_slot<'g>(
+        bn: &'g BorderNode<V>,
+        slot: usize,
+        factory: &mut dyn ValueFactory<V>,
+        guard: &'g Guard,
+    ) -> BorderWrite<'g, V> {
+        let old = bn.lv[slot].load(Ordering::Acquire);
+        // SAFETY: the slot's live value (we hold the lock).
+        let prev = Some(unsafe { V::deref(old) });
+        let vptr = factory.make(prev);
+        if vptr.is_null() {
+            bn.version().unlock();
+            return BorderWrite::Done { prev };
+        }
+        bn.lv[slot].store(vptr, Ordering::Release);
+        bn.version().unlock();
+        // SAFETY: `old` was this key's value and is now unreachable from
+        // the tree.
+        unsafe { gc::retire_value::<V>(guard, old) };
+        BorderWrite::Done { prev }
     }
 
     /// Inserts `(k, vptr)` into a non-full locked border node at sorted

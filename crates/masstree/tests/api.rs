@@ -1,6 +1,7 @@
-//! Tests for the linearization-hook APIs (`put_with`, `remove_with`) and
-//! assorted edge cases: read-modify-write atomicity under contention,
-//! hook ordering guarantees, and scans across structural churn.
+//! Tests for the linearization-hook APIs (`put_with` — declines
+//! included — and `remove_with`) and assorted edge cases:
+//! read-modify-write atomicity under contention, hook ordering
+//! guarantees, and scans across structural churn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,10 +12,10 @@ use masstree::Masstree;
 fn put_with_sees_current_value() {
     let t: Masstree<u64> = Masstree::new();
     let g = masstree::pin();
-    let old = t.put_with(b"k", |old| old.copied().unwrap_or(0) + 1, &g);
+    let old = t.put_with(b"k", |old| Some(old.copied().unwrap_or(0) + 1), &g);
     assert!(old.is_none());
     assert_eq!(t.get(b"k", &g), Some(&1));
-    let old = t.put_with(b"k", |old| old.copied().unwrap_or(0) + 1, &g);
+    let old = t.put_with(b"k", |old| Some(old.copied().unwrap_or(0) + 1), &g);
     assert_eq!(old, Some(&1));
     assert_eq!(t.get(b"k", &g), Some(&2));
 }
@@ -36,13 +37,130 @@ fn concurrent_put_with_increments_never_lose_updates() {
             s.spawn(move || {
                 let g = masstree::pin();
                 for _ in 0..PER {
-                    t.put_with(b"counter", |old| old.copied().unwrap_or(0) + 1, &g);
+                    t.put_with(b"counter", |old| Some(old.copied().unwrap_or(0) + 1), &g);
                 }
             });
         }
     });
     let g = masstree::pin();
     assert_eq!(t.get(b"counter", &g), Some(&(THREADS as u64 * PER)));
+}
+
+#[test]
+fn put_with_declines_leave_present_and_absent_keys_alone() {
+    let t: Masstree<u64> = Masstree::new();
+    let g = masstree::pin();
+    t.put(b"key-a", 1, &g);
+    // Accepted: returns the replaced value. Declined: the kept one.
+    assert_eq!(
+        t.put_with(b"key-a", |old| old.map(|v| v + 10), &g),
+        Some(&1)
+    );
+    assert_eq!(t.put_with(b"key-a", |_| None, &g), Some(&11));
+    assert_eq!(t.get(b"key-a", &g), Some(&11));
+    // Absent: a closure that only ever rewrites never resurrects, even
+    // beside a resident key sharing the absent one's prefix.
+    t.put(b"prefix-shared-long-key-one", 5, &g);
+    for absent in [&b"key-b"[..], b"prefix-shared-long-key-two"] {
+        assert_eq!(t.put_with(absent, |old| old.map(|_| 6), &g), None);
+        assert_eq!(t.get(absent, &g), None);
+    }
+    assert_eq!(t.get(b"prefix-shared-long-key-one", &g), Some(&5));
+}
+
+#[test]
+fn put_with_declines_across_splits_and_after_remove() {
+    // The target sits behind splits and interior nodes: the conditional
+    // write locks the same border node a put would.
+    let t: Masstree<u64> = Masstree::new();
+    let g = masstree::pin();
+    for i in 0..500u64 {
+        t.put(format!("uk{i:04}").as_bytes(), i, &g);
+    }
+    assert_eq!(
+        t.put_with(b"uk0042", |old| old.map(|v| v * 2), &g),
+        Some(&42)
+    );
+    assert_eq!(t.get(b"uk0042", &g), Some(&84));
+    t.remove(b"uk0042", &g);
+    assert_eq!(t.put_with(b"uk0042", |old| old.map(|_| 1), &g), None);
+    assert_eq!(t.get(b"uk0042", &g), None);
+}
+
+#[test]
+fn put_with_decline_into_a_full_border_node_does_not_split() {
+    let mut t: Masstree<u64> = Masstree::new();
+    let g = masstree::pin();
+    for i in 0..15u64 {
+        t.put(&[b'a' + i as u8], i, &g); // one full border node
+    }
+    let before = t.stats().snapshot();
+    assert_eq!(t.put_with(b"p", |_| None, &g), None);
+    assert_eq!(t.stats().snapshot(), before, "a declined insert split");
+    assert_eq!((t.get(b"p", &g), t.count_keys(&g)), (None, 15));
+    // The same write accepted is the one that splits.
+    t.put_with(b"p", |_| Some(15), &g);
+    assert_eq!(t.stats().snapshot().splits, before.splits + 1);
+    drop(g);
+    assert_eq!(t.validate().expect("valid").keys, 16);
+}
+
+#[test]
+fn put_with_decline_beside_a_shared_slice_leaves_a_working_layer() {
+    // The absent key shares its first 8 bytes with a resident suffix
+    // key, which moves one layer down before the closure runs. The
+    // decline leaves it alone there — a state every layer creation
+    // passes through — and both keys keep working from it.
+    let (one, two): (&[u8], &[u8]) = (b"samepfx!-resident", b"samepfx!-declined");
+    let t: Masstree<u64> = Masstree::new();
+    let g = masstree::pin();
+    t.put(one, 1, &g);
+    let layers = t.stats().snapshot().layers_created;
+    assert_eq!(t.put_with(two, |_| None, &g), None);
+    assert_eq!(t.stats().snapshot().layers_created, layers + 1);
+    let rows = |t: &Masstree<u64>| t.get_range(b"", 10, &g);
+    let row = |k: &[u8], v| (k.to_vec(), v);
+    assert_eq!((t.get(one, &g), t.get(two, &g)), (Some(&1), None));
+    assert_eq!(rows(&t), [row(one, &1)]);
+    assert_eq!((t.put(two, 2, &g), t.put(one, 3, &g)), (None, Some(&1)));
+    assert_eq!(rows(&t), [row(two, &2), row(one, &3)]);
+    assert_eq!(t.remove(one, &g), Some(&3));
+    assert_eq!(rows(&t), [row(two, &2)]);
+    assert_eq!(t.remove(two, &g), Some(&2));
+    assert_eq!(t.put_with(one, |_| None, &g), None);
+    assert!(rows(&t).is_empty());
+}
+
+#[test]
+fn put_with_decline_on_a_present_key_keeps_the_value_and_retires_nothing() {
+    static DROPS: AtomicU64 = AtomicU64::new(0);
+    struct Tracked(u64);
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let t: Masstree<Tracked> = Masstree::new();
+    let g = masstree::pin();
+    t.put(b"kept", Tracked(1), &g);
+    t.put(b"control", Tracked(2), &g);
+    let resident: *const Tracked = t.get(b"kept", &g).unwrap();
+    assert!(std::ptr::eq(
+        t.put_with(b"kept", |_| None, &g).unwrap(),
+        resident
+    ));
+    // Retired after the decline: once it is freed, anything the decline
+    // retired would have been freed too.
+    t.put(b"control", Tracked(3), &g);
+    drop(g);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while DROPS.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+        masstree::pin().flush();
+    }
+    assert_eq!(DROPS.load(Ordering::SeqCst), 1, "only the control retired");
+    let g = masstree::pin();
+    assert!(std::ptr::eq(t.get(b"kept", &g).unwrap(), resident));
+    assert_eq!(t.get(b"kept", &g).unwrap().0, 1);
 }
 
 #[test]
@@ -89,7 +207,7 @@ fn interleaved_put_with_and_remove_with_serialize() {
                         b"contended",
                         |_| {
                             drawn = seq.fetch_add(1, Ordering::Relaxed);
-                            drawn
+                            Some(drawn)
                         },
                         &g,
                     );

@@ -226,22 +226,25 @@ impl LogRecord {
             OP_REMOVE | OP_HEARTBEAT | OP_CLEAN_CLOSE | OP_SESSION_CREATE => {}
             _ => return None,
         }
+        let used = 4 + payload.len() + 4;
         let rec = LogRecordRef {
             op,
             timestamp: u64::from_le_bytes(*timestamp),
             version: u64::from_le_bytes(*version),
             key,
             body,
+            frame: &buf[..used],
         };
-        Some((rec, 4 + payload.len() + 4))
+        Some((rec, used))
     }
 }
 
 /// A [`LogRecord`] borrowed from the bytes it was decoded from: key and
 /// body stay slices of the input, so walking a segment allocates nothing
-/// per record. Only [`LogRecord::decode_ref`] makes one, after checking
-/// the whole frame — which is what lets [`LogRecordRef::to_owned`]
-/// re-read the body without checks.
+/// per record, and replay builds a value straight from the borrowed
+/// columns ([`crate::ColValue::from_record`]). Only
+/// [`LogRecord::decode_ref`] makes one, after checking the whole frame —
+/// which is what lets the accessors re-read the body without checks.
 #[derive(Debug, Clone, Copy)]
 pub struct LogRecordRef<'a> {
     /// Wire op byte (see the module docs).
@@ -252,11 +255,50 @@ pub struct LogRecordRef<'a> {
     /// Everything after the key: the `u16` column count and the columns,
     /// then — indirect puts only — the value pointer.
     body: &'a [u8],
+    /// The whole frame, length prefix through CRC.
+    frame: &'a [u8],
 }
 
-impl LogRecordRef<'_> {
+const CHECKED: &str = "body checked by LogRecord::decode_ref";
+
+impl<'a> LogRecordRef<'a> {
     pub fn timestamp(&self) -> u64 {
         self.timestamp
+    }
+
+    /// The value version a data record carries (0 for markers).
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The record's key (empty for markers).
+    pub fn key(&self) -> &'a [u8] {
+        self.key
+    }
+
+    /// The record's bytes as stored: length prefix, payload, CRC.
+    pub fn frame(&self) -> &'a [u8] {
+        self.frame
+    }
+
+    /// True for a remove.
+    pub fn is_remove(&self) -> bool {
+        self.op == OP_REMOVE
+    }
+
+    /// The value pointer of an indirect put (`None` for any other
+    /// record).
+    pub fn ptr(&self) -> Option<ValuePtr> {
+        let ptr = || ValuePtr::decode(&mut &self.body[2..]).expect(CHECKED);
+        (self.op == OP_PUT_INDIRECT).then(ptr)
+    }
+
+    /// An inline put's `(column id, bytes)` pairs, in record order
+    /// (none for any other record).
+    pub fn cols(&self) -> impl Iterator<Item = (u16, &'a [u8])> + Clone {
+        let (ncols, mut rest) = self.body.split_first_chunk::<2>().expect(CHECKED);
+        let n = (self.op == OP_PUT).then_some(u16::from_le_bytes(*ncols));
+        (0..n.unwrap_or(0)).map(move |_| take_col(&mut rest).expect(CHECKED))
     }
 
     /// True for marker records (see [`LogRecord::is_marker`]).
@@ -271,20 +313,13 @@ impl LogRecordRef<'_> {
 
     /// Copies the borrowed record into an owned [`LogRecord`].
     pub fn to_owned(&self) -> LogRecord {
-        const CHECKED: &str = "body checked by LogRecord::decode_ref";
         let (timestamp, version) = (self.timestamp, self.version);
-        let (ncols, mut rest) = self.body.split_first_chunk::<2>().expect(CHECKED);
         match self.op {
             OP_PUT => LogRecord::Put {
                 timestamp,
                 version,
                 key: self.key.to_vec(),
-                cols: (0..u16::from_le_bytes(*ncols))
-                    .map(|_| {
-                        let (id, data) = take_col(&mut rest).expect(CHECKED);
-                        (id, data.to_vec())
-                    })
-                    .collect(),
+                cols: self.cols().map(|(id, data)| (id, data.to_vec())).collect(),
             },
             OP_REMOVE => LogRecord::Remove {
                 timestamp,
@@ -295,7 +330,7 @@ impl LogRecordRef<'_> {
                 timestamp,
                 version,
                 key: self.key.to_vec(),
-                ptr: ValuePtr::decode(&mut rest).expect(CHECKED),
+                ptr: self.ptr().expect(CHECKED),
             },
             OP_HEARTBEAT => LogRecord::Heartbeat { timestamp },
             OP_CLEAN_CLOSE => LogRecord::CleanClose { timestamp },
@@ -1145,6 +1180,7 @@ impl SegmentWalker {
             unread: file_len,
             file_len,
             bytes_read: 0,
+            consumed: 0,
         })
     }
 
@@ -1165,14 +1201,12 @@ impl SegmentWalker {
             sum.nonempty = true;
             sum.sealed = rec.is_clean_close();
             sum.max_ts = sum.max_ts.max(rec.timestamp);
-            if !rec.is_marker() {
-                sum.max_data_ts = sum.max_data_ts.max(rec.timestamp);
-            }
             if !go_on(&rec) {
                 break;
             }
         }
         sum.bytes_read = walk.bytes_read;
+        sum.consumed = walk.consumed;
         Ok(sum)
     }
 }
@@ -1188,12 +1222,13 @@ pub struct SegmentSummary {
     /// Largest timestamp of any record walked, markers included (0 if
     /// none).
     pub max_ts: u64,
-    /// Largest timestamp of a data record walked (0 if none).
-    pub max_data_ts: u64,
     /// File length when the walk began.
     pub file_len: u64,
     /// Bytes read from the file.
     pub bytes_read: u64,
+    /// Bytes of the intact records walked: after a full walk, where the
+    /// segment's torn or corrupt tail (if any) begins.
+    pub consumed: u64,
 }
 
 /// One walk over a segment (see [`SegmentWalker::walk`]).
@@ -1207,6 +1242,7 @@ pub struct SegmentWalk<'w> {
     unread: u64,
     file_len: u64,
     bytes_read: u64,
+    consumed: u64,
 }
 
 impl SegmentWalk<'_> {
@@ -1232,6 +1268,7 @@ impl SegmentWalk<'_> {
             return Ok(None);
         };
         self.start += used;
+        self.consumed += used as u64;
         Ok(Some(rec))
     }
 

@@ -2,23 +2,29 @@
 //!
 //! A session's log is a chain of segments (`log-<session>.<seg>`, see
 //! `log.rs`); within a session, records are timestamp-ordered across the
-//! chain, and every sealed segment ends in a clean-close sentinel.
+//! chain, and every sealed segment ends in a clean-close sentinel. Every
+//! pass below streams segments through a [`SegmentWalker`] window and
+//! borrows each record in place; no segment is read whole.
 //!
-//! Recovery first computes the cutoff `t = min over *crashed* sessions
-//! of the session's max record timestamp (across all its surviving
-//! segments)`: records after `t` may be missing from other logs (their
-//! group commits never completed), so they are dropped to keep the
-//! recovered state prefix-consistent. A session whose **newest** segment
-//! ends in a clean-close sentinel is complete by construction and is
-//! excluded from the `min` — a cleanly closed session must not freeze
-//! the cutoff at its close time (see `LogRecord::CleanClose`). It then
-//! loads the newest checkpoint that *began* before `t` and replays the
-//! surviving segments in parallel from the checkpoint's start timestamp,
-//! applying each value's updates in increasing version order (replays
-//! are idempotent: a record is applied only if its version exceeds the
-//! stored value's). Segments wholly covered by the checkpoint were
-//! already truncated online, so the replay work is bounded by the
-//! checkpoint cadence, not by process uptime.
+//! Recovery first summarises each segment and computes the cutoff `t =
+//! min over *crashed* sessions of the session's max record timestamp
+//! (across all its surviving segments)`: records after `t` may be
+//! missing from other logs (their group commits never completed), so
+//! they are dropped to keep the recovered state prefix-consistent. A
+//! session whose **newest** segment ends in a clean-close sentinel is
+//! complete by construction and is excluded from the `min` — a cleanly
+//! closed session must not freeze the cutoff at its close time (see
+//! `LogRecord::CleanClose`). It then loads the newest checkpoint that
+//! *began* before `t` and replays the surviving segments in parallel
+//! from the checkpoint's start timestamp, each record through
+//! [`install_if_newer`] — the replay rule the replication follower
+//! shares: a record applies only if its version exceeds the stored
+//! value's, so replay is idempotent and order-insensitive, and a record
+//! that loses allocates nothing. Around that rule recovery does what only
+//! it does: it read-verifies indirect pointers, leaves a tombstone per
+//! remove and sweeps the tombstones at the end. Segments wholly covered
+//! by the checkpoint were already truncated online, so the replay work
+//! is bounded by the checkpoint cadence, not by process uptime.
 //!
 //! Finally, recovery **seals** what it consumed: every log file is
 //! trimmed to the records at or before the cutoff and terminated with a
@@ -31,10 +37,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use masstree::Masstree;
+use masstree::{Guard, Masstree};
 
 use crate::checkpoint::{latest_checkpoint_at_or_before, read_part, CheckpointPayload};
-use crate::log::{decode_all, LogRecord};
+use crate::log::{LogRecord, SegmentSummary, SegmentWalker};
 use crate::store::{DurabilityConfig, Store};
 use crate::value::ColValue;
 
@@ -115,10 +121,36 @@ pub fn session_segments(dir: &Path) -> BTreeMap<u64, Vec<(u64, PathBuf)>> {
     out
 }
 
-/// One parsed segment file.
+/// One segment file and what a full walk of it found.
 struct Segment {
     path: PathBuf,
-    records: Vec<(LogRecord, usize)>,
+    summary: SegmentSummary,
+}
+
+/// The replay rule (§5), shared by recovery and the replication
+/// follower: installs `build()` for `key` unless the tree already holds
+/// a value at or past `version`, in which case the key is left as it is
+/// and nothing is built. Records carry the full resulting value (not an
+/// update delta), so a newer record simply replaces what is resident —
+/// which is what makes out-of-order replay across segments, sessions
+/// and replication streams safe. Returns whether the record applied.
+pub(crate) fn install_if_newer(
+    tree: &Masstree<ColValue>,
+    key: &[u8],
+    version: u64,
+    build: impl FnOnce() -> Box<ColValue>,
+    guard: &Guard,
+) -> bool {
+    let mut build = Some(build);
+    tree.put_with(
+        key,
+        |old| match old {
+            Some(prev) if prev.version() >= version => None,
+            _ => build.take().map(|b| b()),
+        },
+        guard,
+    );
+    build.is_none()
 }
 
 /// Rebuilds a store from `log_dir` (logs) and `ckpt_dir` (checkpoints;
@@ -141,19 +173,18 @@ pub fn recover_with(
 ) -> std::io::Result<(Arc<Store>, RecoveryReport)> {
     let mut report = RecoveryReport::default();
 
-    // Read every segment of every session fully (tolerating torn tails).
+    // Walk every segment of every session once (tolerating torn tails)
+    // for the summaries the cutoff needs.
+    let mut walker = SegmentWalker::default();
     let mut sessions: Vec<Vec<Segment>> = Vec::new();
     for (_session, segs) in session_segments(log_dir) {
-        let mut parsed = Vec::with_capacity(segs.len());
+        let mut scanned = Vec::with_capacity(segs.len());
         for (_seg, path) in segs {
-            let data = std::fs::read(&path)?;
-            parsed.push(Segment {
-                path,
-                records: decode_all(&data),
-            });
+            let summary = walker.scan(&path, |_| true)?;
+            scanned.push(Segment { path, summary });
             report.log_segments += 1;
         }
-        sessions.push(parsed);
+        sessions.push(scanned);
     }
 
     // Cutoff: min over *crashed* sessions of the session's max record
@@ -178,19 +209,10 @@ pub fn recover_with(
     let cutoff = sessions
         .iter()
         .filter_map(|segs| {
-            if segs.iter().all(|s| s.records.is_empty()) {
+            if segs.iter().all(|s| !s.summary.nonempty) || segs.last()?.summary.sealed {
                 return None;
             }
-            let newest = segs.last().unwrap();
-            if matches!(
-                newest.records.last(),
-                Some((LogRecord::CleanClose { .. }, _))
-            ) {
-                return None;
-            }
-            segs.iter()
-                .flat_map(|s| s.records.iter().map(|(r, _)| r.timestamp()))
-                .max()
+            segs.iter().map(|s| s.summary.max_ts).max()
         })
         .min()
         .unwrap_or(u64::MAX);
@@ -261,39 +283,40 @@ pub fn recover_with(
         }
     }
 
-    // Replay the surviving segments in parallel (one thread per
-    // segment), applying each record only if it advances the key's value
-    // version — this makes replay order-insensitive across logs *and*
-    // across one session's segments, as §5 requires.
-    //
-    // Indirect records are **read-verified** against the value tier
-    // before their pointer is installed: the segments are never
-    // modified by recovery, so a pointer that verifies now verifies on
-    // every future recovery too (double recovery stays repeatable).
+    // Replay the surviving segments in parallel, one thread and one
+    // walker per segment. Indirect records are **read-verified** before
+    // their pointer is installed: a pointer whose payload is torn or
+    // missing belongs to an unacked tail (every ack forces the tier before
+    // the WAL) and is skipped, not trusted. The value segments are never
+    // modified by recovery, so double recovery stays repeatable. A remove
+    // leaves a versioned tombstone (`ColValue::from_record`): another
+    // log's older put for the key may replay *after* it and must not
+    // resurrect the key.
     let vreader = crate::vtier::SegReader::new(log_dir);
-    let mut totals = (0u64, 0u64, 0u64, 0u64); // replayed, dropped, max_version, unresolved
-    std::thread::scope(|scope| {
+    std::thread::scope(|scope| -> std::io::Result<()> {
         let mut handles = Vec::new();
         for segment in sessions.iter().flatten() {
             let tree = &tree;
-            let records = &segment.records;
             let vreader = &vreader;
-            handles.push(scope.spawn(move || {
+            handles.push(scope.spawn(move || -> std::io::Result<_> {
+                let mut walker = SegmentWalker::default();
+                let mut walk = walker.walk(&segment.path)?;
+                // One pin for the whole segment: replaced values are
+                // reclaimed once it ends, not collected record by record.
                 let guard = masstree::pin();
                 let mut replayed = 0u64;
                 let mut dropped = 0u64;
                 let mut maxv = 0u64;
                 let mut unresolved = 0u64;
-                for (rec, _) in records {
+                while let Some(rec) = walk.next_record()? {
                     if rec.is_marker() {
-                        continue; // heartbeat / clean-close marker only
+                        continue; // heartbeat / clean-close / create marker
                     }
-                    let ts = rec.timestamp();
-                    if ts > cutoff {
+                    if rec.timestamp() > cutoff {
                         dropped += 1;
                         continue;
                     }
-                    if ts < replay_from {
+                    if rec.timestamp() < replay_from {
                         // Covered by the checkpoint: a record's timestamp
                         // is drawn after its tree operation completes, so
                         // anything stamped before the checkpoint began was
@@ -301,101 +324,26 @@ pub fn recover_with(
                         continue;
                     }
                     maxv = maxv.max(rec.version());
-                    match rec {
-                        LogRecord::Put {
-                            version, key, cols, ..
-                        } => {
-                            tree.put_with(
-                                key,
-                                |old| match old {
-                                    // Already newer: keep. Clone, don't
-                                    // rebuild from columns — a rebuild
-                                    // would destroy an indirect pointer
-                                    // record (its payload lives in the
-                                    // value tier, not in columns).
-                                    Some(prev) if prev.version() >= *version => prev.to_owned(),
-                                    // Records carry the full resulting
-                                    // value (not an update delta), so a
-                                    // newer record replaces outright —
-                                    // this is what makes out-of-order
-                                    // replay across segments and
-                                    // sessions safe.
-                                    _ => {
-                                        let updates: Vec<(usize, &[u8])> = cols
-                                            .iter()
-                                            .map(|(i, d)| (*i as usize, d.as_slice()))
-                                            .collect();
-                                        ColValue::from_updates(*version, &updates)
-                                    }
-                                },
-                                &guard,
-                            );
-                            replayed += 1;
-                        }
-                        LogRecord::PutIndirect {
-                            version, key, ptr, ..
-                        } => {
-                            // Verify the payload exists and checks out
-                            // BEFORE installing the pointer: a pointer
-                            // whose payload is torn or missing belongs
-                            // to an unacked tail (every ack forces the
-                            // tier before the WAL) and is skipped, not
-                            // trusted.
-                            match vreader.read(*ptr) {
-                                Ok(_) => {
-                                    tree.put_with(
-                                        key,
-                                        |old| match old {
-                                            Some(prev) if prev.version() >= *version => {
-                                                prev.to_owned()
-                                            }
-                                            _ => ColValue::indirect(*version, *ptr),
-                                        },
-                                        &guard,
-                                    );
-                                    replayed += 1;
-                                }
-                                Err(_) => unresolved += 1,
-                            }
-                        }
-                        LogRecord::Remove { version, key, .. } => {
-                            // A remove must leave a versioned tombstone:
-                            // another log's older put for the same key may
-                            // be replayed *after* this remove, and must
-                            // not resurrect it. Tombstones (zero-column
-                            // inline values) are swept after replay.
-                            tree.put_with(
-                                key,
-                                |old| match old {
-                                    Some(prev) if prev.version() >= *version => prev.to_owned(),
-                                    _ => ColValue::new(*version, &[]),
-                                },
-                                &guard,
-                            );
-                            replayed += 1;
-                        }
-                        LogRecord::Heartbeat { .. }
-                        | LogRecord::CleanClose { .. }
-                        | LogRecord::SessionCreate { .. } => {
-                            unreachable!("markers skipped above")
-                        }
+                    if rec.ptr().is_some_and(|p| vreader.read(p).is_err()) {
+                        unresolved += 1;
+                        continue;
                     }
+                    let build = || ColValue::from_record(&rec);
+                    install_if_newer(tree, rec.key(), rec.version(), build, &guard);
+                    replayed += 1;
                 }
-                (replayed, dropped, maxv, unresolved)
+                Ok((replayed, dropped, maxv, unresolved))
             }));
         }
         for h in handles {
-            let (r, d, m, u) = h.join().expect("replayer panicked");
-            totals.0 += r;
-            totals.1 += d;
-            totals.2 = totals.2.max(m);
-            totals.3 += u;
+            let (replayed, dropped, maxv, unresolved) = h.join().expect("replayer panicked")?;
+            report.replayed += replayed;
+            report.dropped_past_cutoff += dropped;
+            report.values_unresolved += unresolved;
+            max_version = max_version.max(maxv);
         }
-    });
-    report.replayed = totals.0;
-    report.dropped_past_cutoff = totals.1;
-    max_version = max_version.max(totals.2);
-    report.values_unresolved = totals.3;
+        Ok(())
+    })?;
     drop(vreader);
 
     // Sweep remove tombstones (zero-column values) left by replay.
@@ -425,7 +373,7 @@ pub fn recover_with(
     // files no longer constrain the next recovery's cutoff (which would
     // drop writes acked after this recovery), and the records this
     // recovery dropped past the cutoff can never resurrect.
-    report.sealed_logs = seal_segments_to_cutoff(sessions.iter().flatten(), cutoff)?;
+    report.sealed_logs = seal_segments_to_cutoff(&mut walker, sessions.iter().flatten(), cutoff)?;
 
     let mut store = Store::with_state(tree, max_version + 1, config);
     store.set_log_dir(log_dir.to_path_buf());
@@ -441,8 +389,10 @@ pub fn recover_with(
 }
 
 /// Rewrites each file as exactly its records stamped at or before
-/// `cutoff`, terminated by a clean-close sentinel, and reports how many
-/// files changed. The filter is per-record, not a prefix cut: rotation
+/// `cutoff`, terminated by a clean-close sentinel (trimming any torn
+/// tail), and reports how many files changed. A segment whose summary
+/// shows it already is exactly that is not read again. The filter is
+/// per-record, not a prefix cut: rotation
 /// markers are stamped with the max timestamp already written (never
 /// ahead of in-flight data — see `rotate_segment`), but logs written
 /// before that stamping rule may still carry an out-of-band marker
@@ -457,53 +407,42 @@ pub fn recover_with(
 /// resurrect the pre-seal torn log (which would clamp the next
 /// recovery's cutoff).
 fn seal_segments_to_cutoff<'a>(
+    walker: &mut SegmentWalker,
     segments: impl Iterator<Item = &'a Segment>,
     cutoff: u64,
 ) -> std::io::Result<u64> {
+    use std::io::Write;
     let mut sealed = 0u64;
     let mut dirs = std::collections::BTreeSet::new();
     for seg in segments {
-        let data = std::fs::read(&seg.path)?;
-        let records = decode_all(&data);
-        let mut kept = Vec::with_capacity(data.len());
-        let mut prev_end = 0usize;
-        let mut last_kept: Option<&LogRecord> = None;
-        for (rec, end) in &records {
-            if rec.timestamp() <= cutoff {
-                kept.extend_from_slice(&data[prev_end..*end]);
-                last_kept = Some(rec);
-            }
-            prev_end = *end;
-        }
-        let ends_clean = matches!(last_kept, Some(LogRecord::CleanClose { .. }));
-        if ends_clean && kept.len() == data.len() {
+        let sum = &seg.summary;
+        if sum.sealed && sum.max_ts <= cutoff && sum.consumed == sum.file_len {
             continue; // already exactly a sealed record sequence
-        }
-        if !ends_clean {
-            let ts = if cutoff != u64::MAX {
-                cutoff
-            } else {
-                crate::clock::now()
-            };
-            LogRecord::CleanClose { timestamp: ts }.encode(&mut kept);
         }
         // Dotfile prefix: a crash mid-seal must not leave a file the
         // `log-*` listing would pick up.
-        let name = seg
-            .path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("seg");
+        let name = seg.path.file_name().and_then(|n| n.to_str());
         let tmp = seg
             .path
-            .parent()
-            .unwrap_or(Path::new("."))
-            .join(format!(".seal-{name}"));
+            .with_file_name(format!(".seal-{}", name.unwrap_or("seg")));
         {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&kept)?;
-            f.sync_data()?;
+            let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            let mut ends_clean = false;
+            let mut walk = walker.walk(&seg.path)?;
+            while let Some(rec) = walk.next_record()? {
+                if rec.timestamp() <= cutoff {
+                    out.write_all(rec.frame())?;
+                    ends_clean = rec.is_clean_close();
+                }
+            }
+            if !ends_clean {
+                let ts = Some(cutoff).filter(|&t| t != u64::MAX);
+                let mut sentinel = Vec::new();
+                let timestamp = ts.unwrap_or_else(crate::clock::now);
+                LogRecord::CleanClose { timestamp }.encode(&mut sentinel);
+                out.write_all(&sentinel)?;
+            }
+            out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
         }
         std::fs::rename(&tmp, &seg.path)?;
         if let Some(parent) = seg.path.parent() {
@@ -957,6 +896,35 @@ mod tests {
             b"2"
         );
         assert_eq!(r2.dropped_past_cutoff, 0, "{r2:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn seal_trims_a_torn_tail_after_the_sentinel_then_skips_the_segment() {
+        let dir = tmpdir("torn-after-seal");
+        {
+            let store = Store::persistent(&dir).unwrap();
+            let s = store.session().unwrap();
+            s.put_single(b"k", b"v");
+            assert!(s.force_log());
+        }
+        // A cleanly closed log, then half a record past its sentinel.
+        let path = log_files(&dir)[0].clone();
+        let clean = std::fs::read(&path).unwrap();
+        let mut torn = clean.clone();
+        LogRecord::Heartbeat { timestamp: 1 }.encode(&mut torn);
+        torn.truncate(clean.len() + 5);
+        std::fs::write(&path, &torn).unwrap();
+        let (store, r1) = recover(&dir, &dir).unwrap();
+        assert_eq!((r1.cutoff, r1.sealed_logs), (u64::MAX, 1), "{r1:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), clean, "only the tail went");
+        drop(store);
+        let (store, r2) = recover(&dir, &dir).unwrap();
+        assert_eq!(r2.sealed_logs, 0, "a sealed, whole segment is left alone");
+        let s = store.session().unwrap();
+        assert_eq!(s.get(b"k", Some(&[0])).unwrap()[0], b"v");
+        drop(s);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,7 +29,8 @@ use mtobs::{Kind as ObsKind, Obs, Recorder, Stage};
 use parking_lot::{Condvar, Mutex};
 
 use crate::checkpoint::{prune_checkpoints, write_checkpoint, CheckpointMeta};
-use crate::log::{CrashPoint, LogRecord, LogWriter, PendingRecords};
+use crate::log::{CrashPoint, LogRecord, LogRecordRef, LogWriter, PendingRecords};
+use crate::recovery::install_if_newer;
 use crate::value::{ColValue, ValuePtr};
 use crate::vtier::{self, ResolveScratch, ValueError, ValueTier, ValueTierStats};
 
@@ -253,8 +254,8 @@ impl Store {
     /// An in-memory replica store with a **reader-only** value tier
     /// over `dir` (replication followers: the WAL and value-segment
     /// mirrors live there, but the replica itself never logs). Indirect
-    /// values applied via [`Store::replay_put_indirect`] resolve
-    /// through the mirrored segments.
+    /// values applied via [`Store::replay_put`] resolve through the
+    /// mirrored segments.
     pub fn replica(dir: &Path) -> std::io::Result<Arc<Store>> {
         let mut store = Store::new_with(Masstree::new(), 1, None, DurabilityConfig::default());
         store.attach_value_reader(dir)?;
@@ -700,9 +701,9 @@ impl Store {
     ///
     /// **Relocation** (phase B) rewrites the still-live values of
     /// mostly-dead sealed segments to the active segment via
-    /// conditional updates (`update_with`: the pointer is installed
-    /// only if the key still holds the exact version the scan saw — a
-    /// plain put would resurrect concurrently removed keys), logs each
+    /// conditional puts (`put_with` declines unless the key still holds
+    /// the exact version the scan saw — an unconditional put would
+    /// resurrect concurrently removed keys), logs each
     /// rewrite as a `PutIndirect` to the GC's own log chain, and
     /// condemns segments that relocated cleanly.
     fn run_value_gc(self: &Arc<Self>, gates_held: bool, covered_ts: u64) {
@@ -763,19 +764,17 @@ impl Store {
             let guard = masstree::pin();
             let mut new_version = None;
             let mut relocate = |old: &ColValue| {
-                if old.version() == seen_version && old.is_indirect() {
+                // A concurrent writer may already have superseded it.
+                (old.version() == seen_version && old.is_indirect()).then(|| {
                     let nv = self.draw_version();
                     new_version = Some(nv);
-                    Some(ColValue::indirect(nv, np))
-                } else {
-                    None // a concurrent writer already superseded it
-                }
+                    ColValue::indirect(nv, np)
+                })
             };
-            let outcome = self.tree.update_with(&key, &mut relocate, &guard);
-            let replaced = matches!(outcome, masstree::Update::Replaced(_));
+            self.tree
+                .put_with(&key, |old| old.and_then(&mut relocate), &guard);
             drop(guard);
-            if replaced {
-                let version = new_version.expect("replacement drew a version");
+            if let Some(version) = new_version {
                 let logged = self.with_gc_log(|log| {
                     log.append_now(|timestamp| LogRecord::PutIndirect {
                         timestamp,
@@ -795,8 +794,8 @@ impl Store {
                 tier.note_rewritten(p.len as u64);
                 relocated += 1;
             } else {
-                // Lost the race (Kept/Absent): our fresh copy is
-                // garbage.
+                // Lost the race (superseded or removed): our fresh copy
+                // is garbage.
                 tier.note_dead(np);
             }
         }
@@ -913,50 +912,24 @@ impl Store {
             .collect()
     }
 
-    /// Applies a replicated put. Version-gated exactly like recovery
-    /// replay: a value already at or past `version` is kept, so
-    /// re-replaying a re-sent log tail is idempotent. Log records carry
-    /// the full resulting value (not a delta), so a newer record simply
-    /// replaces whatever is resident. Only a replica's single apply
-    /// thread calls this — the store has no local writers.
-    pub fn replay_put(&self, key: &[u8], version: u64, cols: &[(u16, Vec<u8>)]) {
+    /// Applies a replicated put — inline or value-separated — through
+    /// the replay rule recovery uses (`install_if_newer`): a value
+    /// already at or past the record's version is kept, so re-replaying
+    /// a re-sent log tail is idempotent, and the value is built straight
+    /// from the record's borrowed bytes. An indirect record's payload is
+    /// **not** verified here — follower apply threads run behind segment
+    /// mirroring, and every read through the tier re-checks the
+    /// pointer's crc/length before serving a byte. Only a replica's
+    /// single apply thread calls this — the store has no local writers.
+    /// Returns whether the record applied.
+    pub fn replay_put(&self, rec: &LogRecordRef<'_>) -> bool {
+        debug_assert!(!rec.is_marker() && !rec.is_remove(), "a put record");
         let guard = masstree::pin();
-        self.tree.put_with(
-            key,
-            |old| match old {
-                // Keep-by-clone, not by column rebuild: the resident
-                // value may be an indirect pointer record (zero
-                // columns), which a rebuild would silently destroy.
-                Some(prev) if prev.version() >= version => prev.to_owned(),
-                _ => {
-                    let updates: Vec<(usize, &[u8])> = cols
-                        .iter()
-                        .map(|(i, d)| (*i as usize, d.as_slice()))
-                        .collect();
-                    ColValue::from_updates(version, &updates)
-                }
-            },
-            &guard,
-        );
-        self.next_version.fetch_max(version + 1, Ordering::Relaxed);
-    }
-
-    /// Applies a replicated indirect put: installs the pointer record
-    /// version-gated, exactly like [`Store::replay_put`]. The payload
-    /// is **not** verified here — follower apply threads run behind
-    /// segment mirroring, and every read through the tier re-checks the
-    /// pointer's crc/length before serving a byte.
-    pub fn replay_put_indirect(&self, key: &[u8], version: u64, ptr: ValuePtr) {
-        let guard = masstree::pin();
-        self.tree.put_with(
-            key,
-            |old| match old {
-                Some(prev) if prev.version() >= version => prev.to_owned(),
-                _ => ColValue::indirect(version, ptr),
-            },
-            &guard,
-        );
-        self.next_version.fetch_max(version + 1, Ordering::Relaxed);
+        let build = || ColValue::from_record(rec);
+        let applied = install_if_newer(&self.tree, rec.key(), rec.version(), build, &guard);
+        self.next_version
+            .fetch_max(rec.version() + 1, Ordering::Relaxed);
+        applied
     }
 
     /// Applies a replicated remove: drops the key iff the resident value
@@ -1270,6 +1243,15 @@ struct WriteScratch {
     wal: PendingRecords,
 }
 
+/// Runs `f` on a session's reusable scratch — or on a fresh one when it
+/// is busy: a read or write issued from inside another one's visitor.
+fn with_scratch<T: Default, R>(scratch: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
+    match scratch.try_lock() {
+        Some(mut s) => f(&mut s),
+        None => f(&mut T::default()),
+    }
+}
+
 impl SessionCache {
     /// True when this operation should skip the cache entirely (bypass
     /// engaged and this is not one of the 1-in-64 samples).
@@ -1299,8 +1281,8 @@ pub struct Session {
     /// on stats reads. Folds into the hub's retained sink on drop.
     obs: Recorder,
     /// Reusable scan-readahead buffers (`try_lock`ed per range read; a
-    /// reentrant scan from inside a visitor falls back to row-at-a-time
-    /// resolution). Lives on the session, not the optional hint cache:
+    /// range read issued from inside another one's visitor works on a
+    /// fresh set). Lives on the session, not the optional hint cache:
     /// readahead applies to cache-less sessions too.
     readahead: Mutex<ReadaheadScratch>,
     /// Reusable batch-read buffers (`try_lock`ed per
@@ -1384,32 +1366,14 @@ impl Session {
         }
     }
 
-    /// Completes one scan row, resolving indirect values; returns
-    /// whether the row was visited (an unresolvable payload is skipped
-    /// — scans deliver only rows whose bytes are integrity-checked).
-    #[inline]
-    fn visit_row(&self, k: &[u8], v: &ColValue, f: &mut impl FnMut(&[u8], &ColValue)) -> bool {
-        if !v.is_indirect() {
-            f(k, v);
-            return true;
-        }
-        match v.ptr().map(|p| self.store.resolve_indirect(p, v.version())) {
-            Some(Ok(arc)) => {
-                f(k, &arc);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// One leaf-batched readahead scan round: collects up to `want`
     /// rows from `cursor` into the session's readahead scratch (key
     /// bytes copied, value refs as raw pointers — both consumed below under
     /// this call's `guard`), batch-resolves the chunk's cold pointers
     /// through [`ValueTier::resolve_many`] (clustered segment reads on
     /// misses), then emits the rows to `f` in original key order. Rows
-    /// whose payload cannot be verified are skipped, exactly as the
-    /// row-at-a-time path skips them. Returns `(rows collected, rows
+    /// whose payload cannot be verified are skipped: scans deliver only
+    /// rows whose bytes are integrity-checked. Returns `(rows collected, rows
     /// emitted, scan resumed at its anchor)`; collected < want with an
     /// un-done cursor never happens, so callers loop on the emit
     /// deficit without re-checking.
@@ -1579,19 +1543,10 @@ impl Session {
     /// pre-crash state (§5).
     pub fn put(&self, key: &[u8], updates: &[(usize, &[u8])]) -> u64 {
         let t0 = Instant::now();
-        let version = self.with_write_scratch(|w| self.put_logged(key, updates, &mut w.wal));
+        let version = with_scratch(&self.write, |w| self.put_logged(key, updates, &mut w.wal));
         self.obs
             .record_op(ObsKind::Put, t0.elapsed().as_nanos() as u64);
         version
-    }
-
-    /// Runs `f` on the session's write scratch — or on a fresh set when
-    /// it is busy (a write issued from inside another write's visitor).
-    fn with_write_scratch<R>(&self, f: impl FnOnce(&mut WriteScratch) -> R) -> R {
-        match self.write.try_lock() {
-            Some(mut w) => f(&mut w),
-            None => f(&mut WriteScratch::default()),
-        }
     }
 
     /// [`Session::put`] minus the timing: applies the put, queueing its
@@ -1607,7 +1562,7 @@ impl Session {
                     .store
                     .make_value(old, key, updates, &mut dead_ptr, logging);
                 version = newval.version();
-                newval
+                Some(newval)
             };
             self.store.tree.put_with(key, &mut write, &guard);
         }
@@ -1655,11 +1610,7 @@ impl Session {
     where
         F: FnMut(usize, Option<&ColValue>),
     {
-        match self.batch.try_lock() {
-            Some(mut bs) => self.multi_get_on(keys, &mut bs, f),
-            // A visitor re-entered `multi_get_with`: the scratch is busy.
-            None => self.multi_get_on(keys, &mut BatchScratch::default(), f),
-        }
+        with_scratch(&self.batch, |bs| self.multi_get_on(keys, bs, f))
     }
 
     /// [`Session::multi_get_with`] on one batch scratch, in four steps:
@@ -1801,7 +1752,7 @@ impl Session {
     /// lock, so a steady-state call allocates nothing beyond the new
     /// values themselves.
     pub fn multi_put_with(&self, ops: &[PutOp<'_>], f: impl FnMut(usize, u64)) {
-        self.with_write_scratch(|w| self.multi_put_on(ops, w, f))
+        with_scratch(&self.write, |w| self.multi_put_on(ops, w, f))
     }
 
     fn multi_put_on(&self, ops: &[PutOp<'_>], w: &mut WriteScratch, mut f: impl FnMut(usize, u64)) {
@@ -1869,7 +1820,7 @@ impl Session {
                 // A removed indirect value's payload bytes are dead.
                 self.store.note_dead_ptr(prev.ptr());
                 if let Some(log) = &self.log {
-                    self.with_write_scratch(|w| {
+                    with_scratch(&self.write, |w| {
                         w.wal.remove(version, key);
                         log.append_pending(&mut w.wal);
                     });
@@ -1932,80 +1883,41 @@ impl Session {
             return 0;
         }
         let t0 = Instant::now();
-        let guard = masstree::pin();
-        // Leaf-batched readahead wants the session scratch; a reentrant
-        // scan from inside a visitor finds it busy and takes the
-        // row-at-a-time path below.
-        if let Some(mut ra) = self.readahead.try_lock() {
+        let seen = with_scratch(&self.readahead, |ra| {
             // The cursor comes from the per-session cache when attached
             // (taken OUT for the duration, lock released before the
             // visitor runs — a matching chunked-scan resume re-enters
             // the tree at the validated anchor with zero descent) and
-            // is a fresh descent otherwise.
-            // Cursor-less calls recycle the scratch's spare cursor so
-            // the reset reuses its bound buffer (no per-call Vec).
-            let spare = |ra: &mut ReadaheadScratch| match ra.spare_cursor.take() {
-                Some(mut c) => {
-                    c.reset(key, false);
-                    c
-                }
-                None => ScanCursor::forward(key),
-            };
-            let (mut cur, matched, cached) = match &self.cache {
-                Some(sc) if !sc.skip_this_op() => {
-                    match sc
-                        .cursors
+            // is the scratch's spare otherwise, reset so it reuses its
+            // bound buffer (no per-call Vec).
+            let cached = self
+                .cache
+                .as_ref()
+                .filter(|sc| !sc.skip_this_op())
+                .and_then(|sc| {
+                    sc.cursors
                         .try_lock()
                         .map(|mut cc| cc.take_or_start(key, false))
-                    {
-                        Some((cur, matched)) => (cur, matched, true),
-                        None => (spare(&mut ra), false, false),
-                    }
-                }
-                _ => (spare(&mut ra), false, false),
-            };
-            let mut seen = 0usize;
-            let mut first = true;
-            // One round in the common case; extra rounds only refill
-            // the deficit when unresolvable rows were skipped.
-            while seen < n && !cur.is_done() {
-                let (collected, emitted, resumed) =
-                    self.scan_round_readahead(&mut cur, n - seen, &mut ra, &guard, &mut f);
-                if first {
-                    if let Some(sc) = &self.cache {
-                        let mut c = sc.table.lock();
-                        if resumed {
-                            c.note_scan_resumed();
-                        } else if matched {
-                            c.note_scan_fallback();
-                        }
-                    }
-                    first = false;
-                }
-                seen += emitted;
-                if collected == 0 {
-                    break;
-                }
-            }
-            if cached {
-                if let Some(sc) = &self.cache {
+                });
+            let is_cached = cached.is_some();
+            let (mut cur, matched) = cached.unwrap_or_else(|| {
+                let mut spare = ra
+                    .spare_cursor
+                    .take()
+                    .unwrap_or_else(|| ScanCursor::forward(key));
+                spare.reset(key, false);
+                (spare, false)
+            });
+            let seen = self.scan_rounds(&mut cur, n, matched, ra, &mut f);
+            match &self.cache {
+                Some(sc) if is_cached => {
                     if let Some(mut cc) = sc.cursors.try_lock() {
                         cc.put(cur);
                     }
                 }
-            } else {
-                ra.spare_cursor = Some(cur);
+                _ => ra.spare_cursor = Some(cur),
             }
-            self.obs
-                .record_op(ObsKind::Scan, t0.elapsed().as_nanos() as u64);
-            return seen;
-        }
-        let mut seen = 0usize;
-        self.store.tree.scan(key, &guard, |k, v| {
-            if self.visit_row(k, v, &mut f) {
-                seen += 1;
-            }
-            seen < n
+            seen
         });
         self.obs
             .record_op(ObsKind::Scan, t0.elapsed().as_nanos() as u64);
@@ -2036,50 +1948,53 @@ impl Session {
             return 0;
         }
         let t0 = Instant::now();
-        let guard = masstree::pin();
         let had_anchor = cursor.has_anchor();
-        let mut seen = 0usize;
-        if let Some(mut ra) = self.readahead.try_lock() {
-            // Leaf-batched readahead (see `get_range_with`): collect the
-            // chunk, batch-resolve its cold pointers, emit in order.
-            let mut first = true;
-            while seen < n && !cursor.is_done() {
-                let (collected, emitted, resumed) =
-                    self.scan_round_readahead(cursor, n - seen, &mut ra, &guard, &mut f);
-                if first {
-                    if let Some(sc) = &self.cache {
-                        let mut c = sc.table.lock();
-                        if resumed {
-                            c.note_scan_resumed();
-                        } else if had_anchor {
-                            c.note_scan_fallback();
-                        }
-                    }
-                    first = false;
-                }
-                seen += emitted;
-                if collected == 0 {
-                    break;
-                }
-            }
-        } else {
-            let out = self.store.tree.scan_resume(cursor, &guard, |k, v| {
-                if self.visit_row(k, v, &mut f) {
-                    seen += 1;
-                }
-                seen < n
-            });
-            if let Some(sc) = &self.cache {
-                let mut c = sc.table.lock();
-                if out.resumed {
-                    c.note_scan_resumed();
-                } else if had_anchor {
-                    c.note_scan_fallback();
-                }
-            }
-        }
+        let seen = with_scratch(&self.readahead, |ra| {
+            self.scan_rounds(cursor, n, had_anchor, ra, &mut f)
+        });
         self.obs
             .record_op(ObsKind::Scan, t0.elapsed().as_nanos() as u64);
+        seen
+    }
+
+    /// The one range-read loop: leaf-batched readahead rounds from
+    /// `cursor` until `n` rows are visited or the range ends. One round
+    /// in the common case; extra rounds only refill the deficit when
+    /// unresolvable rows were skipped. The first round tells the cache
+    /// whether a scan that `expected_resume` re-entered at its anchor.
+    fn scan_rounds<F>(
+        &self,
+        cursor: &mut ScanCursor,
+        n: usize,
+        expected_resume: bool,
+        ra: &mut ReadaheadScratch,
+        f: &mut F,
+    ) -> usize
+    where
+        F: FnMut(&[u8], &ColValue),
+    {
+        let guard = masstree::pin();
+        let mut seen = 0usize;
+        let mut first = true;
+        while seen < n && !cursor.is_done() {
+            let (collected, emitted, resumed) =
+                self.scan_round_readahead(cursor, n - seen, ra, &guard, f);
+            if first {
+                if let Some(sc) = &self.cache {
+                    let mut c = sc.table.lock();
+                    if resumed {
+                        c.note_scan_resumed();
+                    } else if expected_resume {
+                        c.note_scan_fallback();
+                    }
+                }
+                first = false;
+            }
+            seen += emitted;
+            if collected == 0 {
+                break;
+            }
+        }
         seen
     }
 

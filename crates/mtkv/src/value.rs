@@ -23,6 +23,8 @@ use std::ptr;
 use masstree::prefetch::prefetch_object;
 use masstree::Stored;
 
+use crate::log::LogRecordRef;
+
 /// A fixed-size pointer into the value-separation tier (`vtier`): the
 /// leaf keeps this 24-byte record instead of the column bytes for
 /// values past the separation threshold (WiscKey-style key/value
@@ -274,6 +276,23 @@ impl ColValue {
     pub fn from_updates(version: u64, updates: &[(usize, &[u8])]) -> Box<ColValue> {
         ColValue::build(version, updated_cols(updates), |i| {
             updated(updates, i).unwrap_or(&[])
+        })
+    }
+
+    /// The value a replayed log record leaves behind, built in one block
+    /// straight from the record's borrowed bytes: an inline put's columns
+    /// (read as [`ColValue::from_updates`] reads its updates), an indirect
+    /// put's pointer, or — for a remove — the zero-column tombstone
+    /// recovery sweeps once replay ends.
+    pub fn from_record(rec: &LogRecordRef<'_>) -> Box<ColValue> {
+        if let Some(ptr) = rec.ptr() {
+            return ColValue::indirect(rec.version(), ptr);
+        }
+        let cols = || rec.cols().map(|(i, d)| (usize::from(i), d));
+        let ncols = cols().map(|(i, _)| i + 1).max().unwrap_or(0);
+        ColValue::build(rec.version(), ncols, |i| {
+            let last = cols().filter(|&(j, _)| j == i).last();
+            last.map_or(&[], |(_, d)| d)
         })
     }
 
@@ -539,6 +558,29 @@ mod tests {
         let mut enc = Vec::new();
         p.encode(&mut enc);
         assert_eq!(ValuePtr::decode(&mut &enc[..]), Some(p));
+    }
+
+    #[test]
+    fn from_record_reads_columns_as_from_updates_does() {
+        use crate::log::LogRecord;
+        // A gap (column 1) and a column named twice.
+        let updates: [(usize, &[u8]); 3] = [(2, b"two"), (0, b"zero"), (2, b"last")];
+        let cols = updates
+            .iter()
+            .map(|&(i, d)| (i as u16, d.to_vec()))
+            .collect();
+        let (timestamp, version, key) = (1, 7, b"k".to_vec());
+        let mut buf = Vec::new();
+        LogRecord::Put {
+            timestamp,
+            version,
+            key,
+            cols,
+        }
+        .encode(&mut buf);
+        let (rec, _) = LogRecord::decode_ref(&buf).unwrap();
+        let want = ColValue::from_updates(version, &updates);
+        assert_eq!(ColValue::from_record(&rec), want);
     }
 
     #[test]

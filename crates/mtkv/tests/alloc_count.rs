@@ -14,7 +14,9 @@
 //! append or the cold fill trips this test. The background
 //! log-truncation pass is held to a memory budget the same way: a fixed
 //! count of allocations and no single one larger than its read window
-//! plus slack, however long the chain it reads.
+//! plus slack, however long the chain it reads. Log replay — recovery's
+//! and the replication follower's — allocates the block of each value a
+//! record installs, and nothing for a record that loses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -728,5 +730,73 @@ fn truncation_streams_a_long_chain_through_one_window() {
         report.bytes_scanned <= report.bytes_deleted + mtkv::log::WALK_WINDOW as u64,
         "the kept segment was read past one window: {report:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_allocates_only_the_values_that_win() {
+    let _serial = serial();
+    // Segments walked through the replay rule recovery and the follower
+    // share, as a recovery thread walks them: one window, records
+    // borrowed in place, one pin per segment. Every key is first made
+    // resident at a middle version; the measured segment then holds an
+    // older record ("loser") and a newer one ("winner") for each.
+    use mtkv::log::{LogRecord, SegmentWalker};
+    const KEYS: u32 = 10_000;
+    let dir = std::env::temp_dir().join(format!("mtkv-alloc-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let payload = [0x42u8; 64];
+    let (old, mid, new) = (0, 2 * u64::from(KEYS), 4 * u64::from(KEYS));
+    let segment = |name: &str, versions: &[u64]| {
+        let mut buf = Vec::new();
+        for (i, base) in (0..KEYS).flat_map(|i| versions.iter().map(move |b| (i, b))) {
+            let (version, key) = (base + u64::from(i), format!("r{i:06}").into_bytes());
+            let cols = vec![(0, payload.to_vec())];
+            LogRecord::Put {
+                timestamp: version,
+                version,
+                key,
+                cols,
+            }
+            .encode(&mut buf);
+        }
+        std::fs::write(dir.join(name), buf).unwrap();
+        dir.join(name)
+    };
+    let (resident, mixed) = (segment("log-0.0", &[mid]), segment("log-1.0", &[old, new]));
+    let store = Store::replica(&dir).unwrap();
+    let mut walker = SegmentWalker::default();
+    let mut replay = |path| {
+        let _guard = masstree::pin();
+        let mut walk = walker.walk(path).unwrap();
+        let mut applied = 0u32;
+        while let Some(rec) = walk.next_record().unwrap() {
+            applied += u32::from(store.replay_put(&rec));
+        }
+        applied
+    };
+    assert_eq!(replay(&resident), KEYS);
+    drain_gc();
+    arm();
+    let winners = replay(&mixed);
+    let allocs = disarm();
+    drain_gc();
+    arm();
+    let again = replay(&mixed); // every record loses this time
+    let allocs_again = disarm();
+
+    eprintln!("replay: {allocs} allocations for {winners} winners of {KEYS} x 2 records");
+    assert_eq!((winners, again), (KEYS, 0));
+    // Measured: 10,022 — one block per winner, and amortised growth of
+    // the epoch bag holding the values the winners retire. A loser that
+    // allocated (a clone of the kept value, an owned record) would add
+    // 10,000.
+    assert!(allocs <= u64::from(KEYS) + 64, "{allocs} allocations");
+    assert_eq!(allocs_again, 0, "losers allocate nothing");
+    let guard = masstree::pin();
+    let v = store.tree().get(b"r004242", &guard).unwrap();
+    assert_eq!((v.version(), v.col(0)), (new + 4242, Some(&payload[..])));
+    drop(guard);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,9 @@
 //! per key reads, visited once per key in input order: with no cache, a
 //! cache serving hits, a cache in adaptive bypass, a visitor that
 //! re-enters the batch read (fresh scratch), and a value-separated store
-//! whose cold pointers resolve through `ValueTier::resolve_many`.
+//! whose cold pointers resolve through `ValueTier::resolve_many`. Range
+//! reads share the reentrancy rule: one nested in another's visitor runs
+//! the same readahead loop on a fresh scratch and reads the same rows.
 
 use std::sync::Arc;
 
@@ -114,9 +116,38 @@ fn check_all(session: &Session) -> usize {
     read
 }
 
+/// `n` rows (a multiple of 8) from `start`, visited by one
+/// `get_range_with` or, `resumed`, in 8-row `get_range_resumed` chunks.
+fn range_with(
+    session: &Session,
+    start: &[u8],
+    n: usize,
+    resumed: bool,
+    mut visit: impl FnMut(&[u8], &ColValue),
+) {
+    if resumed {
+        let mut cursor = session.scan_cursor(start);
+        for _ in 0..n / 8 {
+            session.get_range_resumed(&mut cursor, 8, &mut visit);
+        }
+    } else {
+        session.get_range_with(start, n, visit);
+    }
+}
+
+/// [`range_with`], every row copied out.
+fn range(session: &Session, start: &[u8], n: usize, resumed: bool) -> Vec<(Vec<u8>, Row)> {
+    let mut rows = Vec::new();
+    range_with(session, start, n, resumed, |k, v| {
+        rows.push((k.to_vec(), Some(v.cols())))
+    });
+    rows
+}
+
 /// A visitor that issues another batch read while the outer one is
 /// still emitting: the inner call finds the session's scratch busy and
-/// runs on a fresh one; both must still read correctly.
+/// runs on a fresh one; both must still read correctly. The same for
+/// range reads, plain and resumed, nested in each other's visitors.
 fn check_reentrant(session: &Session) {
     let outer = batch(33, 1);
     let outer = refs(&outer);
@@ -135,6 +166,27 @@ fn check_reentrant(session: &Session) {
     });
     assert_eq!(nested, 5);
     assert_rows(&outer, &got, &want_outer);
+
+    let (outer_start, inner_start) = (key(3), key(1_000));
+    let want_outer = range(session, &outer_start, 24, false);
+    let want_inner = range(session, &inner_start, 40, false);
+    assert_eq!((want_outer.len(), want_inner.len()), (24, 40));
+    for (k, row) in want_outer.iter().chain(&want_inner) {
+        assert_eq!(*row, point(session, &[k])[0], "{k:?}");
+    }
+    for outer_resumed in [false, true] {
+        let mut got = Vec::new();
+        range_with(session, &outer_start, 24, outer_resumed, |k, v| {
+            got.push((k.to_vec(), Some(v.cols())));
+            if got.len() % 8 == 1 {
+                for inner_resumed in [false, true] {
+                    let inner = range(session, &inner_start, 40, inner_resumed);
+                    assert_eq!(inner, want_inner, "nested in {outer_resumed}");
+                }
+            }
+        });
+        assert_eq!(got, want_outer, "resumed: {outer_resumed}");
+    }
 }
 
 fn in_memory(cache: Option<CacheConfig>) -> (Arc<Store>, Session) {

@@ -164,18 +164,13 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// What `decode_all` says about a whole segment: non-empty, sealed,
-/// largest data-record timestamp, bytes.
+/// bytes of intact records, bytes.
 fn oracle_summary(data: &[u8]) -> (bool, bool, u64, u64) {
     let records = decode_all(data);
     (
         !records.is_empty(),
         matches!(records.last(), Some((LogRecord::CleanClose { .. }, _))),
-        records
-            .iter()
-            .filter(|(r, _)| !r.is_marker())
-            .map(|(r, _)| r.timestamp())
-            .max()
-            .unwrap_or(0),
+        records.last().map_or(0, |&(_, end)| end as u64),
         data.len() as u64,
     )
 }
@@ -187,7 +182,7 @@ fn check_walk(walker: &mut SegmentWalker, path: &Path, data: &[u8], ctx: &str) {
     let want = decode_all(data);
     let sum = walker.scan(path, |_| true).unwrap();
     assert_eq!(
-        (sum.nonempty, sum.sealed, sum.max_data_ts, sum.file_len),
+        (sum.nonempty, sum.sealed, sum.consumed, sum.file_len),
         oracle_summary(data),
         "{ctx}"
     );

@@ -52,8 +52,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mtkv::log::{LogRecord, LogRecordRef, SegmentWalker};
 use mtkv::store::ReplStats;
-use mtkv::{LogRecord, Store};
+use mtkv::Store;
 
 /// Follower→primary handshake magic.
 const HANDSHAKE_MAGIC: &[u8; 4] = b"MTRP";
@@ -907,6 +908,19 @@ struct SessState {
     dirty: bool,
 }
 
+impl SessState {
+    /// A session applied up to byte `applied` of segment `seg`.
+    fn at(seg: u64, applied: u64) -> SessState {
+        SessState {
+            seg,
+            applied,
+            buf: Vec::new(),
+            file: None,
+            dirty: false,
+        }
+    }
+}
+
 /// Everything the apply path mutates, kept together so bootstrap replay
 /// and live streaming share one code path.
 struct ApplyState {
@@ -937,67 +951,46 @@ impl ApplyState {
         }
     }
 
-    fn apply_record(&mut self, store: &Store, rec: &LogRecord) {
-        match rec {
-            LogRecord::Put {
-                version, key, cols, ..
-            } => {
-                match self.swept.get(key) {
-                    Some(&swept_v) if *version <= swept_v => {
-                        // A newer remove already covered this put.
-                    }
-                    other => {
-                        if other.is_some() {
-                            self.swept.remove(key);
-                        }
-                        store.replay_put(key, *version, cols);
-                    }
-                }
-            }
-            LogRecord::PutIndirect {
-                version, key, ptr, ..
-            } => match self.swept.get(key) {
-                Some(&swept_v) if *version <= swept_v => {}
+    fn apply_record(&mut self, store: &Store, rec: &LogRecordRef<'_>) {
+        if rec.is_remove() {
+            let e = self
+                .swept
+                .entry(rec.key().to_vec())
+                .or_insert(rec.version());
+            *e = (*e).max(rec.version());
+            store.replay_remove(rec.key(), rec.version());
+        } else if !rec.is_marker() {
+            match self.swept.get(rec.key()) {
+                // A newer remove already covered this put.
+                Some(&swept_v) if rec.version() <= swept_v => {}
                 other => {
                     if other.is_some() {
-                        self.swept.remove(key);
+                        self.swept.remove(rec.key());
                     }
-                    store.replay_put_indirect(key, *version, *ptr);
+                    store.replay_put(rec);
                 }
-            },
-            LogRecord::Remove { version, key, .. } => {
-                let e = self.swept.entry(key.clone()).or_insert(*version);
-                *e = (*e).max(*version);
-                store.replay_remove(key, *version);
             }
-            LogRecord::Heartbeat { .. }
-            | LogRecord::CleanClose { .. }
-            | LogRecord::SessionCreate { .. } => {}
         }
         self.last_applied_ts = self.last_applied_ts.max(rec.timestamp());
     }
 
-    /// Decodes and applies every complete record buffered for
-    /// `session`, advancing its applied watermark.
+    /// Applies every complete record buffered for `session`, borrowed
+    /// straight from the buffer, advancing its applied watermark.
     fn drain_session(&mut self, store: &Store, session: u64) {
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
+        let mut buf = std::mem::take(&mut s.buf);
         let mut pos = 0;
-        let mut recs = Vec::new();
-        while let Some((rec, used)) = LogRecord::decode(&s.buf[pos..]) {
+        while let Some((rec, used)) = LogRecord::decode_ref(&buf[pos..]) {
             pos += used;
-            recs.push(rec);
+            self.apply_record(store, &rec);
         }
-        if pos == 0 {
-            return;
-        }
-        s.buf.drain(..pos);
+        buf.drain(..pos);
+        let s = self.sessions.get_mut(&session).expect("looked up above");
+        s.buf = buf;
         s.applied += pos as u64;
         self.applied_total += pos as u64;
-        for rec in &recs {
-            self.apply_record(store, rec);
-        }
     }
 
     fn watermarks(&self) -> Vec<(u64, u64, u64)> {
@@ -1108,131 +1101,90 @@ fn bootstrap(shared: &FolShared) -> ApplyState {
         .map(|&(session, seg, applied)| (session, (seg, applied)))
         .collect();
     // Trim: anything past the journal never had its durability asserted.
+    // Value-segment mirrors are trimmed against the journaled vseg
+    // cursor the same way.
     for path in mtkv::log_files(&shared.dir) {
-        let Some((session, seg)) = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(mtkv::parse_log_name)
-        else {
-            continue;
-        };
-        match journal.get(&session) {
-            None => {
-                let _ = std::fs::remove_file(&path);
-            }
-            Some(&(jseg, japplied)) => {
-                if seg > jseg {
-                    let _ = std::fs::remove_file(&path);
-                } else if seg == jseg {
-                    if let Ok(f) = OpenOptions::new().write(true).open(&path) {
-                        let _ = f.set_len(japplied);
-                    }
-                }
-            }
+        let name = path.file_name().and_then(|n| n.to_str());
+        if let Some((session, seg)) = name.and_then(mtkv::parse_log_name) {
+            trim_mirror(&path, seg, journal.get(&session).copied());
         }
     }
-    // Value-segment mirrors get the same trim against the journaled
-    // vseg cursor.
-    let vmark = journal.get(&VSEG_SESSION).copied();
-    for seg in mtkv::vtier::vseg_ids(&shared.dir) {
+    let vsegs = mtkv::vtier::vseg_ids(&shared.dir);
+    for &seg in &vsegs {
         let path = mtkv::vtier::vseg_path(&shared.dir, seg);
-        match vmark {
-            None => {
-                let _ = std::fs::remove_file(&path);
-            }
-            Some((jseg, japplied)) => {
-                if seg > jseg {
-                    let _ = std::fs::remove_file(&path);
-                } else if seg == jseg {
-                    if let Ok(f) = OpenOptions::new().write(true).open(&path) {
-                        let _ = f.set_len(japplied);
-                    }
-                }
-            }
-        }
+        trim_mirror(&path, seg, journal.get(&VSEG_SESSION).copied());
     }
-    // Replay. Per-session chains must decode end-to-end; a short decode
-    // means the mirror is corrupt and the whole state is discarded. A
-    // journaled session with no files yet is valid only at a zero
-    // watermark (the mirror file is created on first received byte).
+    // Replay, streaming each mirror segment through one walker. Per-
+    // session chains must decode end-to-end; a short decode means the
+    // mirror is corrupt and the whole state is discarded. A journaled
+    // session with no files yet is valid only at a zero watermark (the
+    // mirror file is created on first received byte).
     let chains = mtkv::session_segments(&shared.dir);
+    let mut walker = SegmentWalker::default();
     for (&session, &(jseg, japplied)) in &journal {
-        if session == VSEG_SESSION {
+        let ok = if session == VSEG_SESSION {
             // Mirrored verbatim, nothing to replay: count the mirrored
             // bytes and restore the cursor. The journaled segment must
             // hold exactly the bytes the journal asserted durable.
-            let active_len = std::fs::metadata(mtkv::vtier::vseg_path(&shared.dir, jseg))
-                .map(|m| m.len())
-                .unwrap_or(0);
-            if active_len != japplied {
-                wipe_mirrors(&shared.dir);
-                shared.store.reset_replica();
-                return ApplyState::new();
-            }
-            for seg in mtkv::vtier::vseg_ids(&shared.dir) {
-                let len = std::fs::metadata(mtkv::vtier::vseg_path(&shared.dir, seg))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                state.applied_total += len;
-            }
-            state.sessions.insert(
-                VSEG_SESSION,
-                SessState {
-                    seg: jseg,
-                    applied: japplied,
-                    buf: Vec::new(),
-                    file: None,
-                    dirty: false,
-                },
-            );
-            continue;
-        }
-        let chain = chains.get(&session).cloned().unwrap_or_default();
-        let consistent = if chain.is_empty() {
-            japplied == 0
+            let len = |seg| {
+                std::fs::metadata(mtkv::vtier::vseg_path(&shared.dir, seg)).map_or(0, |m| m.len())
+            };
+            state.applied_total += vsegs.iter().map(|&seg| len(seg)).sum::<u64>();
+            len(jseg) == japplied
         } else {
-            chain.last().map(|&(seg, _)| seg) == Some(jseg)
+            let chain = chains.get(&session).map_or(&[][..], Vec::as_slice);
+            let consistent = match chain.last() {
+                None => japplied == 0,
+                Some(&(seg, _)) => seg == jseg,
+            };
+            consistent
+                && chain.iter().all(|(seg, path)| {
+                    // An unreadable mirror reads as empty.
+                    let walked = walker
+                        .scan(path, |rec| {
+                            state.apply_record(&shared.store, rec);
+                            true
+                        })
+                        .unwrap_or_default();
+                    state.applied_total += walked.consumed;
+                    let expect = if *seg == jseg {
+                        japplied
+                    } else {
+                        walked.file_len
+                    };
+                    walked.consumed == expect
+                })
         };
-        let mut ok = consistent;
-        if ok {
-            for (seg, path) in &chain {
-                let data = std::fs::read(path).unwrap_or_default();
-                let mut pos = 0;
-                while let Some((rec, used)) = LogRecord::decode(&data[pos..]) {
-                    pos += used;
-                    state.apply_record(&shared.store, &rec);
-                }
-                let expect = if *seg == jseg {
-                    japplied
-                } else {
-                    data.len() as u64
-                };
-                if pos as u64 != expect {
-                    ok = false;
-                    break;
-                }
-                state.applied_total += pos as u64;
-            }
-        }
         if !ok {
             // Corrupt or inconsistent: full resync.
             wipe_mirrors(&shared.dir);
             shared.store.reset_replica();
             return ApplyState::new();
         }
-        state.sessions.insert(
-            session,
-            SessState {
-                seg: jseg,
-                applied: japplied,
-                buf: Vec::new(),
-                file: None,
-                dirty: false,
-            },
-        );
+        state
+            .sessions
+            .insert(session, SessState::at(jseg, japplied));
     }
     state.epoch = epoch;
     state
+}
+
+/// Trims one mirror file, segment `seg` of its session, against the
+/// session's journaled `(segment, applied bytes)` mark: a later segment,
+/// or any file of an unjournaled session, goes; the journaled segment is
+/// cut back to the applied bytes.
+fn trim_mirror(path: &Path, seg: u64, mark: Option<(u64, u64)>) {
+    match mark {
+        Some((jseg, _)) if seg < jseg => {}
+        Some((jseg, japplied)) if seg == jseg => {
+            if let Ok(f) = OpenOptions::new().write(true).open(path) {
+                let _ = f.set_len(japplied);
+            }
+        }
+        _ => {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 /// Flushes dirty mirrors then journals the watermarks (in that order:
@@ -1434,47 +1386,23 @@ fn apply_data(shared: &FolShared, state: &mut ApplyState, body: &[u8]) -> bool {
     if bytes.is_empty() {
         return true;
     }
-    let s = state.sessions.entry(session).or_insert_with(|| SessState {
-        seg,
-        applied: 0,
-        buf: Vec::new(),
-        file: None,
-        dirty: false,
-    });
-    if session == VSEG_SESSION {
-        // Value-segment bytes: mirrored verbatim at their true offset,
-        // never decoded. Segment ids can jump forward (GC deletions on
-        // the primary); the integrity of the bytes is re-checked per
-        // read (length + CRC in every pointer), so a mirror is never
-        // trusted, only stored.
-        if seg > s.seg && offset == 0 {
-            s.seg = seg;
-            s.applied = 0;
-            s.file = None;
-        }
-        if seg != s.seg || offset != s.applied {
-            return false;
-        }
-        if s.file.is_none() {
-            s.file = OpenOptions::new()
-                .create(true)
-                .truncate(false)
-                .write(true)
-                .read(true)
-                .open(mirror_path(&shared.dir, session, seg))
-                .ok();
-        }
-        if let Some(f) = &s.file {
-            if f.write_all_at(bytes, offset).is_ok() {
-                s.dirty = true;
-            }
-        }
-        s.applied += bytes.len() as u64;
-        state.applied_total += bytes.len() as u64;
-        return true;
-    }
-    if seg == s.seg + 1 && offset == 0 && s.buf.is_empty() {
-        // Primary rotated; the previous segment was fully applied.
+    let s = state
+        .sessions
+        .entry(session)
+        .or_insert_with(|| SessState::at(seg, 0));
+    // Value-segment bytes are mirrored verbatim, never decoded. Their
+    // segment ids can jump forward (GC deletions on the primary); the
+    // integrity of the bytes is re-checked per read (length + CRC in
+    // every pointer), so a mirror is never trusted, only stored. A WAL
+    // session moves to the next segment once the primary rotated and the
+    // previous one was fully applied.
+    let vseg = session == VSEG_SESSION;
+    let next = if vseg {
+        seg > s.seg
+    } else {
+        seg == s.seg + 1 && s.buf.is_empty()
+    };
+    if next && offset == 0 {
         s.seg = seg;
         s.applied = 0;
         s.file = None;
@@ -1482,11 +1410,9 @@ fn apply_data(shared: &FolShared, state: &mut ApplyState, body: &[u8]) -> bool {
     if seg != s.seg || offset != s.applied + s.buf.len() as u64 {
         return false;
     }
-    // Mirror first (at the true offset — a re-sent tail overwrites the
-    // identical bytes), then buffer and apply.
+    // Mirror first, at the true offset: the file keeps its contents, so
+    // a re-sent tail of a resumed stream overwrites identical bytes.
     if s.file.is_none() {
-        // Keep existing contents: a resumed stream overwrites the tail
-        // in place at its true offset.
         s.file = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -1499,6 +1425,11 @@ fn apply_data(shared: &FolShared, state: &mut ApplyState, body: &[u8]) -> bool {
         if f.write_all_at(bytes, offset).is_ok() {
             s.dirty = true;
         }
+    }
+    if vseg {
+        s.applied += bytes.len() as u64;
+        state.applied_total += bytes.len() as u64;
+        return true;
     }
     s.buf.extend_from_slice(bytes);
     let replay_t0 = Instant::now();

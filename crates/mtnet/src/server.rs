@@ -97,7 +97,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -352,6 +352,7 @@ impl Server {
                     rd_bufs: Vec::new(),
                     free: Vec::new(),
                     next_conn_seq: 0,
+                    linger_until: None,
                 };
                 let thread = std::thread::Builder::new()
                     .name(format!("mtnet-worker-{id}"))
@@ -477,6 +478,24 @@ const READ_BUDGET: usize = 1 << 20;
 /// the host. A wakeup that executed nothing parks at once (idle = 0 CPU).
 const POLL_BEFORE_PARK: Duration = Duration::from_micros(50);
 
+/// How long a [`Linger`]ing connection keeps discarding input.
+const LINGER_CLOSE: Duration = Duration::from_secs(2);
+
+/// A lingering close, after a protocol error. Closing a socket with
+/// client bytes unread, or with more still arriving, makes the kernel
+/// answer with RST — which can reach the client before it has read the
+/// typed error. So the error is flushed first, then only the write side
+/// is shut (the client reads the error, then EOF), and input is read and
+/// thrown away until the client closes its side or [`LINGER_CLOSE`]
+/// passes.
+#[derive(Clone, Copy)]
+enum Linger {
+    /// The typed error is queued: write it out, then shut the write side.
+    Flushing,
+    /// Write side shut: discard input until EOF or this deadline.
+    Draining(Instant),
+}
+
 struct Conn {
     stream: TcpStream,
     /// Globally unique, shard-routable id: `worker << 32 | seq`. Scan
@@ -498,9 +517,11 @@ struct Conn {
     dead: bool,
     /// Protocol failure (oversized or undecodable frame): responses for
     /// frames parsed before the poison are still delivered, then one
-    /// typed [`Response::Err`] naming the failure, then a clean close —
-    /// never a silent drop that leaves the client hung.
+    /// typed [`Response::Err`] naming the failure, then a lingering
+    /// close — never a silent drop that leaves the client hung.
     poisoned: Option<String>,
+    /// Set with the poison: input is no longer parsed, only discarded.
+    linger: Option<Linger>,
     /// Generic-backend path only: the per-connection executor.
     state: Option<Box<dyn ConnState>>,
 }
@@ -512,9 +533,10 @@ impl Conn {
 
     /// Marks a protocol failure: further input is never parsed (and is
     /// discarded by the next read-buffer compaction); the sweep appends
-    /// the typed error reply and schedules a drain-then-close.
+    /// the typed error reply, and the close lingers.
     fn poison(&mut self, msg: &str) {
         self.poisoned = Some(msg.to_string());
+        self.linger = Some(Linger::Flushing);
     }
 }
 
@@ -557,6 +579,9 @@ struct Worker {
     rd_bufs: Vec<Vec<u8>>,
     free: Vec<usize>,
     next_conn_seq: u64,
+    /// The earliest lingering-close deadline (see [`Linger`]): a parked
+    /// worker wakes for it even when no socket is ready.
+    linger_until: Option<Instant>,
 }
 
 impl Worker {
@@ -581,7 +606,15 @@ impl Worker {
             let poll_until = served.then(|| Instant::now() + POLL_BEFORE_PARK);
             loop {
                 let park = poll_until.is_none_or(|t| Instant::now() >= t);
-                match self.poller.wait(&mut events, if park { -1 } else { 0 }) {
+                let timeout = match self.linger_until {
+                    _ if !park => 0,
+                    None => -1,
+                    Some(t) => {
+                        let ms = t.saturating_duration_since(Instant::now()).as_millis() + 1;
+                        i32::try_from(ms).unwrap_or(i32::MAX)
+                    }
+                };
+                match self.poller.wait(&mut events, timeout) {
                     Ok(()) if events.is_empty() && !park => std::hint::spin_loop(),
                     Ok(()) => break,
                     Err(_) => return,
@@ -702,6 +735,7 @@ impl Worker {
                 eof: false,
                 dead: false,
                 poisoned: None,
+                linger: None,
                 state,
             });
         }
@@ -776,10 +810,12 @@ impl Worker {
         }
     }
 
-    /// Post-wakeup housekeeping: opportunistic write flush, interest
-    /// reconciliation (read gated by backpressure, write by pending
-    /// output), and closing finished connections.
+    /// Post-wakeup housekeeping: opportunistic write flush, lingering
+    /// closes, interest reconciliation (read gated by backpressure,
+    /// write by pending output), and closing finished connections.
     fn sweep(&mut self) {
+        let now = Instant::now();
+        self.linger_until = None;
         for slot in 0..self.conns.len() {
             let close = {
                 let Some(conn) = self.conns[slot].as_mut() else {
@@ -790,17 +826,30 @@ impl Worker {
                         // Protocol failure: responses for the frames
                         // parsed before the poison are already encoded;
                         // append the typed error as its own one-response
-                        // batch, then drain and close.
+                        // batch, then close lingering.
                         let mark = begin_batch(&mut conn.wr);
                         Response::Err(msg).encode(&mut conn.wr);
                         finish_batch(&mut conn.wr, mark, 1);
-                        conn.eof = true;
                     }
                 }
                 if !conn.dead && conn.pending_wr() > 0 {
                     flush_conn(conn);
                 }
-                conn.dead || (conn.eof && conn.pending_wr() == 0)
+                if matches!(conn.linger, Some(Linger::Flushing)) && conn.pending_wr() == 0 {
+                    // The error is out: FIN after it, but keep reading.
+                    let _ = conn.stream.shutdown(Shutdown::Write);
+                    conn.linger = Some(Linger::Draining(now + LINGER_CLOSE));
+                }
+                let expired = match conn.linger {
+                    Some(Linger::Draining(deadline)) if now < deadline => {
+                        let next = self.linger_until.map_or(deadline, |t| t.min(deadline));
+                        self.linger_until = Some(next);
+                        false
+                    }
+                    Some(Linger::Draining(_)) => true,
+                    _ => false,
+                };
+                conn.dead || expired || (conn.eof && conn.pending_wr() == 0)
             };
             if close {
                 self.close_conn(slot);
@@ -808,7 +857,11 @@ impl Worker {
             }
             let conn = self.conns[slot].as_mut().expect("checked above");
             let desired = Interest {
-                readable: !conn.eof && conn.pending_wr() < HIGH_WATER,
+                // Input waits while a protocol error is still going out
+                // (the client may be flooding); it drains once it is out.
+                readable: !conn.eof
+                    && conn.pending_wr() < HIGH_WATER
+                    && !matches!(conn.linger, Some(Linger::Flushing)),
                 writable: conn.pending_wr() > 0,
             };
             if desired != conn.interest {
@@ -862,7 +915,7 @@ fn collect_frames<'a>(
 ) {
     for (slot, (conn, rd)) in conns.iter_mut().zip(rd_bufs).enumerate() {
         let Some(conn) = conn else { continue };
-        if conn.dead || conn.poisoned.is_some() {
+        if conn.dead || conn.linger.is_some() {
             continue;
         }
         while conn.pending_wr() < HIGH_WATER {
@@ -904,7 +957,7 @@ fn collect_frames<'a>(
 /// Drops a read buffer's parsed prefix — or all of it, once the
 /// connection no longer parses input.
 fn compact_read_buffer(conn: &mut Conn, rd: &mut Vec<u8>) {
-    if conn.rd_pos == rd.len() || conn.dead || conn.poisoned.is_some() {
+    if conn.rd_pos == rd.len() || conn.dead || conn.linger.is_some() {
         rd.clear();
         conn.rd_pos = 0;
     } else if conn.rd_pos > 64 * 1024 {
@@ -914,7 +967,7 @@ fn compact_read_buffer(conn: &mut Conn, rd: &mut Vec<u8>) {
 }
 
 fn read_conn(conn: &mut Conn, rd: &mut Vec<u8>, scratch: &mut [u8]) {
-    if conn.eof || conn.dead || conn.poisoned.is_some() {
+    if conn.eof || conn.dead {
         return;
     }
     let mut budget = READ_BUDGET;

@@ -708,23 +708,66 @@ fn oversized_frame_gets_typed_error_then_clean_close() {
     s.write_all(&(300u32 << 20).to_le_bytes()).unwrap();
     s.write_all(&1u32.to_le_bytes()).unwrap();
     s.flush().unwrap();
+    let msg = values_then_error_then_eof(&s, 0);
+    assert!(msg.contains("bad"), "error names the cause: {msg}");
+}
+
+/// Reads what a connection closed on a protocol error owes: one batch
+/// of `values` get replies (none for 0), then the typed error, whose
+/// message is returned, then a clean EOF — never a hang or a reset.
+fn values_then_error_then_eof(s: &std::net::TcpStream, values: u32) -> String {
     let mut r = std::io::BufReader::new(s.try_clone().unwrap());
-    let (count, body) = mtnet::proto::read_batch(&mut r)
-        .unwrap()
-        .expect("a typed error batch must precede the close");
-    assert_eq!(count, 1);
-    let mut p = &body[..];
-    match Response::decode(&mut p) {
-        Some(Response::Err(msg)) => {
-            assert!(msg.contains("bad"), "error names the cause: {msg}")
+    let mut batch = || mtnet::proto::read_batch(&mut r).unwrap();
+    if values > 0 {
+        let (count, body) = batch().expect("the replies before the error");
+        assert_eq!(count, values);
+        let mut p = &body[..];
+        for _ in 0..values {
+            let reply = Response::decode(&mut p);
+            assert!(matches!(reply, Some(Response::Value(Some(_)))), "{reply:?}");
         }
-        other => panic!("expected Response::Err, got {other:?}"),
     }
-    // Then a clean EOF — never a hung connection.
-    assert!(
-        mtnet::proto::read_batch(&mut r).unwrap().is_none(),
-        "server closes cleanly after the error reply"
-    );
+    let (count, body) = batch().expect("a typed error batch must precede the close");
+    assert_eq!(count, 1);
+    let Some(Response::Err(msg)) = Response::decode(&mut &body[..]) else {
+        panic!("expected Response::Err");
+    };
+    assert!(batch().is_none(), "a clean EOF follows the error");
+    msg
+}
+
+#[test]
+fn oversized_frame_error_survives_bytes_sent_after_it() {
+    use std::io::Write;
+    use std::time::Duration;
+    // A protocol error closes the connection, and the client may still
+    // be sending. Here the error waits behind 2 MiB of replies the client
+    // has not read yet, and the client sends 4 more bytes meanwhile. A
+    // server that closed its socket with those bytes unread would make
+    // the kernel reset the connection — dropping the replies and the
+    // error still in flight. A lingering close reads them first.
+    const GETS: u32 = 32;
+    let server = start_in_memory();
+    Client::connect(server.addr())
+        .unwrap()
+        .put(b"big", vec![(0, vec![7u8; 64 << 10])])
+        .unwrap();
+    let mut body = Vec::new();
+    for _ in 0..GETS {
+        Request::Get {
+            key: b"big".to_vec(),
+            cols: None,
+        }
+        .encode(&mut body);
+    }
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    s.write_all(&mtnet::proto::frame_batch(GETS as usize, &body))
+        .unwrap();
+    s.write_all(&(300u32 << 20).to_le_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    s.write_all(&1u32.to_le_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    values_then_error_then_eof(&s, GETS);
 }
 
 #[test]
@@ -754,27 +797,9 @@ fn undecodable_frame_gets_typed_error_after_earlier_frames() {
         s.write_all(&mtnet::proto::frame_batch(1, &get)).unwrap();
         s.write_all(&mtnet::proto::frame_batch(1, &bad)).unwrap();
         s.flush().unwrap();
-
-        let mut r = std::io::BufReader::new(s.try_clone().unwrap());
-        let (count, body) = mtnet::proto::read_batch(&mut r)
-            .unwrap()
-            .expect("get reply");
-        assert_eq!(count, 1);
-        let mut p = &body[..];
-        assert!(
-            matches!(Response::decode(&mut p), Some(Response::Value(Some(_)))),
-            "frame parsed before the poison still gets its reply"
-        );
-        let (count, body) = mtnet::proto::read_batch(&mut r)
-            .unwrap()
-            .expect("error batch");
-        assert_eq!(count, 1);
-        let mut p = &body[..];
-        match Response::decode(&mut p) {
-            Some(Response::Err(msg)) => assert!(msg.contains(what), "{msg}"),
-            other => panic!("expected Response::Err, got {other:?}"),
-        }
-        assert!(mtnet::proto::read_batch(&mut r).unwrap().is_none());
+        // The frame parsed before the poison still gets its reply.
+        let msg = values_then_error_then_eof(&s, 1);
+        assert!(msg.contains(what), "{msg}");
     }
 }
 
