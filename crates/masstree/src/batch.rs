@@ -64,12 +64,11 @@ use core::sync::atomic::Ordering;
 use crossbeam::epoch::Guard;
 
 use crate::hint::{HintResult, HintedGet, LeafHint};
-use crate::key::{keylen_rank, KeyCursor, KEYLEN_SUFFIX};
-use crate::node::{BorderNode, BorderSearch, ExtractedLv, NodePtr, RootSlot};
+use crate::key::KeyCursor;
+use crate::node::{BorderNode, NodePtr, RootSlot, SlotMatch};
 use crate::put::{BorderWrite, ValueFactory};
 use crate::stats::Stats;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
 use crate::tree::Masstree;
 use crate::tree::Restart;
 use crate::version::Version;
@@ -365,58 +364,10 @@ impl<'k, V: ?Sized + Stored> Cursor<'k, V> {
         if v.is_deleted() {
             return self.full_restart(tree);
         }
-        enum Outcome {
-            NotFound,
-            Value(*mut ()),
-            Layer(*mut crate::node::NodeHeader),
-            Unstable,
-        }
-        let ikey = self.k.ikey();
         let perm = bn.permutation();
-        let rank = keylen_rank(self.k.keylen_code());
-        let mut outcome = Outcome::NotFound;
-        // Slot/keylen of a Value outcome, for hint capture.
-        let mut found = (0usize, 0u8);
-        // See `get_capturing_hint`: suffix-mismatch absence is not
-        // fast-path-stable.
-        let mut absent_conclusive = true;
-        if let BorderSearch::Found { slot, .. } = bn.search(perm, ikey, rank) {
-            let (code, ex) = bn.extract_lv(slot);
-            found = (slot, code);
-            outcome = match ex {
-                ExtractedLv::Unstable => Outcome::Unstable,
-                ExtractedLv::Layer(p) => Outcome::Layer(p),
-                ExtractedLv::Value(p) => {
-                    if code == KEYLEN_SUFFIX {
-                        let sp = bn.suffix[slot].load(Ordering::Acquire);
-                        if sp.is_null() {
-                            // Torn with a concurrent reuse; the version
-                            // check below will catch it.
-                            Outcome::Unstable
-                        } else {
-                            // SAFETY: suffix blocks are immutable and
-                            // epoch-reclaimed; live under the pinned guard.
-                            let sb = unsafe { KeySuffix::bytes(sp) };
-                            if sb == self.k.suffix() {
-                                Outcome::Value(p)
-                            } else {
-                                absent_conclusive = false;
-                                Outcome::NotFound
-                            }
-                        }
-                    } else if code as usize == self.k.slice_len() && !self.k.has_suffix() {
-                        Outcome::Value(p)
-                    } else {
-                        // keylen changed under us (slot reuse); version
-                        // check will catch it.
-                        Outcome::Unstable
-                    }
-                }
-            };
-        }
         // Version re-check (Figure 7's `n.version ⊕ v > locked`).
-        let v2 = bn.version().load(Ordering::Acquire);
-        if v.has_changed(v2) {
+        let valid = || !v.has_changed(bn.version().load(Ordering::Acquire));
+        let Some(m) = bn.match_key(perm, &self.k, valid) else {
             Stats::bump(&tree.stats.read_retries);
             let vs = bn.version().stable();
             // Walk right while the key's range moved (B-link). The
@@ -427,7 +378,7 @@ impl<'k, V: ?Sized + Stored> Cursor<'k, V> {
                     // SAFETY: leaf-list pointers reference live nodes
                     // under the pinned epoch.
                     let nx = unsafe { &*next };
-                    if ikey >= nx.lowkey.load(Ordering::Relaxed) {
+                    if self.k.ikey() >= nx.lowkey.load(Ordering::Relaxed) {
                         Stats::bump(&tree.stats.read_advances);
                         crate::prefetch::prefetch(next);
                         return Phase::BorderRead {
@@ -441,47 +392,32 @@ impl<'k, V: ?Sized + Stored> Cursor<'k, V> {
                 n: bn,
                 pending: Some(vs),
             };
-        }
-        match outcome {
-            Outcome::NotFound => {
+        };
+        match m {
+            SlotMatch::Absent { conclusive } => {
                 self.result = None;
                 self.hint = Some(LeafHint::capture_absent(
                     bn,
                     v,
                     perm,
                     self.k.offset(),
-                    absent_conclusive,
+                    conclusive,
                 ));
                 Phase::Done
             }
-            Outcome::Value(p) => {
+            SlotMatch::Value { slot, code, lv } => {
                 // The value stage: start fetching the value itself now,
                 // so its lines arrive while the rest of the group is
                 // still descending instead of when the caller reads it.
-                V::prefetch(p);
-                self.result = Some(p);
-                self.hint = Some(LeafHint::capture(
-                    bn,
-                    v,
-                    perm,
-                    found.0,
-                    found.1,
-                    self.k.offset(),
-                ));
+                V::prefetch(lv);
+                self.result = Some(lv);
+                self.hint = Some(LeafHint::capture(bn, v, perm, slot, code, self.k.offset()));
                 Phase::Done
             }
-            Outcome::Layer(p) => {
-                let bnp = bn as *const BorderNode<V>;
-                // Reader layer descent does not track the slot for
-                // healing (matching `get`), but recording it is free.
-                let BorderSearch::Found { slot, .. } = bn.search(perm, ikey, rank) else {
-                    // The slot moved under an unchanged version cannot
-                    // happen; fall back to a clean restart.
-                    return self.full_restart(tree);
-                };
-                self.enter_layer(NodePtr::from_raw(p), bnp, slot)
-            }
-            Outcome::Unstable => {
+            // Reader layer descent does not track the slot for healing
+            // (matching `get`), but recording it is free.
+            SlotMatch::Layer { slot, root } => self.enter_layer(NodePtr::from_raw(root), bn, slot),
+            SlotMatch::Unstable => {
                 core::hint::spin_loop();
                 Phase::BorderRead {
                     n: bn,

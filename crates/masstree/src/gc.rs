@@ -7,9 +7,10 @@
 
 use crossbeam::epoch::Guard;
 
+use crate::key::KEYLEN_SUFFIX_BLOCK;
 use crate::node::NodePtr;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
+use crate::suffix;
 
 /// Schedules a value for destruction after the current epoch.
 ///
@@ -26,20 +27,19 @@ pub(crate) unsafe fn retire_value<V: ?Sized + Stored>(guard: &Guard, p: *mut ())
     }
 }
 
-/// Schedules a suffix block for destruction after the current epoch.
+/// Schedules the suffix block of a slot whose pair is `(code, word)`
+/// for destruction after the current epoch; an inline suffix has none.
 ///
 /// # Safety
 ///
-/// `p` must have come from [`KeySuffix::alloc`], must be unreachable, and
-/// must not be retired twice. A null pointer is ignored.
-pub(crate) unsafe fn retire_suffix(guard: &Guard, p: *mut KeySuffix) {
-    if p.is_null() {
-        return;
-    }
-    let p = p as usize;
-    // SAFETY: per caller contract.
-    unsafe {
-        guard.defer_unchecked(move || KeySuffix::free(p as *mut KeySuffix));
+/// The pair must be consistent (read under the node lock), the block
+/// unreachable from the tree, and not retired twice.
+pub(crate) unsafe fn retire_suffix(guard: &Guard, code: u8, word: u64) {
+    if code == KEYLEN_SUFFIX_BLOCK {
+        // SAFETY: per caller contract.
+        unsafe {
+            guard.defer_unchecked(move || suffix::free(code, word));
+        }
     }
 }
 

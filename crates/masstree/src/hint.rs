@@ -60,10 +60,16 @@
 //! hinted reader (acquire loads) that observes any post-reuse value also
 //! observes the bump and bails. A reader that observes only pre-free
 //! values sees a consistent old node — and every in-tree node is marked
-//! DELETED before retirement, a version change the hint detects. Value
-//! and suffix dereferences are protected by the epoch guard exactly as
-//! in `get`: a pointer loaded from a slot the current permutation
-//! publishes cannot be reclaimed before the guard unpins.
+//! DELETED before retirement, a version change the hint detects. A value
+//! pointer loaded from a slot the current permutation publishes cannot be
+//! reclaimed before the guard unpins, so the value is dereferenced after
+//! the trailing check as in `get`. A suffix block is dereferenced only
+//! once the trailing generation *and* version checks have passed (the
+//! slow path runs them inside `BorderNode::match_key`): before that, the
+//! slot's code and suffix word may belong to different tenants — of a
+//! reused slot or of recycled node memory — and the word may hold inline
+//! suffix bytes rather than a pointer (`suffix.rs`). The fast path
+//! compares no suffix at all.
 
 use core::marker::PhantomData;
 use core::sync::atomic::Ordering;
@@ -72,11 +78,10 @@ use crossbeam::epoch::Guard;
 
 use crate::anchor::DescentAnchor;
 pub use crate::anchor::NodeRef;
-use crate::key::{keylen_rank, KeyCursor, KEYLEN_SUFFIX};
-use crate::node::{BorderNode, BorderSearch, ExtractedLv};
+use crate::key::KeyCursor;
+use crate::node::{BorderNode, SlotMatch};
 use crate::permutation::Permutation;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
 use crate::tree::Masstree;
 use crate::version::Version;
 
@@ -261,8 +266,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
         // deletion (`lowkey` is constant for a node's lifetime, and only
         // splits move its upper bound).
         let perm_now = bn.permutation();
-        let out: Option<*mut ()>;
-        if perm_now.raw() == hint.perm {
+        let out = if perm_now.raw() == hint.perm {
             // Fast path: version AND permutation exactly match capture,
             // so the entry set is identical to capture time — any route
             // back to the same permutation passes through a freed-slot
@@ -271,8 +275,8 @@ impl<V: ?Sized + Stored> Masstree<V> {
             // still holds this key: read its value pointer directly, no
             // search, no suffix comparison. In-place value updates are
             // observed because only `lv` is re-read.
-            if hint.slot == NO_SLOT {
-                out = None;
+            let out = if hint.slot == NO_SLOT {
+                None
             } else {
                 let slot = hint.slot as usize;
                 // `lv` before `keylen` (the `extract_lv` ordering): if
@@ -289,61 +293,31 @@ impl<V: ?Sized + Stored> Masstree<V> {
                 }
                 // Start the value fetch under the trailing validation.
                 crate::prefetch::prefetch(lv1.cast::<u8>());
-                out = Some(lv1);
+                Some(lv1)
+            };
+            // Trailing re-validation (shared anchor core): brackets
+            // every read above.
+            if !anchor.still_valid(bn) {
+                return HintedGet::Stale;
             }
+            out
         } else {
             // Slow path: the permutation moved (inserts/removes don't
             // bump the version). The node still covers the key's range,
             // so search the *live* permutation exactly as a descent
             // would — a key inserted after capture is found, a removed
-            // one correctly reports absent.
+            // one correctly reports absent. The trailing re-validation
+            // runs inside `match_key`, before any suffix comparison.
             let k = KeyCursor::with_offset(key, hint.offset as usize);
-            let ikey = k.ikey();
-            let rank = keylen_rank(k.keylen_code());
-            match bn.search(perm_now, ikey, rank) {
-                BorderSearch::Missing { .. } => out = None,
-                BorderSearch::Found { slot, .. } => {
-                    let (code, ex) = bn.extract_lv(slot);
-                    match ex {
-                        // Mid-conversion or a layer link: the answer
-                        // lives a layer deeper — let the full descent
-                        // handle it.
-                        ExtractedLv::Unstable | ExtractedLv::Layer(_) => return HintedGet::Stale,
-                        ExtractedLv::Value(p) => {
-                            if code == KEYLEN_SUFFIX {
-                                let sp = bn.suffix[slot].load(Ordering::Acquire);
-                                if sp.is_null() {
-                                    // Torn with a concurrent reuse.
-                                    return HintedGet::Stale;
-                                }
-                                // SAFETY: suffix blocks are immutable
-                                // and epoch-reclaimed; one reachable
-                                // from the live permutation is live
-                                // under the pinned guard (same argument
-                                // as Figure 7's read).
-                                let sb = unsafe { KeySuffix::bytes(sp) };
-                                if sb == k.suffix() {
-                                    out = Some(p);
-                                } else {
-                                    out = None;
-                                }
-                            } else if code as usize == k.slice_len() && !k.has_suffix() {
-                                out = Some(p);
-                            } else {
-                                // keylen changed under us (slot reuse in
-                                // flight); don't spin — fall back.
-                                return HintedGet::Stale;
-                            }
-                        }
-                    }
-                }
+            match bn.match_key(perm_now, &k, || anchor.still_valid(bn)) {
+                Some(SlotMatch::Value { lv, .. }) => Some(lv),
+                Some(SlotMatch::Absent { .. }) => None,
+                // A failed validation, a conversion in flight or a layer
+                // link (the answer lives a layer deeper): let the full
+                // descent handle it.
+                _ => return HintedGet::Stale,
             }
-        }
-        // Trailing re-validation (shared anchor core): brackets every
-        // read above.
-        if !anchor.still_valid(bn) {
-            return HintedGet::Stale;
-        }
+        };
         // SAFETY: a validated value pointer read from a slot the live
         // permutation publishes; its retirement cannot precede our pin
         // (the publishing store did not), so epoch reclamation keeps it

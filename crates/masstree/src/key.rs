@@ -16,13 +16,18 @@ pub const SLICE_LEN: usize = 8;
 ///
 /// * `0..=8` — the key terminates in this layer and its slice holds that
 ///   many significant bytes.
-/// * [`KEYLEN_SUFFIX`] — the key extends past this slice; the remainder is
-///   stored in the slot's suffix block.
+/// * [`KEYLEN_SUFFIX`]`..=16` — the key's remainder at this layer is that
+///   many bytes: the slice plus a suffix of 1–8 bytes stored inline in the
+///   slot's suffix word (`suffix.rs`).
+/// * [`KEYLEN_SUFFIX_BLOCK`] — the remainder is longer than 16 bytes; the
+///   suffix word points to a suffix block.
 /// * [`KEYLEN_UNSTABLE`] — a writer is converting this slot's value into a
 ///   next-layer link; readers must retry (§4.6.3).
 /// * [`KEYLEN_LAYER`] — the slot's `lv` holds a pointer to the next trie
 ///   layer's root node.
 pub const KEYLEN_SUFFIX: u8 = 9;
+/// Slot's suffix lives in a block its suffix word points to.
+pub const KEYLEN_SUFFIX_BLOCK: u8 = 17;
 /// Slot is mid-conversion to a layer link; readers retry.
 pub const KEYLEN_UNSTABLE: u8 = 254;
 /// Slot's `lv` is a next-layer root pointer.
@@ -114,6 +119,12 @@ impl<'a> KeyCursor<'a> {
         self.remaining() > SLICE_LEN
     }
 
+    /// The bytes of the key from the current slice on.
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.offset.min(self.bytes.len())..]
+    }
+
     /// The bytes of the key past the current slice (empty if none).
     #[inline]
     pub fn suffix(&self) -> &'a [u8] {
@@ -122,15 +133,10 @@ impl<'a> KeyCursor<'a> {
     }
 
     /// The `keylen` code this key would occupy in a border node at the
-    /// current layer: its slice length if it terminates here, else
-    /// [`KEYLEN_SUFFIX`].
+    /// current layer (see [`keylen_code`]).
     #[inline]
     pub fn keylen_code(&self) -> u8 {
-        if self.has_suffix() {
-            KEYLEN_SUFFIX
-        } else {
-            self.slice_len() as u8
-        }
+        keylen_code(self.remaining())
     }
 
     /// Descends one trie layer (8 bytes deeper into the key).
@@ -148,8 +154,16 @@ impl<'a> KeyCursor<'a> {
     }
 }
 
-/// Collapses the keylen codes that share a slice's ">8 bytes" slot
-/// ([`KEYLEN_SUFFIX`], [`KEYLEN_UNSTABLE`], [`KEYLEN_LAYER`]) onto a single
+/// The `keylen` code of a key whose remainder at its layer is `len`
+/// bytes: the length itself up to 16 (the slice, then an inline suffix),
+/// [`KEYLEN_SUFFIX_BLOCK`] past that.
+#[inline]
+pub fn keylen_code(len: usize) -> u8 {
+    len.min(KEYLEN_SUFFIX_BLOCK as usize) as u8
+}
+
+/// Collapses the keylen codes that share a slice's ">8 bytes" slot (the
+/// suffix codes, [`KEYLEN_UNSTABLE`], [`KEYLEN_LAYER`]) onto a single
 /// comparison rank so border-node search can order same-ikey slots.
 ///
 /// Within one ikey the possible residents are the inline lengths `0..=8`
@@ -213,11 +227,13 @@ mod tests {
         assert_eq!(c.slice_len(), 8);
         assert!(c.has_suffix());
         assert_eq!(c.suffix(), b"89abcdefXY");
-        assert_eq!(c.keylen_code(), KEYLEN_SUFFIX);
+        assert_eq!(c.keylen_code(), KEYLEN_SUFFIX_BLOCK);
         c.advance();
         assert_eq!(c.layer(), 1);
         assert_eq!(c.ikey(), u64::from_be_bytes(*b"89abcdef"));
         assert!(c.has_suffix());
+        assert_eq!(c.rest(), b"89abcdefXY");
+        assert_eq!(c.keylen_code(), 10, "slice + 2-byte inline suffix");
         c.advance();
         assert_eq!(c.slice_len(), 2);
         assert!(!c.has_suffix());
@@ -244,6 +260,8 @@ mod tests {
         assert_eq!(keylen_rank(0), 0);
         assert_eq!(keylen_rank(8), 8);
         assert_eq!(keylen_rank(KEYLEN_SUFFIX), 9);
+        assert_eq!(keylen_rank(16), 9);
+        assert_eq!(keylen_rank(KEYLEN_SUFFIX_BLOCK), 9);
         assert_eq!(keylen_rank(KEYLEN_LAYER), 9);
         assert_eq!(keylen_rank(KEYLEN_UNSTABLE), 9);
     }

@@ -49,7 +49,6 @@ pub mod key;
 pub mod permutation;
 pub mod prefetch;
 pub mod stats;
-pub mod suffix;
 pub mod version;
 
 mod gc;
@@ -61,6 +60,7 @@ mod scan;
 mod scan_rev;
 mod slab;
 mod stored;
+mod suffix;
 mod tree;
 
 pub use anchor::{DescentAnchor, NodeRef};

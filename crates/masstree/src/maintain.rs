@@ -15,7 +15,7 @@ use core::sync::atomic::Ordering;
 use crossbeam::epoch::Guard;
 
 use crate::gc;
-use crate::key::{keylen_rank, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
+use crate::key::{keylen_rank, KEYLEN_LAYER, KEYLEN_SUFFIX_BLOCK, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, NodePtr, RootSlot};
 use crate::permutation::WIDTH;
 use crate::stats::Stats;
@@ -35,6 +35,9 @@ pub struct TreeReport {
     pub layers: usize,
     /// Maximum B+-tree depth over all layers.
     pub max_depth: usize,
+    /// Keys whose suffix (over 8 bytes) lives in a heap block; shorter
+    /// suffixes are inline in their slot (`suffix.rs`).
+    pub external_suffixes: usize,
 }
 
 /// A candidate produced by the maintenance scan.
@@ -458,16 +461,13 @@ impl<V: ?Sized + Stored> Masstree<V> {
                             )?;
                         }
                     }
-                    KEYLEN_SUFFIX => {
-                        if b.suffix[slot].load(Ordering::Relaxed).is_null() {
-                            return Err("suffix entry without suffix block".into());
+                    0..=KEYLEN_SUFFIX_BLOCK => {
+                        if code == KEYLEN_SUFFIX_BLOCK {
+                            if b.ksuf[slot].load(Ordering::Relaxed) == 0 {
+                                return Err("suffix entry without suffix block".into());
+                            }
+                            report.external_suffixes += 1;
                         }
-                        if b.lv[slot].load(Ordering::Relaxed).is_null() {
-                            return Err("null value pointer".into());
-                        }
-                        report.keys += 1;
-                    }
-                    l if (l as usize) <= crate::key::SLICE_LEN => {
                         if b.lv[slot].load(Ordering::Relaxed).is_null() {
                             return Err("null value pointer".into());
                         }
@@ -577,14 +577,10 @@ unsafe fn drop_subtree<V: ?Sized + Stored>(n: NodePtr<V>) {
                         let sub = b.lv[slot].load(Ordering::Relaxed);
                         drop_subtree::<V>(true_root(NodePtr::from_raw(sub.cast())));
                     }
-                    KEYLEN_SUFFIX => {
-                        let s = b.suffix[slot].load(Ordering::Relaxed);
-                        if !s.is_null() {
-                            crate::suffix::KeySuffix::free(s);
-                        }
+                    _ => {
+                        crate::suffix::free(code, b.ksuf[slot].load(Ordering::Relaxed));
                         V::drop_raw(b.lv[slot].load(Ordering::Relaxed));
                     }
-                    _ => V::drop_raw(b.lv[slot].load(Ordering::Relaxed)),
                 }
             }
             n.free();

@@ -22,10 +22,10 @@ use core::marker::PhantomData;
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, AtomicU8, Ordering};
 
-use crate::key::{keylen_rank, KEYLEN_LAYER, KEYLEN_UNSTABLE};
+use crate::key::{keylen_rank, slice_at, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::permutation::{Permutation, WIDTH};
 use crate::prefetch::prefetch;
-use crate::suffix::KeySuffix;
+use crate::suffix;
 use crate::version::VersionCell;
 
 /// Common prefix of both node types: the version word and the slab
@@ -72,8 +72,9 @@ pub struct BorderNode<V: ?Sized> {
     /// root (`*mut NodeHeader`),
     /// discriminated by `keylen` (the paper's `link_or_value`).
     pub lv: [AtomicPtr<()>; WIDTH],
-    /// Suffix blocks for slots with `keylen == KEYLEN_SUFFIX`.
-    pub suffix: [AtomicPtr<KeySuffix>; WIDTH],
+    /// Suffix words (`suffix.rs`): a 1–8-byte suffix itself, or a
+    /// suffix block's pointer when `keylen == KEYLEN_SUFFIX_BLOCK`.
+    pub ksuf: [AtomicU64; WIDTH],
     pub next: AtomicPtr<BorderNode<V>>,
     pub prev: AtomicPtr<BorderNode<V>>,
     pub parent: AtomicPtr<InteriorNode<V>>,
@@ -115,6 +116,22 @@ pub enum ExtractedLv {
     Unstable,
 }
 
+/// What a border node holds for one key, from one validated optimistic
+/// read ([`BorderNode::match_key`]).
+pub enum SlotMatch {
+    /// The key is absent. Not `conclusive` when the key's rank-9 slot
+    /// holds another suffixed key: a layer conversion can later put the
+    /// key below that slot without moving the version or permutation.
+    Absent { conclusive: bool },
+    /// The key's value, at `slot` with keylen `code`.
+    Value { slot: usize, code: u8, lv: *mut () },
+    /// The key continues in the layer rooted at `root`, linked from
+    /// `slot`.
+    Layer { slot: usize, root: *mut NodeHeader },
+    /// The slot is mid-conversion (§4.6.3); read again.
+    Unstable,
+}
+
 fn atomic_ptr_array<T, const N: usize>() -> [AtomicPtr<T>; N] {
     // `AtomicPtr` is not `Copy`; an inline-const repeat builds the array.
     [const { AtomicPtr::new(ptr::null_mut()) }; N]
@@ -148,7 +165,7 @@ impl<V: ?Sized> BorderNode<V> {
                     permutation: AtomicU64::new(Permutation::empty().raw()),
                     keyslice: atomic_u64_array(),
                     lv: atomic_ptr_array(),
-                    suffix: atomic_ptr_array(),
+                    ksuf: atomic_u64_array(),
                     next: AtomicPtr::new(ptr::null_mut()),
                     prev: AtomicPtr::new(ptr::null_mut()),
                     parent: AtomicPtr::new(ptr::null_mut()),
@@ -178,7 +195,7 @@ impl<V: ?Sized> BorderNode<V> {
                 n.keylen[i].store(0, Ordering::Release);
                 n.keyslice[i].store(0, Ordering::Release);
                 n.lv[i].store(ptr::null_mut(), Ordering::Release);
-                n.suffix[i].store(ptr::null_mut(), Ordering::Release);
+                n.ksuf[i].store(0, Ordering::Release);
             }
             n.permutation
                 .store(Permutation::empty().raw(), Ordering::Release);
@@ -282,22 +299,71 @@ impl<V: ?Sized> BorderNode<V> {
         }
     }
 
+    /// Figure 7's body for one key: searches `perm` for `k`, extracts
+    /// the slot, and compares the suffix — shared by `get`, the batch
+    /// read cursors and hinted reads.
+    ///
+    /// `validated` is the caller's version check (plus the generation
+    /// check, for a hinted read). It runs after every slot read and
+    /// **before** a suffix block is dereferenced: a freed slot reused for
+    /// a key of the other suffix kind can pair a block code with inline
+    /// bytes, and only the check exposes that (`suffix.rs`). Returns
+    /// `None` when the check fails.
+    #[inline]
+    pub fn match_key(
+        &self,
+        perm: Permutation,
+        k: &KeyCursor<'_>,
+        validated: impl FnOnce() -> bool,
+    ) -> Option<SlotMatch> {
+        let kcode = k.keylen_code();
+        let BorderSearch::Found { slot, .. } = self.search(perm, k.ikey(), keylen_rank(kcode))
+        else {
+            return validated().then_some(SlotMatch::Absent { conclusive: true });
+        };
+        let (code, ex) = self.extract_lv(slot);
+        let ksuf = self.ksuf[slot].load(Ordering::Acquire);
+        if !validated() {
+            return None;
+        }
+        Some(match ex {
+            ExtractedLv::Unstable => SlotMatch::Unstable,
+            ExtractedLv::Layer(root) => SlotMatch::Layer { slot, root },
+            ExtractedLv::Value(lv) if code == kcode => {
+                // SAFETY: a validated pair; the caller's pinned guard
+                // keeps a block live even if it was retired since.
+                if code < KEYLEN_SUFFIX || unsafe { suffix::bytes(code, &ksuf) } == k.suffix() {
+                    SlotMatch::Value { slot, code, lv }
+                } else {
+                    SlotMatch::Absent { conclusive: false }
+                }
+            }
+            // Another suffixed key shares the slice.
+            ExtractedLv::Value(_) if code >= KEYLEN_SUFFIX => {
+                SlotMatch::Absent { conclusive: false }
+            }
+            // A rank change a passed check rules out; read again.
+            ExtractedLv::Value(_) => SlotMatch::Unstable,
+        })
+    }
+
     /// Writes a complete entry into a (free) slot. Caller must hold the
     /// node lock and must publish a permutation including `slot` *after*
     /// this returns (release ordering on the permutation store makes the
     /// contents visible).
-    pub fn write_slot(
-        &self,
-        slot: usize,
-        ikey: u64,
-        keylen: u8,
-        suffix: *mut KeySuffix,
-        lv: *mut (),
-    ) {
+    pub fn write_slot(&self, slot: usize, ikey: u64, keylen: u8, ksuf: u64, lv: *mut ()) {
         self.keyslice[slot].store(ikey, Ordering::Release);
         self.keylen[slot].store(keylen, Ordering::Release);
-        self.suffix[slot].store(suffix, Ordering::Release);
+        self.ksuf[slot].store(ksuf, Ordering::Release);
         self.lv[slot].store(lv, Ordering::Release);
+    }
+
+    /// [`BorderNode::write_slot`] for a new key whose remainder at this
+    /// layer is `rest`: allocates a suffix block only for a suffix
+    /// longer than 8 bytes.
+    pub fn write_key(&self, slot: usize, rest: &[u8], lv: *mut ()) {
+        let (code, ksuf) = suffix::encode(rest);
+        self.write_slot(slot, slice_at(rest, 0), code, ksuf, lv);
     }
 
     /// True if inserting into `slot` requires a vinsert bump because the
@@ -616,7 +682,7 @@ impl<V: ?Sized> RootSlot<'_, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::KEYLEN_SUFFIX;
+    use crate::key::KEYLEN_SUFFIX_BLOCK;
 
     #[test]
     fn node_header_is_first_field() {
@@ -638,14 +704,9 @@ mod tests {
     fn node_alignment() {
         assert_eq!(align_of::<BorderNode<u64>>(), 64);
         assert_eq!(align_of::<InteriorNode<u64>>(), 64);
-        // Border nodes should stay within a small number of cache lines
-        // (the paper uses 4; our per-slot suffix pointers cost more — see
-        // `suffix.rs` — but the node must stay prefetchable).
-        assert!(
-            size_of::<BorderNode<u64>>() <= 64 * 10,
-            "{}",
-            size_of::<BorderNode<u64>>()
-        );
+        // Seven lines, prefetched whole: header, permutation, 15 slices,
+        // values and suffix words, leaf links, lowkey.
+        assert_eq!(size_of::<BorderNode<u64>>(), 448);
         assert!(
             size_of::<InteriorNode<u64>>() <= 64 * 5,
             "{}",
@@ -660,7 +721,7 @@ mod tests {
         let mut perm = Permutation::empty();
         for (i, &(ik, code)) in keys.iter().enumerate() {
             let (np, slot) = perm.insert_from_back(i);
-            bn.write_slot(slot, ik, code, ptr::null_mut(), ptr::null_mut());
+            bn.write_slot(slot, ik, code, 0, ptr::null_mut());
             perm = np;
         }
         bn.publish_permutation(perm);
@@ -695,6 +756,22 @@ mod tests {
             bn.search(perm, 10, 9),
             BorderSearch::Found { pos: 2, slot: 2 }
         );
+        // SAFETY: freeing the test node once.
+        unsafe { NodePtr::<u64>::from_border(b).free() };
+    }
+
+    #[test]
+    fn match_key_validates_before_touching_a_block() {
+        // A torn pair as a reader can see it mid-reuse: a block code
+        // beside inline suffix bytes. The failed check must come first;
+        // following those bytes as a block pointer would crash.
+        let key = b"01234567-a-long-suffix";
+        let b = make_border_with(&[(slice_at(key, 0), KEYLEN_SUFFIX_BLOCK)]);
+        // SAFETY: fresh node.
+        let bn = unsafe { &*b };
+        bn.ksuf[0].store(u64::from_ne_bytes(*b"inline!!"), Ordering::Relaxed);
+        let k = KeyCursor::new(key);
+        assert!(bn.match_key(bn.permutation(), &k, || false).is_none());
         // SAFETY: freeing the test node once.
         unsafe { NodePtr::<u64>::from_border(b).free() };
     }

@@ -12,12 +12,12 @@ use core::sync::atomic::Ordering;
 use crossbeam::epoch::Guard;
 
 use crate::gc;
-use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE, SLICE_LEN};
+use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNSTABLE};
 use crate::node::{BorderNode, BorderSearch, InteriorNode, NodePtr, RootSlot};
 use crate::permutation::{Permutation, WIDTH};
 use crate::stats::Stats;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
+use crate::suffix;
 use crate::tree::{Masstree, Restart};
 
 /// Outcome of completing a write at one locked border node (the lock is
@@ -201,20 +201,18 @@ impl<V: ?Sized + Stored> Masstree<V> {
                     KEYLEN_UNSTABLE => {
                         unreachable!("UNSTABLE under the node lock")
                     }
-                    KEYLEN_SUFFIX => {
+                    KEYLEN_SUFFIX.. => {
                         debug_assert!(k.has_suffix(), "rank matched 9");
-                        let sp = bn.suffix[slot].load(Ordering::Acquire);
-                        // SAFETY: a live suffix block for the slot
-                        // (we hold the lock; it cannot be retired
-                        // concurrently).
-                        let sb = unsafe { KeySuffix::bytes(sp) };
-                        if sb == k.suffix() {
+                        let ksuf = bn.ksuf[slot].load(Ordering::Acquire);
+                        // SAFETY: the slot's pair, read under the lock
+                        // (a block cannot be retired concurrently).
+                        if unsafe { suffix::bytes(code, &ksuf) } == k.suffix() {
                             return Self::replace_slot(bn, slot, factory, guard);
                         }
                         // Two distinct keys share the slice: move
                         // the resident key one layer down, then
                         // keep inserting there (§4.6.3).
-                        let new_root = self.make_layer(bn, slot, sb, guard);
+                        let new_root = self.make_layer(bn, slot, code, ksuf, guard);
                         bn.version().unlock();
                         BorderWrite::Layer {
                             root: NodePtr::from_border(new_root),
@@ -224,8 +222,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                     }
                     _ => {
                         // Exact inline match: update in place.
-                        debug_assert_eq!(code as usize, k.slice_len());
-                        debug_assert!(!k.has_suffix());
+                        debug_assert_eq!(code, k.keylen_code());
                         Self::replace_slot(bn, slot, factory, guard)
                     }
                 }
@@ -295,53 +292,40 @@ impl<V: ?Sized + Stored> Masstree<V> {
             // unlock (§4.6.5).
             bn.version().mark_inserting();
         }
-        let suffix = if k.has_suffix() {
-            KeySuffix::alloc(k.suffix())
-        } else {
-            core::ptr::null_mut()
-        };
-        bn.write_slot(slot, k.ikey(), k.keylen_code(), suffix, vptr);
+        bn.write_key(slot, k.rest(), vptr);
         bn.publish_permutation(nperm);
     }
 
     /// Creates a new trie layer under `bn[slot]` holding the slot's
-    /// existing key remainder `resident_suffix` and value (§4.6.3).
-    /// Publication order is UNSTABLE → `lv` → LAYER so readers never
-    /// misinterpret the slot. Caller holds `bn`'s lock.
+    /// resident key — suffix code `code`, suffix word `ksuf` — and value
+    /// (§4.6.3). The resident's suffix becomes its remainder one layer
+    /// down, inline whenever that fits. Publication order is UNSTABLE →
+    /// `lv` → LAYER so readers never misinterpret the slot. Caller holds
+    /// `bn`'s lock.
     pub(crate) fn make_layer(
         &self,
         bn: &BorderNode<V>,
         slot: usize,
-        resident_suffix: &[u8],
+        code: u8,
+        ksuf: u64,
         guard: &Guard,
     ) -> *mut BorderNode<V> {
         Stats::bump(&self.stats.layers_created);
-        let old_suffix = bn.suffix[slot].load(Ordering::Acquire);
         let old_value = bn.lv[slot].load(Ordering::Acquire);
-        // Build the new layer's root: one border node holding the resident
-        // key, re-sliced one layer deeper.
-        let ik2 = crate::key::slice_at(resident_suffix, 0);
-        let (code2, suffix2) = if resident_suffix.len() > SLICE_LEN {
-            (
-                KEYLEN_SUFFIX,
-                KeySuffix::alloc(&resident_suffix[SLICE_LEN..]),
-            )
-        } else {
-            (resident_suffix.len() as u8, core::ptr::null_mut())
-        };
         let new_root = BorderNode::<V>::alloc(true, false, 0);
         // SAFETY: fresh private node.
         let nr = unsafe { &*new_root };
-        nr.write_slot(0, ik2, code2, suffix2, old_value);
+        // SAFETY: the slot's pair, read under the lock.
+        nr.write_key(0, unsafe { suffix::bytes(code, &ksuf) }, old_value);
         nr.publish_permutation(Permutation::identity(1));
         // Publish into the parent slot (order per §4.6.3).
         bn.keylen[slot].store(KEYLEN_UNSTABLE, Ordering::Release);
         bn.lv[slot].store(new_root.cast::<()>(), Ordering::Release);
         bn.keylen[slot].store(KEYLEN_LAYER, Ordering::Release);
-        // The old suffix block is no longer referenced by new readers;
+        // An old suffix block is no longer referenced by new readers;
         // in-flight readers may still dereference it until they unpin.
         // SAFETY: unreachable from the slot once KEYLEN_LAYER is visible.
-        unsafe { gc::retire_suffix(guard, old_suffix) };
+        unsafe { gc::retire_suffix(guard, code, ksuf) };
         new_root
     }
 
@@ -416,19 +400,14 @@ impl<V: ?Sized + Stored> Masstree<V> {
         let mut side = SplitSide::Left;
         for (j, &e) in order[split_at..].iter().enumerate() {
             if e == NEW {
-                let suffix = if k.has_suffix() {
-                    KeySuffix::alloc(k.suffix())
-                } else {
-                    core::ptr::null_mut()
-                };
-                rn.write_slot(j, k.ikey(), k.keylen_code(), suffix, vptr);
+                rn.write_key(j, k.rest(), vptr);
                 side = SplitSide::Right;
             } else {
                 rn.write_slot(
                     j,
                     bn.keyslice[e].load(Ordering::Acquire),
                     bn.keylen[e].load(Ordering::Acquire),
-                    bn.suffix[e].load(Ordering::Acquire),
+                    bn.ksuf[e].load(Ordering::Acquire),
                     bn.lv[e].load(Ordering::Acquire),
                 );
             }
@@ -456,12 +435,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                 .copied()
                 .find(|&e| e != NEW)
                 .expect("split moved at least one resident entry");
-            let suffix = if k.has_suffix() {
-                KeySuffix::alloc(k.suffix())
-            } else {
-                core::ptr::null_mut()
-            };
-            bn.write_slot(freed, k.ikey(), k.keylen_code(), suffix, vptr);
+            bn.write_key(freed, k.rest(), vptr);
             left_slots[ipos] = freed;
         }
         bn.publish_permutation(Permutation::from_slots(&left_slots[..nl]));

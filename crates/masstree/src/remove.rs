@@ -17,7 +17,7 @@ use crate::key::{keylen_rank, KeyCursor, KEYLEN_LAYER, KEYLEN_SUFFIX, KEYLEN_UNS
 use crate::node::{BorderNode, BorderSearch, NodePtr};
 use crate::stats::Stats;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
+use crate::suffix;
 use crate::tree::{Masstree, Restart};
 
 /// Outcome of completing a remove at one locked border node (the lock
@@ -125,12 +125,11 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         BorderRemove::Layer(NodePtr::from_raw(nl.cast()))
                     }
                     KEYLEN_UNSTABLE => unreachable!("UNSTABLE under the node lock"),
-                    KEYLEN_SUFFIX => {
+                    KEYLEN_SUFFIX.. => {
                         debug_assert!(k.has_suffix());
-                        let sp = bn.suffix[slot].load(Ordering::Acquire);
-                        // SAFETY: live suffix block; we hold the lock.
-                        let sb = unsafe { KeySuffix::bytes(sp) };
-                        if sb != k.suffix() {
+                        let ksuf = bn.ksuf[slot].load(Ordering::Acquire);
+                        // SAFETY: the slot's pair; we hold the lock.
+                        if unsafe { suffix::bytes(code, &ksuf) } != k.suffix() {
                             bn.version().unlock();
                             return BorderRemove::Done(None);
                         }
@@ -140,7 +139,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         }))
                     }
                     _ => {
-                        debug_assert_eq!(code as usize, k.slice_len());
+                        debug_assert_eq!(code, k.keylen_code());
                         // SAFETY: exact match established.
                         BorderRemove::Done(Some(unsafe {
                             self.remove_entry(bn, perm.remove_at(pos), f, guard)
@@ -167,11 +166,8 @@ impl<V: ?Sized + Stored> Masstree<V> {
         guard: &'g Guard,
     ) -> (&'g V, R) {
         let old_value = bn.lv[slot].load(Ordering::Acquire);
-        let old_suffix = if bn.keylen[slot].load(Ordering::Acquire) == KEYLEN_SUFFIX {
-            bn.suffix[slot].load(Ordering::Acquire)
-        } else {
-            core::ptr::null_mut()
-        };
+        let code = bn.keylen[slot].load(Ordering::Acquire);
+        let ksuf = bn.ksuf[slot].load(Ordering::Acquire);
         // The removal's linearization point: run the caller's hook under
         // the lock, against the value being unpublished.
         // SAFETY: the slot's live value; we hold the lock.
@@ -182,7 +178,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
         // reclamation protects in-flight ones.
         unsafe {
             gc::retire_value::<V>(guard, old_value);
-            gc::retire_suffix(guard, old_suffix);
+            gc::retire_suffix(guard, code, ksuf);
         }
         if nperm.nkeys() == 0 && !bn.prev.load(Ordering::Acquire).is_null() {
             // SAFETY: `bn` is locked, empty and not the leftmost node.

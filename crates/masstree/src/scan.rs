@@ -50,7 +50,7 @@ use crate::node::{BorderNode, ExtractedLv, NodePtr};
 use crate::permutation::WIDTH;
 use crate::stats::Stats;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
+use crate::suffix;
 use crate::tree::{Masstree, Restart};
 use crate::version::Version;
 
@@ -59,10 +59,11 @@ use crate::version::Version;
 #[derive(Clone, Copy)]
 pub(crate) struct Entry {
     pub(crate) ikey: u64,
-    /// Inline length 0..=8, [`KEYLEN_SUFFIX`] or [`KEYLEN_LAYER`].
+    /// Inline length 0..=8, a suffix code or [`KEYLEN_LAYER`].
     pub(crate) code: u8,
     pub(crate) lv: *mut (),
-    pub(crate) suffix: *mut KeySuffix,
+    /// The slot's suffix word (`suffix.rs`).
+    pub(crate) ksuf: u64,
 }
 
 impl Entry {
@@ -70,8 +71,38 @@ impl Entry {
         ikey: 0,
         code: 0,
         lv: core::ptr::null_mut(),
-        suffix: core::ptr::null_mut(),
+        ksuf: 0,
     };
+
+    /// The suffix of an entry with a suffix code.
+    ///
+    /// # Safety
+    ///
+    /// The entry must come from a validated snapshot taken under the
+    /// guard that is still pinned.
+    pub(crate) unsafe fn suffix(&self) -> &[u8] {
+        // SAFETY: a validated pair, per the caller's contract.
+        unsafe { suffix::bytes(self.code, &self.ksuf) }
+    }
+
+    /// Reads `n[slot]` into an entry; `None` while the slot is
+    /// mid-conversion. The caller validates the snapshot it goes into.
+    pub(crate) fn read<V: ?Sized>(n: &BorderNode<V>, slot: usize) -> Option<Entry> {
+        let ikey = n.keyslice[slot].load(Ordering::Acquire);
+        let (code, ex) = n.extract_lv(slot);
+        let lv = match ex {
+            ExtractedLv::Unstable => return None,
+            ExtractedLv::Layer(p) => p.cast::<()>(),
+            ExtractedLv::Value(p) => p,
+        };
+        let ksuf = n.ksuf[slot].load(Ordering::Acquire);
+        Some(Entry {
+            ikey,
+            code,
+            lv,
+            ksuf,
+        })
+    }
 }
 
 /// Outcome of a (sub-)scan. Shared with the reverse scanner.
@@ -642,11 +673,10 @@ impl<V: ?Sized + Stored> Masstree<V> {
                             None => return Ok(ScanStatus::Done),
                         }
                     }
-                    KEYLEN_SUFFIX => {
-                        debug_assert!(!e.suffix.is_null());
+                    KEYLEN_SUFFIX.. => {
                         // SAFETY: captured in a validated snapshot;
-                        // epoch keeps the block live for the guard.
-                        let sb = unsafe { KeySuffix::bytes(e.suffix) };
+                        // epoch keeps a block live for the guard.
+                        let sb = unsafe { e.suffix() };
                         if in_rank9_boundary && sb < &scratch.bound[SLICE_LEN..] {
                             continue;
                         }
@@ -729,38 +759,12 @@ impl<V: ?Sized + Stored> Masstree<V> {
             let mut filled = 0usize;
             let mut unstable = false;
             for pos in 0..perm.nkeys() {
-                let slot = perm.get(pos);
-                let ikey = n.keyslice[slot].load(Ordering::Acquire);
-                let (code, ex) = n.extract_lv(slot);
-                match ex {
-                    ExtractedLv::Unstable => {
-                        unstable = true;
-                        break;
-                    }
-                    ExtractedLv::Layer(p) => {
-                        entries[filled] = Entry {
-                            ikey,
-                            code: KEYLEN_LAYER,
-                            lv: p.cast::<()>(),
-                            suffix: core::ptr::null_mut(),
-                        };
-                        filled += 1;
-                    }
-                    ExtractedLv::Value(p) => {
-                        let suffix = if code == KEYLEN_SUFFIX {
-                            n.suffix[slot].load(Ordering::Acquire)
-                        } else {
-                            core::ptr::null_mut()
-                        };
-                        entries[filled] = Entry {
-                            ikey,
-                            code,
-                            lv: p,
-                            suffix,
-                        };
-                        filled += 1;
-                    }
-                }
+                let Some(e) = Entry::read(n, perm.get(pos)) else {
+                    unstable = true;
+                    break;
+                };
+                entries[filled] = e;
+                filled += 1;
             }
             let next = n.next.load(Ordering::Acquire);
             let v2 = n.version().load(Ordering::Acquire);

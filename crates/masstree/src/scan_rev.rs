@@ -29,12 +29,11 @@ use crossbeam::epoch::Guard;
 
 use crate::anchor::DescentAnchor;
 use crate::key::{slice_at, KEYLEN_LAYER, KEYLEN_SUFFIX, SLICE_LEN};
-use crate::node::{BorderNode, ExtractedLv, NodePtr};
+use crate::node::{BorderNode, NodePtr};
 use crate::permutation::WIDTH;
 use crate::scan::{with_scratch, Entry, Redescend, ScanScratch, ScanStatus, StopPoint};
 use crate::stats::Stats;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
 use crate::tree::{Masstree, Restart};
 use crate::version::Version;
 
@@ -232,11 +231,10 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         // (rank 8 == full slice, which sorts just
                         // below the layer's rank-9 position.)
                     }
-                    KEYLEN_SUFFIX => {
-                        debug_assert!(!e.suffix.is_null());
+                    KEYLEN_SUFFIX.. => {
                         // SAFETY: captured under a validated snapshot;
-                        // epoch keeps the block live for the guard.
-                        let sb = unsafe { KeySuffix::bytes(e.suffix) };
+                        // epoch keeps a block live for the guard.
+                        let sb = unsafe { e.suffix() };
                         if bounded_suffix && sb > &scratch.bound[SLICE_LEN..] {
                             continue;
                         }
@@ -352,38 +350,12 @@ impl<V: ?Sized + Stored> Masstree<V> {
             let mut filled = 0usize;
             let mut unstable = false;
             for pos in 0..perm.nkeys() {
-                let slot = perm.get(pos);
-                let ikey = n.keyslice[slot].load(Ordering::Acquire);
-                let (code, ex) = n.extract_lv(slot);
-                match ex {
-                    ExtractedLv::Unstable => {
-                        unstable = true;
-                        break;
-                    }
-                    ExtractedLv::Layer(p) => {
-                        entries[filled] = Entry {
-                            ikey,
-                            code: KEYLEN_LAYER,
-                            lv: p.cast::<()>(),
-                            suffix: core::ptr::null_mut(),
-                        };
-                        filled += 1;
-                    }
-                    ExtractedLv::Value(p) => {
-                        let suffix = if code == KEYLEN_SUFFIX {
-                            n.suffix[slot].load(Ordering::Acquire)
-                        } else {
-                            core::ptr::null_mut()
-                        };
-                        entries[filled] = Entry {
-                            ikey,
-                            code,
-                            lv: p,
-                            suffix,
-                        };
-                        filled += 1;
-                    }
-                }
+                let Some(e) = Entry::read(n, perm.get(pos)) else {
+                    unstable = true;
+                    break;
+                };
+                entries[filled] = e;
+                filled += 1;
             }
             let prev = n.prev.load(Ordering::Acquire);
             let lowkey = n.lowkey.load(Ordering::Relaxed);
@@ -406,11 +378,11 @@ impl<V: ?Sized + Stored> Masstree<V> {
 ///   prefix when the last byte is 0x00;
 /// * below the empty remainder (`l == 0`): nothing — the layer (from this
 ///   slice leftward) is exhausted below `ikey`;
-/// * below a suffixed key: the same slice with a smaller suffix — we
-///   conservatively resume at the slice's inline rank-8 position.
+/// * below a suffixed key (`suffix` given): the same slice with a smaller
+///   suffix — we conservatively resume at the slice's inline rank-8
+///   position.
 fn prev_bound_into(ikey: u64, code: u8, suffix: Option<&[u8]>, out: &mut Vec<u8>) -> bool {
-    if code == KEYLEN_SUFFIX {
-        let sb = suffix.unwrap_or(&[]);
+    if let Some(sb) = suffix {
         out.clear();
         out.extend_from_slice(&ikey.to_be_bytes());
         if sb.is_empty() {

@@ -7,11 +7,10 @@ use core::sync::atomic::{AtomicPtr, Ordering};
 use crossbeam::epoch::Guard;
 
 use crate::hint::LeafHint;
-use crate::key::{keylen_rank, KeyCursor, KEYLEN_SUFFIX};
-use crate::node::{BorderNode, BorderSearch, ExtractedLv, InteriorNode, NodeHeader, NodePtr};
+use crate::key::KeyCursor;
+use crate::node::{BorderNode, InteriorNode, NodeHeader, NodePtr, SlotMatch};
 use crate::stats::Stats;
 use crate::stored::Stored;
-use crate::suffix::KeySuffix;
 use crate::version::Version;
 
 /// A concurrent Masstree mapping arbitrary byte keys to values of type `V`.
@@ -274,52 +273,9 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         continue 'restart;
                     }
                     let perm = n.permutation();
-                    let rank = keylen_rank(k.keylen_code());
-                    let mut outcome = GetOutcome::NotFound;
-                    // Slot/keylen of a Value outcome, for hint capture.
-                    let mut found = (0usize, 0u8);
-                    // Absence concluded from a suffix mismatch is not
-                    // stable under an unchanged permutation (layer
-                    // conversion); the capture must record that.
-                    let mut absent_conclusive = true;
-                    if let BorderSearch::Found { slot, .. } = n.search(perm, ikey, rank) {
-                        let (code, ex) = n.extract_lv(slot);
-                        found = (slot, code);
-                        outcome = match ex {
-                            ExtractedLv::Unstable => GetOutcome::Unstable,
-                            ExtractedLv::Layer(p) => GetOutcome::Layer(p),
-                            ExtractedLv::Value(p) => {
-                                if code == KEYLEN_SUFFIX {
-                                    let sp = n.suffix[slot].load(Ordering::Acquire);
-                                    if sp.is_null() {
-                                        // Torn with a concurrent reuse; the
-                                        // version check below will catch it.
-                                        GetOutcome::Unstable
-                                    } else {
-                                        // SAFETY: suffix blocks are immutable
-                                        // and epoch-reclaimed; live under the
-                                        // pinned guard.
-                                        let sb = unsafe { KeySuffix::bytes(sp) };
-                                        if sb == k.suffix() {
-                                            GetOutcome::Value(p)
-                                        } else {
-                                            absent_conclusive = false;
-                                            GetOutcome::NotFound
-                                        }
-                                    }
-                                } else if code as usize == k.slice_len() && !k.has_suffix() {
-                                    GetOutcome::Value(p)
-                                } else {
-                                    // keylen changed under us (slot reuse);
-                                    // version check will catch it.
-                                    GetOutcome::Unstable
-                                }
-                            }
-                        };
-                    }
                     // Version re-check (Figure 7's `n.version ⊕ v > locked`).
-                    let v2 = n.version().load(Ordering::Acquire);
-                    if v.has_changed(v2) {
+                    let valid = || !v.has_changed(n.version().load(Ordering::Acquire));
+                    let Some(m) = n.match_key(perm, &k, valid) else {
                         Stats::bump(&self.stats.read_retries);
                         let mut vs = n.version().stable();
                         // Walk right while the key's range moved (B-link).
@@ -342,28 +298,28 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         }
                         v = vs;
                         continue 'forward;
-                    }
-                    match outcome {
-                        GetOutcome::NotFound => {
+                    };
+                    match m {
+                        SlotMatch::Absent { conclusive } => {
                             return (
                                 None,
-                                LeafHint::capture_absent(n, v, perm, k.offset(), absent_conclusive),
+                                LeafHint::capture_absent(n, v, perm, k.offset(), conclusive),
                             );
                         }
                         // SAFETY: a validated value pointer for this key;
                         // epoch reclamation keeps it live for `'g`.
-                        GetOutcome::Value(p) => {
+                        SlotMatch::Value { slot, code, lv } => {
                             return (
-                                Some(unsafe { V::deref(p) }),
-                                LeafHint::capture(n, v, perm, found.0, found.1, k.offset()),
+                                Some(unsafe { V::deref(lv) }),
+                                LeafHint::capture(n, v, perm, slot, code, k.offset()),
                             );
                         }
-                        GetOutcome::Layer(p) => {
+                        SlotMatch::Layer { root: p, .. } => {
                             root = NodePtr::from_raw(p);
                             k.advance();
                             continue 'layer;
                         }
-                        GetOutcome::Unstable => {
+                        SlotMatch::Unstable => {
                             core::hint::spin_loop();
                             continue 'forward;
                         }
@@ -377,11 +333,4 @@ impl<V: ?Sized + Stored> Masstree<V> {
     pub fn contains_key(&self, key: &[u8], guard: &Guard) -> bool {
         self.get(key, guard).is_some()
     }
-}
-
-enum GetOutcome {
-    NotFound,
-    Value(*mut ()),
-    Layer(*mut NodeHeader),
-    Unstable,
 }

@@ -357,3 +357,107 @@ fn slot_reuse_never_leaks_wrong_value() {
         stop.store(true, Ordering::Relaxed);
     });
 }
+
+#[test]
+fn suffix_kind_changes_never_leak_wrong_value() {
+    // The hazard of inline suffixes: a slot's suffix word holds either a
+    // 1-8-byte suffix or a block pointer, so a freed slot reused for a
+    // key of the other kind can show a reader a block code beside inline
+    // bytes until its version check fails. A reader that dereferenced the
+    // block first would chase suffix bytes as a pointer. Eight slices
+    // share one border node; writers flip each between a short and a
+    // long suffix by remove + put, and readers check every hit against
+    // its key through every read path. There are more threads than a
+    // small host's cores on purpose: a writer preempted between its
+    // `keylen` and suffix-word stores leaves the torn pair in view for a
+    // whole time slice.
+    use masstree::{HintResult, LeafHint};
+    use std::sync::atomic::AtomicBool;
+    const SLICES: usize = 8;
+    const WRITERS: usize = 4;
+    let key = |i: usize, long: bool| {
+        let mut k = format!("slot{i:04}").into_bytes();
+        if long {
+            k.extend_from_slice(format!("a-long-suffix-{i}").as_bytes());
+        } else {
+            k.extend(std::iter::repeat_n(b's', 1 + i));
+        }
+        k
+    };
+    let keys: Vec<Vec<u8>> = (0..SLICES)
+        .flat_map(|i| [key(i, false), key(i, true)])
+        .collect();
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    let mut t = Masstree::<Vec<u8>>::new();
+    let stop = AtomicBool::new(false);
+    {
+        let g = masstree::pin();
+        for i in 0..SLICES {
+            t.put(&key(i, i % 2 == 1), key(i, i % 2 == 1), &g);
+        }
+    }
+    let check = |k: &[u8], v: &Vec<u8>| assert_eq!(v.as_slice(), k, "another key's value");
+    let (t_ref, stop, refs) = (&t, &stop, &refs);
+    let long_at_end: usize = std::thread::scope(|s| {
+        // Writer `w` owns the slices congruent to it mod WRITERS, so a
+        // slice never holds both of its keys (which would make a layer).
+        // Each returns how many of its slices end with the long key.
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                s.spawn(move || {
+                    let mut long: [bool; SLICES] = std::array::from_fn(|i| i % 2 == 1);
+                    let mut i = w;
+                    while !stop.load(Ordering::Relaxed) {
+                        let g = masstree::pin();
+                        assert!(t_ref.remove(&key(i, long[i]), &g).is_some());
+                        long[i] = !long[i];
+                        t_ref.put(&key(i, long[i]), key(i, long[i]), &g);
+                        i = (i + WRITERS) % SLICES;
+                    }
+                    long.iter().skip(w).step_by(WRITERS).filter(|&&l| l).count()
+                })
+            })
+            .collect();
+        for _ in 0..4 {
+            s.spawn(move || {
+                let mut hints: Vec<Option<LeafHint<Vec<u8>>>> = vec![None; refs.len()];
+                while !stop.load(Ordering::Relaxed) {
+                    let g = masstree::pin();
+                    for (j, k) in refs.iter().enumerate() {
+                        if let Some(v) = t_ref.get(k, &g) {
+                            check(k, v);
+                        }
+                        let (v, h) = t_ref.get_with_hint(k, hints[j].as_ref(), &g);
+                        if let Some(v) = v {
+                            check(k, v);
+                        }
+                        if let HintResult::Refreshed(h) = h {
+                            hints[j] = Some(h);
+                        }
+                    }
+                    t_ref.multi_get_with(refs, &g, |j, hit| {
+                        if let Some(v) = hit {
+                            check(refs[j], v);
+                        }
+                    });
+                    t_ref.scan(b"", &g, |k, v| {
+                        check(k, v);
+                        true
+                    });
+                    t_ref.scan_rev(&[0xff; 32], &g, |k, v| {
+                        check(k, v);
+                        true
+                    });
+                }
+            });
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1500));
+        stop.store(true, Ordering::Relaxed);
+        writers.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let report = t.validate().expect("valid tree");
+    assert_eq!(
+        (report.keys, report.external_suffixes),
+        (SLICES, long_at_end)
+    );
+}

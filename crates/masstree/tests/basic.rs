@@ -98,6 +98,57 @@ fn paper_layer_example() {
 }
 
 #[test]
+fn short_suffixes_stay_inline() {
+    // YCSB-shaped keys ("user" + 20 digits) end 8 bytes past their
+    // layer-1 slice: every suffix fits in its slot, none gets a block.
+    let mut t: Masstree<u64> = Masstree::new();
+    let g = masstree::pin();
+    let user = |i: u64| format!("user{:020}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    for i in 0..100_000 {
+        t.put(user(i).as_bytes(), i, &g);
+    }
+    drop(g);
+    let report = t.validate().expect("valid tree");
+    assert_eq!(report.keys, 100_000);
+    assert_eq!(report.external_suffixes, 0, "{report:?}");
+
+    // 40-byte keys leave suffixes of over 8 bytes: those take blocks.
+    let g = masstree::pin();
+    for i in 0..1_000 {
+        t.put(format!("{}-and-sixteen-more-b", user(i)).as_bytes(), i, &g);
+    }
+    for i in (0..1_000).step_by(97) {
+        let long = format!("{}-and-sixteen-more-b", user(i));
+        assert_eq!(t.get(long.as_bytes(), &g), Some(&i));
+        assert_eq!(t.get(user(i).as_bytes(), &g), Some(&i));
+    }
+    drop(g);
+    let report = t.validate().expect("valid tree");
+    assert_eq!(report.keys, 101_000);
+    assert!(report.external_suffixes > 0, "{report:?}");
+}
+
+#[test]
+fn layer_conversion_moves_a_block_suffix_inline() {
+    // A resident's 12-byte suffix needs a block; once a second key with
+    // the same slice pushes it one layer down, its 12-byte remainder
+    // there is a slice plus a 4-byte suffix, stored inline.
+    let mut t: Masstree<u32> = Masstree::new();
+    let g = masstree::pin();
+    t.put(b"01234567suffix-block", 1, &g);
+    drop(g);
+    assert_eq!(t.validate().unwrap().external_suffixes, 1);
+    let g = masstree::pin();
+    t.put(b"01234567X", 2, &g);
+    assert_eq!(t.get(b"01234567suffix-block", &g), Some(&1));
+    assert_eq!(t.get(b"01234567X", &g), Some(&2));
+    assert_eq!(t.get(b"01234567suffix-blocK", &g), None);
+    drop(g);
+    let report = t.validate().expect("valid tree");
+    assert_eq!((report.keys, report.external_suffixes), (2, 0));
+}
+
+#[test]
 fn long_shared_prefixes_build_deep_layers() {
     let mut t: Masstree<u64> = Masstree::new();
     let g = masstree::pin();
