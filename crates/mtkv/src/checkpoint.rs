@@ -10,19 +10,25 @@
 //! The key space is split into byte-prefix ranges, one per checkpointer
 //! thread, each writing its own part file; a manifest written last (via
 //! atomic rename) makes the checkpoint complete.
+//!
+//! A part file is a log segment in all but name: one put frame per key
+//! (`log.rs`'s record format, written by the WAL's own encoder), each
+//! stamped with the checkpoint's `start_ts`. Recovery streams a part
+//! through the same `SegmentWalker` window as a segment and applies each
+//! row through the same replay gate, so no file is read whole and a
+//! loaded row costs its value's one block.
 
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::clock;
+use crate::log::{put_frame, seal_frame};
 use crate::store::Store;
-use crate::value::ValuePtr;
 
-/// Part-file row sentinel in the `ncols` field marking an **indirect**
-/// row: the 24-byte [`ValuePtr`] follows instead of column data. Inline
-/// rows can never reach this count (`ncols` is bounded far below it).
-const NCOLS_INDIRECT: u16 = u16::MAX;
+/// First line of a manifest. Version 2 parts are log frames; a manifest
+/// of any other version is ignored, as a missing one is.
+const MANIFEST_HEADER: &str = "masstree-checkpoint-v2";
 
 /// Description of a completed checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,14 +47,14 @@ pub struct CheckpointMeta {
 impl CheckpointMeta {
     fn manifest_bytes(&self) -> String {
         format!(
-            "masstree-checkpoint-v1\nstart_ts {}\nend_ts {}\nparts {}\nkeys {}\n",
+            "{MANIFEST_HEADER}\nstart_ts {}\nend_ts {}\nparts {}\nkeys {}\n",
             self.start_ts, self.end_ts, self.parts, self.keys
         )
     }
 
     fn parse(s: &str) -> Option<CheckpointMeta> {
         let mut lines = s.lines();
-        if lines.next()? != "masstree-checkpoint-v1" {
+        if lines.next()? != MANIFEST_HEADER {
             return None;
         }
         let mut meta = CheckpointMeta {
@@ -74,6 +80,11 @@ impl CheckpointMeta {
 /// Directory name of a checkpoint started at `ts`.
 fn ckpt_dir(base: &Path, ts: u64) -> PathBuf {
     base.join(format!("ckpt-{ts:020}"))
+}
+
+/// Part file `t` of the checkpoint in `dir`.
+pub(crate) fn part_path(dir: &Path, t: usize) -> PathBuf {
+    dir.join(format!("part-{t:04}"))
 }
 
 /// Writes a checkpoint of `store` into `base/ckpt-<ts>/` using `threads`
@@ -120,7 +131,7 @@ pub fn write_checkpoint(
     let mut handles = Vec::new();
     for t in 0..threads {
         let store = Arc::clone(store);
-        let path = dir.join(format!("part-{t:04}"));
+        let path = part_path(&dir, t);
         let lo = bounds[t].clone();
         let hi = bounds[t + 1].clone();
         handles.push(std::thread::spawn(move || -> std::io::Result<u64> {
@@ -138,28 +149,13 @@ pub fn write_checkpoint(
                         return false; // past this partition
                     }
                 }
+                // An indirect row records the pointer, not the payload:
+                // the payload's segment is kept alive by the GC deletion
+                // rule (no segment a durable checkpoint references is
+                // ever reclaimed).
                 rec.clear();
-                rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                rec.extend_from_slice(key);
-                rec.extend_from_slice(&value.version().to_le_bytes());
-                if let Some(p) = value.ptr() {
-                    // Indirect row: the checkpoint records the pointer,
-                    // not the payload — the payload's segment is kept
-                    // alive by the GC deletion rule (no segment a
-                    // durable checkpoint references is ever reclaimed).
-                    rec.extend_from_slice(&NCOLS_INDIRECT.to_le_bytes());
-                    p.encode(&mut rec);
-                } else {
-                    let ncols = value.ncols();
-                    rec.extend_from_slice(&(ncols as u16).to_le_bytes());
-                    for i in 0..ncols {
-                        let c = value.col(i).unwrap();
-                        rec.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                        rec.extend_from_slice(c);
-                    }
-                }
-                let crc = crate::crc32::crc32(&rec);
-                rec.extend_from_slice(&crc.to_le_bytes());
+                let start = put_frame(&mut rec, start_ts, value.version(), key, value);
+                seal_frame(&mut rec, start);
                 if let Err(e) = out.write_all(&rec) {
                     io_err = Some(e);
                     return false;
@@ -209,79 +205,6 @@ pub fn write_checkpoint(
     std::fs::File::open(&dir)?.sync_all()?;
     std::fs::File::open(base)?.sync_all()?;
     Ok(meta)
-}
-
-/// A checkpoint row's payload: inline column data, or (for a
-/// value-separated row) the pointer into the value tier.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CheckpointPayload {
-    Inline(Vec<Vec<u8>>),
-    Indirect(ValuePtr),
-}
-
-/// One `(key, version, payload)` row from a checkpoint part file.
-pub type CheckpointRow = (Vec<u8>, u64, CheckpointPayload);
-
-/// Reads one part file; stops at the first corrupt record.
-pub fn read_part(path: &Path) -> std::io::Result<Vec<CheckpointRow>> {
-    let data = std::fs::read(path)?;
-    let mut rows = Vec::new();
-    let mut p = &data[..];
-    loop {
-        if p.len() < 4 {
-            break;
-        }
-        let total_start = p;
-        let klen = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
-        p = &p[4..];
-        if p.len() < klen + 8 + 2 {
-            break;
-        }
-        let key = p[..klen].to_vec();
-        p = &p[klen..];
-        let version = u64::from_le_bytes(p[..8].try_into().unwrap());
-        p = &p[8..];
-        let ncols = u16::from_le_bytes(p[..2].try_into().unwrap());
-        p = &p[2..];
-        let payload = if ncols == NCOLS_INDIRECT {
-            match ValuePtr::decode(&mut p) {
-                Some(ptr) => CheckpointPayload::Indirect(ptr),
-                None => break,
-            }
-        } else {
-            let mut cols = Vec::with_capacity(ncols as usize);
-            let mut ok = true;
-            for _ in 0..ncols {
-                if p.len() < 4 {
-                    ok = false;
-                    break;
-                }
-                let dlen = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
-                p = &p[4..];
-                if p.len() < dlen {
-                    ok = false;
-                    break;
-                }
-                cols.push(p[..dlen].to_vec());
-                p = &p[dlen..];
-            }
-            if !ok {
-                break;
-            }
-            CheckpointPayload::Inline(cols)
-        };
-        if p.len() < 4 {
-            break;
-        }
-        let stored = u32::from_le_bytes(p[..4].try_into().unwrap());
-        let body_len = total_start.len() - p.len();
-        if crate::crc32::crc32(&total_start[..body_len]) != stored {
-            break;
-        }
-        p = &p[4..];
-        rows.push((key, version, payload));
-    }
-    Ok(rows)
 }
 
 /// Finds the newest complete checkpoint under `base`.
@@ -389,6 +312,7 @@ pub fn prune_checkpoints(base: &Path, keep: usize) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{LogRecord, SegmentWalker};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mtkv-ckpt-{tag}-{}", std::process::id()));
@@ -413,44 +337,47 @@ mod tests {
         assert_eq!(meta.parts, 4);
         let (path, found) = latest_checkpoint(&dir).unwrap();
         assert_eq!(found, meta);
-        // All rows present across parts.
+        // All rows present across parts, each a put frame stamped with
+        // the checkpoint's start.
         let mut rows = Vec::new();
+        let mut walker = SegmentWalker::default();
         for t in 0..4 {
-            rows.extend(read_part(&path.join(format!("part-{t:04}"))).unwrap());
+            let mut walk = walker.walk(&part_path(&path, t)).unwrap();
+            while let Some(rec) = walk.next_record().unwrap() {
+                assert_eq!(rec.timestamp(), meta.start_ts);
+                assert!(!rec.is_marker() && !rec.is_remove() && rec.ptr().is_none());
+                rows.push((rec.key().to_vec(), rec.cols().count()));
+            }
         }
         assert_eq!(rows.len(), 5_000);
         rows.sort();
-        assert_eq!(rows[0].0, b"key000000");
-        match &rows[0].2 {
-            CheckpointPayload::Inline(cols) => assert_eq!(cols.len(), 2),
-            other => panic!("expected inline row, got {other:?}"),
-        }
+        assert_eq!(rows[0], (b"key000000".to_vec(), 2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The row encoder as it stood when every row allocated its own
-    /// buffer: the reference the part files must still match byte for
-    /// byte.
-    fn reference_row(key: &[u8], value: &crate::value::ColValue) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(key.len() + 64);
-        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        rec.extend_from_slice(key);
-        rec.extend_from_slice(&value.version().to_le_bytes());
-        if let Some(p) = value.ptr() {
-            rec.extend_from_slice(&NCOLS_INDIRECT.to_le_bytes());
-            p.encode(&mut rec);
-        } else {
-            let ncols = value.ncols();
-            rec.extend_from_slice(&(ncols as u16).to_le_bytes());
-            for i in 0..ncols {
-                let c = value.col(i).unwrap();
-                rec.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                rec.extend_from_slice(c);
-            }
-        }
-        let crc = crate::crc32::crc32(&rec);
-        rec.extend_from_slice(&crc.to_le_bytes());
-        rec
+    /// The reference a part's row must match byte for byte: the owned
+    /// log record of the same value, stamped with the checkpoint's start.
+    fn reference_row(start_ts: u64, key: &[u8], value: &crate::value::ColValue) -> Vec<u8> {
+        let (timestamp, version, key) = (start_ts, value.version(), key.to_vec());
+        let rec = match value.ptr() {
+            Some(ptr) => LogRecord::PutIndirect {
+                timestamp,
+                version,
+                key,
+                ptr,
+            },
+            None => LogRecord::Put {
+                timestamp,
+                version,
+                key,
+                cols: (0..value.ncols())
+                    .map(|i| (i as u16, value.col(i).unwrap().to_vec()))
+                    .collect(),
+            },
+        };
+        let mut buf = Vec::new();
+        rec.encode(&mut buf);
+        buf
     }
 
     #[test]
@@ -485,14 +412,14 @@ mod tests {
         // is one scan of the whole tree.
         let mut got = Vec::new();
         for t in 0..meta.parts {
-            got.extend(std::fs::read(path.join(format!("part-{t:04}"))).unwrap());
+            got.extend(std::fs::read(part_path(&path, t)).unwrap());
         }
         let mut want = Vec::new();
         let mut indirect = 0;
         let guard = masstree::pin();
         store.tree().scan(b"", &guard, |key, value| {
             indirect += usize::from(value.ptr().is_some());
-            want.extend(reference_row(key, value));
+            want.extend(reference_row(meta.start_ts, key, value));
             true
         });
         assert_eq!(meta.keys, 4_000);
@@ -513,8 +440,13 @@ mod tests {
         s.put_single(b"b", b"2");
         let m2 = write_checkpoint(&store, &dir, 2).unwrap();
         assert!(m2.start_ts > m1.start_ts);
-        // An incomplete (manifest-less) newer directory must be ignored.
+        // An incomplete (manifest-less) newer directory must be ignored,
+        // and so must one whose manifest names the v1 row format.
         std::fs::create_dir_all(dir.join("ckpt-99999999999999999999")).unwrap();
+        let v1 = ckpt_dir(&dir, m2.start_ts + 1);
+        std::fs::create_dir_all(&v1).unwrap();
+        let v1_manifest = m2.manifest_bytes().replace("-v2\n", "-v1\n");
+        std::fs::write(v1.join("MANIFEST"), v1_manifest).unwrap();
         let (_, found) = latest_checkpoint(&dir).unwrap();
         assert_eq!(found, m2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -553,10 +485,10 @@ mod tests {
         let meta = write_checkpoint(&store, &dir, 3).unwrap();
         assert_eq!(meta.keys, 0);
         let (path, _) = latest_checkpoint(&dir).unwrap();
+        let mut walker = SegmentWalker::default();
         for t in 0..3 {
-            assert!(read_part(&path.join(format!("part-{t:04}")))
-                .unwrap()
-                .is_empty());
+            let mut walk = walker.walk(&part_path(&path, t)).unwrap();
+            assert!(walk.next_record().unwrap().is_none());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -27,7 +27,7 @@ pub mod vtier;
 
 pub use checkpoint::{
     latest_checkpoint, latest_checkpoint_at_or_before, prune_checkpoints, write_checkpoint,
-    CheckpointMeta, CheckpointPayload,
+    CheckpointMeta,
 };
 pub use log::{
     read_log, segment_path, truncate_covered_segments, CrashPoint, LogRecord, LogWriter,

@@ -35,6 +35,12 @@
 //! u16  column count  (column id: u16, len: u32, bytes)*
 //! u32  CRC-32 of the payload
 //! ```
+//!
+//! The format has two users. Log segments hold every op. A checkpoint
+//! part (`checkpoint.rs`) is a sequence of put frames (ops 1 and 6), all
+//! stamped with the checkpoint's start timestamp and encoded by the same
+//! `put_frame`; recovery streams both through [`SegmentWalker`] and
+//! applies both through one replay gate.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -390,8 +396,39 @@ fn close_frame(out: &mut [u8], start: usize) {
     out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
 }
 
+/// Opens and closes the frame of a put of `value` — its inline columns,
+/// or the pointer record of a value-separated one — at the end of `out`,
+/// and returns its start for [`seal_frame`]. The one encoder of the
+/// values a store holds: the WAL stamps and seals these frames later
+/// ([`PendingRecords`]), a checkpoint part seals them stamped with the
+/// checkpoint's start.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    timestamp: u64,
+    version: u64,
+    key: &[u8],
+    value: &ColValue,
+) -> usize {
+    let start = match value.ptr() {
+        Some(ptr) => {
+            let start = begin_frame(out, OP_PUT_INDIRECT, timestamp, version, key);
+            put_cols(out, 0, std::iter::empty());
+            ptr.encode(out);
+            start
+        }
+        None => {
+            let start = begin_frame(out, OP_PUT, timestamp, version, key);
+            let cols = (0..value.ncols()).map(|i| (i as u16, value.col(i).unwrap_or(&[])));
+            put_cols(out, value.ncols(), cols);
+            start
+        }
+    };
+    close_frame(out, start);
+    start
+}
+
 /// Appends the payload CRC to the closed frame at `start`.
-fn seal_frame(out: &mut Vec<u8>, start: usize) {
+pub(crate) fn seal_frame(out: &mut Vec<u8>, start: usize) {
     let crc = crc32(&out[start + 4..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
@@ -415,21 +452,7 @@ impl PendingRecords {
     /// Queues a put of `value` (inline columns, or the pointer record
     /// of a value-separated one).
     pub(crate) fn put(&mut self, version: u64, key: &[u8], value: &ColValue) {
-        let start = match value.ptr() {
-            Some(ptr) => {
-                let start = begin_frame(&mut self.frames, OP_PUT_INDIRECT, 0, version, key);
-                put_cols(&mut self.frames, 0, std::iter::empty());
-                ptr.encode(&mut self.frames);
-                start
-            }
-            None => {
-                let start = begin_frame(&mut self.frames, OP_PUT, 0, version, key);
-                let cols = (0..value.ncols()).map(|i| (i as u16, value.col(i).unwrap_or(&[])));
-                put_cols(&mut self.frames, value.ncols(), cols);
-                start
-            }
-        };
-        close_frame(&mut self.frames, start);
+        put_frame(&mut self.frames, 0, version, key, value);
         self.count += 1;
     }
 

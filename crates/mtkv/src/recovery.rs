@@ -3,8 +3,9 @@
 //! A session's log is a chain of segments (`log-<session>.<seg>`, see
 //! `log.rs`); within a session, records are timestamp-ordered across the
 //! chain, and every sealed segment ends in a clean-close sentinel. Every
-//! pass below streams segments through a [`SegmentWalker`] window and
-//! borrows each record in place; no segment is read whole.
+//! pass below streams segments — and checkpoint parts, which hold the
+//! same log frames — through a [`SegmentWalker`] window and borrows each
+//! record in place; no file is read whole.
 //!
 //! Recovery first summarises each segment and computes the cutoff `t =
 //! min over *crashed* sessions of the session's max record timestamp
@@ -16,13 +17,14 @@
 //! closed session must not freeze the cutoff at its close time (see
 //! `LogRecord::CleanClose`). It then loads the newest checkpoint that
 //! *began* before `t` and replays the surviving segments in parallel
-//! from the checkpoint's start timestamp, each record through
-//! [`install_if_newer`] — the replay rule the replication follower
-//! shares: a record applies only if its version exceeds the stored
-//! value's, so replay is idempotent and order-insensitive, and a record
-//! that loses allocates nothing. Around that rule recovery does what only
-//! it does: it read-verifies indirect pointers, leaves a tombstone per
-//! remove and sweeps the tombstones at the end. Segments wholly covered
+//! from the checkpoint's start timestamp. Checkpoint rows and log
+//! records alike go through one per-file loop and [`install_if_newer`]
+//! — the replay rule the replication follower shares: a record applies
+//! only if its version exceeds the stored value's, so replay is
+//! idempotent and order-insensitive, and a record that loses allocates
+//! nothing. Around that rule recovery does what only it does: it
+//! read-verifies indirect pointers, leaves a tombstone per remove and
+//! sweeps the tombstones at the end. Segments wholly covered
 //! by the checkpoint were already truncated online, so the replay work
 //! is bounded by the checkpoint cadence, not by process uptime.
 //!
@@ -35,12 +37,13 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use masstree::{Guard, Masstree};
 
-use crate::checkpoint::{latest_checkpoint_at_or_before, read_part, CheckpointPayload};
-use crate::log::{LogRecord, SegmentSummary, SegmentWalker};
+use crate::checkpoint::{latest_checkpoint_at_or_before, part_path};
+use crate::log::{LogRecord, LogRecordRef, SegmentSummary, SegmentWalker};
 use crate::store::{DurabilityConfig, Store};
 use crate::value::ColValue;
 
@@ -153,6 +156,49 @@ pub(crate) fn install_if_newer(
     build.is_none()
 }
 
+/// The one replay loop, for log segments and checkpoint parts alike
+/// (both are sequences of log frames): one thread, one walker and one
+/// pin per file, and every data record `admit` passes goes through
+/// [`install_if_newer`], its value built straight from the borrowed
+/// frame. Markers are skipped; a file's walk ends at its first torn or
+/// corrupt frame. Returns, per file, the records admitted and the
+/// largest version of any data record walked (admitted or not: the
+/// recovered store's versions start past every version its files hold).
+fn replay_files(
+    tree: &Masstree<ColValue>,
+    files: impl Iterator<Item = PathBuf>,
+    admit: impl Fn(&LogRecordRef<'_>) -> bool + Sync,
+) -> Vec<std::io::Result<(u64, u64)>> {
+    let admit = &admit;
+    let replay = move |path: &Path| -> std::io::Result<(u64, u64)> {
+        let mut walker = SegmentWalker::default();
+        let mut walk = walker.walk(path)?;
+        // One pin for the whole file: replaced values are reclaimed once
+        // it ends, not collected record by record.
+        let guard = masstree::pin();
+        let (mut admitted, mut max_version) = (0, 0);
+        while let Some(rec) = walk.next_record()? {
+            if rec.is_marker() {
+                continue; // heartbeat / clean-close / create marker
+            }
+            max_version = max_version.max(rec.version());
+            if admit(&rec) {
+                let build = || ColValue::from_record(&rec);
+                install_if_newer(tree, rec.key(), rec.version(), build, &guard);
+                admitted += 1;
+            }
+        }
+        Ok((admitted, max_version))
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = files
+            .map(|path| scope.spawn(move || replay(&path)))
+            .collect();
+        let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("replayer panicked");
+        handles.into_iter().map(join).collect()
+    })
+}
+
 /// Rebuilds a store from `log_dir` (logs) and `ckpt_dir` (checkpoints;
 /// may equal `log_dir`). The returned store has logging re-attached to
 /// `log_dir` so new sessions keep appending.
@@ -232,123 +278,69 @@ pub fn recover_with(
     let mut max_version = 0u64;
     let mut replay_from = 0u64;
     if let Some((path, meta)) = &ckpt {
-        // Parallel checkpoint load: one thread per part. Rows are counted
-        // against the manifest: a short count means a damaged or
-        // truncated part, in which case the checkpoint is abandoned and
-        // the logs alone rebuild the store (slower but complete).
-        let mut loaded_rows = 0u64;
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            let mut handles = Vec::new();
-            for t in 0..meta.parts {
-                let part = path.join(format!("part-{t:04}"));
-                let tree = &tree;
-                handles.push(scope.spawn(move || -> std::io::Result<(u64, u64)> {
-                    let rows = read_part(&part)?;
-                    let guard = masstree::pin();
-                    let mut maxv = 0u64;
-                    let n = rows.len() as u64;
-                    for (key, version, payload) in rows {
-                        maxv = maxv.max(version);
-                        let value = match payload {
-                            CheckpointPayload::Inline(cols) => {
-                                let refs: Vec<&[u8]> = cols.iter().map(|c| c.as_slice()).collect();
-                                ColValue::new(version, &refs)
-                            }
-                            // The checkpoint forced the value tier
-                            // before publishing its manifest, so the
-                            // pointed-to payload is durable; reads
-                            // still re-verify its checksum.
-                            CheckpointPayload::Indirect(ptr) => ColValue::indirect(version, ptr),
-                        };
-                        tree.put(&key, value, &guard);
-                    }
-                    Ok((maxv, n))
-                }));
+        // Parallel checkpoint load, one thread per part, through the
+        // segment loop: a part's rows are put frames, and none is
+        // filtered. The checkpoint forced the value tier before
+        // publishing its manifest, so an indirect row's payload is
+        // durable; reads still re-verify its checksum. Rows are counted
+        // against the manifest: a missing part or a short count (a
+        // damaged or truncated part) abandons the checkpoint, and the
+        // logs alone rebuild the store (slower but complete).
+        let parts = (0..meta.parts).map(|t| part_path(path, t));
+        let loaded: std::io::Result<Vec<_>> =
+            replay_files(&tree, parts, |_| true).into_iter().collect();
+        match loaded {
+            Ok(parts) if parts.iter().map(|&(rows, _)| rows).sum::<u64>() == meta.keys => {
+                report.used_checkpoint = true;
+                report.checkpoint_keys = meta.keys;
+                replay_from = meta.start_ts;
+                max_version = parts.iter().map(|&(_, v)| v).max().unwrap_or(0);
             }
-            for h in handles {
-                let (maxv, n) = h.join().expect("loader panicked").unwrap_or((0, 0));
-                max_version = max_version.max(maxv);
-                loaded_rows += n;
-            }
-            Ok(())
-        })?;
-        if loaded_rows == meta.keys {
-            report.used_checkpoint = true;
-            report.checkpoint_keys = meta.keys;
-            replay_from = meta.start_ts;
-        } else {
             // Damaged checkpoint: start over from the logs.
-            tree = Masstree::new();
-            max_version = 0;
+            _ => tree = Masstree::new(),
         }
     }
 
-    // Replay the surviving segments in parallel, one thread and one
-    // walker per segment. Indirect records are **read-verified** before
-    // their pointer is installed: a pointer whose payload is torn or
-    // missing belongs to an unacked tail (every ack forces the tier before
-    // the WAL) and is skipped, not trusted. The value segments are never
-    // modified by recovery, so double recovery stays repeatable. A remove
-    // leaves a versioned tombstone (`ColValue::from_record`): another
-    // log's older put for the key may replay *after* it and must not
-    // resurrect the key.
+    // Replay the surviving segments in parallel. Indirect records are
+    // **read-verified** before their pointer is installed: a pointer
+    // whose payload is torn or missing belongs to an unacked tail (every
+    // ack forces the tier before the WAL) and is skipped, not trusted.
+    // The value segments are never modified by recovery, so double
+    // recovery stays repeatable. A remove leaves a versioned tombstone
+    // (`ColValue::from_record`): another log's older put for the key may
+    // replay *after* it and must not resurrect the key.
     let vreader = crate::vtier::SegReader::new(log_dir);
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let mut handles = Vec::new();
-        for segment in sessions.iter().flatten() {
-            let tree = &tree;
-            let vreader = &vreader;
-            handles.push(scope.spawn(move || -> std::io::Result<_> {
-                let mut walker = SegmentWalker::default();
-                let mut walk = walker.walk(&segment.path)?;
-                // One pin for the whole segment: replaced values are
-                // reclaimed once it ends, not collected record by record.
-                let guard = masstree::pin();
-                let mut replayed = 0u64;
-                let mut dropped = 0u64;
-                let mut maxv = 0u64;
-                let mut unresolved = 0u64;
-                while let Some(rec) = walk.next_record()? {
-                    if rec.is_marker() {
-                        continue; // heartbeat / clean-close / create marker
-                    }
-                    if rec.timestamp() > cutoff {
-                        dropped += 1;
-                        continue;
-                    }
-                    if rec.timestamp() < replay_from {
-                        // Covered by the checkpoint: a record's timestamp
-                        // is drawn after its tree operation completes, so
-                        // anything stamped before the checkpoint began was
-                        // visible to the checkpoint scan (§5).
-                        continue;
-                    }
-                    maxv = maxv.max(rec.version());
-                    if rec.ptr().is_some_and(|p| vreader.read(p).is_err()) {
-                        unresolved += 1;
-                        continue;
-                    }
-                    let build = || ColValue::from_record(&rec);
-                    install_if_newer(tree, rec.key(), rec.version(), build, &guard);
-                    replayed += 1;
-                }
-                Ok((replayed, dropped, maxv, unresolved))
-            }));
+    let (dropped, unresolved) = (AtomicU64::new(0), AtomicU64::new(0));
+    let skip = |n: &AtomicU64| {
+        n.fetch_add(1, Ordering::Relaxed);
+        false
+    };
+    let segment_filter = |rec: &LogRecordRef<'_>| {
+        if rec.timestamp() > cutoff {
+            skip(&dropped)
+        } else if rec.timestamp() < replay_from {
+            // Covered by the checkpoint: a record's timestamp is drawn
+            // after its tree operation completes, so anything stamped
+            // before the checkpoint began was visible to the checkpoint
+            // scan (§5).
+            false
+        } else if rec.ptr().is_some_and(|p| vreader.read(p).is_err()) {
+            skip(&unresolved)
+        } else {
+            true
         }
-        for h in handles {
-            let (replayed, dropped, maxv, unresolved) = h.join().expect("replayer panicked")?;
-            report.replayed += replayed;
-            report.dropped_past_cutoff += dropped;
-            report.values_unresolved += unresolved;
-            max_version = max_version.max(maxv);
-        }
-        Ok(())
-    })?;
+    };
+    let segments = sessions.iter().flatten().map(|s| s.path.clone());
+    for done in replay_files(&tree, segments, segment_filter) {
+        let (replayed, maxv) = done?;
+        report.replayed += replayed;
+        max_version = max_version.max(maxv);
+    }
+    report.dropped_past_cutoff = dropped.into_inner();
+    report.values_unresolved = unresolved.into_inner();
     drop(vreader);
 
-    // Sweep remove tombstones (zero-column values) left by replay.
-    // Indirect values also report zero columns (their payload lives in
-    // the value tier) — they are live data, not tombstones.
+    // Sweep the remove tombstones replay left.
     let mut live_by_seg: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     {
         let guard = masstree::pin();
@@ -356,7 +348,7 @@ pub fn recover_with(
         tree.scan(b"", &guard, |k, v| {
             if let Some(p) = v.ptr() {
                 *live_by_seg.entry(p.seg).or_default() += u64::from(p.len);
-            } else if v.ncols() == 0 {
+            } else if v.is_tombstone() {
                 dead.push(k.to_vec());
             }
             true

@@ -79,6 +79,12 @@ impl ValuePtr {
 /// "no columns" rather than misreading the pointer bytes as offsets.
 const INDIRECT_TAG: u32 = u32::MAX;
 
+/// Sentinel in the `ncols` field marking a remove's **tombstone**: an
+/// empty buffer that recovery's replay leaves for a remove record and
+/// sweeps once replay ends. Distinct from a live value with zero columns,
+/// which a put of no columns stores and recovery must keep.
+const TOMBSTONE_TAG: u32 = u32::MAX - 1;
+
 /// Bytes before the buffer: version (8), column count (4), buffer
 /// length (4).
 const HEADER: usize = 16;
@@ -94,7 +100,8 @@ const PREFETCH_HEAD: usize = 128;
 /// Layout of `buf`: `ncols × u32` column end-offsets, then the column
 /// bytes back to back. When `ncols` is [`INDIRECT_TAG`] the value is
 /// *indirect*: `buf` instead holds a [`ValuePtr`] into the
-/// value-separation tier.
+/// value-separation tier; when it is [`TOMBSTONE_TAG`], `buf` is empty
+/// and the value is a remove's tombstone.
 ///
 /// `ColValue` is unsized; the constructors return `Box<ColValue>`, which
 /// the tree takes as is (`Masstree<ColValue>::put`) and the value tier's
@@ -282,11 +289,14 @@ impl ColValue {
     /// The value a replayed log record leaves behind, built in one block
     /// straight from the record's borrowed bytes: an inline put's columns
     /// (read as [`ColValue::from_updates`] reads its updates), an indirect
-    /// put's pointer, or — for a remove — the zero-column tombstone
-    /// recovery sweeps once replay ends.
+    /// put's pointer, or — for a remove, and only there — the tombstone
+    /// ([`ColValue::is_tombstone`]) recovery sweeps once replay ends.
     pub fn from_record(rec: &LogRecordRef<'_>) -> Box<ColValue> {
         if let Some(ptr) = rec.ptr() {
             return ColValue::indirect(rec.version(), ptr);
+        }
+        if rec.is_remove() {
+            return ColValue::alloc(rec.version(), TOMBSTONE_TAG, 0, |_| {});
         }
         let cols = || rec.cols().map(|(i, d)| (usize::from(i), d));
         let ncols = cols().map(|(i, _)| i + 1).max().unwrap_or(0);
@@ -308,6 +318,13 @@ impl ColValue {
     #[inline]
     pub fn is_indirect(&self) -> bool {
         self.ncols == INDIRECT_TAG
+    }
+
+    /// True when this value is a remove's tombstone (see
+    /// [`ColValue::from_record`]); it reports no columns.
+    #[inline]
+    pub fn is_tombstone(&self) -> bool {
+        self.ncols == TOMBSTONE_TAG
     }
 
     /// The value-tier pointer of an indirect value (`None` for inline).
@@ -337,13 +354,13 @@ impl ColValue {
         self.version
     }
 
-    /// Number of columns (0 for an unresolved indirect value).
+    /// Number of columns (0 for an unresolved indirect value and for a
+    /// tombstone).
     #[inline]
     pub fn ncols(&self) -> usize {
-        if self.is_indirect() {
-            0
-        } else {
-            self.ncols as usize
+        match self.ncols {
+            INDIRECT_TAG | TOMBSTONE_TAG => 0,
+            n => n as usize,
         }
     }
 
@@ -353,7 +370,7 @@ impl ColValue {
         if self.is_indirect() {
             self.ptr().map(|p| p.len as usize).unwrap_or(0)
         } else {
-            self.buf.len() - 4 * self.ncols as usize
+            self.buf.len() - 4 * self.ncols()
         }
     }
 
@@ -375,7 +392,7 @@ impl ColValue {
         if i >= self.ncols() {
             return None;
         }
-        let data_base = 4 * self.ncols as usize;
+        let data_base = 4 * self.ncols();
         let start = if i == 0 { 0 } else { self.col_end(i - 1) };
         let end = self.col_end(i);
         Some(&self.buf[data_base + start..data_base + end])
@@ -581,6 +598,19 @@ mod tests {
         let (rec, _) = LogRecord::decode_ref(&buf).unwrap();
         let want = ColValue::from_updates(version, &updates);
         assert_eq!(ColValue::from_record(&rec), want);
+        // A remove record builds a tombstone.
+        buf.clear();
+        let key = b"k".to_vec();
+        LogRecord::Remove {
+            timestamp,
+            version,
+            key,
+        }
+        .encode(&mut buf);
+        let gone = ColValue::from_record(&LogRecord::decode_ref(&buf).unwrap().0);
+        assert!(gone.is_tombstone());
+        assert_eq!((gone.ncols(), gone.data_bytes(), gone.buf_len()), (0, 0, 0));
+        check_block(&gone);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! count of allocations and no single one larger than its read window
 //! plus slack, however long the chain it reads. Log replay — recovery's
 //! and the replication follower's — allocates the block of each value a
-//! record installs, and nothing for a record that loses.
+//! record installs, and nothing for a record that loses; a checkpoint
+//! part, streamed through the same walker and gate, loads at little more
+//! than one allocation per row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -848,5 +850,74 @@ fn replay_allocates_only_the_values_that_win() {
     let v = store.tree().get(b"r004242", &guard).unwrap();
     assert_eq!((v.version(), v.col(0)), (new + 4242, Some(&payload[..])));
     drop(guard);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_load_allocates_one_block_per_row() {
+    let _serial = serial();
+    // One checkpoint part of benchmark-shaped rows (a 24-byte key, one
+    // 64-byte value), loaded as recovery loads it: streamed through a
+    // `SegmentWalker` window, each row's value built straight from the
+    // borrowed frame and installed through the replay gate. A row costs
+    // its value's block plus a share of the nodes; reading the part
+    // whole, or decoding a row into owned columns first, would show here.
+    use mtkv::log::SegmentWalker;
+    const ROWS: u64 = 20_000;
+    let dir = std::env::temp_dir().join(format!("mtkv-alloc-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let payload = [0x37u8; 64];
+    let meta = {
+        let store = Store::in_memory();
+        let session = store.session().unwrap();
+        for i in 0..ROWS {
+            session.put(&user_key(i), &[(0, &payload[..])]);
+        }
+        mtkv::write_checkpoint(&store, &dir, 1).unwrap()
+    };
+    assert_eq!((meta.parts, meta.keys), (1, ROWS));
+    let (ckpt, _) = mtkv::latest_checkpoint(&dir).unwrap();
+    let part = ckpt.join("part-0000");
+    let store = Store::replica(&dir.join("replica")).unwrap();
+    drain_gc();
+
+    arm();
+    let mut walker = SegmentWalker::default();
+    let mut loaded = 0u64;
+    {
+        let _guard = masstree::pin();
+        let mut walk = walker.walk(&part).unwrap();
+        while let Some(rec) = walk.next_record().unwrap() {
+            loaded += u64::from(store.replay_put(&rec));
+        }
+    }
+    drop(walker);
+    let allocs = disarm();
+    let largest = largest();
+
+    let part_bytes = std::fs::metadata(&part).unwrap().len();
+    eprintln!(
+        "checkpoint load: {allocs} allocations for {loaded} rows ({part_bytes} B part), \
+         largest {largest} B"
+    );
+    assert_eq!(loaded, ROWS);
+    // Measured: 21,864 — one block per row, one window, and ~1,860 for
+    // the tree itself, into which the load is the first insert: a
+    // layer-1 tree under each of the ~1,845 four-digit prefixes (and the
+    // suffix block its first key waits in) plus the slab's chunks.
+    assert!(
+        allocs * 10 <= ROWS * 11,
+        "{allocs} allocations for {ROWS} rows: more than 1.1 per row"
+    );
+    assert!(
+        largest <= 2 << 20,
+        "one allocation of {largest} bytes: the part read whole?"
+    );
+    let guard = masstree::pin();
+    let v = store.tree().get(&user_key(4242), &guard).unwrap();
+    assert_eq!(v.col(0), Some(&payload[..]));
+    drop(guard);
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

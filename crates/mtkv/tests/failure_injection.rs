@@ -128,49 +128,105 @@ fn checkpoint_without_manifest_is_ignored() {
 
 #[test]
 fn truncated_checkpoint_part_falls_back_to_logs() {
-    let dir = tmpdir("truncpart");
-    // One continuously-live store: build, checkpoint, force (so the log
-    // cutoff covers the checkpoint), then "crash".
-    {
-        let store = Store::persistent(&dir).unwrap();
-        let s = store.session().unwrap();
-        for i in 0..2_000u32 {
-            s.put(
-                format!("key{i:06}").as_bytes(),
-                &[(0, &i.to_le_bytes()[..])],
-            );
+    // Two kinds of damage to one part file: a lost tail (page-cache data
+    // the manifest rename survived — rare but possible without fsync
+    // barriers), and one byte flipped in the middle, which fails a frame's
+    // CRC well before the tail.
+    let lose_tail = |data: &mut Vec<u8>| data.truncate(data.len() - 40);
+    let flip_mid = |data: &mut Vec<u8>| {
+        let mid = data.len() / 2;
+        data[mid] ^= 0xff;
+    };
+    for (tag, damage) in [
+        ("truncpart", &lose_tail as &dyn Fn(&mut Vec<u8>)),
+        ("flippart", &flip_mid),
+    ] {
+        let dir = tmpdir(tag);
+        // One continuously-live store: build, checkpoint, force (so the
+        // log cutoff covers the checkpoint), then "crash".
+        {
+            let store = Store::persistent(&dir).unwrap();
+            let s = store.session().unwrap();
+            for i in 0..2_000u32 {
+                s.put(
+                    format!("key{i:06}").as_bytes(),
+                    &[(0, &i.to_le_bytes()[..])],
+                );
+            }
+            assert!(s.force_log());
+            let _ = write_checkpoint(&store, &dir, 2).unwrap();
+            assert!(s.force_log());
         }
-        assert!(s.force_log());
-        let _ = write_checkpoint(&store, &dir, 2).unwrap();
-        assert!(s.force_log());
+        let ckpt = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .find(|e| e.file_name().to_string_lossy().starts_with("ckpt-"))
+            .unwrap()
+            .path();
+        let part = ckpt.join("part-0001");
+        let mut data = std::fs::read(&part).unwrap();
+        assert!(data.len() > 64, "part must hold data for this test");
+        damage(&mut data);
+        std::fs::write(&part, &data).unwrap();
+        let (store, report) = recover(&dir, &dir).unwrap();
+        // Row count disagrees with the manifest: the checkpoint is
+        // abandoned and the logs rebuild everything.
+        assert!(!report.used_checkpoint, "{tag}: {report:?}");
+        assert!(report.replayed >= 2_000, "{tag}: {report:?}");
+        let s = store.session().unwrap();
+        assert_eq!(
+            s.get(b"key000000", Some(&[0])).unwrap()[0],
+            0u32.to_le_bytes()
+        );
+        assert_eq!(
+            s.get(b"key001999", Some(&[0])).unwrap()[0],
+            1999u32.to_le_bytes()
+        );
+        drop(s);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    // Damage one part file's tail (lost page-cache data the manifest
-    // rename survived — rare but possible without fsync barriers).
-    let ckpt = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .find(|e| e.file_name().to_string_lossy().starts_with("ckpt-"))
-        .unwrap()
-        .path();
-    let part = ckpt.join("part-0001");
-    let data = std::fs::read(&part).unwrap();
-    assert!(data.len() > 64, "part must hold data for this test");
-    std::fs::write(&part, &data[..data.len() - 40]).unwrap();
-    let (store, report) = recover(&dir, &dir).unwrap();
-    // Row count disagrees with the manifest: the checkpoint is abandoned
-    // and the logs rebuild everything.
-    assert!(!report.used_checkpoint, "{report:?}");
-    assert!(report.replayed >= 2_000, "{report:?}");
-    let s = store.session().unwrap();
-    assert_eq!(
-        s.get(b"key000000", Some(&[0])).unwrap()[0],
-        0u32.to_le_bytes()
-    );
-    assert_eq!(
-        s.get(b"key001999", Some(&[0])).unwrap()[0],
-        1999u32.to_le_bytes()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_column_put_survives_recovery_and_a_remove_does_not() {
+    // A put of no columns stores a live, empty value; only a remove
+    // leaves the tombstone recovery sweeps. Both must come back as they
+    // were, from the log alone and from a checkpoint plus the log tail.
+    for with_checkpoint in [false, true] {
+        let dir = tmpdir(if with_checkpoint {
+            "zero-ckpt"
+        } else {
+            "zero-log"
+        });
+        {
+            let store = Store::persistent(&dir).unwrap();
+            let s = store.session().unwrap();
+            s.put(b"empty", &[]);
+            s.put(b"removed", &[(0, b"v")]);
+            s.put(b"kept", &[(0, b"v")]);
+            if with_checkpoint {
+                assert!(s.force_log());
+                write_checkpoint(&store, &dir, 2).unwrap();
+                s.put(b"empty-tail", &[]);
+            }
+            s.remove(b"removed");
+            assert!(s.force_log());
+            assert_eq!(s.get(b"empty", None), Some(Vec::new()));
+        }
+        let (store, report) = recover(&dir, &dir).unwrap();
+        assert_eq!(report.used_checkpoint, with_checkpoint, "{report:?}");
+        let s = store.session().unwrap();
+        assert_eq!(s.get(b"empty", None), Some(Vec::new()), "{report:?}");
+        if with_checkpoint {
+            assert_eq!(s.get(b"empty-tail", None), Some(Vec::new()));
+        }
+        assert_eq!(s.get(b"removed", None), None, "{report:?}");
+        assert_eq!(s.get(b"kept", None), Some(vec![b"v".to_vec()]));
+        drop(s);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Builds a store with tiny segments so the workload rotates several
