@@ -228,8 +228,7 @@ pub enum HintedGet<'g, V: ?Sized> {
     Stale,
 }
 
-/// What happened to the hint during [`Masstree::get_with_hint`] /
-/// [`Masstree::multi_get_hinted_with`].
+/// What happened to the hint during [`Masstree::multi_get_hinted_with`].
 pub enum HintResult<V: ?Sized> {
     /// The provided hint validated and served the operation.
     Hit,
@@ -323,25 +322,6 @@ impl<V: ?Sized + Stored> Masstree<V> {
         // (the publishing store did not), so epoch reclamation keeps it
         // live for `'g`.
         HintedGet::Hit(out.map(|p| unsafe { V::deref(p) }))
-    }
-
-    /// `get(key)` through an optional hint: validates the hint first,
-    /// falls back to a full capturing descent on miss. Returns the value
-    /// and what happened to the hint — [`HintResult::Refreshed`] carries
-    /// the replacement hint the caller should remember.
-    pub fn get_with_hint<'g>(
-        &self,
-        key: &[u8],
-        hint: Option<&LeafHint<V>>,
-        guard: &'g Guard,
-    ) -> (Option<&'g V>, HintResult<V>) {
-        if let Some(h) = hint {
-            if let HintedGet::Hit(v) = self.get_at_hint(key, h, guard) {
-                return (v, HintResult::Hit);
-            }
-        }
-        let (v, fresh) = self.get_capturing_hint(key, guard);
-        (v, HintResult::Refreshed(fresh))
     }
 }
 

@@ -57,7 +57,6 @@ mod node;
 mod put;
 mod remove;
 mod scan;
-mod scan_rev;
 mod slab;
 mod stored;
 mod suffix;

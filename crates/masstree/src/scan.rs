@@ -1,11 +1,12 @@
 //! Range queries (`getrange`/"scan", §3 of the paper) and **resumable
 //! scans**.
 //!
-//! Scans are forward, in lexicographic key order, and — per the paper —
-//! not atomic with respect to concurrent inserts and removes: each border
-//! node is read through one validated snapshot, concurrent splits cause a
-//! re-descent from the current position, and a scan never returns a key
-//! twice or out of order.
+//! This is the tree's one scan engine. Scans are forward, in
+//! lexicographic key order, as the paper's `getrange(k, n)` is, and —
+//! per the paper — not atomic with respect to concurrent inserts and
+//! removes: each border node is read through one validated snapshot,
+//! concurrent splits cause a re-descent from the current position, and
+//! a scan never returns a key twice or out of order.
 //!
 //! Multi-layer traversal recurses through layer links depth-first; the
 //! current key prefix is threaded down so emitted keys are reconstructed
@@ -25,7 +26,10 @@
 //! re-snapshotted under its own version bracket anyway). A failed
 //! validation falls back to a normal descent from the recorded bound, so
 //! a resumed scan is always exactly equivalent to a fresh scan from that
-//! bound — never stale, never duplicated, never out of order.
+//! bound — never stale, never duplicated, never out of order. The
+//! cursor is the only way a scan resumes: whoever continues a range
+//! read holds its cursor explicitly (mtkv's wire resume tokens name
+//! one each); a plain [`Masstree::scan`] always descends from its start.
 //!
 //! # Allocation discipline
 //!
@@ -55,19 +59,18 @@ use crate::tree::{Masstree, Restart};
 use crate::version::Version;
 
 /// One decoded border-node entry captured in a validated snapshot.
-/// Shared with the reverse scanner (`scan_rev.rs`).
 #[derive(Clone, Copy)]
-pub(crate) struct Entry {
-    pub(crate) ikey: u64,
+struct Entry {
+    ikey: u64,
     /// Inline length 0..=8, a suffix code or [`KEYLEN_LAYER`].
-    pub(crate) code: u8,
-    pub(crate) lv: *mut (),
+    code: u8,
+    lv: *mut (),
     /// The slot's suffix word (`suffix.rs`).
-    pub(crate) ksuf: u64,
+    ksuf: u64,
 }
 
 impl Entry {
-    pub(crate) const EMPTY: Entry = Entry {
+    const EMPTY: Entry = Entry {
         ikey: 0,
         code: 0,
         lv: core::ptr::null_mut(),
@@ -80,14 +83,14 @@ impl Entry {
     ///
     /// The entry must come from a validated snapshot taken under the
     /// guard that is still pinned.
-    pub(crate) unsafe fn suffix(&self) -> &[u8] {
+    unsafe fn suffix(&self) -> &[u8] {
         // SAFETY: a validated pair, per the caller's contract.
         unsafe { suffix::bytes(self.code, &self.ksuf) }
     }
 
     /// Reads `n[slot]` into an entry; `None` while the slot is
     /// mid-conversion. The caller validates the snapshot it goes into.
-    pub(crate) fn read<V: ?Sized>(n: &BorderNode<V>, slot: usize) -> Option<Entry> {
+    fn read<V: ?Sized>(n: &BorderNode<V>, slot: usize) -> Option<Entry> {
         let ikey = n.keyslice[slot].load(Ordering::Acquire);
         let (code, ex) = n.extract_lv(slot);
         let lv = match ex {
@@ -105,14 +108,14 @@ impl Entry {
     }
 }
 
-/// Outcome of a (sub-)scan. Shared with the reverse scanner.
-pub(crate) enum ScanStatus {
+/// Outcome of a (sub-)scan.
+enum ScanStatus<V: ?Sized> {
     /// Layer exhausted; continue with the caller's next entry.
     Done,
-    /// The callback asked to stop. The resume point (full-key bound in
-    /// [`ScanScratch::restart`], plus an optional anchor) has been
-    /// written to the scan's [`StopPoint`] slot.
-    Stopped,
+    /// The callback asked to stop. The full-key resume bound is in
+    /// [`ScanScratch::restart`]; the anchor names the border node the
+    /// scan stopped in. Propagated out of the layer recursion untouched.
+    Stopped(DescentAnchor<V>),
     /// A deleted node/layer was encountered; the full restart key
     /// (enclosing prefix + layer remainder) has been written to
     /// [`ScanScratch::restart`] and the whole scan restarts there.
@@ -120,36 +123,25 @@ pub(crate) enum ScanStatus {
 }
 
 /// The in-layer node walk hit a split or deletion and the caller must
-/// re-descend from its bound. Shared with the reverse scanner.
-pub(crate) struct Redescend;
-
-/// Where a stopped scan resumes: written at the innermost stop site and
-/// propagated out untouched (the full-key bound travels in
-/// [`ScanScratch::restart`]). Shared with the reverse scanner.
-pub(crate) enum StopPoint<V: ?Sized> {
-    /// Resume at `scratch.restart`, optionally with a validated anchor
-    /// for the border node the scan stopped in.
-    At { anchor: Option<DescentAnchor<V>> },
-    /// Nothing remains past the stop position: the cursor is done.
-    Exhausted,
-}
+/// re-descend from its bound.
+struct Redescend;
 
 /// Reusable scratch state for scans.
 ///
 /// Holds the key-prefix, per-layer bound and restart-key buffers a scan
 /// threads through its layer recursion. All buffers retain their
 /// capacity across scans, so a warmed-up scratch makes
-/// [`Masstree::scan_with`] / [`Masstree::scan_rev_with`] allocation-free
-/// in steady state. [`Masstree::scan`] and [`Masstree::scan_rev`] use a
-/// thread-local scratch automatically; hold your own only when you want
-/// deterministic reuse (benchmarks, allocation tests) or run scans from
-/// inside another scan's visitor.
+/// [`Masstree::scan_with`] and [`Masstree::scan_resume_with`]
+/// allocation-free in steady state. [`Masstree::scan`] and
+/// [`Masstree::scan_resume`] use a thread-local scratch automatically;
+/// hold your own only when you want deterministic reuse (benchmarks,
+/// allocation tests) or run scans from inside another scan's visitor.
 #[derive(Default)]
 pub struct ScanScratch {
     /// Key bytes of the enclosing trie layers.
     pub(crate) prefix: Vec<u8>,
-    /// Bound for the key *remainder* within the current layer (inclusive
-    /// lower bound for forward scans, inclusive upper bound for reverse).
+    /// Inclusive lower bound for the key *remainder* within the current
+    /// layer.
     pub(crate) bound: Vec<u8>,
     /// Full key to restart from after hitting a deleted node/layer, and
     /// the full-key resume bound written when a visitor stops.
@@ -171,7 +163,7 @@ thread_local! {
 /// Runs `f` with the thread-local scan scratch. Falls back to a fresh
 /// scratch when the thread-local one is busy (a scan started from
 /// another scan's visitor) or inaccessible (thread teardown).
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
     let mut f = Some(f);
     let attempt = SCRATCH.try_with(|s| match s.try_borrow_mut() {
         Ok(mut scratch) => (f.take().expect("closure runs once"))(&mut scratch),
@@ -183,21 +175,21 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
     }
 }
 
-/// A resumable scan position: the full-key bound the scan continues
-/// from, the direction, and (when the scan stopped inside a border node
-/// that may still be valid) a [`DescentAnchor`] that lets the next
-/// chunk re-enter that node with zero descent. Safe to hold across (and
+/// A resumable forward scan position: the full-key bound the scan
+/// continues from and (when the scan stopped inside a border node that
+/// may still be valid) a [`DescentAnchor`] that lets the next chunk
+/// re-enter that node with zero descent. Safe to hold across (and
 /// outside) epoch guards, like any anchor.
 ///
-/// Obtain one with [`ScanCursor::forward`]/[`ScanCursor::reverse_from`],
-/// feed it to [`Masstree::scan_resume`] repeatedly; `is_done` reports
-/// tree exhaustion. The bound buffer is reused across resumes, so a
-/// warm cursor allocates nothing.
+/// This explicit cursor is the only way to resume a scan. Obtain one
+/// with [`ScanCursor::forward`] (or re-aim a warm one with
+/// [`ScanCursor::reset`]) and feed it to [`Masstree::scan_resume`]
+/// repeatedly; `is_done` reports tree exhaustion. The bound buffer is
+/// reused across resumes, so a warm cursor allocates nothing.
 pub struct ScanCursor<V: ?Sized> {
-    pub(crate) anchor: Option<DescentAnchor<V>>,
-    pub(crate) bound: Vec<u8>,
-    pub(crate) reverse: bool,
-    pub(crate) done: bool,
+    anchor: Option<DescentAnchor<V>>,
+    bound: Vec<u8>,
+    done: bool,
 }
 
 impl<V: ?Sized> ScanCursor<V> {
@@ -206,39 +198,22 @@ impl<V: ?Sized> ScanCursor<V> {
         ScanCursor {
             anchor: None,
             bound: start.to_vec(),
-            reverse: false,
             done: false,
         }
     }
 
-    /// A cursor for a descending scan starting at `start` (inclusive).
-    pub fn reverse_from(start: &[u8]) -> ScanCursor<V> {
-        ScanCursor {
-            anchor: None,
-            bound: start.to_vec(),
-            reverse: true,
-            done: false,
-        }
-    }
-
-    /// Re-aims this cursor at a fresh scan (dropping the anchor),
-    /// reusing the bound buffer's capacity.
-    pub fn reset(&mut self, start: &[u8], reverse: bool) {
+    /// Re-aims this cursor at a fresh scan from `start` (dropping the
+    /// anchor), reusing the bound buffer's capacity.
+    pub fn reset(&mut self, start: &[u8]) {
         self.anchor = None;
         self.bound.clear();
         self.bound.extend_from_slice(start);
-        self.reverse = reverse;
         self.done = false;
     }
 
     /// The full-key bound the next resume continues from (inclusive).
     pub fn bound(&self) -> &[u8] {
         &self.bound
-    }
-
-    /// Whether this cursor scans in descending order.
-    pub fn is_reverse(&self) -> bool {
-        self.reverse
     }
 
     /// True once the scan has exhausted the tree; further resumes visit
@@ -254,17 +229,16 @@ impl<V: ?Sized> ScanCursor<V> {
     }
 
     /// Adopts the stop point a scan pass left in the scratch.
-    pub(crate) fn adopt_stop(&mut self, scratch: &ScanScratch, stop: Option<StopPoint<V>>) {
+    fn adopt_stop(&mut self, scratch: &ScanScratch, anchor: DescentAnchor<V>) {
         self.bound.clear();
         self.bound.extend_from_slice(&scratch.restart);
-        match stop {
-            Some(StopPoint::At { anchor }) => self.anchor = anchor,
-            Some(StopPoint::Exhausted) => {
-                self.anchor = None;
-                self.done = true;
-            }
-            None => self.anchor = None,
-        }
+        self.anchor = Some(anchor);
+    }
+
+    /// Marks the tree exhausted.
+    fn finish(&mut self) {
+        self.done = true;
+        self.anchor = None;
     }
 }
 
@@ -272,8 +246,7 @@ impl<V: ?Sized> core::fmt::Debug for ScanCursor<V> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "ScanCursor({} {:?}, anchored: {}, done: {})",
-            if self.reverse { "rev" } else { "fwd" },
+            "ScanCursor({:?}, anchored: {}, done: {})",
             &self.bound,
             self.anchor.is_some(),
             self.done
@@ -342,23 +315,16 @@ impl<V: ?Sized + Stored> Masstree<V> {
         F: FnMut(&[u8], &'g V) -> bool,
     {
         let mut count = 0usize;
-        let mut stop = None;
         scratch.bound.clear();
         scratch.bound.extend_from_slice(start);
         loop {
             let root = self.load_root();
             scratch.prefix.clear();
-            match self.scan_layer(
-                root,
-                scratch,
-                guard,
-                &mut |k, v| {
-                    count += 1;
-                    f(k, v)
-                },
-                &mut stop,
-            ) {
-                ScanStatus::Done | ScanStatus::Stopped => return count,
+            match self.scan_layer(root, scratch, guard, &mut |k, v| {
+                count += 1;
+                f(k, v)
+            }) {
+                ScanStatus::Done | ScanStatus::Stopped(_) => return count,
                 ScanStatus::Restart => {
                     Stats::bump(&self.stats.op_restarts);
                     core::mem::swap(&mut scratch.bound, &mut scratch.restart);
@@ -368,16 +334,16 @@ impl<V: ?Sized + Stored> Masstree<V> {
     }
 
     /// Runs one pass of a resumable scan: visits entries from the
-    /// cursor's bound in the cursor's direction until `f` returns
-    /// `false` or the tree is exhausted, then records the new stop point
-    /// (bound + anchor) back into the cursor.
+    /// cursor's bound until `f` returns `false` or the tree is
+    /// exhausted, then records the new stop point (bound + anchor) back
+    /// into the cursor.
     ///
     /// When the cursor's anchor validates
     /// ([`crate::anchor::DescentAnchor::enter_for_scan`]) the pass
     /// starts at the remembered border node with **zero descent**;
     /// otherwise it descends from the bound like a fresh scan. Either
-    /// way the visited sequence is exactly what [`Masstree::scan`] /
-    /// [`Masstree::scan_rev`] from the cursor's bound would produce.
+    /// way the visited sequence is exactly what [`Masstree::scan`] from
+    /// the cursor's bound would produce.
     ///
     /// Uses the thread-local [`ScanScratch`]; see
     /// [`Masstree::scan_resume_with`].
@@ -412,8 +378,6 @@ impl<V: ?Sized + Stored> Masstree<V> {
             };
         }
         let mut count = 0usize;
-        let mut stop: Option<StopPoint<V>> = None;
-        let mut stopped = false;
         let mut resumed = false;
         let mut counting = |k: &[u8], v: &'g V| {
             count += 1;
@@ -430,57 +394,29 @@ impl<V: ?Sized + Stored> Masstree<V> {
                     scratch.prefix.extend_from_slice(&cursor.bound[..off]);
                     scratch.bound.clear();
                     scratch.bound.extend_from_slice(&cursor.bound[off..]);
-                    let status = if cursor.reverse {
-                        let mut everything = false;
-                        self.scan_rev_layer_nodes(
-                            bn,
-                            &mut everything,
-                            scratch,
-                            guard,
-                            &mut counting,
-                            &mut stop,
-                        )
-                    } else {
-                        self.scan_layer_nodes(bn, scratch, guard, &mut counting, &mut stop)
-                    };
-                    match status {
-                        Ok(ScanStatus::Stopped) => {
-                            cursor.adopt_stop(scratch, stop);
+                    match self.scan_layer_nodes(bn, scratch, guard, &mut counting) {
+                        Ok(ScanStatus::Stopped(anchor)) => {
+                            cursor.adopt_stop(scratch, anchor);
                             return ScanResumeOutcome {
                                 visited: count,
                                 resumed,
                             };
                         }
                         Ok(ScanStatus::Done) => {
-                            // The anchored layer is exhausted in the scan
-                            // direction; continue in the enclosing layers
-                            // via a fresh descent past/below the layer's
-                            // whole prefix.
-                            if off == 0 {
-                                cursor.done = true;
-                                cursor.anchor = None;
+                            // The anchored layer is exhausted; continue in
+                            // the enclosing layers via a fresh descent
+                            // past the layer's whole prefix.
+                            if off == 0
+                                || !increment_prefix(&cursor.bound[..off], &mut scratch.restart)
+                            {
+                                cursor.finish();
                                 return ScanResumeOutcome {
                                     visited: count,
                                     resumed,
                                 };
                             }
-                            if cursor.reverse {
-                                // Everything < the prefixed keys: the
-                                // prefix itself is the inclusive ceiling
-                                // (any shorter prefix of it sorts below).
-                                cursor.bound.truncate(off);
-                            } else {
-                                if !increment_prefix(&cursor.bound[..off], &mut scratch.restart) {
-                                    cursor.done = true;
-                                    cursor.anchor = None;
-                                    return ScanResumeOutcome {
-                                        visited: count,
-                                        resumed,
-                                    };
-                                }
-                                cursor.bound.clear();
-                                cursor.bound.extend_from_slice(&scratch.restart);
-                            }
+                            cursor.bound.clear();
+                            cursor.bound.extend_from_slice(&scratch.restart);
                         }
                         Ok(ScanStatus::Restart) => {
                             // Deleted node/layer mid-walk: full restart
@@ -503,26 +439,20 @@ impl<V: ?Sized + Stored> Masstree<V> {
             }
         }
 
-        // Full path: descend from the cursor's bound, like
-        // `scan_with`/`scan_rev_with`, but capturing the stop point.
+        // Full path: descend from the cursor's bound, like `scan_with`,
+        // but capturing the stop point.
         loop {
             let root = self.load_root();
             scratch.prefix.clear();
             scratch.bound.clear();
             scratch.bound.extend_from_slice(&cursor.bound);
-            let status = if cursor.reverse {
-                self.scan_rev_layer(root, false, scratch, guard, &mut counting, &mut stop)
-            } else {
-                self.scan_layer(root, scratch, guard, &mut counting, &mut stop)
-            };
-            match status {
+            match self.scan_layer(root, scratch, guard, &mut counting) {
                 ScanStatus::Done => {
-                    cursor.done = true;
-                    cursor.anchor = None;
+                    cursor.finish();
                     break;
                 }
-                ScanStatus::Stopped => {
-                    stopped = true;
+                ScanStatus::Stopped(anchor) => {
+                    cursor.adopt_stop(scratch, anchor);
                     break;
                 }
                 ScanStatus::Restart => {
@@ -531,9 +461,6 @@ impl<V: ?Sized + Stored> Masstree<V> {
                     cursor.bound.extend_from_slice(&scratch.restart);
                 }
             }
-        }
-        if stopped {
-            cursor.adopt_stop(scratch, stop);
         }
         ScanResumeOutcome {
             visited: count,
@@ -570,14 +497,13 @@ impl<V: ?Sized + Stored> Masstree<V> {
     /// lower bound for the key *remainder* within this layer. Restores
     /// `prefix` before returning; `bound` is consumed (the caller
     /// rewrites it from its own resume point).
-    pub(crate) fn scan_layer<'g>(
+    fn scan_layer<'g>(
         &self,
         root: NodePtr<V>,
         scratch: &mut ScanScratch,
         guard: &'g Guard,
         f: &mut dyn FnMut(&[u8], &'g V) -> bool,
-        stop: &mut Option<StopPoint<V>>,
-    ) -> ScanStatus {
+    ) -> ScanStatus<V> {
         'redescend: loop {
             let bikey = slice_at(&scratch.bound, 0);
             let mut root = root;
@@ -590,7 +516,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                     return ScanStatus::Restart;
                 }
             };
-            match self.scan_layer_nodes(n, scratch, guard, f, stop) {
+            match self.scan_layer_nodes(n, scratch, guard, f) {
                 Ok(status) => return status,
                 Err(Redescend) => continue 'redescend,
             }
@@ -602,14 +528,13 @@ impl<V: ?Sized + Stored> Masstree<V> {
     /// scan anchor): snapshot each node, emit entries past the bound,
     /// follow the leaf list right. `Err(Redescend)` reports a split or
     /// deletion the caller must re-descend (or fall back) from.
-    pub(crate) fn scan_layer_nodes<'g>(
+    fn scan_layer_nodes<'g>(
         &self,
         mut n: &'g BorderNode<V>,
         scratch: &mut ScanScratch,
         guard: &'g Guard,
         f: &mut dyn FnMut(&[u8], &'g V) -> bool,
-        stop: &mut Option<StopPoint<V>>,
-    ) -> Result<ScanStatus, Redescend> {
+    ) -> Result<ScanStatus<V>, Redescend> {
         let mut entries = [Entry::EMPTY; WIDTH];
         loop {
             let (filled, next, v) = match Self::snapshot_border(n, &mut entries) {
@@ -649,13 +574,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         // layer (mirrors `KeyCursor::advance` on the
                         // point-op paths).
                         mtobs::span::mark(mtobs::Stage::DescentDeep);
-                        let st = self.scan_layer(
-                            NodePtr::from_raw(e.lv.cast()),
-                            scratch,
-                            guard,
-                            f,
-                            stop,
-                        );
+                        let st = self.scan_layer(NodePtr::from_raw(e.lv.cast()), scratch, guard, f);
                         let plen = scratch.prefix.len() - SLICE_LEN;
                         scratch.prefix.truncate(plen);
                         match st {
@@ -694,7 +613,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         scratch.bound.extend_from_slice(sb);
                         scratch.bound.push(0);
                         if !keep {
-                            return Ok(self.stopped_at(n, v, scratch, stop));
+                            return Ok(Self::stopped_at(n, v, scratch));
                         }
                     }
                     len => {
@@ -708,7 +627,7 @@ impl<V: ?Sized + Stored> Masstree<V> {
                         scratch.bound.extend_from_slice(&slice_bytes[..len]);
                         scratch.bound.push(0);
                         if !keep {
-                            return Ok(self.stopped_at(n, v, scratch, stop));
+                            return Ok(Self::stopped_at(n, v, scratch));
                         }
                     }
                 }
@@ -721,23 +640,14 @@ impl<V: ?Sized + Stored> Masstree<V> {
         }
     }
 
-    /// Records a forward scan's stop point: the full-key resume bound in
+    /// Records a scan's stop point: the full-key resume bound in
     /// `scratch.restart` and a validated anchor for the node the scan
     /// stopped in.
-    fn stopped_at(
-        &self,
-        n: &BorderNode<V>,
-        v: Version,
-        scratch: &mut ScanScratch,
-        stop: &mut Option<StopPoint<V>>,
-    ) -> ScanStatus {
+    fn stopped_at(n: &BorderNode<V>, v: Version, scratch: &mut ScanScratch) -> ScanStatus<V> {
         scratch.restart.clear();
         scratch.restart.extend_from_slice(&scratch.prefix);
         scratch.restart.extend_from_slice(&scratch.bound);
-        *stop = Some(StopPoint::At {
-            anchor: Some(DescentAnchor::capture(n, v, scratch.prefix.len())),
-        });
-        ScanStatus::Stopped
+        ScanStatus::Stopped(DescentAnchor::capture(n, v, scratch.prefix.len()))
     }
 
     /// Captures a consistent snapshot of a border node's live entries
@@ -879,34 +789,6 @@ mod tests {
                 resumes > 0 || chunk >= full.len(),
                 "anchored resumes never validated at chunk {chunk}"
             );
-        }
-    }
-
-    #[test]
-    fn chunked_reverse_resume_equals_full_scan_rev() {
-        let tree: Masstree<u64> = Masstree::new();
-        let g = crate::pin();
-        for i in 0..300u64 {
-            tree.put(format!("r{i:04}").as_bytes(), i, &g);
-            tree.put(format!("deep/shared/prefix/{i:04}").as_bytes(), i, &g);
-        }
-        let mut full = Vec::new();
-        tree.scan_rev(b"\xff\xff\xff", &g, |k, v| {
-            full.push((k.to_vec(), *v));
-            true
-        });
-        for chunk in [1usize, 5, 50] {
-            let mut cur: ScanCursor<u64> = ScanCursor::reverse_from(b"\xff\xff\xff");
-            let mut got = Vec::new();
-            while !cur.is_done() {
-                let mut left = chunk;
-                tree.scan_resume(&mut cur, &g, |k, v| {
-                    got.push((k.to_vec(), *v));
-                    left -= 1;
-                    left > 0
-                });
-            }
-            assert_eq!(got, full, "reverse chunk {chunk}");
         }
     }
 

@@ -1,4 +1,5 @@
-//! Concurrent `remove_with` vs. forward/reverse scan stress (§4.6.5).
+//! Concurrent `remove_with` vs. one-shot and resumed scan stress
+//! (§4.6.5).
 //!
 //! Removals during scans had no dedicated test: removals only rewrite
 //! the permutation (readers keep seeing consistent old state), empty
@@ -8,18 +9,25 @@
 //! keys (forcing node deletions and leaf-list splices) while scanners
 //! assert the §4 invariants: strict key ordering, no duplicates, values
 //! always consistent with their keys, and keys outside the churn window
-//! never missing.
+//! never missing. Half the scanners run one `scan` per window; the other
+//! half stream theirs through a `ScanCursor` in small chunks, each chunk
+//! under its own guard, so anchors go stale across node deletions, slab
+//! reuse and layer GC between chunks.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use masstree::Masstree;
+use masstree::{Masstree, ScanCursor};
 
 const STABLE_KEYS: usize = 2_000;
 const CHURN_KEYS: usize = 2_000;
 const WRITERS: usize = 2;
 const SCAN_ROUNDS: usize = 400;
+/// Rows each scanner reads per round.
+const WINDOW: usize = 300;
+/// Rows per `scan_resume` chunk in the resumed scanners.
+const CHUNK: usize = 16;
 
 fn stable_key(i: usize) -> Vec<u8> {
     format!("stable{i:06}").into_bytes()
@@ -49,9 +57,70 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One scanner round's view of the rows it visited, checked row by row
+/// whether they arrive from one scan or from several resumed chunks.
+struct Window {
+    kind: &'static str,
+    round: usize,
+    prev: Option<Vec<u8>>,
+    stable_seen: usize,
+    visited: usize,
+}
+
+impl Window {
+    fn new(kind: &'static str, round: usize) -> Window {
+        Window {
+            kind,
+            round,
+            prev: None,
+            stable_seen: 0,
+            visited: 0,
+        }
+    }
+
+    /// Checks one row; returns whether the window wants more.
+    fn visit(&mut self, k: &[u8], v: u64) -> bool {
+        let (kind, round) = (self.kind, self.round);
+        if let Some(p) = &self.prev {
+            assert!(
+                k > p.as_slice(),
+                "round {round}: {kind} scan went backwards or repeated: {:?} after {:?}",
+                String::from_utf8_lossy(k),
+                String::from_utf8_lossy(p)
+            );
+        }
+        assert_eq!(
+            v,
+            expected_value(k),
+            "round {round}: {kind} scan: value inconsistent with key {:?}",
+            String::from_utf8_lossy(k)
+        );
+        if !k.ends_with(b"layers") {
+            self.stable_seen += 1;
+        }
+        self.prev = Some(k.to_vec());
+        self.visited += 1;
+        self.visited < WINDOW
+    }
+
+    /// Stable keys are never removed and interleave 1:1 with the churn
+    /// keys, so any visited window must be at least half stable — a
+    /// lower count means a scan lost keys.
+    fn check_stable(&self) {
+        assert!(
+            self.stable_seen * 2 + 2 >= self.visited,
+            "round {}: stable keys went missing from a {} scan ({} of {})",
+            self.round,
+            self.kind,
+            self.stable_seen,
+            self.visited
+        );
+    }
+}
+
 #[test]
-fn concurrent_remove_with_vs_forward_and_reverse_scans() {
-    let tree = Arc::new(Masstree::<u64>::new());
+fn concurrent_remove_with_vs_one_shot_and_resumed_scans() {
+    let mut tree = Arc::new(Masstree::<u64>::new());
     {
         let g = masstree::pin();
         for i in 0..STABLE_KEYS {
@@ -107,7 +176,7 @@ fn concurrent_remove_with_vs_forward_and_reverse_scans() {
         }));
     }
 
-    // Forward scanners.
+    // One-shot scanners: one `scan` per window.
     for s in 0..2 {
         let tree = Arc::clone(&tree);
         let stop = Arc::clone(&stop);
@@ -118,48 +187,18 @@ fn concurrent_remove_with_vs_forward_and_reverse_scans() {
             for round in 0..SCAN_ROUNDS {
                 rng = mix64(rng);
                 let start = stable_key((rng as usize) % STABLE_KEYS);
+                let mut w = Window::new("one-shot", round);
                 let g = masstree::pin();
-                let mut prev: Option<Vec<u8>> = None;
-                let mut stable_seen = 0usize;
-                let mut visited = 0usize;
-                tree.scan(&start, &g, |k, v| {
-                    if let Some(p) = &prev {
-                        assert!(
-                            k > p.as_slice(),
-                            "round {round}: forward scan went backwards or repeated: \
-                             {:?} after {:?}",
-                            String::from_utf8_lossy(k),
-                            String::from_utf8_lossy(p)
-                        );
-                    }
-                    assert_eq!(
-                        *v,
-                        expected_value(k),
-                        "round {round}: value inconsistent with key {:?}",
-                        String::from_utf8_lossy(k)
-                    );
-                    if !k.ends_with(b"layers") {
-                        stable_seen += 1;
-                    }
-                    prev = Some(k.to_vec());
-                    visited += 1;
-                    visited < 300
-                });
-                // Stable keys are never removed and interleave 1:1 with
-                // the churn keys, so any visited window must be at least
-                // half stable — a lower count means a scan lost keys.
-                assert!(
-                    stable_seen * 2 + 2 >= visited,
-                    "round {round}: stable keys went missing from a forward scan \
-                     ({stable_seen} of {visited})"
-                );
+                tree.scan(&start, &g, |k, v| w.visit(k, *v));
                 drop(g);
+                w.check_stable();
             }
             stop.store(true, Ordering::Relaxed);
         }));
     }
 
-    // Reverse scanners.
+    // Resumed scanners: one cursor each, re-aimed every round and
+    // streamed in `CHUNK`-row `scan_resume` passes, one guard per chunk.
     for s in 0..2 {
         let tree = Arc::clone(&tree);
         let stop = Arc::clone(&stop);
@@ -167,38 +206,26 @@ fn concurrent_remove_with_vs_forward_and_reverse_scans() {
         handles.push(thread::spawn(move || {
             barrier.wait();
             let mut rng = 0xdecafbad ^ (s as u64);
+            let mut cursor: ScanCursor<u64> = ScanCursor::forward(b"");
+            let mut resumed = 0usize;
             for round in 0..SCAN_ROUNDS {
                 rng = mix64(rng);
-                let start = stable_key(STABLE_KEYS - 1 - (rng as usize) % (STABLE_KEYS / 2));
-                let g = masstree::pin();
-                let mut prev: Option<Vec<u8>> = None;
-                let mut stable_seen = 0usize;
-                let mut visited = 0usize;
-                tree.scan_rev(&start, &g, |k, v| {
-                    if let Some(p) = &prev {
-                        assert!(
-                            k < p.as_slice(),
-                            "round {round}: reverse scan went forwards or repeated: \
-                             {:?} after {:?}",
-                            String::from_utf8_lossy(k),
-                            String::from_utf8_lossy(p)
-                        );
-                    }
-                    assert_eq!(*v, expected_value(k), "round {round}");
-                    if !k.ends_with(b"layers") {
-                        stable_seen += 1;
-                    }
-                    prev = Some(k.to_vec());
-                    visited += 1;
-                    visited < 300
-                });
-                assert!(
-                    stable_seen * 2 + 2 >= visited,
-                    "round {round}: stable keys went missing from a reverse scan \
-                     ({stable_seen} of {visited})"
-                );
-                drop(g);
+                cursor.reset(&stable_key((rng as usize) % STABLE_KEYS));
+                let mut w = Window::new("resumed", round);
+                let mut more = true;
+                while more && !cursor.is_done() {
+                    let g = masstree::pin();
+                    let mut left = CHUNK;
+                    let out = tree.scan_resume(&mut cursor, &g, |k, v| {
+                        more = w.visit(k, *v);
+                        left -= 1;
+                        more && left > 0
+                    });
+                    resumed += out.resumed as usize;
+                }
+                w.check_stable();
             }
+            assert!(resumed > 0, "no chunk ever re-entered at its anchor");
             stop.store(true, Ordering::Relaxed);
         }));
     }
@@ -212,21 +239,33 @@ fn concurrent_remove_with_vs_forward_and_reverse_scans() {
         removals.load(Ordering::Relaxed)
     );
 
-    // Quiescent check: every key present with its expected value, full
-    // forward and reverse scans agree exactly.
+    // Quiescent check: every key present with its expected value, a
+    // full scan equals the same range streamed in 7-row chunks, and
+    // every structural invariant holds — `validate` checks each border
+    // node's `prev` link against tree order, which `remove`'s unlink
+    // maintains.
     let g = masstree::pin();
-    let mut fwd = Vec::new();
+    let mut full = Vec::new();
     tree.scan(b"", &g, |k, v| {
         assert_eq!(*v, expected_value(k));
-        fwd.push(k.to_vec());
+        full.push(k.to_vec());
         true
     });
-    assert_eq!(fwd.len(), STABLE_KEYS + CHURN_KEYS);
-    let mut rev = Vec::new();
-    tree.scan_rev(b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff", &g, |k, _| {
-        rev.push(k.to_vec());
-        true
-    });
-    rev.reverse();
-    assert_eq!(fwd, rev, "forward and reverse scans disagree at rest");
+    assert_eq!(full.len(), STABLE_KEYS + CHURN_KEYS);
+    let mut chunked = Vec::new();
+    let mut cursor: ScanCursor<u64> = ScanCursor::forward(b"");
+    while !cursor.is_done() {
+        let mut left = 7;
+        tree.scan_resume(&mut cursor, &g, |k, _| {
+            chunked.push(k.to_vec());
+            left -= 1;
+            left > 0
+        });
+    }
+    assert_eq!(full, chunked, "full and chunked scans disagree at rest");
+    drop(g);
+    Arc::get_mut(&mut tree)
+        .expect("every scanner and writer joined")
+        .validate()
+        .expect("valid tree at rest");
 }

@@ -85,61 +85,6 @@ fn visitor_scan_with_reused_scratch_matches_collected_scan() {
 }
 
 #[test]
-fn reverse_visitor_scan_matches_collected_scan() {
-    for seed in 0..CASES {
-        let (tree, model, mut rng) = build_case(2000 + seed);
-        let g = masstree::pin();
-        let mut scratch = ScanScratch::new();
-        for _ in 0..16 {
-            let start = gen_key(&mut rng);
-            let limit = 1 + rng.below(30) as usize;
-            let expect: Vec<(Vec<u8>, u64)> = model
-                .range(..=start.clone())
-                .rev()
-                .take(limit)
-                .map(|(k, v)| (k.clone(), *v))
-                .collect();
-            let collected: Vec<(Vec<u8>, u64)> = tree
-                .get_range_rev(&start, limit, &g)
-                .into_iter()
-                .map(|(k, v)| (k, *v))
-                .collect();
-            let mut visited: Vec<(Vec<u8>, u64)> = Vec::new();
-            tree.scan_rev_with(&start, &mut scratch, &g, |k, v| {
-                visited.push((k.to_vec(), *v));
-                visited.len() < limit
-            });
-            assert_eq!(collected, expect, "seed {seed}");
-            assert_eq!(visited, expect, "seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn forward_and_reverse_scratch_share_safely() {
-    // Interleaving forward and reverse scans through one scratch must
-    // not corrupt either direction's bounds.
-    let (tree, model, _) = build_case(31337);
-    let g = masstree::pin();
-    let mut scratch = ScanScratch::new();
-    let mut fwd = Vec::new();
-    tree.scan_with(b"", &mut scratch, &g, |k, v| {
-        fwd.push((k.to_vec(), *v));
-        true
-    });
-    let mut rev = Vec::new();
-    tree.scan_rev_with(&[0xff; 40], &mut scratch, &g, |k, v| {
-        rev.push((k.to_vec(), *v));
-        true
-    });
-    let expect_fwd: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    let expect_rev: Vec<(Vec<u8>, u64)> =
-        model.iter().rev().map(|(k, v)| (k.clone(), *v)).collect();
-    assert_eq!(fwd, expect_fwd);
-    assert_eq!(rev, expect_rev);
-}
-
-#[test]
 fn borrowed_multi_get_matches_sequential_get() {
     for seed in 0..CASES {
         let (tree, model, mut rng) = build_case(3000 + seed);

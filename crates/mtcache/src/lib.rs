@@ -46,6 +46,14 @@
 //! straight to the tree, sampling roughly 1 in 64 operations through
 //! the cache so a workload that turns skewed is noticed and the table
 //! re-engages. Uniform traffic thus pays a few nanoseconds, not a probe.
+//!
+//! # Point reads only
+//!
+//! The tier caches point-lookup endpoints and nothing else. A range read
+//! is always a forward scan; one that continues an earlier chunk holds
+//! its [`masstree::ScanCursor`] explicitly (the network layer's resume
+//! tokens each name one), so no cache has to guess which scan a start
+//! key continues.
 
 use core::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,15 +166,16 @@ pub struct CacheStats {
     pub evicted: u64,
     /// Entries dropped by explicit invalidation (`remove`).
     pub invalidated: u64,
-    /// Scans resumed at a validated anchor (zero descent).
+    /// Explicit-cursor scan chunks resumed at a validated anchor (zero
+    /// descent). Counted store-wide through
+    /// [`CacheStatsShared::add_scan_resume`], hint table or not.
     pub scan_resumes: u64,
-    /// Scan resumptions that fell back to a full descent (no anchor, or
-    /// a stale one).
+    /// Explicit-cursor scan chunks whose anchor failed validation and
+    /// fell back to a full descent (counted like `scan_resumes`).
     pub scan_stale: u64,
     /// Server-side scan-token cursors evicted (LRU) at the
-    /// per-connection cap. Counted by the network layer — the cache
-    /// carries the field so evictions aggregate through the same
-    /// per-worker-flush path as every other counter.
+    /// per-connection cap. Counted by the network layer through
+    /// [`CacheStatsShared::add_scan_evictions`].
     pub scan_evictions: u64,
 }
 
@@ -182,9 +191,9 @@ impl CacheStats {
             rejected: self.rejected - since.rejected,
             evicted: self.evicted - since.evicted,
             invalidated: self.invalidated - since.invalidated,
-            scan_resumes: self.scan_resumes - since.scan_resumes,
-            scan_stale: self.scan_stale - since.scan_stale,
-            scan_evictions: self.scan_evictions - since.scan_evictions,
+            // The scan counters never change in a local table: they are
+            // bumped directly on the shared sink.
+            ..CacheStats::default()
         }
     }
 }
@@ -221,11 +230,6 @@ impl CacheStatsShared {
         self.rejected.fetch_add(d.rejected, Ordering::Relaxed);
         self.evicted.fetch_add(d.evicted, Ordering::Relaxed);
         self.invalidated.fetch_add(d.invalidated, Ordering::Relaxed);
-        self.scan_resumes
-            .fetch_add(d.scan_resumes, Ordering::Relaxed);
-        self.scan_stale.fetch_add(d.scan_stale, Ordering::Relaxed);
-        self.scan_evictions
-            .fetch_add(d.scan_evictions, Ordering::Relaxed);
     }
 
     /// Direct bump for counters owned by layers above the cache (the
@@ -233,6 +237,19 @@ impl CacheStatsShared {
     /// batch to flush through.
     pub fn add_scan_evictions(&self, n: u64) {
         self.scan_evictions.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Direct bump for one scan chunk that arrived with an anchor: a
+    /// zero-descent resume when `resumed`, a stale fallback otherwise.
+    /// The store counts these itself, so they show with or without a
+    /// session hint table.
+    pub fn add_scan_resume(&self, resumed: bool) {
+        let c = if resumed {
+            &self.scan_resumes
+        } else {
+            &self.scan_stale
+        };
+        c.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time aggregate across all flushed sessions.
@@ -522,16 +539,6 @@ impl<V: ?Sized> HintCache<V> {
         // coldness, not tree churn.
     }
 
-    /// Counts a scan resumed at a validated anchor (zero descent).
-    pub fn note_scan_resumed(&mut self) {
-        self.stats.scan_resumes += 1;
-    }
-
-    /// Counts a scan resumption that fell back to a full descent.
-    pub fn note_scan_fallback(&mut self) {
-        self.stats.scan_stale += 1;
-    }
-
     /// Offers a freshly captured hint. Present entries are refreshed in
     /// place; new keys take a vacant way or evict their set's CLOCK
     /// victim. Callers gate fresh inserts on `Lookup::Miss { admit }`;
@@ -611,156 +618,6 @@ impl<V: ?Sized> HintCache<V> {
 impl<V: ?Sized> Drop for HintCache<V> {
     fn drop(&mut self) {
         self.flush_stats();
-    }
-}
-
-/// Per-session cache of resumable scan positions: a handful of
-/// [`ScanCursor`]s keyed by the full-key bound the next chunk is
-/// expected to start from. Sequential chunked range reads (`getrange(k,
-/// n)` repeated with `k` = previous end) then transparently resume at
-/// the remembered border node instead of re-descending from the root.
-///
-/// Like the hint table, the cache is per-worker and validation-based: a
-/// cursor's anchor is revalidated by the tree on every resume, so a
-/// stale entry costs one fallback descent, never a wrong answer.
-///
-/// Entries recycle their buffers on takeover (the expected-bound string
-/// and the cursor's own bound vector keep their capacity), so a warm
-/// cursor cache allocates nothing in steady state.
-pub struct CursorCache<V: ?Sized> {
-    entries: Vec<CursorEntry<V>>,
-    clock: u64,
-}
-
-struct CursorEntry<V: ?Sized> {
-    /// Full-key start the cached cursor continues from (empty = vacant;
-    /// an empty *live* bound is representable via `live`).
-    expected: Vec<u8>,
-    cursor: masstree::ScanCursor<V>,
-    reverse: bool,
-    live: bool,
-    stamp: u64,
-}
-
-/// Cursors cached per session; chunked scans rarely interleave more
-/// than a couple of independent range streams per connection.
-const CURSOR_WAYS: usize = 4;
-
-impl<V: ?Sized> CursorCache<V> {
-    pub fn new() -> CursorCache<V> {
-        CursorCache {
-            entries: Vec::new(),
-            clock: 0,
-        }
-    }
-
-    /// Takes the cursor expected to continue at `start` in the given
-    /// direction, if one is cached (the entry becomes vacant — put the
-    /// cursor back with [`CursorCache::put`] when the chunk completes).
-    pub fn take(&mut self, start: &[u8], reverse: bool) -> Option<masstree::ScanCursor<V>> {
-        let e = self
-            .entries
-            .iter_mut()
-            .find(|e| e.live && e.reverse == reverse && e.expected == start)?;
-        e.live = false;
-        // Swap in a placeholder (empty bounds allocate nothing).
-        Some(core::mem::replace(
-            &mut e.cursor,
-            masstree::ScanCursor::forward(&[]),
-        ))
-    }
-
-    /// Caches `cursor` under its current bound (the key the next chunk
-    /// of the same stream will start from). Exhausted cursors are not
-    /// worth a slot. Reuses a vacant entry's buffers, or evicts the
-    /// least-recently-stored entry once `CURSOR_WAYS` are live.
-    pub fn put(&mut self, cursor: masstree::ScanCursor<V>) {
-        if cursor.is_done() {
-            return;
-        }
-        self.clock += 1;
-        let stamp = self.clock;
-        let slot = match self.entries.iter_mut().position(|e| !e.live) {
-            Some(i) => i,
-            None if self.entries.len() < CURSOR_WAYS => {
-                self.entries.push(CursorEntry {
-                    expected: Vec::new(),
-                    cursor: masstree::ScanCursor::forward(&[]),
-                    reverse: false,
-                    live: false,
-                    stamp: 0,
-                });
-                self.entries.len() - 1
-            }
-            None => {
-                let (i, _) = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .expect("ways is nonzero");
-                i
-            }
-        };
-        let e = &mut self.entries[slot];
-        e.expected.clear();
-        e.expected.extend_from_slice(cursor.bound());
-        e.reverse = cursor.is_reverse();
-        e.live = true;
-        e.stamp = stamp;
-        e.cursor = cursor;
-    }
-
-    /// [`CursorCache::take`], falling back to a cursor **re-aimed** at
-    /// `start` when no cached continuation matches. The fallback claims
-    /// a vacant entry's buffers first, then (below capacity) a fresh
-    /// cursor, and only at full capacity recycles the least-recently
-    /// stored live entry — so starting a new stream never destroys
-    /// another live stream's continuation while slots remain, and a
-    /// warm cache still allocates nothing (every entry's buffers keep
-    /// their capacity). The second return value reports whether a
-    /// cached continuation was found.
-    pub fn take_or_start(
-        &mut self,
-        start: &[u8],
-        reverse: bool,
-    ) -> (masstree::ScanCursor<V>, bool) {
-        if let Some(c) = self.take(start, reverse) {
-            return (c, true);
-        }
-        // Vacant entry (a previously taken/expired slot): reuse its
-        // cursor's buffers.
-        if let Some(e) = self.entries.iter_mut().find(|e| !e.live) {
-            let mut c = core::mem::replace(&mut e.cursor, masstree::ScanCursor::forward(&[]));
-            c.reset(start, reverse);
-            return (c, false);
-        }
-        if self.entries.len() >= CURSOR_WAYS {
-            // Full: recycle the least-recently stored live stream.
-            if let Some(e) = self.entries.iter_mut().min_by_key(|e| e.stamp) {
-                e.live = false;
-                let mut c = core::mem::replace(&mut e.cursor, masstree::ScanCursor::forward(&[]));
-                c.reset(start, reverse);
-                return (c, false);
-            }
-        }
-        let mut c = masstree::ScanCursor::forward(&[]);
-        c.reset(start, reverse);
-        (c, false)
-    }
-
-    /// Drops every cached cursor (e.g. after a bulk delete, where the
-    /// anchors are all dead weight).
-    pub fn clear(&mut self) {
-        for e in &mut self.entries {
-            e.live = false;
-        }
-    }
-}
-
-impl<V: ?Sized> Default for CursorCache<V> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use masstree::hint::{HintResult, HintedGet};
 use masstree::{HintBatchScratch, LeafHint, Masstree};
-use mtcache::{CacheConfig, CacheStats, CacheStatsShared, CursorCache, HintCache, Lookup};
+use mtcache::{CacheConfig, CacheStats, CacheStatsShared, HintCache, Lookup};
 use mtobs::{Kind as ObsKind, Obs, Recorder, Stage};
 use parking_lot::{Condvar, Mutex};
 
@@ -1153,8 +1153,8 @@ pub type ScanCursor = masstree::ScanCursor<ColValue>;
 
 /// A session's hint-cache state: the table plus a lock-free mirror of
 /// its adaptive-bypass recommendation, so reuse-free workloads pay one
-/// relaxed counter bump instead of a lock + probe per get — and the
-/// per-session scan-cursor cache that rides along with it.
+/// relaxed counter bump instead of a lock + probe per get. Point reads
+/// only: range reads never consult it.
 struct SessionCache {
     /// Mirror of [`HintCache::bypass_recommended`], refreshed after
     /// every locked cache interaction.
@@ -1166,8 +1166,6 @@ struct SessionCache {
     /// a session is a per-worker handle, so the lock is uncontended on
     /// the hot path. It is never held while user callbacks run.
     table: Mutex<HintCache<ColValue>>,
-    /// Per-session resumable-scan cursors, keyed by expected start key.
-    cursors: Mutex<CursorCache<ColValue>>,
 }
 
 /// Reusable buffers for [`Session::multi_get_with`]: hint-cache lookup
@@ -1218,9 +1216,10 @@ struct ReadaheadScratch {
     req_rows: Vec<u32>,
     resolved: Vec<Option<Arc<ColValue>>>,
     engine: ResolveScratch,
-    /// Reused cursor for cursor-less `get_range_with` calls (no cursor
-    /// cache attached): `ScanCursor::reset` keeps its bound buffer's
-    /// capacity, so one-shot scans stay allocation-free too.
+    /// The cursor every [`Session::get_range_with`] call runs on, with
+    /// or without a hint cache: `ScanCursor::reset` re-aims it at the
+    /// call's start key and keeps its bound buffer's capacity, so
+    /// one-shot scans stay allocation-free.
     spare_cursor: Option<ScanCursor>,
 }
 
@@ -1309,12 +1308,13 @@ impl Session {
     }
 
     /// Attaches a per-worker hint cache to this session: point lookups
-    /// (`get`/`get_with`/`multi_get*`) consult it and chunked range
-    /// reads resume at cached scan cursors — both falling back to a
+    /// (`get`/`get_with`/`multi_get*`) consult it, falling back to a
     /// full descent on validation failure and refreshing the cache with
     /// the descent's endpoint. Writes never consult it: they always
-    /// descend (`remove` only drops the key's entry). See `mtcache` and
-    /// `masstree::anchor` for why no hinted read can ever be stale.
+    /// descend (`remove` only drops the key's entry), and neither do
+    /// range reads, which resume only through an explicit
+    /// [`ScanCursor`]. See `mtcache` and `masstree::anchor` for why no
+    /// hinted read can ever be stale.
     pub fn enable_cache(&mut self, config: CacheConfig) {
         let sc = Arc::new(SessionCache {
             bypass: AtomicBool::new(false),
@@ -1323,7 +1323,6 @@ impl Session {
                 &config,
                 Arc::clone(&self.store.cache_shared),
             )),
-            cursors: Mutex::new(CursorCache::new()),
         });
         let mut registry = self.store.cache_registry.lock();
         registry.retain(|w| w.strong_count() > 0);
@@ -1863,14 +1862,10 @@ impl Session {
     /// — nothing is copied and, with a warm scratch, nothing is
     /// allocated. Returns the number of rows visited.
     ///
-    /// With a session cache attached, chunked sequential range reads
-    /// resume transparently: each call leaves a [`ScanCursor`] in the
-    /// per-session cursor cache keyed by the key the *next* chunk is
-    /// expected to start from, and a call starting exactly there
-    /// re-enters the tree at the remembered border node (validated
-    /// anchor, zero descent) instead of descending from the root. A
-    /// failed validation — or a non-sequential start — is just a normal
-    /// descent; results are always identical to an uncached scan.
+    /// Every call descends from `key`, cached session or not; a caller
+    /// that streams a range in chunks and wants each chunk to re-enter
+    /// where the last one stopped holds a [`Session::scan_cursor`] and
+    /// calls [`Session::get_range_resumed`] instead.
     ///
     /// Both borrows are valid only for the duration of each `f` call.
     /// Not atomic w.r.t. concurrent writers (§3), like
@@ -1884,39 +1879,15 @@ impl Session {
         }
         let t0 = Instant::now();
         let seen = with_scratch(&self.readahead, |ra| {
-            // The cursor comes from the per-session cache when attached
-            // (taken OUT for the duration, lock released before the
-            // visitor runs — a matching chunked-scan resume re-enters
-            // the tree at the validated anchor with zero descent) and
-            // is the scratch's spare otherwise, reset so it reuses its
-            // bound buffer (no per-call Vec).
-            let cached = self
-                .cache
-                .as_ref()
-                .filter(|sc| !sc.skip_this_op())
-                .and_then(|sc| {
-                    sc.cursors
-                        .try_lock()
-                        .map(|mut cc| cc.take_or_start(key, false))
-                });
-            let is_cached = cached.is_some();
-            let (mut cur, matched) = cached.unwrap_or_else(|| {
-                let mut spare = ra
-                    .spare_cursor
-                    .take()
-                    .unwrap_or_else(|| ScanCursor::forward(key));
-                spare.reset(key, false);
-                (spare, false)
-            });
-            let seen = self.scan_rounds(&mut cur, n, matched, ra, &mut f);
-            match &self.cache {
-                Some(sc) if is_cached => {
-                    if let Some(mut cc) = sc.cursors.try_lock() {
-                        cc.put(cur);
-                    }
-                }
-                _ => ra.spare_cursor = Some(cur),
-            }
+            // The scratch's own cursor, re-aimed so it reuses its bound
+            // buffer (no per-call Vec).
+            let mut cur = ra
+                .spare_cursor
+                .take()
+                .unwrap_or_else(|| ScanCursor::forward(key));
+            cur.reset(key);
+            let seen = self.scan_rounds(&mut cur, n, ra, &mut f);
+            ra.spare_cursor = Some(cur);
             seen
         });
         self.obs
@@ -1933,13 +1904,12 @@ impl Session {
     }
 
     /// Borrowed chunked `getrange_c`: visits up to `n` rows continuing
-    /// from `cursor` (in the cursor's direction), advancing it to the
-    /// new stop point. When the cursor's validated anchor holds, the
-    /// chunk starts at the remembered border node with zero descent;
-    /// otherwise it descends from the cursor's bound — either way the
-    /// rows are exactly what a fresh scan from that bound would yield.
-    /// Returns the number of rows visited (0 once the cursor
-    /// [`ScanCursor::is_done`]).
+    /// from `cursor`, advancing it to the new stop point. When the
+    /// cursor's validated anchor holds, the chunk starts at the
+    /// remembered border node with zero descent; otherwise it descends
+    /// from the cursor's bound — either way the rows are exactly what a
+    /// fresh scan from that bound would yield. Returns the number of
+    /// rows visited (0 once the cursor [`ScanCursor::is_done`]).
     pub fn get_range_resumed<F>(&self, cursor: &mut ScanCursor, n: usize, mut f: F) -> usize
     where
         F: FnMut(&[u8], &ColValue),
@@ -1948,9 +1918,8 @@ impl Session {
             return 0;
         }
         let t0 = Instant::now();
-        let had_anchor = cursor.has_anchor();
         let seen = with_scratch(&self.readahead, |ra| {
-            self.scan_rounds(cursor, n, had_anchor, ra, &mut f)
+            self.scan_rounds(cursor, n, ra, &mut f)
         });
         self.obs
             .record_op(ObsKind::Scan, t0.elapsed().as_nanos() as u64);
@@ -1960,13 +1929,13 @@ impl Session {
     /// The one range-read loop: leaf-batched readahead rounds from
     /// `cursor` until `n` rows are visited or the range ends. One round
     /// in the common case; extra rounds only refill the deficit when
-    /// unresolvable rows were skipped. The first round tells the cache
-    /// whether a scan that `expected_resume` re-entered at its anchor.
+    /// unresolvable rows were skipped. A cursor that arrives with an
+    /// anchor counts its first round as a resume or a stale fallback
+    /// (store-wide); a one-shot scan has no anchor and counts nothing.
     fn scan_rounds<F>(
         &self,
         cursor: &mut ScanCursor,
         n: usize,
-        expected_resume: bool,
         ra: &mut ReadaheadScratch,
         f: &mut F,
     ) -> usize
@@ -1975,20 +1944,13 @@ impl Session {
     {
         let guard = masstree::pin();
         let mut seen = 0usize;
-        let mut first = true;
+        let mut anchored = cursor.has_anchor();
         while seen < n && !cursor.is_done() {
             let (collected, emitted, resumed) =
                 self.scan_round_readahead(cursor, n - seen, ra, &guard, f);
-            if first {
-                if let Some(sc) = &self.cache {
-                    let mut c = sc.table.lock();
-                    if resumed {
-                        c.note_scan_resumed();
-                    } else if expected_resume {
-                        c.note_scan_fallback();
-                    }
-                }
-                first = false;
+            if anchored {
+                self.store.cache_shared.add_scan_resume(resumed);
+                anchored = false;
             }
             seen += emitted;
             if collected == 0 {

@@ -539,8 +539,8 @@ fn steady_state_cached_session_reads_do_not_allocate() {
     // The cache-enabled read paths must hold the same zero-allocation
     // guarantee as the plain ones: the hinted batch read buffers its
     // results in the session's reusable scratch (guard-scoped raw
-    // pointers, capacity kept across calls), and chunked range reads
-    // recycle their scan cursors through the per-session cursor cache.
+    // pointers, capacity kept across calls), and a range read re-aims
+    // the readahead scratch's spare cursor, as it does without a cache.
     let store = Store::in_memory();
     // adaptive_bypass off: the uniform one-shot population phase below
     // would otherwise engage bypass and leave the measured reads mostly
@@ -588,8 +588,8 @@ fn steady_state_cached_session_reads_do_not_allocate() {
     };
 
     // Warm-up: admission (threshold 1 still needs a miss before the
-    // capture), hint-table fill, batch scratch growth, cursor-cache
-    // fill, epoch registration. Then drain deferred garbage.
+    // capture), hint-table fill, batch scratch growth, spare-cursor
+    // growth, epoch registration. Then drain deferred garbage.
     for _ in 0..8 {
         run_reads(&mut sink);
     }

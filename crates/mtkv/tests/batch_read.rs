@@ -116,29 +116,57 @@ fn check_all(session: &Session) -> usize {
     read
 }
 
-/// `n` rows (a multiple of 8) from `start`, visited by one
-/// `get_range_with` or, `resumed`, in 8-row `get_range_resumed` chunks.
+/// How [`range_with`] reads a range.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// One `get_range_with` call.
+    OneShot,
+    /// 8-row `get_range_resumed` chunks on one explicit cursor.
+    Resumed,
+    /// 8-row `get_range_with` calls, each starting just past the last
+    /// row of the one before (`last_key ++ [0]`), with no cursor.
+    Continued,
+}
+
+const MODES: [Mode; 3] = [Mode::OneShot, Mode::Resumed, Mode::Continued];
+
+/// `n` rows (a multiple of 8) from `start`, visited as `mode` reads them.
 fn range_with(
     session: &Session,
     start: &[u8],
     n: usize,
-    resumed: bool,
+    mode: Mode,
     mut visit: impl FnMut(&[u8], &ColValue),
 ) {
-    if resumed {
-        let mut cursor = session.scan_cursor(start);
-        for _ in 0..n / 8 {
-            session.get_range_resumed(&mut cursor, 8, &mut visit);
+    match mode {
+        Mode::OneShot => {
+            session.get_range_with(start, n, visit);
         }
-    } else {
-        session.get_range_with(start, n, visit);
+        Mode::Resumed => {
+            let mut cursor = session.scan_cursor(start);
+            for _ in 0..n / 8 {
+                session.get_range_resumed(&mut cursor, 8, &mut visit);
+            }
+        }
+        Mode::Continued => {
+            let mut from = start.to_vec();
+            for _ in 0..n / 8 {
+                let mut last = None;
+                session.get_range_with(&from, 8, |k, v| {
+                    last = Some(k.to_vec());
+                    visit(k, v)
+                });
+                from = last.expect("the range has n rows");
+                from.push(0);
+            }
+        }
     }
 }
 
 /// [`range_with`], every row copied out.
-fn range(session: &Session, start: &[u8], n: usize, resumed: bool) -> Vec<(Vec<u8>, Row)> {
+fn range(session: &Session, start: &[u8], n: usize, mode: Mode) -> Vec<(Vec<u8>, Row)> {
     let mut rows = Vec::new();
-    range_with(session, start, n, resumed, |k, v| {
+    range_with(session, start, n, mode, |k, v| {
         rows.push((k.to_vec(), Some(v.cols())))
     });
     rows
@@ -147,7 +175,7 @@ fn range(session: &Session, start: &[u8], n: usize, resumed: bool) -> Vec<(Vec<u
 /// A visitor that issues another batch read while the outer one is
 /// still emitting: the inner call finds the session's scratch busy and
 /// runs on a fresh one; both must still read correctly. The same for
-/// range reads, plain and resumed, nested in each other's visitors.
+/// range reads in every [`Mode`], nested in each other's visitors.
 fn check_reentrant(session: &Session) {
     let outer = batch(33, 1);
     let outer = refs(&outer);
@@ -168,24 +196,24 @@ fn check_reentrant(session: &Session) {
     assert_rows(&outer, &got, &want_outer);
 
     let (outer_start, inner_start) = (key(3), key(1_000));
-    let want_outer = range(session, &outer_start, 24, false);
-    let want_inner = range(session, &inner_start, 40, false);
+    let want_outer = range(session, &outer_start, 24, Mode::OneShot);
+    let want_inner = range(session, &inner_start, 40, Mode::OneShot);
     assert_eq!((want_outer.len(), want_inner.len()), (24, 40));
     for (k, row) in want_outer.iter().chain(&want_inner) {
         assert_eq!(*row, point(session, &[k])[0], "{k:?}");
     }
-    for outer_resumed in [false, true] {
+    for outer_mode in MODES {
         let mut got = Vec::new();
-        range_with(session, &outer_start, 24, outer_resumed, |k, v| {
+        range_with(session, &outer_start, 24, outer_mode, |k, v| {
             got.push((k.to_vec(), Some(v.cols())));
             if got.len() % 8 == 1 {
-                for inner_resumed in [false, true] {
-                    let inner = range(session, &inner_start, 40, inner_resumed);
-                    assert_eq!(inner, want_inner, "nested in {outer_resumed}");
+                for inner_mode in MODES {
+                    let inner = range(session, &inner_start, 40, inner_mode);
+                    assert_eq!(inner, want_inner, "{inner_mode:?} nested in {outer_mode:?}");
                 }
             }
         });
-        assert_eq!(got, want_outer, "resumed: {outer_resumed}");
+        assert_eq!(got, want_outer, "{outer_mode:?}");
     }
 }
 

@@ -292,8 +292,9 @@ pub struct StatsReply {
     pub cache_write_hits: u64,
     /// Retired, always 0 (see `cache_write_hits`).
     pub cache_write_stale: u64,
-    /// Resumable scans: chunks resumed at a validated anchor (zero
-    /// descent).
+    /// Resumable scans: resume-token chunks whose explicit cursor
+    /// re-entered at its validated anchor (zero descent). Counted
+    /// store-wide, with or without a session hint cache.
     pub cache_scan_resumes: u64,
     /// Resumable scans: token cursors evicted least-recently-used at the
     /// per-connection cap (each eviction costs its stream one descent on

@@ -1540,9 +1540,8 @@ fn maybe_span(session: &Session) -> Option<mtkv::mtobs::span::SpanGuard> {
 /// so a reconnected client resuming blindly gets a clean typed error
 /// instead of silently re-streaming — or worse, silently adopting
 /// state it never registered. Evictions are least-recently-used and
-/// counted (`cache_scan_evictions` in the wire stats). Token-less
-/// scans take the session's transparent start-key-matched cursor cache
-/// instead.
+/// counted (`cache_scan_evictions` in the wire stats). A token-less
+/// scan is one-shot: it descends from `key` and keeps no cursor.
 fn scan_with_tokens<F>(
     session: &Session,
     tokens: &mut ScanTokens,

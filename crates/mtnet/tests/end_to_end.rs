@@ -601,8 +601,18 @@ fn stats_aggregate_every_connections_cache_counters() {
 
 #[test]
 fn scan_resume_token_streams_a_range_in_chunks() {
+    // Token resumes run on the connection's explicit cursor, so they
+    // work — and are counted — whether or not sessions have a hint
+    // cache.
+    for cache in [Some(mtkv::CacheConfig::default()), None] {
+        stream_a_range_in_chunks(cache);
+    }
+}
+
+fn stream_a_range_in_chunks(cache: Option<mtkv::CacheConfig>) {
+    let cached = cache.is_some();
     let store = Store::in_memory();
-    store.set_session_cache(Some(mtkv::CacheConfig::default()));
+    store.set_session_cache(cache);
     let server = Server::start(store, "127.0.0.1:0").unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     for i in 0..500u32 {
@@ -633,7 +643,10 @@ fn scan_resume_token_streams_a_range_in_chunks() {
             break;
         }
     }
-    assert_eq!(streamed, full, "chunked token stream equals one big scan");
+    assert_eq!(
+        streamed, full,
+        "chunked token stream equals one big scan (cached: {cached})"
+    );
 
     // Interleaved second stream under a different token is independent.
     let first_a = c.scan_start(b"sr0100", 5, None, 1).unwrap();
@@ -647,7 +660,7 @@ fn scan_resume_token_streams_a_range_in_chunks() {
     let s = c.stats().unwrap();
     assert!(
         s.cache_scan_resumes > 0,
-        "token chunks must resume at anchors: {s:?}"
+        "token chunks must resume at anchors (cached: {cached}): {s:?}"
     );
 }
 

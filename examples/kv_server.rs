@@ -124,8 +124,8 @@ fn main() {
     );
 
     // Hot-path cache tier: MT_CACHE=<slots> gives every connection's
-    // session a per-worker validated-anchor cache (`mtcache`) for reads
-    // and scans; the `stats` admin request reports its counters.
+    // session a per-worker validated-anchor cache (`mtcache`) for point
+    // reads; the `stats` admin request reports its counters.
     if let Ok(slots) = std::env::var("MT_CACHE") {
         let slots: usize = slots.parse().expect("MT_CACHE=<hint slots>");
         store.set_session_cache(Some(mtkv::CacheConfig::with_capacity(slots)));
