@@ -17,18 +17,45 @@
 //! through the same `SegmentWalker` window as a segment and applies each
 //! row through the same replay gate, so no file is read whole and a
 //! loaded row costs its value's one block.
+//!
+//! # A bounded footprint
+//!
+//! A checkpoint runs beside request processing for as long as it takes
+//! to write the whole tree, so what it holds while it runs is what it
+//! costs. Every tree walk of a durability cycle — the sampling pre-scan,
+//! each part writer and the value-tier GC's reference scan — goes
+//! through [`walk_pinned`], which pins the epoch for at most
+//! [`PIN_ROWS`] rows and then re-enters the tree at its [`ScanCursor`]'s
+//! anchor under a fresh pin. Epoch reclamation (§4.6.1) frees a retired
+//! value only once every pinned thread has moved on, so a value
+//! overwritten during the checkpoint is freed a chunk or two later, not
+//! after the writer's whole partition. Each part writer encodes its
+//! frames straight into one [`PART_BUFFER`]-byte buffer and writes it
+//! out whenever the next frame would not fit; the store keeps those
+//! buffers from one durability cycle to the next, so a warm cycle makes
+//! no large allocation.
 
-use std::io::{BufWriter, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use masstree::{Masstree, ScanCursor};
+
 use crate::clock;
-use crate::log::{put_frame, seal_frame};
+use crate::log::{put_frame, put_frame_len, seal_frame};
 use crate::store::Store;
+use crate::value::ColValue;
 
 /// First line of a manifest. Version 2 parts are log frames; a manifest
 /// of any other version is ignored, as a missing one is.
 const MANIFEST_HEADER: &str = "masstree-checkpoint-v2";
+
+/// Rows a durability-cycle walk visits under one epoch pin.
+pub const PIN_ROWS: usize = 4096;
+
+/// Bytes of each part writer's buffer.
+pub const PART_BUFFER: usize = 256 << 10;
 
 /// Description of a completed checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,100 +114,117 @@ pub(crate) fn part_path(dir: &Path, t: usize) -> PathBuf {
     dir.join(format!("part-{t:04}"))
 }
 
+/// Visits the keys of `tree` in `[lo, hi)` (`hi = None`: to the end) in
+/// ascending order, calling `f(key, value)` until it returns false.
+///
+/// The walk holds an epoch pin for at most [`PIN_ROWS`] rows, then
+/// takes a fresh one and resumes through its cursor: with zero descent
+/// when the border node it stopped in is unchanged, else by a descent
+/// from the key after the last one visited. Like any scan it is fuzzy,
+/// but a key present for the whole walk is visited exactly once, and
+/// keys come in order. `f`'s references are valid only for the call.
+/// The caller must not hold a pin of its own: a nested pin keeps the
+/// outer one's epoch.
+pub(crate) fn walk_pinned(
+    tree: &Masstree<ColValue>,
+    lo: &[u8],
+    hi: Option<&[u8]>,
+    mut f: impl FnMut(&[u8], &ColValue) -> bool,
+) {
+    let mut cursor = ScanCursor::forward(lo);
+    let mut more = true;
+    while more && !cursor.is_done() {
+        let guard = masstree::pin();
+        let mut rows = 0;
+        tree.scan_resume(&mut cursor, &guard, |key, value| {
+            more = hi.is_none_or(|hi| key < hi) && f(key, value);
+            rows += 1;
+            more && rows < PIN_ROWS
+        });
+    }
+}
+
 /// Writes a checkpoint of `store` into `base/ckpt-<ts>/` using `threads`
 /// parallel writers over sampled-quantile partitions of the key space.
 ///
 /// Partition boundaries come from a sampling pre-scan (every 256th key),
 /// so writers stay balanced whatever the key distribution — the paper
 /// names parallelization imbalance as the checkpoint bottleneck (§5).
+/// Each writer walks its partition under short epoch pins and writes
+/// through one [`PART_BUFFER`]-byte buffer, allocated here; the store's
+/// own durability cycle keeps its buffers across checkpoints instead. A
+/// writer that fails or panics fails the checkpoint: no manifest is
+/// written, and the directory is left for [`prune_checkpoints`] to sweep.
 pub fn write_checkpoint(
     store: &Arc<Store>,
     base: &Path,
     threads: usize,
-) -> std::io::Result<CheckpointMeta> {
+) -> io::Result<CheckpointMeta> {
+    write_checkpoint_with(store, base, threads, &mut Vec::new())
+}
+
+/// [`write_checkpoint`] writing through `buffers`, one per writer: each
+/// is grown to [`PART_BUFFER`] bytes on first use and kept at that size
+/// (a single row larger than that grows it once), so a caller that keeps
+/// `buffers` allocates them once.
+pub(crate) fn write_checkpoint_with(
+    store: &Store,
+    base: &Path,
+    threads: usize,
+    buffers: &mut Vec<Vec<u8>>,
+) -> io::Result<CheckpointMeta> {
     let threads = threads.clamp(1, 256);
+    buffers.resize_with(threads, Vec::new);
     let start_ts = clock::now();
     let dir = ckpt_dir(base, start_ts);
     std::fs::create_dir_all(&dir)?;
 
     // Sampling pre-scan: every 256th key becomes a boundary candidate.
-    let samples: Vec<Vec<u8>> = {
-        let guard = masstree::pin();
-        let mut s = Vec::new();
-        let mut i = 0usize;
-        store.tree().scan(b"", &guard, |key, _| {
-            if i.is_multiple_of(256) {
-                s.push(key.to_vec());
-            }
-            i += 1;
-            true
-        });
-        s
+    let mut samples: Vec<Vec<u8>> = Vec::new();
+    let mut i = 0usize;
+    walk_pinned(store.tree(), b"", None, |key, _| {
+        if i.is_multiple_of(256) {
+            samples.push(key.to_vec());
+        }
+        i += 1;
+        true
+    });
+    // Writer `t` owns keys in [bound(t), bound(t + 1)); `None` = ±∞.
+    let bound = |t: usize| {
+        (t > 0 && t < threads && !samples.is_empty())
+            .then(|| samples[t * samples.len() / threads].as_slice())
     };
-    // Thread `t` owns keys in [bound[t], bound[t+1]); empty bound = ±∞.
-    let bounds: Vec<Option<Vec<u8>>> = (0..=threads)
-        .map(|t| {
-            if t == 0 || t == threads || samples.is_empty() {
-                None
-            } else {
-                Some(samples[t * samples.len() / threads].clone())
-            }
-        })
-        .collect();
-
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let store = Arc::clone(store);
-        let path = part_path(&dir, t);
-        let lo = bounds[t].clone();
-        let hi = bounds[t + 1].clone();
-        handles.push(std::thread::spawn(move || -> std::io::Result<u64> {
-            let file = std::fs::File::create(&path)?;
-            let mut out = BufWriter::with_capacity(1 << 20, file);
-            let guard = masstree::pin();
-            let mut written = 0u64;
-            let start_key = lo.unwrap_or_default();
-            let mut io_err = None;
-            // One row at a time, encoded into the same buffer.
-            let mut rec = Vec::new();
-            store.tree().scan(&start_key, &guard, |key, value| {
-                if let Some(hi) = &hi {
-                    if key >= hi.as_slice() {
-                        return false; // past this partition
-                    }
-                }
-                // An indirect row records the pointer, not the payload:
-                // the payload's segment is kept alive by the GC deletion
-                // rule (no segment a durable checkpoint references is
-                // ever reclaimed).
-                rec.clear();
-                let start = put_frame(&mut rec, start_ts, value.version(), key, value);
-                seal_frame(&mut rec, start);
-                if let Err(e) = out.write_all(&rec) {
-                    io_err = Some(e);
-                    return false;
-                }
-                written += 1;
-                true
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            out.flush()?;
-            out.get_ref().sync_data()?;
-            Ok(written)
-        }));
-    }
+    let results: Vec<io::Result<u64>> = std::thread::scope(|s| {
+        let writers: Vec<_> = buffers
+            .iter_mut()
+            .enumerate()
+            .map(|(t, buf)| {
+                let (lo, hi) = (bound(t).unwrap_or_default(), bound(t + 1));
+                let path = part_path(&dir, t);
+                s.spawn(move || write_part(store, &path, lo, hi, start_ts, buf))
+            })
+            .collect();
+        // Every writer is joined here, so a panicked one becomes this
+        // checkpoint's error instead of unwinding into the caller — the
+        // background checkpointer's loop, which must live on.
+        writers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|_| Err(io::Error::other("checkpoint part writer panicked")))
+            })
+            .collect()
+    });
     let mut keys = 0u64;
-    for h in handles {
-        keys += h.join().expect("checkpointer thread panicked")?;
+    for written in results {
+        keys += written?;
     }
     // The parts may reference value-tier payloads appended after the
     // last WAL-driven force; make the tier durable BEFORE the manifest
     // rename publishes those references, or a crash could leave a valid
     // checkpoint whose pointers name torn payloads.
     if !store.force_value_tier() {
-        return Err(std::io::Error::other("value tier force failed"));
+        return Err(io::Error::other("value tier force failed"));
     }
     let meta = CheckpointMeta {
         start_ts,
@@ -197,14 +241,57 @@ pub fn write_checkpoint(
     // copy of the covered records is already gone.
     let tmp = dir.join("MANIFEST.tmp");
     {
-        let mut f = std::fs::File::create(&tmp)?;
+        let mut f = File::create(&tmp)?;
         f.write_all(meta.manifest_bytes().as_bytes())?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, dir.join("MANIFEST"))?;
-    std::fs::File::open(&dir)?.sync_all()?;
-    std::fs::File::open(base)?.sync_all()?;
+    File::open(&dir)?.sync_all()?;
+    File::open(base)?.sync_all()?;
     Ok(meta)
+}
+
+/// One part writer: walks `[lo, hi)` and writes a put frame per row,
+/// stamped `start_ts`, into a new file at `path` through `buf`. Returns
+/// the rows written.
+fn write_part(
+    store: &Store,
+    path: &Path,
+    lo: &[u8],
+    hi: Option<&[u8]>,
+    start_ts: u64,
+    buf: &mut Vec<u8>,
+) -> io::Result<u64> {
+    #[cfg(test)]
+    if store.take_injected_writer_panic() {
+        panic!("injected checkpoint part writer panic");
+    }
+    let mut file = File::create(path)?;
+    buf.clear();
+    buf.reserve_exact(PART_BUFFER);
+    let mut written = 0u64;
+    let mut io_result = Ok(());
+    walk_pinned(store.tree(), lo, hi, |key, value| {
+        if !buf.is_empty() && buf.len() + put_frame_len(key, value) > buf.capacity() {
+            io_result = file.write_all(buf);
+            buf.clear();
+            if io_result.is_err() {
+                return false;
+            }
+        }
+        // An indirect row records the pointer, not the payload: the
+        // payload's segment is kept alive by the GC deletion rule (no
+        // segment a durable checkpoint references is ever reclaimed).
+        let start = put_frame(buf, start_ts, value.version(), key, value);
+        seal_frame(buf, start);
+        written += 1;
+        true
+    });
+    io_result?;
+    file.write_all(buf)?;
+    buf.clear();
+    file.sync_data()?;
+    Ok(written)
 }
 
 /// Finds the newest complete checkpoint under `base`.
@@ -259,7 +346,7 @@ pub fn latest_checkpoint_at_or_before(
 /// complete checkpoint are crash debris and are deleted too; newer ones
 /// are left alone — they may be a checkpoint currently being written.
 /// Returns the number of checkpoint directories removed.
-pub fn prune_checkpoints(base: &Path, keep: usize) -> std::io::Result<usize> {
+pub fn prune_checkpoints(base: &Path, keep: usize) -> io::Result<usize> {
     let keep = keep.max(1);
     let mut complete: Vec<(u64, PathBuf)> = Vec::new();
     let mut incomplete: Vec<(u64, PathBuf)> = Vec::new();

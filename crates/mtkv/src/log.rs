@@ -424,7 +424,22 @@ pub(crate) fn put_frame(
         }
     };
     close_frame(out, start);
+    debug_assert_eq!(out.len() - start + 4, put_frame_len(key, value));
     start
+}
+
+/// Bytes [`put_frame`] and [`seal_frame`] together append for a put of
+/// `value` under `key`: a writer with a fixed buffer knows before
+/// encoding a row whether it fits.
+pub(crate) fn put_frame_len(key: &[u8], value: &ColValue) -> usize {
+    // Length prefix, op, timestamp, version, key length, key, column
+    // count, then the columns or the pointer record, then the CRC.
+    let header = 4 + 1 + 8 + 8 + 4 + key.len() + 2;
+    let body = match value.ptr() {
+        Some(_) => 24,
+        None => 6 * value.ncols() + value.data_bytes(),
+    };
+    header + body + 4
 }
 
 /// Appends the payload CRC to the closed frame at `start`.
@@ -1342,7 +1357,7 @@ pub struct TruncateReport {
 /// sessions; use this form only on a quiescent directory (recovery,
 /// tests).
 pub fn truncate_covered_segments(dir: &Path, cutoff_ts: u64) -> std::io::Result<TruncateReport> {
-    truncate_covered_segments_excluding(dir, cutoff_ts, &[])
+    truncate_covered_segments_excluding(&mut SegmentWalker::default(), dir, cutoff_ts, &[])
 }
 
 /// [`truncate_covered_segments`] for a directory with live writers.
@@ -1371,22 +1386,23 @@ pub fn truncate_covered_segments(dir: &Path, cutoff_ts: u64) -> std::io::Result<
 /// manifest is already durable: truncation erases the only other copy of
 /// those records.
 ///
-/// **Cost**: one streaming pass through a [`WALK_WINDOW`]-sized window;
-/// nothing is decoded into owned records. Each chain is judged newest
-/// segment first, because whether a segment may go depends only on the
-/// segments after it. A segment that cannot go whatever it holds — the
+/// **Cost**: one streaming pass through `walker`'s [`WALK_WINDOW`]-sized
+/// window (a store keeps one walker across its durability cycles, so a
+/// warm pass allocates no window); nothing is decoded into owned
+/// records. Each chain is judged newest segment first, because whether
+/// a segment may go depends only on the segments after it. A segment that cannot go whatever it holds — the
 /// newest of a live session, or one with no non-empty successor — is
 /// read only as far as its first frame (which says whether it is
 /// non-empty); a candidate's walk stops at its first data record stamped
 /// at or after `cutoff_ts`. So only segments that end up deleted (and
 /// torn crash debris) are read to the end.
 pub fn truncate_covered_segments_excluding(
+    walker: &mut SegmentWalker,
     dir: &Path,
     cutoff_ts: u64,
     live_sessions: &[u64],
 ) -> std::io::Result<TruncateReport> {
     let mut report = TruncateReport::default();
-    let mut walker = SegmentWalker::default();
     for (session, segs) in crate::recovery::session_segments(dir) {
         let live = live_sessions.contains(&session);
         let mut later_nonempty = false;

@@ -28,8 +28,8 @@ use mtcache::{CacheConfig, CacheStats, CacheStatsShared, HintCache, Lookup};
 use mtobs::{Kind as ObsKind, Obs, Recorder, Stage};
 use parking_lot::{Condvar, Mutex};
 
-use crate::checkpoint::{prune_checkpoints, write_checkpoint, CheckpointMeta};
-use crate::log::{CrashPoint, LogRecord, LogRecordRef, LogWriter, PendingRecords};
+use crate::checkpoint::{prune_checkpoints, walk_pinned, write_checkpoint_with, CheckpointMeta};
+use crate::log::{CrashPoint, LogRecord, LogRecordRef, LogWriter, PendingRecords, SegmentWalker};
 use crate::recovery::install_if_newer;
 use crate::value::{ColValue, ValuePtr};
 use crate::vtier::{self, ResolveScratch, ValueError, ValueTier, ValueTierStats};
@@ -43,7 +43,9 @@ pub struct DurabilityConfig {
     /// thread; checkpoints happen only via [`Store::checkpoint_now`]).
     /// The paper checkpoints about once a minute.
     pub checkpoint_interval: Option<Duration>,
-    /// Parallel writer threads per checkpoint.
+    /// Parallel writer threads per checkpoint. Each writer keeps one
+    /// 256 KiB part buffer (`checkpoint::PART_BUFFER`), allocated on the
+    /// store's first durability cycle and reused by every later one.
     pub checkpoint_threads: usize,
     /// Complete checkpoints to keep on disk (older ones are pruned).
     pub keep_checkpoints: usize,
@@ -164,6 +166,16 @@ struct BgSignal {
     cond: Condvar,
 }
 
+/// What a durability cycle reuses from one cycle to the next, kept
+/// under the lock that serializes cycles and allocated by the first one:
+/// one part-writer buffer per checkpoint thread, and the truncation
+/// pass's read window.
+#[derive(Default)]
+struct CycleBuffers {
+    parts: Vec<Vec<u8>>,
+    walker: SegmentWalker,
+}
+
 /// The shared store: one Masstree of [`ColValue`]s plus logging and
 /// online durability state.
 pub struct Store {
@@ -180,8 +192,9 @@ pub struct Store {
     last_ckpt_start_ts: AtomicU64,
     /// Segments deleted by truncation this lifetime.
     truncated: AtomicU64,
-    /// Serializes durability cycles (background vs. `checkpoint_now`).
-    cycle_lock: Mutex<()>,
+    /// Serializes durability cycles (background vs. `checkpoint_now`),
+    /// and holds the buffers they reuse.
+    cycle_lock: Mutex<CycleBuffers>,
     bg: Mutex<Option<BgCheckpointer>>,
     /// Weak handles to every session's log (tagged with the session id),
     /// so a durability cycle can group-commit all of them past a
@@ -238,6 +251,9 @@ pub struct Store {
     /// them a same-key conflict forced.
     batch_phases: AtomicU64,
     batch_conflict_splits: AtomicU64,
+    /// Test hook: the next checkpoint part writer to start panics.
+    #[cfg(test)]
+    inject_writer_panic: AtomicBool,
 }
 
 impl Store {
@@ -298,7 +314,7 @@ impl Store {
             ckpt_epoch: AtomicU64::new(0),
             last_ckpt_start_ts: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
-            cycle_lock: Mutex::new(()),
+            cycle_lock: Mutex::new(CycleBuffers::default()),
             bg: Mutex::new(None),
             log_handles: Mutex::new(Vec::new()),
             log_poison: Arc::default(),
@@ -312,7 +328,15 @@ impl Store {
             gc_log: Mutex::new(None),
             batch_phases: AtomicU64::new(0),
             batch_conflict_splits: AtomicU64::new(0),
+            #[cfg(test)]
+            inject_writer_panic: AtomicBool::new(false),
         }
+    }
+
+    /// Consumes the injected part-writer panic, if one is armed.
+    #[cfg(test)]
+    pub(crate) fn take_injected_writer_panic(&self) -> bool {
+        self.inject_writer_panic.swap(false, Ordering::Relaxed)
     }
 
     /// The store's observability hub: per-worker latency histograms,
@@ -540,8 +564,9 @@ impl Store {
                 }
                 let Some(store) = weak.upgrade() else { return };
                 // Errors are not fatal to the loop: a transient I/O
-                // failure just means this cycle's checkpoint is skipped
-                // and the logs keep everything.
+                // failure or a panicked part writer just means this
+                // cycle's checkpoint is skipped and the logs keep
+                // everything.
                 let _ = store.run_durability_cycle();
             })
             .expect("spawn checkpointer");
@@ -583,9 +608,10 @@ impl Store {
             .log_dir
             .clone()
             .ok_or_else(|| std::io::Error::other("in-memory store has no durability"))?;
-        let _cycle = self.cycle_lock.lock();
+        let mut cycle = self.cycle_lock.lock();
         let ckpt_t0 = Instant::now();
-        let meta = write_checkpoint(self, &dir, self.config.checkpoint_threads)?;
+        let threads = self.config.checkpoint_threads;
+        let meta = write_checkpoint_with(self, &dir, threads, &mut cycle.parts)?;
         self.obs
             .global()
             .record(ObsKind::Checkpoint, ckpt_t0.elapsed().as_nanos() as u64);
@@ -670,6 +696,7 @@ impl Store {
         if gates_held {
             let truncate_t0 = Instant::now();
             let tr = crate::log::truncate_covered_segments_excluding(
+                &mut cycle.walker,
                 &dir,
                 meta.start_ts,
                 &live_sessions,
@@ -727,20 +754,17 @@ impl Store {
             return;
         }
         let cand: std::collections::HashSet<u64> = candidates.iter().copied().collect();
-        // One scan collects every live reference into a candidate
+        // One walk collects every live reference into a candidate
         // segment; the relocations then validate per key.
         let mut refs: Vec<(Vec<u8>, u64, ValuePtr)> = Vec::new();
-        {
-            let guard = masstree::pin();
-            self.tree.scan(b"", &guard, |k, v| {
-                if let Some(p) = v.ptr() {
-                    if cand.contains(&p.seg) {
-                        refs.push((k.to_vec(), v.version(), p));
-                    }
+        walk_pinned(&self.tree, b"", None, |k, v| {
+            if let Some(p) = v.ptr() {
+                if cand.contains(&p.seg) {
+                    refs.push((k.to_vec(), v.version(), p));
                 }
-                true
-            });
-        }
+            }
+            true
+        });
         let mut clean: std::collections::HashMap<u64, bool> =
             candidates.iter().map(|&s| (s, true)).collect();
         let mut relocated = 0u64;
@@ -2260,6 +2284,50 @@ mod tests {
         let s = store.session().unwrap();
         for i in 0..8 {
             assert!(s.get(format!("b{i}-049").as_bytes(), None).is_some());
+        }
+        drop(s);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_part_writer_fails_only_its_own_cycle() {
+        // A part writer that panics fails that cycle's checkpoint (no
+        // manifest); the background checkpointer must live on, publish
+        // the next cycle and sweep the failed cycle's directory.
+        let dir = std::env::temp_dir().join(format!("mtkv-writer-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DurabilityConfig::tiny_segments(4096).with_interval(Duration::from_millis(5));
+        let store = Store::persistent_with(&dir, config).unwrap();
+        let s = store.session().unwrap();
+        for i in 0..2_000u32 {
+            s.put(format!("wp{i:05}").as_bytes(), &[(0, &i.to_le_bytes()[..])]);
+        }
+        assert!(s.force_log());
+        let wait_until = |done: &dyn Fn() -> bool| {
+            let t0 = Instant::now();
+            while !done() && t0.elapsed() < Duration::from_secs(20) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            done()
+        };
+        store.inject_writer_panic.store(true, Ordering::Relaxed);
+        assert!(
+            wait_until(&|| !store.inject_writer_panic.load(Ordering::Relaxed)),
+            "no part writer started"
+        );
+        let epoch = store.checkpoint_epoch();
+        assert!(
+            wait_until(&|| store.checkpoint_epoch() > epoch),
+            "the background checkpointer stopped at epoch {epoch} after a part writer panicked"
+        );
+        store.stop_background_checkpointer();
+        store.checkpoint_now().unwrap();
+        for e in std::fs::read_dir(&dir).unwrap().flatten() {
+            let name = e.file_name().into_string().unwrap();
+            if name.starts_with("ckpt-") {
+                assert!(e.path().join("MANIFEST").is_file(), "{name} left behind");
+            }
         }
         drop(s);
         drop(store);

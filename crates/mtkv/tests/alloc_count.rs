@@ -18,10 +18,13 @@
 //! and the replication follower's — allocates the block of each value a
 //! record installs, and nothing for a record that loses; a checkpoint
 //! part, streamed through the same walker and gate, loads at little more
-//! than one allocation per row.
+//! than one allocation per row. A warm durability cycle — checkpoint
+//! writers on threads of their own, barrier, truncation — reuses the
+//! buffers the store keeps and makes no large allocation on any thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mtkv::Store;
@@ -38,7 +41,16 @@ thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+// Process-wide, for work that runs on threads the test does not own.
+static COUNTING_ALL: AtomicBool = AtomicBool::new(false);
+static ALLOCS_ALL: AtomicU64 = AtomicU64::new(0);
+static LARGEST_ALL: AtomicUsize = AtomicUsize::new(0);
+
 fn count_one(size: usize) {
+    if COUNTING_ALL.load(Ordering::Relaxed) {
+        ALLOCS_ALL.fetch_add(1, Ordering::Relaxed);
+        LARGEST_ALL.fetch_max(size, Ordering::Relaxed);
+    }
     // `try_with`: the allocator also runs during thread teardown.
     let _ = COUNTING.try_with(|armed| {
         if armed.get() {
@@ -64,6 +76,24 @@ fn disarm() -> u64 {
 /// The largest single request (bytes) this thread made while armed.
 fn largest() -> usize {
     LARGEST.with(Cell::get)
+}
+
+/// Zeroes the process-wide counters and starts counting every thread's
+/// allocations (the test holds [`serial`], so no sibling test runs).
+fn arm_all() {
+    ALLOCS_ALL.store(0, Ordering::Relaxed);
+    LARGEST_ALL.store(0, Ordering::Relaxed);
+    COUNTING_ALL.store(true, Ordering::Relaxed);
+}
+
+/// Stops process-wide counting; returns `(allocations, largest request)`
+/// since [`arm_all`].
+fn disarm_all() -> (u64, usize) {
+    COUNTING_ALL.store(false, Ordering::Relaxed);
+    (
+        ALLOCS_ALL.load(Ordering::Relaxed),
+        LARGEST_ALL.load(Ordering::Relaxed),
+    )
 }
 
 // SAFETY: defers all real work to `System`; only adds counter bumps.
@@ -763,8 +793,9 @@ fn truncation_streams_a_long_chain_through_one_window() {
     // newest segment: two are deleted, one is read only up to its first
     // frame.
     arm();
+    let walker = &mut mtkv::log::SegmentWalker::default();
     let report =
-        mtkv::log::truncate_covered_segments_excluding(&dir, u64::MAX, &[session]).unwrap();
+        mtkv::log::truncate_covered_segments_excluding(walker, &dir, u64::MAX, &[session]).unwrap();
     let allocs = disarm();
     let largest = largest();
 
@@ -918,6 +949,41 @@ fn checkpoint_load_allocates_one_block_per_row() {
     let v = store.tree().get(&user_key(4242), &guard).unwrap();
     assert_eq!(v.col(0), Some(&payload[..]));
     drop(guard);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_warm_durability_cycle_makes_no_large_allocation() {
+    let _serial = serial();
+    // A store keeps its part writers' buffers and its truncation window
+    // from one durability cycle to the next, so only the first cycle
+    // allocates them. The part writers run on threads of their own, so
+    // the second cycle is counted on every thread.
+    const KEYS: u64 = 100_000;
+    let dir = std::env::temp_dir().join(format!("mtkv-alloc-cycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::persistent(&dir).unwrap();
+    let session = store.session().unwrap();
+    let payload = [0x37u8; 64];
+    for i in 0..KEYS {
+        session.put(&user_key(i), &[(0, &payload[..])]);
+    }
+    assert!(session.force_log());
+    store.checkpoint_now().unwrap();
+    drain_gc();
+
+    arm_all();
+    let meta = store.checkpoint_now().unwrap();
+    let (allocs, largest) = disarm_all();
+
+    eprintln!("warm durability cycle: {allocs} allocations, largest {largest} B");
+    assert_eq!(meta.keys, KEYS);
+    assert!(
+        largest < 64 << 10,
+        "a warm durability cycle made an allocation of {largest} bytes"
+    );
+    drop(session);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,12 +14,21 @@
 //!    recovery replays only records from segments newer than the
 //!    checkpoint cutoff — the replayed-record count is bounded by the
 //!    post-checkpoint tail, not by the store's lifetime write count.
+//!
+//! And the two a bounded checkpoint footprint rests on: the part
+//! writers' chunked walks, re-pinned every `PIN_ROWS` rows, still cover
+//! each key exactly once under churn, and they let the epoch advance
+//! while a checkpoint runs.
 
 use std::collections::HashMap;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use mtkv::{recover, DurabilityConfig, Store};
+use mtkv::checkpoint::PIN_ROWS;
+use mtkv::log::SegmentWalker;
+use mtkv::{latest_checkpoint, recover, write_checkpoint, DurabilityConfig, Store};
 
 /// splitmix64.
 struct Rng(u64);
@@ -357,5 +366,199 @@ fn background_checkpointer_runs_and_bounds_log_growth() {
             i.to_le_bytes()
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes of checkpoint parts on disk under `dir`, across every
+/// checkpoint directory.
+fn part_bytes(dir: &Path) -> u64 {
+    let mut total = 0;
+    for ckpt in std::fs::read_dir(dir).unwrap().flatten() {
+        if !ckpt.file_name().to_string_lossy().starts_with("ckpt-") {
+            continue;
+        }
+        for part in std::fs::read_dir(ckpt.path())
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            if part.file_name().to_string_lossy().starts_with("part-") {
+                total += part.metadata().map(|m| m.len()).unwrap_or(0);
+            }
+        }
+    }
+    total
+}
+
+#[test]
+fn the_epoch_advances_while_a_checkpoint_runs() {
+    // Epoch reclamation (§4.6.1) frees a retired value only once every
+    // pinned thread has moved on. Part writers re-pin every `PIN_ROWS`
+    // rows, so a destructor deferred once the first part bytes land runs
+    // while the checkpoint is still writing — here, before the parts
+    // hold half their (equal-sized) rows. A writer pinned for its whole
+    // partition would hold it until every row is written. Two writers,
+    // so that on a two-core host none waits for a core while pinned.
+    const KEYS: u32 = 300_000;
+    let dir = tmpdir("epoch");
+    let config = DurabilityConfig {
+        checkpoint_threads: 2,
+        ..DurabilityConfig::default()
+    };
+    let store = Store::persistent_with(&dir, config).unwrap();
+    let s = store.session().unwrap();
+    let value = [0x5au8; 16];
+    for i in 0..KEYS {
+        s.put(format!("epoch{i:07}").as_bytes(), &[(0, &value[..])]);
+    }
+    assert!(s.force_log());
+    let ckpt = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || store.checkpoint_now().unwrap())
+    };
+    while part_bytes(&dir) == 0 && !ckpt.is_finished() {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let freed = Arc::new(AtomicBool::new(false));
+    {
+        let freed = Arc::clone(&freed);
+        let guard = masstree::pin();
+        // SAFETY: the closure only sets a flag; it is sound to run at
+        // any time, from any thread.
+        unsafe { guard.defer_unchecked(move || freed.store(true, Ordering::Release)) };
+    }
+    let deferred_at = Instant::now();
+    while !freed.load(Ordering::Acquire) && !ckpt.is_finished() {
+        masstree::pin().flush();
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let (freed_after, bytes_when_freed) = (deferred_at.elapsed(), part_bytes(&dir));
+    let was_freed = freed.load(Ordering::Acquire);
+    let meta = ckpt.join().unwrap();
+    let total = part_bytes(&dir);
+    eprintln!(
+        "deferred destructor ran after {freed_after:?}, with {bytes_when_freed} of {total} \
+         part bytes written"
+    );
+    assert_eq!(meta.keys, u64::from(KEYS));
+    assert!(
+        was_freed && bytes_when_freed * 2 < total,
+        "the epoch stood still while the parts were written: freed {was_freed} with \
+         {bytes_when_freed} of {total} part bytes on disk"
+    );
+    drop(s);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn chunked_walks_cover_each_stable_key_exactly_once_under_churn() {
+    // Part writers walk their partitions in `PIN_ROWS`-row chunks,
+    // re-entering the tree through a cursor each time, while other
+    // threads insert fresh keys, overwrite stable ones and remove (then
+    // re-insert) a disjoint set: whole runs of layer-0 keys, so border
+    // nodes are deleted, and whole 20-key layers, so layers are
+    // collected under the cursors. Every key present for the whole
+    // checkpoint must land in exactly one part, exactly once, and the
+    // parts must tile the key space in order.
+    const WRITERS: usize = 4;
+    const SLOTS: u32 = 180_000;
+    let in_hole = |i: u32| i % 1_000 >= 900; // runs of 100 layer-0 keys
+    let stable: Vec<Vec<u8>> = (0..SLOTS)
+        .filter(|&i| !in_hole(i))
+        .map(|i| format!("{i:07}a").into_bytes())
+        .collect();
+    // Churned in units, each removed whole and then put back.
+    let holes = (0..SLOTS).step_by(1_000).map(|h| {
+        (h + 900..h + 1_000)
+            .map(|i| format!("{i:07}a").into_bytes())
+            .collect::<Vec<_>>()
+    });
+    let layers = (0..SLOTS).step_by(64).map(|i| {
+        (0..20)
+            .map(|j| format!("{i:07}b/{j:02}").into_bytes())
+            .collect::<Vec<_>>()
+    });
+    let churned: Vec<Vec<Vec<u8>>> = holes.chain(layers).collect();
+    // Each writer's share of the stable keys alone spans 8 re-pins.
+    assert!(stable.len() / WRITERS > 8 * PIN_ROWS);
+
+    let dir = tmpdir("coverage");
+    let store = Store::in_memory();
+    let s = store.session().unwrap();
+    for key in stable.iter().chain(churned.iter().flatten()) {
+        s.put(key, &[(0, b"loaded")]);
+    }
+    let done = AtomicBool::new(false);
+    let rounds = AtomicU64::new(0);
+    let meta = std::thread::scope(|scope| {
+        let (done, rounds, stable, churned) = (&done, &rounds, &stable, &churned);
+        let (remover, overwriter, inserter) = (
+            store.session().unwrap(),
+            store.session().unwrap(),
+            store.session().unwrap(),
+        );
+        scope.spawn(move || {
+            let mut rng = Rng(0xdead);
+            while !done.load(Ordering::Acquire) {
+                let unit = &churned[rng.below(churned.len() as u64) as usize];
+                for key in unit {
+                    remover.remove(key);
+                }
+                for key in unit {
+                    remover.put(key, &[(0, b"back")]);
+                }
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        scope.spawn(move || {
+            let mut rng = Rng(0x0eee);
+            while !done.load(Ordering::Acquire) {
+                let key = &stable[rng.below(stable.len() as u64) as usize];
+                overwriter.put(key, &[(0, b"overwritten")]);
+            }
+        });
+        scope.spawn(move || {
+            let mut rng = Rng(0xf4e5);
+            while !done.load(Ordering::Acquire) {
+                let key = format!("{:07}c", rng.below(u64::from(SLOTS)));
+                inserter.put(key.as_bytes(), &[(0, b"fresh")]);
+            }
+        });
+        let meta = write_checkpoint(&store, &dir, WRITERS).unwrap();
+        done.store(true, Ordering::Release);
+        meta
+    });
+    eprintln!("churn: {} units removed and put back", rounds.into_inner());
+
+    let (path, _) = latest_checkpoint(&dir).unwrap();
+    let mut walker = SegmentWalker::default();
+    let mut keys: Vec<Vec<u8>> = Vec::new();
+    for t in 0..meta.parts {
+        let mut walk = walker.walk(&path.join(format!("part-{t:04}"))).unwrap();
+        let mut rows = 0;
+        while let Some(rec) = walk.next_record().unwrap() {
+            assert!(
+                keys.last().is_none_or(|last| last.as_slice() < rec.key()),
+                "part {t}: {:?} out of order or repeated",
+                String::from_utf8_lossy(rec.key())
+            );
+            keys.push(rec.key().to_vec());
+            rows += 1;
+        }
+        assert!(rows > 8 * PIN_ROWS, "part {t} holds only {rows} rows");
+    }
+    // Strictly ascending across the parts in order: each part is
+    // ascending, inside its bounds, and no key appears twice.
+    assert_eq!(meta.keys, keys.len() as u64);
+    for key in &stable {
+        assert!(
+            keys.binary_search(key).is_ok(),
+            "stable key {:?} missing from every part",
+            String::from_utf8_lossy(key)
+        );
+    }
+    drop(s);
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -428,6 +428,8 @@ fn streaming_truncation_deletes_exactly_what_the_whole_file_pass_deleted() {
     let root = tmpdir("trunc-eq");
     let (want_dir, got_dir) = (root.join("reference"), root.join("streaming"));
     let (mut deleted, mut spared) = (0u64, 0u64);
+    // One walker for every pass, as a store keeps one across its cycles.
+    let mut walker = SegmentWalker::default();
     for seed in 0..12u64 {
         let mut rng = Rng(0x7c0f_0000 + seed);
         let ts_max = 12;
@@ -453,7 +455,8 @@ fn streaming_truncation_deletes_exactly_what_the_whole_file_pass_deleted() {
                 materialize(&want_dir, &layout);
                 materialize(&got_dir, &layout);
                 let want = reference_truncate(&want_dir, cutoff, live);
-                let got = truncate_covered_segments_excluding(&got_dir, cutoff, live).unwrap();
+                let got = truncate_covered_segments_excluding(&mut walker, &got_dir, cutoff, live)
+                    .unwrap();
                 assert_eq!((got.segments_deleted, got.bytes_deleted), want, "{ctx}");
                 let kept = listing(&got_dir);
                 assert_eq!(kept, listing(&want_dir), "{ctx}");
