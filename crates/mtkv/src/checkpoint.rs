@@ -7,9 +7,9 @@
 //! replaying the log from the checkpoint's start timestamp, applying
 //! records in value-version order).
 //!
-//! The key space is split into byte-prefix ranges, one per checkpointer
-//! thread, each writing its own part file; a manifest written last (via
-//! atomic rename) makes the checkpoint complete.
+//! The key space is split into byte-prefix ranges, one per part writer,
+//! each writing its own part file; a manifest written last (via atomic
+//! rename) makes the checkpoint complete.
 //!
 //! A part file is a log segment in all but name: one put frame per key
 //! (`log.rs`'s record format, written by the WAL's own encoder), each
@@ -22,30 +22,31 @@
 //!
 //! A checkpoint runs beside request processing for as long as it takes
 //! to write the whole tree, so what it holds while it runs is what it
-//! costs. Every tree walk of a durability cycle — the sampling pre-scan,
-//! each part writer and the value-tier GC's reference scan — goes
-//! through [`walk_pinned`], which pins the epoch for at most
-//! [`PIN_ROWS`] rows and then re-enters the tree at its [`ScanCursor`]'s
-//! anchor under a fresh pin. Epoch reclamation (§4.6.1) frees a retired
-//! value only once every pinned thread has moved on, so a value
-//! overwritten during the checkpoint is freed a chunk or two later, not
-//! after the writer's whole partition. Each part writer encodes its
-//! frames straight into one [`PART_BUFFER`]-byte buffer and writes it
-//! out whenever the next frame would not fit; the store keeps those
-//! buffers from one durability cycle to the next, so a warm cycle makes
-//! no large allocation.
+//! costs. A durability cycle walks the tree twice — the sampling
+//! pre-scan, then the part writers, which also collect the references
+//! the value tier's GC needs — and both walks go through
+//! [`walk_pinned`], which pins the epoch for at most [`PIN_ROWS`] rows
+//! and then re-enters the tree at its [`ScanCursor`]'s anchor under a
+//! fresh pin. Epoch reclamation (§4.6.1) frees a retired value only
+//! once every pinned thread has moved on, so a value overwritten during
+//! the checkpoint is freed a chunk or two later, not after the writer's
+//! whole partition. Each part writer encodes its frames straight into
+//! one [`PART_BUFFER`]-byte buffer and writes it out whenever the next
+//! frame would not fit; the store keeps those buffers from one
+//! durability cycle to the next, so a warm cycle makes no large
+//! allocation.
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use masstree::{Masstree, ScanCursor};
+use masstree::ScanCursor;
 
 use crate::clock;
 use crate::log::{put_frame, put_frame_len, seal_frame};
 use crate::store::Store;
-use crate::value::ColValue;
+use crate::value::{ColValue, ValuePtr};
 
 /// First line of a manifest. Version 2 parts are log frames; a manifest
 /// of any other version is ignored, as a missing one is.
@@ -56,6 +57,19 @@ pub const PIN_ROWS: usize = 4096;
 
 /// Bytes of each part writer's buffer.
 pub const PART_BUFFER: usize = 256 << 10;
+
+/// Part writers in each of the store's checkpoints, each with one
+/// [`PART_BUFFER`]-byte buffer that the store keeps across cycles.
+pub const PART_WRITERS: usize = 4;
+
+/// What one part writer reuses from one checkpoint to the next: its
+/// frame buffer, and the references into value-GC candidate segments
+/// its last walk found, as `(key, version, pointer)`.
+#[derive(Default)]
+pub(crate) struct PartWriter {
+    buf: Vec<u8>,
+    pub(crate) gc_refs: Vec<(Vec<u8>, u64, ValuePtr)>,
+}
 
 /// Description of a completed checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,8 +128,9 @@ pub(crate) fn part_path(dir: &Path, t: usize) -> PathBuf {
     dir.join(format!("part-{t:04}"))
 }
 
-/// Visits the keys of `tree` in `[lo, hi)` (`hi = None`: to the end) in
-/// ascending order, calling `f(key, value)` until it returns false.
+/// Visits the keys of `store`'s tree in `[lo, hi)` (`hi = None`: to the
+/// end) in ascending order, calling `f(key, value)` until it returns
+/// false.
 ///
 /// The walk holds an epoch pin for at most [`PIN_ROWS`] rows, then
 /// takes a fresh one and resumes through its cursor: with zero descent
@@ -126,7 +141,7 @@ pub(crate) fn part_path(dir: &Path, t: usize) -> PathBuf {
 /// The caller must not hold a pin of its own: a nested pin keeps the
 /// outer one's epoch.
 pub(crate) fn walk_pinned(
-    tree: &Masstree<ColValue>,
+    store: &Store,
     lo: &[u8],
     hi: Option<&[u8]>,
     mut f: impl FnMut(&[u8], &ColValue) -> bool,
@@ -136,11 +151,15 @@ pub(crate) fn walk_pinned(
     while more && !cursor.is_done() {
         let guard = masstree::pin();
         let mut rows = 0;
-        tree.scan_resume(&mut cursor, &guard, |key, value| {
+        store.tree().scan_resume(&mut cursor, &guard, |key, value| {
             more = hi.is_none_or(|hi| key < hi) && f(key, value);
             rows += 1;
             more && rows < PIN_ROWS
         });
+        #[cfg(test)]
+        store
+            .walked_rows
+            .fetch_add(rows as u64, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -160,21 +179,23 @@ pub fn write_checkpoint(
     base: &Path,
     threads: usize,
 ) -> io::Result<CheckpointMeta> {
-    write_checkpoint_with(store, base, threads, &mut Vec::new())
+    let mut writers = Vec::new();
+    writers.resize_with(threads.clamp(1, 256), PartWriter::default);
+    write_checkpoint_with(store, base, &mut writers, &[])
 }
 
-/// [`write_checkpoint`] writing through `buffers`, one per writer: each
-/// is grown to [`PART_BUFFER`] bytes on first use and kept at that size
-/// (a single row larger than that grows it once), so a caller that keeps
-/// `buffers` allocates them once.
+/// [`write_checkpoint`] through `writers`: each one's buffer is grown to
+/// [`PART_BUFFER`] bytes on first use and kept at that size (a single
+/// row larger than that grows it once), so a caller that keeps
+/// `writers` allocates them once. Each writer's `gc_refs` collects the
+/// rows that point into `gc_candidates` (ascending ids).
 pub(crate) fn write_checkpoint_with(
     store: &Store,
     base: &Path,
-    threads: usize,
-    buffers: &mut Vec<Vec<u8>>,
+    writers: &mut [PartWriter],
+    gc_candidates: &[u64],
 ) -> io::Result<CheckpointMeta> {
-    let threads = threads.clamp(1, 256);
-    buffers.resize_with(threads, Vec::new);
+    let threads = writers.len();
     let start_ts = clock::now();
     let dir = ckpt_dir(base, start_ts);
     std::fs::create_dir_all(&dir)?;
@@ -182,7 +203,7 @@ pub(crate) fn write_checkpoint_with(
     // Sampling pre-scan: every 256th key becomes a boundary candidate.
     let mut samples: Vec<Vec<u8>> = Vec::new();
     let mut i = 0usize;
-    walk_pinned(store.tree(), b"", None, |key, _| {
+    walk_pinned(store, b"", None, |key, _| {
         if i.is_multiple_of(256) {
             samples.push(key.to_vec());
         }
@@ -195,13 +216,13 @@ pub(crate) fn write_checkpoint_with(
             .then(|| samples[t * samples.len() / threads].as_slice())
     };
     let results: Vec<io::Result<u64>> = std::thread::scope(|s| {
-        let writers: Vec<_> = buffers
+        let writers: Vec<_> = writers
             .iter_mut()
             .enumerate()
-            .map(|(t, buf)| {
+            .map(|(t, writer)| {
                 let (lo, hi) = (bound(t).unwrap_or_default(), bound(t + 1));
                 let path = part_path(&dir, t);
-                s.spawn(move || write_part(store, &path, lo, hi, start_ts, buf))
+                s.spawn(move || write_part(store, &path, lo, hi, start_ts, writer, gc_candidates))
             })
             .collect();
         // Every writer is joined here, so a panicked one becomes this
@@ -252,32 +273,41 @@ pub(crate) fn write_checkpoint_with(
 }
 
 /// One part writer: walks `[lo, hi)` and writes a put frame per row,
-/// stamped `start_ts`, into a new file at `path` through `buf`. Returns
-/// the rows written.
+/// stamped `start_ts`, into a new file at `path`, and collects the rows
+/// that point into `gc_candidates`. Returns the rows written.
 fn write_part(
     store: &Store,
     path: &Path,
     lo: &[u8],
     hi: Option<&[u8]>,
     start_ts: u64,
-    buf: &mut Vec<u8>,
+    writer: &mut PartWriter,
+    gc_candidates: &[u64],
 ) -> io::Result<u64> {
     #[cfg(test)]
     if store.take_injected_writer_panic() {
         panic!("injected checkpoint part writer panic");
     }
+    let PartWriter { buf, gc_refs } = writer;
+    gc_refs.clear();
     let mut file = File::create(path)?;
     buf.clear();
     buf.reserve_exact(PART_BUFFER);
     let mut written = 0u64;
     let mut io_result = Ok(());
-    walk_pinned(store.tree(), lo, hi, |key, value| {
+    walk_pinned(store, lo, hi, |key, value| {
         if !buf.is_empty() && buf.len() + put_frame_len(key, value) > buf.capacity() {
             io_result = file.write_all(buf);
             buf.clear();
             if io_result.is_err() {
                 return false;
             }
+        }
+        if let Some(ptr) = value
+            .ptr()
+            .filter(|p| gc_candidates.binary_search(&p.seg).is_ok())
+        {
+            gc_refs.push((key.to_vec(), value.version(), ptr));
         }
         // An indirect row records the pointer, not the payload: the
         // payload's segment is kept alive by the GC deletion rule (no

@@ -709,20 +709,16 @@ impl LogWriter {
     /// acking durability to a client must propagate the failure instead.
     #[must_use = "false means the records were NOT made durable"]
     pub fn force(&self) -> bool {
-        let mut buf = self.shared.buffer.lock();
-        if self.shared.crashed.load(Ordering::Acquire) {
-            return false;
-        }
-        buf.sync_requested += 1;
-        let want = buf.sync_requested;
-        self.shared.wake.notify_one();
-        while buf.sync_completed < want {
+        let want = {
+            let mut buf = self.shared.buffer.lock();
             if self.shared.crashed.load(Ordering::Acquire) {
                 return false;
             }
-            self.shared.done.wait_for(&mut buf, WAKE_INTERVAL);
-        }
-        true
+            buf.sync_requested += 1;
+            buf.sync_requested
+        };
+        self.shared.wake.notify_one();
+        self.shared.wait_sync(want)
     }
 
     /// Active segment number of this writer's chain.
@@ -737,7 +733,7 @@ impl LogWriter {
 
     /// A weak handle the store keeps so a durability cycle can
     /// group-commit every live log before truncating (see
-    /// [`LogForceHandle::barrier_force`]).
+    /// [`LogForceHandle::request_barrier`]).
     pub(crate) fn force_handle(&self) -> LogForceHandle {
         LogForceHandle(Arc::downgrade(&self.shared))
     }
@@ -765,16 +761,35 @@ impl LogWriter {
     }
 }
 
+impl LogShared {
+    /// Waits until sync request `want` has landed; false when the logger
+    /// died first. Every logger exit path either acks all outstanding
+    /// requests (clean shutdown) or sets `crashed`, which the timed wait
+    /// polls, so a concurrent drop cannot strand it.
+    fn wait_sync(&self, want: u64) -> bool {
+        let mut buf = self.buffer.lock();
+        while buf.sync_completed < want {
+            if self.crashed.load(Ordering::Acquire) {
+                return false;
+            }
+            self.done.wait_for(&mut buf, WAKE_INTERVAL);
+        }
+        true
+    }
+}
+
 /// Weak per-log handle held by the store's durability cycle: after a
 /// checkpoint completes, the cycle forces every live log so each one
 /// durably holds a record stamped after the checkpoint's `start_ts` —
 /// only then is truncation safe, because any *future* recovery cutoff is
 /// now at or past `start_ts` and the checkpoint can never be rejected
-/// after its covered segments are gone.
+/// after its covered segments are gone. The cycle requests a sync of
+/// every log before it waits on any, so the loggers' own threads run
+/// the syncs side by side.
 pub(crate) struct LogForceHandle(Weak<LogShared>);
 
 /// Result of the group-commit barrier on one log (see
-/// [`LogForceHandle::barrier_force`]).
+/// [`LogForceHandle::request_barrier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BarrierOutcome {
     /// Sync confirmed: the log durably holds a record stamped past the
@@ -823,40 +838,41 @@ impl LogForceHandle {
         }
     }
 
-    /// Group-commit barrier: forces the log and reports whether its
+    /// Asks this log's logger thread for a group-commit barrier's sync,
+    /// without waiting: pass the request to
+    /// [`LogForceHandle::wait_barrier`]. `Err` is an outcome known at once.
+    pub(crate) fn request_barrier(&self) -> Result<u64, BarrierOutcome> {
+        let shared = self.0.upgrade().ok_or(BarrierOutcome::Closed)?;
+        let mut buf = shared.buffer.lock();
+        if shared.crashed.load(Ordering::Acquire)
+            || shared.stop.load(Ordering::Acquire)
+            || shared.closed.load(Ordering::Acquire)
+        {
+            // Dead, or a close in flight: the sentinel is appended but
+            // its sync may not have landed, and a machine crash before
+            // it lands would leave this chain torn below `start_ts`.
+            // The next cycle sees the writer gone (`Closed`) or the
+            // poison flag (final sync failed). A close that begins after
+            // this lock is released acks the request on shutdown.
+            return Err(BarrierOutcome::Unconfirmed);
+        }
+        buf.sync_requested += 1;
+        shared.wake.notify_one();
+        Ok(buf.sync_requested)
+    }
+
+    /// Waits for a barrier `request` and reports whether the log's
     /// durability past the barrier point is *confirmed* — anything less
     /// than [`BarrierOutcome::Synced`]/[`BarrierOutcome::Closed`] must
     /// block truncation (see [`BarrierOutcome::Unconfirmed`]).
-    pub(crate) fn barrier_force(&self) -> BarrierOutcome {
-        let Some(shared) = self.0.upgrade() else {
-            return BarrierOutcome::Closed;
-        };
-        let mut buf = shared.buffer.lock();
-        if shared.crashed.load(Ordering::Acquire) {
-            return BarrierOutcome::Unconfirmed;
+    pub(crate) fn wait_barrier(&self, request: Result<u64, BarrierOutcome>) -> BarrierOutcome {
+        // A writer dropped since the request has closed cleanly.
+        match (request, self.0.upgrade()) {
+            (Err(outcome), _) => outcome,
+            (Ok(_), None) => BarrierOutcome::Closed,
+            (Ok(want), Some(shared)) if shared.wait_sync(want) => BarrierOutcome::Synced,
+            (Ok(_), Some(_)) => BarrierOutcome::Unconfirmed,
         }
-        if shared.stop.load(Ordering::Acquire) || shared.closed.load(Ordering::Acquire) {
-            // Close in flight: the sentinel is appended but its sync may
-            // not have landed, and a machine crash before it lands would
-            // leave this chain torn below `start_ts`. Don't truncate on
-            // it this cycle; the next cycle sees the writer gone
-            // (`Closed`) or the poison flag (final sync failed).
-            return BarrierOutcome::Unconfirmed;
-        }
-        buf.sync_requested += 1;
-        let want = buf.sync_requested;
-        shared.wake.notify_one();
-        while buf.sync_completed < want {
-            if shared.crashed.load(Ordering::Acquire) {
-                return BarrierOutcome::Unconfirmed;
-            }
-            // Timed wait, polling the flags: every logger exit path
-            // either acks all outstanding requests (clean shutdown) or
-            // sets `crashed` — but only after this request was filed, so
-            // a concurrent drop cannot strand the wait.
-            shared.done.wait_for(&mut buf, WAKE_INTERVAL);
-        }
-        BarrierOutcome::Synced
     }
 }
 
@@ -892,7 +908,7 @@ impl Drop for LogWriter {
 }
 
 /// Marks the logger dead after an unrecoverable I/O error: `crashed`
-/// makes `force` / `barrier_force` return instead of spinning forever
+/// makes `force` / a barrier's wait return instead of spinning forever
 /// on an ack that will never come (which would wedge every durability
 /// cycle behind the cycle lock), the poison flag permanently blocks the
 /// owning store's truncation (the torn chain this logger leaves behind

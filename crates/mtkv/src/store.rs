@@ -28,13 +28,18 @@ use mtcache::{CacheConfig, CacheStats, CacheStatsShared, HintCache, Lookup};
 use mtobs::{Kind as ObsKind, Obs, Recorder, Stage};
 use parking_lot::{Condvar, Mutex};
 
-use crate::checkpoint::{prune_checkpoints, walk_pinned, write_checkpoint_with, CheckpointMeta};
-use crate::log::{CrashPoint, LogRecord, LogRecordRef, LogWriter, PendingRecords, SegmentWalker};
+use crate::checkpoint::{
+    prune_checkpoints, write_checkpoint_with, CheckpointMeta, PartWriter, PART_WRITERS,
+};
+use crate::log::{
+    BarrierOutcome, CrashPoint, LogRecord, LogRecordRef, LogWriter, PendingRecords, SegmentWalker,
+};
 use crate::recovery::install_if_newer;
 use crate::value::{ColValue, ValuePtr};
 use crate::vtier::{self, ResolveScratch, ValueError, ValueTier, ValueTierStats};
 
-/// Tuning for the online durability subsystem.
+/// Tuning for the online durability subsystem. A checkpoint's writer
+/// count is not a setting: it is [`crate::checkpoint::PART_WRITERS`].
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Rotation threshold for each session's log segments.
@@ -43,10 +48,6 @@ pub struct DurabilityConfig {
     /// thread; checkpoints happen only via [`Store::checkpoint_now`]).
     /// The paper checkpoints about once a minute.
     pub checkpoint_interval: Option<Duration>,
-    /// Parallel writer threads per checkpoint. Each writer keeps one
-    /// 256 KiB part buffer (`checkpoint::PART_BUFFER`), allocated on the
-    /// store's first durability cycle and reused by every later one.
-    pub checkpoint_threads: usize,
     /// Complete checkpoints to keep on disk (older ones are pruned).
     pub keep_checkpoints: usize,
     /// Value-separation threshold: a put whose resulting value has at
@@ -69,7 +70,6 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             segment_bytes: crate::log::DEFAULT_SEGMENT_BYTES,
             checkpoint_interval: None,
-            checkpoint_threads: 4,
             keep_checkpoints: 2,
             value_threshold: None,
             value_segment_bytes: vtier::DEFAULT_VALUE_SEGMENT_BYTES,
@@ -168,11 +168,10 @@ struct BgSignal {
 
 /// What a durability cycle reuses from one cycle to the next, kept
 /// under the lock that serializes cycles and allocated by the first one:
-/// one part-writer buffer per checkpoint thread, and the truncation
-/// pass's read window.
+/// the part writers' buffers, and the truncation pass's read window.
 #[derive(Default)]
 struct CycleBuffers {
-    parts: Vec<Vec<u8>>,
+    parts: [PartWriter; PART_WRITERS],
     walker: SegmentWalker,
 }
 
@@ -254,6 +253,9 @@ pub struct Store {
     /// Test hook: the next checkpoint part writer to start panics.
     #[cfg(test)]
     inject_writer_panic: AtomicBool,
+    /// Test counter: rows the durability cycles' walks visited.
+    #[cfg(test)]
+    pub(crate) walked_rows: AtomicU64,
 }
 
 impl Store {
@@ -330,6 +332,8 @@ impl Store {
             batch_conflict_splits: AtomicU64::new(0),
             #[cfg(test)]
             inject_writer_panic: AtomicBool::new(false),
+            #[cfg(test)]
+            walked_rows: AtomicU64::new(0),
         }
     }
 
@@ -609,9 +613,12 @@ impl Store {
             .clone()
             .ok_or_else(|| std::io::Error::other("in-memory store has no durability"))?;
         let mut cycle = self.cycle_lock.lock();
+        // Fixed before the part walks, which collect the references.
+        let gc_candidates = self.vtier.as_ref().map_or_else(Vec::new, |tier| {
+            tier.gc_candidates(self.config.gc_dead_fraction)
+        });
         let ckpt_t0 = Instant::now();
-        let threads = self.config.checkpoint_threads;
-        let meta = write_checkpoint_with(self, &dir, threads, &mut cycle.parts)?;
+        let meta = write_checkpoint_with(self, &dir, &mut cycle.parts, &gc_candidates)?;
         self.obs
             .global()
             .record(ObsKind::Checkpoint, ckpt_t0.elapsed().as_nanos() as u64);
@@ -632,7 +639,6 @@ impl Store {
         // still in flight — blocks truncation for this cycle, because a
         // crash would leave its chain's last durable timestamp below
         // `start_ts` and recovery would reject the checkpoint.
-        use crate::log::BarrierOutcome;
         // Payloads before pointers: any WAL record the barrier is about
         // to make durable may carry a value pointer.
         let tier_forced = self.force_value_tier();
@@ -640,33 +646,13 @@ impl Store {
         let mut barrier_confirmed = true;
         let live_sessions: Vec<u64> = {
             let mut handles = self.log_handles.lock();
-            // The per-session forces are independent syncs on different
-            // files, so issue them **concurrently**: the barrier then
-            // costs the slowest single sync instead of the sum over all
-            // sessions (which used to serialize one force per session
-            // per cycle). The fan-out is bounded: the server holds one
-            // log per connection, so an unbounded spawn would burst one
-            // OS thread (and one in-flight fsync) per client every
-            // cycle. Scoped threads borrow the handles in place; a
-            // panicked force counts as Unconfirmed, which blocks
-            // truncation — the safe direction.
-            const BARRIER_FANOUT: usize = 16;
-            let mut outcomes: Vec<BarrierOutcome> = Vec::with_capacity(handles.len());
-            for chunk in handles.chunks(BARRIER_FANOUT) {
-                outcomes.extend(std::thread::scope(|s| {
-                    let joins: Vec<_> = chunk
-                        .iter()
-                        .map(|(_, h)| s.spawn(move || h.barrier_force()))
-                        .collect();
-                    joins
-                        .into_iter()
-                        .map(|j| j.join().unwrap_or(BarrierOutcome::Unconfirmed))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            let mut outcomes = outcomes.into_iter();
+            // A request on every log first, then a wait on each: every
+            // logger thread runs its own sync meanwhile, so the barrier
+            // costs the slowest sync, not the sum.
+            let requests: Vec<_> = handles.iter().map(|(_, h)| h.request_barrier()).collect();
+            let mut filed = requests.into_iter();
             handles.retain(
-                |_| match outcomes.next().expect("one barrier outcome per handle") {
+                |(_, h)| match h.wait_barrier(filed.next().expect("one per handle")) {
                     BarrierOutcome::Synced => true,
                     BarrierOutcome::Closed => false,
                     BarrierOutcome::Unconfirmed => {
@@ -708,8 +694,17 @@ impl Store {
                 .global()
                 .record(ObsKind::Truncate, truncate_t0.elapsed().as_nanos() as u64);
         }
-        // Value-segment GC rides the same cadence and the same gates.
-        self.run_value_gc(gates_held, meta.start_ts);
+        // Value-segment GC rides the same cadence and the same gates. The
+        // whole pass counts as one timing sample, trivial passes
+        // included, so the histogram reflects the real cadence.
+        if let Some(tier) = &self.vtier {
+            let gc_t0 = Instant::now();
+            let refs = cycle.parts.iter_mut().flat_map(|p| p.gc_refs.drain(..));
+            self.run_value_gc(tier, gates_held, meta.start_ts, &gc_candidates, refs);
+            self.obs
+                .global()
+                .record(ObsKind::GcPass, gc_t0.elapsed().as_nanos() as u64);
+        }
         Ok(meta)
     }
 
@@ -726,78 +721,54 @@ impl Store {
     /// barrier, a poisoned log, or a replication pin all mean old log
     /// records — which may hold old pointers — can still replay.
     ///
-    /// **Relocation** (phase B) rewrites the still-live values of
-    /// mostly-dead sealed segments to the active segment via
-    /// conditional puts (`put_with` declines unless the key still holds
-    /// the exact version the scan saw — an unconditional put would
-    /// resurrect concurrently removed keys), logs each
-    /// rewrite as a `PutIndirect` to the GC's own log chain, and
-    /// condemns segments that relocated cleanly.
-    fn run_value_gc(self: &Arc<Self>, gates_held: bool, covered_ts: u64) {
-        let Some(tier) = self.vtier.clone() else {
-            return;
-        };
-        let gc_t0 = Instant::now();
-        // The whole pass (delete + scan + relocate) counts as one GC
-        // timing sample, recorded even for trivial passes so the
-        // histogram reflects the real cadence.
-        let _gc_timer = ScopeTimer {
-            obs: &self.obs,
-            kind: ObsKind::GcPass,
-            t0: gc_t0,
-        };
+    /// **Relocation** (phase B) rewrites the still-live values of the
+    /// `candidates` (mostly-dead sealed segments) to the active segment
+    /// via conditional puts (`put_with` declines unless the key still
+    /// holds the exact version the walk saw — an unconditional put would
+    /// resurrect concurrently removed keys), logs each rewrite as a
+    /// `PutIndirect` to the GC's own log chain, and condemns segments
+    /// that relocated cleanly.
+    ///
+    /// The references (`refs`) come from the checkpoint's part walks,
+    /// and they are complete. A key present for the whole walk is
+    /// visited exactly once. No new pointer into a candidate can appear
+    /// during the walk: new payloads go to the active segment, and GC
+    /// relocation, the only other writer of such pointers, runs here,
+    /// after the walk and under `cycle_lock`. Stale references, from
+    /// keys written or removed during the walk, fail the version check.
+    fn run_value_gc(
+        &self,
+        tier: &ValueTier,
+        gates_held: bool,
+        covered_ts: u64,
+        candidates: &[u64],
+        refs: impl Iterator<Item = (Vec<u8>, u64, ValuePtr)>,
+    ) {
         if gates_held {
             tier.delete_condemned(covered_ts);
         }
-        let candidates = tier.gc_candidates(self.config.gc_dead_fraction);
         if candidates.is_empty() {
             return;
         }
-        let cand: std::collections::HashSet<u64> = candidates.iter().copied().collect();
-        // One walk collects every live reference into a candidate
-        // segment; the relocations then validate per key.
-        let mut refs: Vec<(Vec<u8>, u64, ValuePtr)> = Vec::new();
-        walk_pinned(&self.tree, b"", None, |k, v| {
-            if let Some(p) = v.ptr() {
-                if cand.contains(&p.seg) {
-                    refs.push((k.to_vec(), v.version(), p));
-                }
-            }
-            true
-        });
-        let mut clean: std::collections::HashMap<u64, bool> =
-            candidates.iter().map(|&s| (s, true)).collect();
-        let mut relocated = 0u64;
+        // Candidates a live value could not leave this pass.
+        let mut kept: Vec<u64> = Vec::new();
+        let mut relocated = false;
         for (key, seen_version, p) in refs {
-            let payload = match tier.read_raw(p) {
-                Ok(b) => b,
-                Err(_) => {
-                    // Unreadable live value: the segment must survive
-                    // (the pointer still resolves nowhere else).
-                    clean.insert(p.seg, false);
-                    continue;
-                }
+            // An unreadable live value keeps its segment: the pointer
+            // still resolves nowhere else.
+            let Some(np) = tier.read_raw(p).ok().and_then(|b| tier.append(&b).ok()) else {
+                kept.push(p.seg);
+                continue;
             };
-            let np = match tier.append(&payload) {
-                Ok(np) => np,
-                Err(_) => {
-                    clean.insert(p.seg, false);
-                    continue;
-                }
-            };
-            let guard = masstree::pin();
             let mut new_version = None;
-            let mut relocate = |old: &ColValue| {
+            let relocate = |old: Option<&ColValue>| {
                 // A concurrent writer may already have superseded it.
-                (old.version() == seen_version && old.is_indirect()).then(|| {
-                    let nv = self.draw_version();
-                    new_version = Some(nv);
-                    ColValue::indirect(nv, np)
-                })
+                old.filter(|v| v.version() == seen_version && v.is_indirect())?;
+                let nv = self.draw_version();
+                new_version = Some(nv);
+                Some(ColValue::indirect(nv, np))
             };
-            self.tree
-                .put_with(&key, |old| old.and_then(&mut relocate), &guard);
-            drop(guard);
+            self.tree.put_with(&key, relocate, &masstree::pin());
             if let Some(version) = new_version {
                 let logged = self.with_gc_log(|log| {
                     log.append_now(|timestamp| LogRecord::PutIndirect {
@@ -811,35 +782,29 @@ impl Store {
                     // Unlogged relocation: recovery would replay the
                     // old pointer. Both copies stay; the segment
                     // cannot be condemned this pass.
-                    clean.insert(p.seg, false);
+                    kept.push(p.seg);
                     continue;
                 }
                 tier.note_dead(p);
                 tier.note_rewritten(p.len as u64);
-                relocated += 1;
+                relocated = true;
             } else {
                 // Lost the race (superseded or removed): our fresh copy
                 // is garbage.
                 tier.note_dead(np);
             }
         }
-        if relocated > 0 {
-            // Durability order as on the ack path: payloads first, then
-            // the WAL records whose pointers name them. A failed force
-            // leaves both copies in place — safe, just not reclaimable.
-            if !tier.force() {
-                return;
-            }
-            let mut wal_ok = false;
-            if !self.with_gc_log(|log| wal_ok = log.force()) || !wal_ok {
-                return;
-            }
+        // Durability order as on the ack path: payloads first, then the
+        // WAL records whose pointers name them. A failed force leaves
+        // both copies in place — safe, just not reclaimable.
+        let mut wal_ok = false;
+        if relocated && (!tier.force() || !self.with_gc_log(|log| wal_ok = log.force()) || !wal_ok)
+        {
+            return;
         }
         let now = crate::clock::now();
-        for seg in candidates {
-            if clean.get(&seg).copied().unwrap_or(false) {
-                tier.condemn(seg, now);
-            }
+        for seg in candidates.iter().filter(|seg| !kept.contains(seg)) {
+            tier.condemn(*seg, now);
         }
     }
 
@@ -1149,23 +1114,6 @@ fn next_log_id_in(dir: &Path) -> u64 {
         .last()
         .map(|s| s + 1)
         .unwrap_or(0)
-}
-
-/// Records one background timing sample into the store's global
-/// recorder on scope exit, so early returns inside the timed region
-/// still count.
-struct ScopeTimer<'a> {
-    obs: &'a Arc<Obs>,
-    kind: ObsKind,
-    t0: Instant,
-}
-
-impl Drop for ScopeTimer<'_> {
-    fn drop(&mut self) {
-        self.obs
-            .global()
-            .record(self.kind, self.t0.elapsed().as_nanos() as u64);
-    }
 }
 
 /// One batched put: a key and its column updates.
@@ -2259,32 +2207,116 @@ mod tests {
     }
 
     #[test]
-    fn durability_cycle_with_many_sessions_uses_concurrent_barrier() {
-        let dir = std::env::temp_dir().join(format!("mtkv-conc-barrier-{}", std::process::id()));
+    fn a_barrier_across_many_sessions_confirms_every_live_log() {
+        // 40 logs, every third closed before the cycle, so `Closed`
+        // outcomes sit between `Synced` ones in the positional `retain`.
+        // Truncation runs only when every live log's barrier is
+        // confirmed.
+        const SESSIONS: usize = 40;
+        let dir = std::env::temp_dir().join(format!("mtkv-barrier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::persistent_with(&dir, DurabilityConfig::tiny_segments(4096)).unwrap();
-        let sessions: Vec<Session> = (0..8).map(|_| store.session().unwrap()).collect();
+        let mut sessions: Vec<Option<Session>> = (0..SESSIONS)
+            .map(|_| Some(store.session().unwrap()))
+            .collect();
         for (i, s) in sessions.iter().enumerate() {
+            let s = s.as_ref().unwrap();
             for j in 0..50u32 {
-                s.put(format!("b{i}-{j:03}").as_bytes(), &[(0, &[0u8; 64])]);
+                s.put(format!("b{i:02}-{j:03}").as_bytes(), &[(0, &[0u8; 64])]);
             }
         }
-        // The cycle's group-commit barrier forces all 8 live logs
-        // concurrently; the checkpoint must land and truncation stay
-        // safe (all barriers confirmed).
-        let meta = store.checkpoint_now().unwrap();
-        assert!(meta.start_ts > 0);
+        for s in sessions.iter_mut().step_by(3) {
+            s.take();
+        }
+        store.checkpoint_now().unwrap();
         assert_eq!(store.checkpoint_epoch(), 1);
+        assert!(
+            store.durability_stats().segments_truncated > 0,
+            "a live log's barrier went unconfirmed"
+        );
         for (i, s) in sessions.iter().enumerate() {
-            assert!(s.force_log(), "session {i} log alive after barrier");
+            if let Some(s) = s {
+                assert!(s.force_log(), "session {i} log alive after barrier");
+            }
         }
         drop(sessions);
         drop(store);
         let (store, _report) = crate::recovery::recover(&dir, &dir).unwrap();
         let s = store.session().unwrap();
-        for i in 0..8 {
-            assert!(s.get(format!("b{i}-049").as_bytes(), None).is_some());
+        for i in 0..SESSIONS {
+            assert!(s.get(format!("b{i:02}-049").as_bytes(), None).is_some());
         }
+        drop(s);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn value_gc_makes_no_walk_of_its_own() {
+        // A quiet value-separated store of N keys whose first segments
+        // are mostly dead: one cycle hands at most 2N + PART_WRITERS rows
+        // to its walks (the pre-scan, then the parts, each of which also
+        // sees the key that ends it), yet relocates every live value out
+        // of the GC candidates.
+        const N: u32 = 3_000;
+        let dir = std::env::temp_dir().join(format!("mtkv-gc-walks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config =
+            DurabilityConfig::tiny_segments(1 << 20).with_value_separation(32, 1 << 20);
+        config.value_segment_bytes = 16 << 10;
+        config.gc_dead_fraction = 0.3;
+        let store = Store::persistent_with(&dir, config).unwrap();
+        let s = store.session().unwrap();
+        let key = |i: u32| format!("gw{i:05}").into_bytes();
+        let value = |i: u32, gen: u8| {
+            let mut v = vec![gen; 64];
+            v[..4].copy_from_slice(&i.to_le_bytes());
+            v
+        };
+        for i in 0..N {
+            s.put(&key(i), &[(0, &value(i, 0))]);
+        }
+        // Two keys in three move on: the first generation's segments
+        // are mostly dead but still hold live values.
+        for i in (0..N).filter(|i| i % 3 != 0) {
+            s.put(&key(i), &[(0, &value(i, 1))]);
+        }
+        assert!(s.force_log());
+        let tier = Arc::clone(store.value_tier().unwrap());
+        let candidates = tier.gc_candidates(0.3);
+        assert!(!candidates.is_empty(), "no GC candidate");
+        let check_values = || {
+            tier.purge_cache();
+            for i in 0..N {
+                let gen = u8::from(i % 3 != 0);
+                let got = s.get_checked(&key(i), None).expect("value resolves");
+                assert_eq!(got, Some(vec![value(i, gen)]), "key {i}");
+            }
+        };
+
+        store.walked_rows.store(0, Ordering::Relaxed);
+        store.checkpoint_now().unwrap();
+        let walked = store.walked_rows.load(Ordering::Relaxed);
+        let bound = 2 * u64::from(N) + PART_WRITERS as u64;
+        assert!(
+            walked <= bound,
+            "one cycle's walks visited {walked} rows, more than {bound} for {N} keys"
+        );
+        let left = tier.gc_candidates(0.3);
+        for seg in &candidates {
+            assert!(!left.contains(seg), "candidate {seg} not condemned");
+            assert!(
+                vtier::vseg_path(&dir, *seg).exists(),
+                "{seg} deleted too soon"
+            );
+        }
+        check_values();
+        // The next covered cycle deletes the condemned segments.
+        store.checkpoint_now().unwrap();
+        for seg in &candidates {
+            assert!(!vtier::vseg_path(&dir, *seg).exists(), "{seg} kept");
+        }
+        check_values();
         drop(s);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);

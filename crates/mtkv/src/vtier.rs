@@ -1320,20 +1320,20 @@ impl ValueTier {
     }
 
     /// Sealed segments (below the active one) whose dead fraction is at
-    /// least `dead_fraction`, worst first — GC rewrite candidates.
-    /// Already-condemned segments are excluded.
+    /// least `dead_fraction`, in ascending id order — GC rewrite
+    /// candidates. Already-condemned segments are excluded.
     pub fn gc_candidates(&self, dead_fraction: f64) -> Vec<u64> {
         let active = self.active_seg.load(Ordering::Acquire);
         let condemned = self.condemned.lock();
         let accounts = self.accounts.lock();
-        let mut out: Vec<(u64, f64)> = accounts
+        let mut out: Vec<u64> = accounts
             .iter()
             .filter(|(&seg, acct)| seg < active && acct.total > 0 && !condemned.contains_key(&seg))
-            .map(|(&seg, acct)| (seg, acct.dead as f64 / acct.total as f64))
-            .filter(|&(_, frac)| frac >= dead_fraction)
+            .filter(|(_, acct)| acct.dead as f64 / acct.total as f64 >= dead_fraction)
+            .map(|(&seg, _)| seg)
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        out.into_iter().map(|(seg, _)| seg).collect()
+        out.sort_unstable();
+        out
     }
 
     /// Condemns `seg` at timestamp `now`: every live pointer into it

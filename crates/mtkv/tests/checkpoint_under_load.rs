@@ -401,11 +401,7 @@ fn the_epoch_advances_while_a_checkpoint_runs() {
     // so that on a two-core host none waits for a core while pinned.
     const KEYS: u32 = 300_000;
     let dir = tmpdir("epoch");
-    let config = DurabilityConfig {
-        checkpoint_threads: 2,
-        ..DurabilityConfig::default()
-    };
-    let store = Store::persistent_with(&dir, config).unwrap();
+    let store = Store::persistent(&dir).unwrap();
     let s = store.session().unwrap();
     let value = [0x5au8; 16];
     for i in 0..KEYS {
@@ -413,8 +409,8 @@ fn the_epoch_advances_while_a_checkpoint_runs() {
     }
     assert!(s.force_log());
     let ckpt = {
-        let store = Arc::clone(&store);
-        std::thread::spawn(move || store.checkpoint_now().unwrap())
+        let (store, dir) = (Arc::clone(&store), dir.clone());
+        std::thread::spawn(move || write_checkpoint(&store, &dir, 2).unwrap())
     };
     while part_bytes(&dir) == 0 && !ckpt.is_finished() {
         std::thread::sleep(Duration::from_micros(100));

@@ -7,6 +7,7 @@
 //! (checkpoint + value GC) between phases. Final states, point reads,
 //! and scan orderings must match row for row and byte for byte.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mtkv::{recover_with, DurabilityConfig, Store};
@@ -351,6 +352,141 @@ fn readahead_scans_match_point_gets_through_gc_and_recovery() {
         "the scans above never exercised clustered resolution: {stats:?}"
     );
 
+    drop(store);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Value GC relocates from the references the checkpoint's part walks
+/// collect, not from a walk of its own. While two durability cycles run,
+/// writers overwrite, remove and re-put exactly the keys whose payloads
+/// sit in GC candidate segments. Every key must then read its last
+/// acked write — before and after recovery — and each candidate must
+/// outlive the cycle that condemns it and go in the next one.
+#[test]
+fn value_gc_from_part_walks_keeps_every_acked_write_under_churn() {
+    const KEYS: usize = 12_000;
+    const CHURNERS: usize = 2;
+    let base = std::env::temp_dir().join(format!("mtkv-coldchurn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let config = || {
+        let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(24, 4096);
+        config.value_segment_bytes = 64 << 10;
+        config.gc_dead_fraction = 0.3;
+        config
+    };
+    let key = |i: usize| format!("gc-{i:05}").into_bytes();
+    let val = |i: usize, gen: usize| {
+        let mut v = format!("gc-{i:05}#g{gen}:").into_bytes();
+        while v.len() < 40 + (i % 60) {
+            v.push(b'a' + (gen % 26) as u8);
+        }
+        v
+    };
+
+    // The model: the last acked write per key (`None` = removed).
+    let mut model: Vec<Option<Vec<u8>>> = (0..KEYS).map(|i| Some(val(i, 0))).collect();
+    let store = Store::persistent_with(&base, config()).unwrap();
+    {
+        let session = store.session().unwrap();
+        for i in 0..KEYS {
+            session.put(&key(i), &[(0, &val(i, 0))]);
+        }
+        // Two keys in three move on, so the first generation's
+        // segments are mostly dead; the rest still point into them.
+        for i in (0..KEYS).filter(|i| i % 3 != 0) {
+            session.put(&key(i), &[(0, &val(i, 1))]);
+            model[i] = Some(val(i, 1));
+        }
+        assert!(session.force_log());
+    }
+    let tier = Arc::clone(store.value_tier().expect("separation on"));
+    let candidates = tier.gc_candidates(0.3);
+    assert!(!candidates.is_empty(), "no GC candidate");
+    let exists = |seg: u64| mtkv::vtier::vseg_path(&base, seg).exists();
+
+    // Churner `c` owns the keys `i % 3 == 0` with `i / 3 % CHURNERS == c`:
+    // every one of them points into a candidate when the churn starts.
+    let stop = AtomicBool::new(false);
+    let churned: Vec<Vec<(usize, Option<Vec<u8>>)>> = std::thread::scope(|scope| {
+        let churners: Vec<_> = (0..CHURNERS)
+            .map(|c| {
+                let (store, stop) = (Arc::clone(&store), &stop);
+                scope.spawn(move || {
+                    let session = store.session().unwrap();
+                    let mut rng = Rng(0xc4u64 + c as u64);
+                    let mut last = Vec::new();
+                    let mut gen = 2;
+                    while !stop.load(Ordering::Relaxed) {
+                        let i =
+                            3 * (CHURNERS * rng.below((KEYS / 3 / CHURNERS) as u64) as usize + c);
+                        gen += 1;
+                        let write = match rng.below(3) {
+                            0 => {
+                                session.remove(&key(i));
+                                None
+                            }
+                            1 => {
+                                session.remove(&key(i));
+                                session.put(&key(i), &[(0, &val(i, gen))]);
+                                Some(val(i, gen))
+                            }
+                            _ => {
+                                session.put(&key(i), &[(0, &val(i, gen))]);
+                                Some(val(i, gen))
+                            }
+                        };
+                        last.push((i, write));
+                    }
+                    assert!(session.force_log());
+                    last
+                })
+            })
+            .collect();
+        // The cycle that condemns the candidates keeps their files...
+        store.checkpoint_now().unwrap();
+        let left = tier.gc_candidates(0.3);
+        for &seg in &candidates {
+            assert!(!left.contains(&seg), "candidate {seg} not condemned");
+            assert!(
+                exists(seg),
+                "candidate {seg} deleted by the cycle that condemned it"
+            );
+        }
+        // ...and the next covered one deletes them.
+        store.checkpoint_now().unwrap();
+        for &seg in &candidates {
+            assert!(
+                !exists(seg),
+                "condemned segment {seg} outlived a covered cycle"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        churners.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut churn_ops = 0;
+    for (i, write) in churned.into_iter().flatten() {
+        model[i] = write;
+        churn_ops += 1;
+    }
+    assert!(churn_ops > 0, "the churners never ran");
+
+    let check = |store: &Arc<Store>, when: &str| {
+        let session = store.session().unwrap();
+        for (i, want) in model.iter().enumerate() {
+            let got = session.get_checked(&key(i), None).expect("value resolves");
+            assert_eq!(
+                got.map(|mut cols| cols.remove(0)),
+                want.clone(),
+                "{when}: key {i} lost its last acked write"
+            );
+        }
+    };
+    check(&store, "live");
+    drop(tier);
+    drop(store);
+    let (store, _) = recover_with(&base, &base, config()).unwrap();
+    check(&store, "recovered");
     drop(store);
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -113,7 +113,6 @@ fn run_round(dir: &Path, seed: u64) -> RoundOutcome {
     let background = rng.below(2) == 0;
 
     let mut config = DurabilityConfig::tiny_segments(2048);
-    config.checkpoint_threads = 2;
     if background {
         // Let the real background checkpointer race the writers too.
         config.checkpoint_interval = Some(std::time::Duration::from_millis(10));
@@ -448,7 +447,6 @@ fn run_value_round(dir: &Path, seed: u64) -> RoundOutcome {
     let mut config = DurabilityConfig::tiny_segments(2048).with_value_separation(24, 4096);
     config.value_segment_bytes = 1024;
     config.gc_dead_fraction = 0.25;
-    config.checkpoint_threads = 2;
     let store = Store::persistent_with(dir, config).unwrap();
 
     let mut journals: Vec<(Vec<Op>, usize)> = (0..WRITERS).map(|_| (Vec::new(), 0)).collect();

@@ -1,5 +1,5 @@
 //! A standalone Masstree network server (§3, §5): persistent store,
-//! framed binary protocol, one log per connection.
+//! framed binary protocol, one log per server worker.
 //!
 //! ```sh
 //! cargo run --release --example kv_server -- 127.0.0.1:7700 /tmp/mtdata
