@@ -39,6 +39,6 @@ pub use plan::{recycle, OpClass, PhasePlanner};
 pub use recovery::{
     log_files, parse_log_name, recover, recover_with, session_segments, RecoveryReport,
 };
-pub use store::{DurabilityConfig, DurabilityStats, PutOp, ReplStats, ScanCursor, Session, Store};
+pub use store::{DurabilityConfig, DurabilityStats, PutOp, ScanCursor, Session, Store};
 pub use value::{ColValue, ValuePtr};
 pub use vtier::{ValueError, ValueTier, ValueTierStats};

@@ -70,9 +70,8 @@ pub enum LogRecord {
         key: Vec<u8>,
         /// The **full resulting value** (every column), not the update
         /// delta: version-gated replay runs out of order across
-        /// segments, sessions, and replication streams, and a delta
-        /// applied without the records it merged over would drop the
-        /// untouched columns.
+        /// segments and sessions, and a delta applied without the
+        /// records it merged over would drop the untouched columns.
         cols: Vec<(u16, Vec<u8>)>,
     },
     /// A put whose value lives in the value-separation tier: the record
@@ -454,9 +453,9 @@ pub(crate) fn seal_frame(out: &mut Vec<u8>, start: usize) {
 /// and the whole batch is stamped, sealed (CRC) and appended afterwards
 /// under one buffer lock ([`LogWriter::append_pending`]). The sealed
 /// bytes are exactly what [`LogRecord::encode`] produces for the same
-/// record, so recovery, truncation and replication cannot tell the two
-/// apart. Holds closed frames (length patched, timestamp zero, no CRC)
-/// back to back; keeps its capacity across batches.
+/// record, so recovery and truncation cannot tell the two apart. Holds
+/// closed frames (length patched, timestamp zero, no CRC) back to back;
+/// keeps its capacity across batches.
 #[derive(Default)]
 pub(crate) struct PendingRecords {
     frames: Vec<u8>,
@@ -814,28 +813,6 @@ impl LogForceHandle {
     /// to sweep dead handles from the store's registry).
     pub(crate) fn is_alive(&self) -> bool {
         self.0.strong_count() > 0
-    }
-
-    /// Durable shipping watermark of this log: `(active segment, bytes
-    /// of it known synced)`. Sealed segments are always fully durable.
-    /// `None` once the writer is gone (its whole chain is then static
-    /// on disk and can be shipped at full length).
-    ///
-    /// Rotation publishes `segment + 1` before resetting `durable`, so
-    /// a racing reader can briefly see the *new* segment paired with
-    /// the old segment's byte count. Replication clamps every read to
-    /// the segment file's actual length, so the worst case is shipping
-    /// a few written-but-not-yet-synced bytes of the fresh segment —
-    /// harmless for a replica, which is wiped on any primary restart.
-    pub(crate) fn progress(&self) -> Option<(u64, u64)> {
-        let shared = self.0.upgrade()?;
-        loop {
-            let seg = shared.segment.load(Ordering::Acquire);
-            let durable = shared.durable.load(Ordering::Acquire);
-            if shared.segment.load(Ordering::Acquire) == seg {
-                return Some((seg, durable));
-            }
-        }
     }
 
     /// Asks this log's logger thread for a group-commit barrier's sync,

@@ -19,10 +19,9 @@
 //! *began* before `t` and replays the surviving segments in parallel
 //! from the checkpoint's start timestamp. Checkpoint rows and log
 //! records alike go through one per-file loop and [`install_if_newer`]
-//! — the replay rule the replication follower shares: a record applies
-//! only if its version exceeds the stored value's, so replay is
-//! idempotent and order-insensitive, and a record that loses allocates
-//! nothing. Around that rule recovery does what only it does: it
+//! — the one replay rule: a record applies only if its version exceeds
+//! the stored value's, so replay is idempotent and order-insensitive,
+//! and a record that loses allocates nothing. Around that rule recovery does what only it does: it
 //! read-verifies indirect pointers, leaves a tombstone per remove and
 //! sweeps the tombstones at the end. Segments wholly covered
 //! by the checkpoint were already truncated online, so the replay work
@@ -130,20 +129,20 @@ struct Segment {
     summary: SegmentSummary,
 }
 
-/// The replay rule (§5), shared by recovery and the replication
-/// follower: installs `build()` for `key` unless the tree already holds
-/// a value at or past `version`, in which case the key is left as it is
-/// and nothing is built. Records carry the full resulting value (not an
+/// The replay rule (§5), for checkpoint rows and log records alike:
+/// installs `build()` for `key` unless the tree already holds a value
+/// at or past `version`, in which case the key is left as it is and
+/// nothing is built. Records carry the full resulting value (not an
 /// update delta), so a newer record simply replaces what is resident —
-/// which is what makes out-of-order replay across segments, sessions
-/// and replication streams safe. Returns whether the record applied.
-pub(crate) fn install_if_newer(
+/// which is what makes out-of-order replay across segments and
+/// sessions safe.
+fn install_if_newer(
     tree: &Masstree<ColValue>,
     key: &[u8],
     version: u64,
     build: impl FnOnce() -> Box<ColValue>,
     guard: &Guard,
-) -> bool {
+) {
     let mut build = Some(build);
     tree.put_with(
         key,
@@ -153,7 +152,6 @@ pub(crate) fn install_if_newer(
         },
         guard,
     );
-    build.is_none()
 }
 
 /// The one replay loop, for log segments and checkpoint parts alike

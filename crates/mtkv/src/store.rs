@@ -31,10 +31,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::checkpoint::{
     prune_checkpoints, write_checkpoint_with, CheckpointMeta, PartWriter, PART_WRITERS,
 };
-use crate::log::{
-    BarrierOutcome, CrashPoint, LogRecord, LogRecordRef, LogWriter, PendingRecords, SegmentWalker,
-};
-use crate::recovery::install_if_newer;
+use crate::log::{BarrierOutcome, CrashPoint, LogRecord, LogWriter, PendingRecords, SegmentWalker};
 use crate::value::{ColValue, ValuePtr};
 use crate::vtier::{self, ResolveScratch, ValueError, ValueTier, ValueTierStats};
 
@@ -120,40 +117,6 @@ pub struct DurabilityStats {
     pub segments_truncated: u64,
 }
 
-/// Replication observability, shared between a store and the
-/// replication endpoint attached to it (`mtnet`'s log-shipping source
-/// or follower). Plain atomics so the hot paths that update them
-/// (heartbeat/ack processing) never take a lock, and so the network
-/// `Stats` request can snapshot them from any worker session.
-#[derive(Debug, Default)]
-pub struct ReplStats {
-    /// 0 = replication off, 1 = primary (shipping), 2 = follower.
-    pub role: AtomicU64,
-    /// Connected followers (primary only).
-    pub followers: AtomicU64,
-    /// Replica lag in log bytes: on a primary, the worst lag across
-    /// connected followers; on a follower, durable primary bytes not
-    /// yet applied locally.
-    pub lag_bytes: AtomicU64,
-    /// Replica lag in primary clock microseconds (0 when fully caught
-    /// up): on a primary, measured against follower ack echoes; on a
-    /// follower, the newest primary heartbeat timestamp minus the
-    /// timestamp of the last applied record.
-    pub lag_ts_us: AtomicU64,
-}
-
-impl ReplStats {
-    /// `(role, followers, lag_bytes, lag_ts_us)` in one call.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.role.load(Ordering::Relaxed),
-            self.followers.load(Ordering::Relaxed),
-            self.lag_bytes.load(Ordering::Relaxed),
-            self.lag_ts_us.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// The background checkpointer thread's handle.
 struct BgCheckpointer {
     thread: Option<std::thread::JoinHandle<()>>,
@@ -222,14 +185,6 @@ pub struct Store {
     /// batched local counters into the shared sink — not just the
     /// requesting session's.
     cache_registry: Mutex<Vec<Weak<SessionCache>>>,
-    /// Replication observability (role, follower count, lag), written
-    /// by the attached replication endpoint and served through `Stats`.
-    repl: Arc<ReplStats>,
-    /// Set while a log-shipping source is attached: durability cycles
-    /// keep checkpointing but skip segment truncation, because the log
-    /// chains are the replication feed — a truncated segment could be
-    /// exactly the one a reconnecting follower still needs.
-    repl_pin: AtomicBool,
     /// Latency observability hub (`mtobs`): every session registers a
     /// per-worker histogram recorder here (the [`Store::cache_stats`]
     /// registry discipline), background subsystems record into its
@@ -267,17 +222,6 @@ impl Store {
             None,
             DurabilityConfig::default(),
         ))
-    }
-
-    /// An in-memory replica store with a **reader-only** value tier
-    /// over `dir` (replication followers: the WAL and value-segment
-    /// mirrors live there, but the replica itself never logs). Indirect
-    /// values applied via [`Store::replay_put`] resolve through the
-    /// mirrored segments.
-    pub fn replica(dir: &Path) -> std::io::Result<Arc<Store>> {
-        let mut store = Store::new_with(Masstree::new(), 1, None, DurabilityConfig::default());
-        store.attach_value_reader(dir)?;
-        Ok(Arc::new(store))
     }
 
     /// A persistent store logging into `dir` (one segmented log chain
@@ -323,8 +267,6 @@ impl Store {
             session_cache: Mutex::new(None),
             cache_shared: Arc::default(),
             cache_registry: Mutex::new(Vec::new()),
-            repl: Arc::default(),
-            repl_pin: AtomicBool::new(false),
             obs: Arc::default(),
             vtier: None,
             gc_log: Mutex::new(None),
@@ -380,22 +322,6 @@ impl Store {
             &dir,
             self.config.value_segment_bytes,
             self.config.value_cache_bytes,
-            true,
-        )?;
-        tier.set_obs(Arc::clone(&self.obs));
-        self.vtier = Some(Arc::new(tier));
-        Ok(())
-    }
-
-    /// Mounts a **reader-only** value tier over `dir` (replication
-    /// followers: segment bytes arrive by mirroring, never by local
-    /// appends, and local appends would collide with shipped ids).
-    pub fn attach_value_reader(&mut self, dir: &Path) -> std::io::Result<()> {
-        let tier = ValueTier::open(
-            dir,
-            self.config.value_segment_bytes,
-            self.config.value_cache_bytes,
-            false,
         )?;
         tier.set_obs(Arc::clone(&self.obs));
         self.vtier = Some(Arc::new(tier));
@@ -512,8 +438,8 @@ impl Store {
     /// WAL record straight from the new value's column slices. The
     /// record carries the **full resulting value**, not the update
     /// delta: replay is version-gated and order-insensitive (parallel
-    /// recovery, replica apply), and a delta applied without the
-    /// records it merged over would silently drop the other columns.
+    /// recovery), and a delta applied without the records it merged
+    /// over would silently drop the other columns.
     fn make_value(
         &self,
         old: Option<&ColValue>,
@@ -675,10 +601,8 @@ impl Store {
         // the only one whose `start_ts` a post-crash cutoff accepts
         // (recovery falls back to the newest checkpoint at or before the
         // cutoff) — deleting it would orphan those records.
-        let gates_held = tier_forced
-            && barrier_confirmed
-            && !self.log_poison.load(Ordering::Acquire)
-            && !self.repl_pin.load(Ordering::Acquire);
+        let gates_held =
+            tier_forced && barrier_confirmed && !self.log_poison.load(Ordering::Acquire);
         if gates_held {
             let truncate_t0 = Instant::now();
             let tr = crate::log::truncate_covered_segments_excluding(
@@ -718,8 +642,8 @@ impl Store {
     /// records are stamped before `start_ts`, and no future recovery
     /// cutoff (all ≥ `start_ts` by the barrier) can replay a pointer
     /// into it. The gates match truncation's exactly: an unconfirmed
-    /// barrier, a poisoned log, or a replication pin all mean old log
-    /// records — which may hold old pointers — can still replay.
+    /// barrier or a poisoned log both mean old log records — which may
+    /// hold old pointers — can still replay.
     ///
     /// **Relocation** (phase B) rewrites the still-live values of the
     /// `candidates` (mostly-dead sealed segments) to the active segment
@@ -873,95 +797,6 @@ impl Store {
     /// The directory this store logs into (`None` for in-memory stores).
     pub fn log_dir(&self) -> Option<&Path> {
         self.log_dir.as_deref()
-    }
-
-    /// Replication observability counters (role / followers / lag),
-    /// written by the attached replication endpoint.
-    pub fn repl_stats(&self) -> Arc<ReplStats> {
-        Arc::clone(&self.repl)
-    }
-
-    /// Pins (or unpins) checkpoint-driven log truncation. A log-shipping
-    /// source pins while attached: the segment chains are its feed, and
-    /// a reconnecting follower may still need any of them.
-    pub fn pin_log_truncation(&self, pinned: bool) {
-        self.repl_pin.store(pinned, Ordering::Release);
-    }
-
-    /// Per-session durable shipping watermarks for every *live* log:
-    /// `(session id, active segment, durable bytes of that segment)`.
-    /// Segments below the active one are sealed and fully durable.
-    /// Sessions whose writer is gone are omitted — their whole chain is
-    /// static on disk and can be shipped at full length.
-    pub fn shipping_watermarks(&self) -> Vec<(u64, u64, u64)> {
-        self.log_handles
-            .lock()
-            .iter()
-            .filter_map(|(id, h)| h.progress().map(|(seg, durable)| (*id, seg, durable)))
-            .collect()
-    }
-
-    /// Applies a replicated put — inline or value-separated — through
-    /// the replay rule recovery uses (`install_if_newer`): a value
-    /// already at or past the record's version is kept, so re-replaying
-    /// a re-sent log tail is idempotent, and the value is built straight
-    /// from the record's borrowed bytes. An indirect record's payload is
-    /// **not** verified here — follower apply threads run behind segment
-    /// mirroring, and every read through the tier re-checks the
-    /// pointer's crc/length before serving a byte. Only a replica's
-    /// single apply thread calls this — the store has no local writers.
-    /// Returns whether the record applied.
-    pub fn replay_put(&self, rec: &LogRecordRef<'_>) -> bool {
-        debug_assert!(!rec.is_marker() && !rec.is_remove(), "a put record");
-        let guard = masstree::pin();
-        let build = || ColValue::from_record(rec);
-        let applied = install_if_newer(&self.tree, rec.key(), rec.version(), build, &guard);
-        self.next_version
-            .fetch_max(rec.version() + 1, Ordering::Relaxed);
-        applied
-    }
-
-    /// Applies a replicated remove: drops the key iff the resident value
-    /// is older than the remove's `version`. Unlike recovery replay this
-    /// leaves **no tombstone** — the replica's apply thread is the only
-    /// writer and keeps its own anti-resurrection map keyed by remove
-    /// version, so scans never have to filter zero-column values.
-    pub fn replay_remove(&self, key: &[u8], version: u64) {
-        let guard = masstree::pin();
-        let newer = self
-            .tree
-            .get(key, &guard)
-            .is_some_and(|v| v.version() >= version);
-        if !newer {
-            self.tree.remove(key, &guard);
-        }
-        self.next_version.fetch_max(version + 1, Ordering::Relaxed);
-    }
-
-    /// Empties the tree in place (replica full-resync after a primary
-    /// epoch change: the old replicated state may not be a prefix of the
-    /// new primary's log, so it is discarded wholesale).
-    pub fn reset_replica(&self) {
-        // Epoch resync re-mirrors the value segments from scratch, and
-        // segment ids restart — a cached (seg, off) payload from the
-        // old epoch would serve wrong bytes for a new-epoch pointer.
-        if let Some(t) = &self.vtier {
-            t.purge_cache();
-        }
-        let guard = masstree::pin();
-        loop {
-            let mut keys: Vec<Vec<u8>> = Vec::new();
-            self.tree.scan(b"", &guard, |k, _| {
-                keys.push(k.to_vec());
-                keys.len() < 4096
-            });
-            if keys.is_empty() {
-                return;
-            }
-            for k in &keys {
-                self.tree.remove(k, &guard);
-            }
-        }
     }
 
     /// Enables (or disables, with `None`) the hot-path cache tier for
@@ -2257,12 +2092,12 @@ mod tests {
         // are mostly dead: one cycle hands at most 2N + PART_WRITERS rows
         // to its walks (the pre-scan, then the parts, each of which also
         // sees the key that ends it), yet relocates every live value out
-        // of the GC candidates.
+        // of the GC candidates. The value cache is off, so every check
+        // reads the segments the tree points into.
         const N: u32 = 3_000;
         let dir = std::env::temp_dir().join(format!("mtkv-gc-walks-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut config =
-            DurabilityConfig::tiny_segments(1 << 20).with_value_separation(32, 1 << 20);
+        let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(32, 0);
         config.value_segment_bytes = 16 << 10;
         config.gc_dead_fraction = 0.3;
         let store = Store::persistent_with(&dir, config).unwrap();
@@ -2286,7 +2121,6 @@ mod tests {
         let candidates = tier.gc_candidates(0.3);
         assert!(!candidates.is_empty(), "no GC candidate");
         let check_values = || {
-            tier.purge_cache();
             for i in 0..N {
                 let gen = u8::from(i % 3 != 0);
                 let got = s.get_checked(&key(i), None).expect("value resolves");

@@ -292,11 +292,10 @@ struct SegHandle {
 pub struct SegReader {
     dir: PathBuf,
     handles: Mutex<FxMap<u64, SegHandle>>,
-    /// Bumped whenever cached handles are dropped ([`SegReader::forget`]
-    /// / [`SegReader::forget_all`]: segment deletion, follower epoch
-    /// resync). Externally held mapping caches ([`ResolveScratch`])
-    /// compare against this to detect that a segment id may have been
-    /// re-created with different bytes underneath them.
+    /// Bumped whenever a cached handle is dropped ([`SegReader::forget`]:
+    /// GC deleted the segment). Externally held mapping caches
+    /// ([`ResolveScratch`]) compare against this, so a session never
+    /// serves bytes from its mapping of a deleted segment.
     gen: AtomicU64,
 }
 
@@ -311,7 +310,7 @@ impl SegReader {
 
     /// Invalidation generation for externally cached mappings: any
     /// `Arc<SegMap>` obtained under an older generation may map a
-    /// deleted or re-created segment file and must be dropped.
+    /// deleted segment file and must be dropped.
     fn generation(&self) -> u64 {
         self.gen.load(Ordering::Acquire)
     }
@@ -372,16 +371,9 @@ impl SegReader {
         Some(m)
     }
 
-    /// Drops the cached handle for `seg` (after segment deletion, and
-    /// on follower resync so a re-created mirror reopens fresh).
+    /// Drops the cached handle for `seg` (after segment deletion).
     pub fn forget(&self, seg: u64) {
         self.handles.lock().remove(&seg);
-        self.gen.fetch_add(1, Ordering::Release);
-    }
-
-    /// Drops every cached handle.
-    pub fn forget_all(&self) {
-        self.handles.lock().clear();
         self.gen.fetch_add(1, Ordering::Release);
     }
 
@@ -444,8 +436,7 @@ impl SegReader {
 
 /// The budgeted cache of decoded indirect values, keyed by
 /// `(seg, off)`. Segment ids are never reused within a store lifetime,
-/// so a key can never alias two different payloads; follower epoch
-/// resyncs (which may reuse ids) purge the cache wholesale.
+/// so a key can never alias two different payloads.
 ///
 /// Sharded second-chance (CLOCK) replacement rather than strict LRU:
 /// the hit path — the hot path of every indirect read — is one sharded
@@ -757,15 +748,6 @@ impl ValueCache {
         }
         // The ring entry goes stale and is skipped by the clock hand.
     }
-
-    fn purge(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            s.map.clear();
-            s.ring.clear();
-            s.bytes = 0;
-        }
-    }
 }
 
 /// Value-tier observability counters, served through the network
@@ -817,10 +799,9 @@ pub struct ResolveScratch {
     /// segment id)` — consecutive windows usually hit the same segment,
     /// skipping the reader's handle-table locks. Replaced whenever a
     /// window needs a different (or longer) mapping, and **discarded**
-    /// when the reader's generation has moved ([`SegReader::forget`] /
-    /// `forget_all`: GC deletion, follower epoch resync) — a new epoch
-    /// may reuse the segment id over different bytes, and a stale
-    /// mapping would serve the old epoch's payloads.
+    /// when the reader's generation has moved ([`SegReader::forget`]:
+    /// GC deleted a segment) — a mapping keeps a deleted file's bytes
+    /// readable, and a pointer into it must come back unresolved.
     map: Option<(u64, u64, Arc<SegMap>)>,
 }
 
@@ -829,8 +810,7 @@ pub struct ResolveScratch {
 pub struct ValueTier {
     dir: PathBuf,
     segment_bytes: u64,
-    /// `None` for a reader-only tier (replication follower mirrors).
-    appender: Mutex<Option<Appender>>,
+    appender: Mutex<Appender>,
     reader: SegReader,
     cache: ValueCache,
     accounts: Mutex<HashMap<u64, SegAccount>>,
@@ -838,7 +818,7 @@ pub struct ValueTier {
     /// Deleted once a durable checkpoint with `start_ts ≥` the stamp
     /// exists (see `Store::run_durability_cycle` for the proof).
     condemned: Mutex<HashMap<u64, u64>>,
-    /// Active segment id (shipping watermark for replication).
+    /// Active segment id: GC never condemns it.
     active_seg: AtomicU64,
     /// Durable bytes of the active segment.
     active_durable: AtomicU64,
@@ -858,18 +838,10 @@ pub struct ValueTier {
 }
 
 impl ValueTier {
-    /// Mounts the tier over `dir`. A writable tier opens a **fresh**
-    /// active segment one past the highest existing id — old tails are
-    /// never appended to (their durable length is crash evidence, and
-    /// pointers into them must stay byte-stable for replication
-    /// mirrors). A reader-only tier (`writable: false`) serves
-    /// resolutions from whatever segment files are present.
-    pub fn open(
-        dir: &Path,
-        segment_bytes: u64,
-        cache_budget: usize,
-        writable: bool,
-    ) -> std::io::Result<ValueTier> {
+    /// Mounts the tier over `dir` and opens a **fresh** active segment
+    /// one past the highest existing id — old tails are never appended
+    /// to (their durable length is crash evidence).
+    pub fn open(dir: &Path, segment_bytes: u64, cache_budget: usize) -> std::io::Result<ValueTier> {
         std::fs::create_dir_all(dir)?;
         let ids = vseg_ids(dir);
         let mut accounts = HashMap::new();
@@ -880,28 +852,23 @@ impl ValueTier {
             accounts.insert(id, SegAccount { total, dead: 0 });
         }
         let next = ids.last().map(|&i| i + 1).unwrap_or(0);
-        let appender = if writable {
-            let file = OpenOptions::new()
-                .create_new(true)
-                .append(true)
-                .open(vseg_path(dir, next))?;
-            fsync_dir(dir)?;
-            accounts.insert(next, SegAccount::default());
-            Some(Appender {
+        let file = OpenOptions::new()
+            .create_new(true)
+            .append(true)
+            .open(vseg_path(dir, next))?;
+        fsync_dir(dir)?;
+        accounts.insert(next, SegAccount::default());
+        Ok(ValueTier {
+            dir: dir.to_path_buf(),
+            segment_bytes: segment_bytes.max(1),
+            active_seg: AtomicU64::new(next),
+            active_durable: AtomicU64::new(0),
+            appender: Mutex::new(Appender {
                 file,
                 seg: next,
                 written: 0,
                 durable: 0,
-            })
-        } else {
-            None
-        };
-        Ok(ValueTier {
-            dir: dir.to_path_buf(),
-            segment_bytes: segment_bytes.max(1),
-            active_seg: AtomicU64::new(appender.as_ref().map(|a| a.seg).unwrap_or(0)),
-            active_durable: AtomicU64::new(0),
-            appender: Mutex::new(appender),
+            }),
             reader: SegReader::new(dir),
             cache: ValueCache::new(cache_budget),
             accounts: Mutex::new(accounts),
@@ -929,10 +896,7 @@ impl ValueTier {
     /// Rotates past the size threshold, fsyncing the sealed segment so
     /// "below the active segment" always means "fully durable".
     pub fn append(&self, payload: &[u8]) -> std::io::Result<ValuePtr> {
-        let mut guard = self.appender.lock();
-        let ap = guard
-            .as_mut()
-            .ok_or_else(|| std::io::Error::other("value tier is reader-only"))?;
+        let mut ap = self.appender.lock();
         if ap.written > 0 && ap.written + payload.len() as u64 > self.segment_bytes {
             ap.file.sync_data()?;
             let next = ap.seg + 1;
@@ -970,10 +934,7 @@ impl ValueTier {
     /// durable pointer record then always names durable payload bytes.
     /// Returns false on failure (callers must not ack).
     pub fn force(&self) -> bool {
-        let mut guard = self.appender.lock();
-        let Some(ap) = guard.as_mut() else {
-            return true; // reader-only tier: nothing to flush
-        };
+        let mut ap = self.appender.lock();
         if ap.durable == ap.written {
             return true;
         }
@@ -987,9 +948,10 @@ impl ValueTier {
         }
     }
 
-    /// `(active segment, durable bytes of it)` — the shipping watermark
-    /// for replication. Segments below the active one are sealed and
-    /// fully durable.
+    /// `(active segment, durable bytes of it)`: what a machine crash now
+    /// would keep of the tier. Segments below the active one are sealed
+    /// and fully durable. Crash tests tear the active segment's tail
+    /// past this point.
     pub fn progress(&self) -> (u64, u64) {
         (
             self.active_seg.load(Ordering::Acquire),
@@ -1180,10 +1142,9 @@ impl ValueTier {
         // overwrites `..len` in full, so re-zeroing a previously larger
         // window would only burn memory bandwidth on bytes about to be
         // replaced). The cached mapping is honored only while the
-        // reader's generation stands still: `forget`/`forget_all` (GC
-        // deletion, follower epoch resync) may let the segment id be
-        // re-created over different bytes, and the scratch must not
-        // outlive that.
+        // reader's generation stands still: `forget` (GC deleted a
+        // segment) means the mapping may cover a deleted file, and the
+        // scratch must not serve its bytes.
         let gen = self.reader.generation();
         let mapped = match &*map_cache {
             Some((mgen, mseg, m)) if *mgen == gen && *mseg == seg && end <= m.len as u64 => {
@@ -1192,7 +1153,7 @@ impl ValueTier {
             _ => {
                 let m = self.reader.mapped(seg, end);
                 if let Some(m) = &m {
-                    // `gen` was loaded before `mapped()`: if a purge
+                    // `gen` was loaded before `mapped()`: if a deletion
                     // raced in between, the stale stamp just makes the
                     // next window re-fetch — never serves old bytes.
                     *map_cache = Some((gen, seg, Arc::clone(m)));
@@ -1367,15 +1328,6 @@ impl ValueTier {
         deleted
     }
 
-    /// Purges the decoded-value cache and reader handles (follower
-    /// epoch resync: a new primary epoch may reuse segment ids, and a
-    /// stale cached decode keyed by `(seg, off)` would serve the old
-    /// epoch's bytes).
-    pub fn purge_cache(&self) {
-        self.cache.purge();
-        self.reader.forget_all();
-    }
-
     /// Current counters + derived live/segment totals.
     pub fn stats(&self) -> ValueTierStats {
         let accounts = self.accounts.lock();
@@ -1422,7 +1374,7 @@ mod tests {
     #[test]
     fn append_read_rotate() {
         let dir = tmpdir("rot");
-        let tier = ValueTier::open(&dir, 64, 1 << 20, true).unwrap();
+        let tier = ValueTier::open(&dir, 64, 1 << 20).unwrap();
         let mut ptrs = Vec::new();
         for i in 0..10u32 {
             let mut p = Vec::new();
@@ -1448,7 +1400,7 @@ mod tests {
     #[test]
     fn typed_errors_never_wrong_bytes() {
         let dir = tmpdir("err");
-        let tier = ValueTier::open(&dir, 1 << 20, 0, true).unwrap();
+        let tier = ValueTier::open(&dir, 1 << 20, 0).unwrap();
         let mut p = Vec::new();
         encode_payload(&[b"payload-bytes"], &mut p);
         let ptr = tier.append(&p).unwrap();
@@ -1488,7 +1440,7 @@ mod tests {
     fn cache_budget_evicts_lru() {
         let dir = tmpdir("lru");
         // Budget fits roughly two decoded values.
-        let tier = ValueTier::open(&dir, 1 << 20, 700, true).unwrap();
+        let tier = ValueTier::open(&dir, 1 << 20, 700).unwrap();
         let mut ptrs = Vec::new();
         for i in 0..4u8 {
             let mut p = Vec::new();
@@ -1542,7 +1494,7 @@ mod tests {
     #[test]
     fn resolve_many_clusters_contiguous_misses() {
         let dir = tmpdir("many");
-        let tier = ValueTier::open(&dir, 1 << 20, 1 << 20, true).unwrap();
+        let tier = ValueTier::open(&dir, 1 << 20, 1 << 20).unwrap();
         let mut ptrs = Vec::new();
         for i in 0..32u32 {
             let mut p = Vec::new();
@@ -1578,7 +1530,7 @@ mod tests {
     #[test]
     fn resolve_many_gap_and_budget_split_windows() {
         let dir = tmpdir("gap");
-        let tier = ValueTier::open(&dir, 64 << 20, 1 << 20, true).unwrap();
+        let tier = ValueTier::open(&dir, 64 << 20, 1 << 20).unwrap();
         let mut ptrs = Vec::new();
         for i in 0..3u8 {
             let mut p = Vec::new();
@@ -1603,7 +1555,7 @@ mod tests {
     #[test]
     fn resolve_many_torn_window_falls_back_per_pointer() {
         let dir = tmpdir("torn");
-        let tier = ValueTier::open(&dir, 1 << 20, 0, true).unwrap();
+        let tier = ValueTier::open(&dir, 1 << 20, 0).unwrap();
         let mut p = Vec::new();
         encode_payload(&[b"intact-payload"], &mut p);
         let good = tier.append(&p).unwrap();
@@ -1633,7 +1585,7 @@ mod tests {
         // (forward vs reverse key order over a warm cache, so both
         // threads live entirely in the locked-run probe loop).
         let dir = tmpdir("abba");
-        let tier = Arc::new(ValueTier::open(&dir, 1 << 20, 1 << 20, true).unwrap());
+        let tier = Arc::new(ValueTier::open(&dir, 1 << 20, 1 << 20).unwrap());
         let mut ptrs = Vec::new();
         for i in 0..64u8 {
             let mut p = Vec::new();
@@ -1662,55 +1614,69 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// GC purges a segment a session has mapped: the session's cached
+    /// mapping must not outlive the file.
     #[test]
     fn resolve_many_scratch_map_invalidated_by_purge() {
         let dir = tmpdir("scratchmap");
-        let tier = ValueTier::open(&dir, 1 << 20, 1 << 20, true).unwrap();
-        let mut p = Vec::new();
-        encode_payload(&[&[1u8; 256]], &mut p);
-        let old = tier.append(&p).unwrap();
+        // Two payloads fill segment S; the third rotates to a new one.
+        let tier = ValueTier::open(&dir, 600, 0).unwrap();
+        let payload = |b: u8| {
+            let mut p = Vec::new();
+            encode_payload(&[&[b; 256]], &mut p);
+            p
+        };
+        let first = tier.append(&payload(1)).unwrap();
+        let second = tier.append(&payload(2)).unwrap();
+        let next = tier.append(&payload(3)).unwrap();
         assert!(tier.force());
+        assert_eq!(first.seg, second.seg);
+        assert_ne!(next.seg, first.seg);
         let mut out = Vec::new();
         let mut scratch = ResolveScratch::default();
-        // Warm the per-session mapping cache with the old epoch's bytes.
-        tier.resolve_many(&[(old, 1)], &mut out, &mut scratch);
+        // The session maps S whole while resolving the first payload;
+        // the second payload's bytes are in that mapping too.
+        tier.resolve_many(&[(first, 1)], &mut out, &mut scratch);
         assert!(out[0].is_some());
-        // Follower epoch resync: the segment id is re-created over
-        // different bytes and the tier's caches are purged — but this
-        // session's scratch still holds a mapping of the *deleted*
-        // inode, which must not serve the old epoch's payloads.
-        let seg_file = vseg_path(&dir, old.seg);
-        std::fs::remove_file(&seg_file).unwrap();
-        let mut p2 = Vec::new();
-        encode_payload(&[b"new-epoch-bytes"], &mut p2);
-        std::fs::write(&seg_file, &p2).unwrap();
-        tier.purge_cache();
-        let new = ValuePtr {
-            seg: old.seg,
-            off: 0,
-            len: p2.len() as u32,
-            crc: crc32(&p2),
-        };
-        tier.resolve_many(&[(new, 2)], &mut out, &mut scratch);
-        let v = out[0].as_ref().expect("new epoch bytes resolve");
-        assert_eq!(v.col(0), Some(&b"new-epoch-bytes"[..]));
-        assert_eq!(tier.stats().unresolved_reads, 0, "no stale-map failures");
+        assert!(scratch.map.as_ref().is_some_and(|m| m.1 == first.seg));
+        // GC condemns S and deletes it. The unlinked file's bytes stay
+        // readable through the session's mapping, which must not serve
+        // them.
+        tier.note_dead(first);
+        tier.note_dead(second);
+        assert_eq!(tier.gc_candidates(0.99), vec![first.seg]);
+        tier.condemn(first.seg, 100);
+        assert_eq!(tier.delete_condemned(100), 1);
+        tier.resolve_many(&[(second, 2)], &mut out, &mut scratch);
+        assert!(out[0].is_none(), "served a deleted segment's bytes");
+        assert_eq!(tier.stats().unresolved_reads, 1);
+        assert_eq!(
+            tier.resolve(second, 2).unwrap_err(),
+            ValueError::TornOrMissing
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn miss_storm_shares_one_segment_read() {
-        let dir = tmpdir("storm");
-        let tier = Arc::new(ValueTier::open(&dir, 1 << 20, 1 << 20, true).unwrap());
-        let mut p = Vec::new();
-        encode_payload(&[&[42u8; 4096]], &mut p);
-        let ptr = tier.append(&p).unwrap();
-        assert!(tier.force());
         const THREADS: usize = 8;
         const ROUNDS: usize = 16;
+        let dir = tmpdir("storm");
+        // One fresh payload per round, so each round's storm starts on
+        // a pointer nobody has resolved yet. A cache shard serves a
+        // 64 KiB region of a segment, and each shard's budget holds all
+        // the payloads: no fill is evicted before its round ends.
+        let tier = Arc::new(ValueTier::open(&dir, 1 << 20, 4 << 20).unwrap());
+        let ptrs: Vec<ValuePtr> = (0..ROUNDS as u8)
+            .map(|r| {
+                let mut p = Vec::new();
+                encode_payload(&[&[r; 4096]], &mut p);
+                tier.append(&p).unwrap()
+            })
+            .collect();
+        assert!(tier.force());
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-        for _ in 0..ROUNDS {
-            tier.purge_cache();
+        for (r, &ptr) in ptrs.iter().enumerate() {
             std::thread::scope(|s| {
                 for _ in 0..THREADS {
                     let tier = Arc::clone(&tier);
@@ -1718,13 +1684,13 @@ mod tests {
                     s.spawn(move || {
                         barrier.wait();
                         let v = tier.resolve(ptr, 9).unwrap();
-                        assert_eq!(v.col(0), Some(&[42u8; 4096][..]));
+                        assert_eq!(v.col(0), Some(&[r as u8; 4096][..]));
                     });
                 }
             });
         }
         let s = tier.stats();
-        // Exactly one segment read per purge, however the storm
+        // Exactly one segment read per round, however the storm
         // interleaved; everyone else hit the cache or shared the read.
         assert_eq!(s.segment_reads, ROUNDS as u64, "{s:?}");
         assert_eq!(
@@ -1738,7 +1704,7 @@ mod tests {
     #[test]
     fn condemn_delete_cycle() {
         let dir = tmpdir("gc");
-        let tier = ValueTier::open(&dir, 32, 0, true).unwrap();
+        let tier = ValueTier::open(&dir, 32, 0).unwrap();
         let mut p = Vec::new();
         encode_payload(&[&[7u8; 40]], &mut p);
         let a = tier.append(&p).unwrap(); // fills segment, next append rotates

@@ -14,20 +14,21 @@
 //! append or the cold fill trips this test. The background
 //! log-truncation pass is held to a memory budget the same way: a fixed
 //! count of allocations and no single one larger than its read window
-//! plus slack, however long the chain it reads. Log replay — recovery's
-//! and the replication follower's — allocates the block of each value a
-//! record installs, and nothing for a record that loses; a checkpoint
-//! part, streamed through the same walker and gate, loads at little more
-//! than one allocation per row. A warm durability cycle — checkpoint
-//! writers on threads of their own, barrier, truncation — reuses the
-//! buffers the store keeps and makes no large allocation on any thread.
+//! plus slack, however long the chain it reads. Recovery's log replay
+//! allocates the block of each value a record installs, and nothing for
+//! a record that loses; a checkpoint part, streamed through the same
+//! walker and gate, loads at little more than one allocation per row. A
+//! warm durability cycle — checkpoint writers on threads of their own,
+//! barrier, truncation — reuses the buffers the store keeps and makes no
+//! large allocation on any thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use mtkv::Store;
+use mtkv::{DurabilityConfig, Store};
 
 struct CountingAlloc;
 
@@ -816,127 +817,153 @@ fn truncation_streams_a_long_chain_through_one_window() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn replay_allocates_only_the_values_that_win() {
-    let _serial = serial();
-    // Segments walked through the replay rule recovery and the follower
-    // share, as a recovery thread walks them: one window, records
-    // borrowed in place, one pin per segment. Every key is first made
-    // resident at a middle version; the measured segment then holds an
-    // older record ("loser") and a newer one ("winner") for each.
-    use mtkv::log::{LogRecord, SegmentWalker};
-    const KEYS: u32 = 10_000;
-    let dir = std::env::temp_dir().join(format!("mtkv-alloc-replay-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let payload = [0x42u8; 64];
-    let (old, mid, new) = (0, 2 * u64::from(KEYS), 4 * u64::from(KEYS));
-    let segment = |name: &str, versions: &[u64]| {
-        let mut buf = Vec::new();
-        for (i, base) in (0..KEYS).flat_map(|i| versions.iter().map(move |b| (i, b))) {
-            let (version, key) = (base + u64::from(i), format!("r{i:06}").into_bytes());
-            let cols = vec![(0, payload.to_vec())];
+/// Allocations of one `recover_with(log_dir, ckpt_dir)` on every thread
+/// (recovery replays on threads of its own), and the largest single
+/// request among them. The recovered store is dropped after counting.
+fn count_recovery(log_dir: &Path, ckpt_dir: &Path) -> (u64, usize, Arc<Store>) {
+    drain_gc();
+    arm_all();
+    let (store, _) = mtkv::recover_with(log_dir, ckpt_dir, DurabilityConfig::default()).unwrap();
+    let (allocs, largest) = disarm_all();
+    (allocs, largest, store)
+}
+
+/// Writes `dir/log-1.0`: one put record per key and version base, all
+/// stamped `ts`, then a clean-close sentinel, so recovery neither cuts
+/// it off nor rewrites it.
+fn write_segment(dir: &Path, keys: u32, bases: &[u64], ts: u64, payload: &[u8]) {
+    use mtkv::log::LogRecord;
+    std::fs::create_dir_all(dir).unwrap();
+    let mut buf = Vec::new();
+    for i in 0..keys {
+        for base in bases {
+            let version = base + u64::from(i);
             LogRecord::Put {
-                timestamp: version,
+                timestamp: ts,
                 version,
-                key,
-                cols,
+                key: format!("r{i:06}").into_bytes(),
+                cols: vec![(0, payload.to_vec())],
             }
             .encode(&mut buf);
         }
-        std::fs::write(dir.join(name), buf).unwrap();
-        dir.join(name)
-    };
-    let (resident, mixed) = (segment("log-0.0", &[mid]), segment("log-1.0", &[old, new]));
-    let store = Store::replica(&dir).unwrap();
-    let mut walker = SegmentWalker::default();
-    let mut replay = |path| {
-        let _guard = masstree::pin();
-        let mut walk = walker.walk(path).unwrap();
-        let mut applied = 0u32;
-        while let Some(rec) = walk.next_record().unwrap() {
-            applied += u32::from(store.replay_put(&rec));
-        }
-        applied
-    };
-    assert_eq!(replay(&resident), KEYS);
-    drain_gc();
-    arm();
-    let winners = replay(&mixed);
-    let allocs = disarm();
-    drain_gc();
-    arm();
-    let again = replay(&mixed); // every record loses this time
-    let allocs_again = disarm();
+    }
+    LogRecord::CleanClose { timestamp: ts }.encode(&mut buf);
+    std::fs::write(dir.join("log-1.0"), buf).unwrap();
+}
 
-    eprintln!("replay: {allocs} allocations for {winners} winners of {KEYS} x 2 records");
-    assert_eq!((winners, again), (KEYS, 0));
-    // Measured: 10,022 — one block per winner, and amortised growth of
-    // the epoch bag holding the values the winners retire. A loser that
-    // allocated (a clone of the kept value, an owned record) would add
-    // 10,000.
-    assert!(allocs <= u64::from(KEYS) + 64, "{allocs} allocations");
-    assert_eq!(allocs_again, 0, "losers allocate nothing");
+#[test]
+fn replay_allocates_only_the_values_that_win() {
+    let _serial = serial();
+    // Recovery over a checkpoint that holds every key at a middle
+    // version, plus one log segment stamped after the checkpoint began.
+    // The measured segments hold an older record ("loser") and a newer
+    // one ("winner") per key, or losers only; each is set against a
+    // control recovery whose segment holds no record at all. Records go
+    // through the replay rule as recovery's threads walk them: one
+    // window, records borrowed in place, one pin per segment.
+    const KEYS: u32 = 10_000;
+    let base = std::env::temp_dir().join(format!("mtkv-alloc-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let payload = [0x42u8; 64];
+    let (old, mid, new) = (0, 2 * u64::from(KEYS), 4 * u64::from(KEYS));
+    // The resident rows, at the middle versions, as a checkpoint.
+    let ckpt = base.join("ckpt");
+    let meta = {
+        write_segment(&base.join("resident"), KEYS, &[mid], 1, &payload);
+        let resident = base.join("resident");
+        let (store, _) = mtkv::recover(&resident, &resident).unwrap();
+        mtkv::write_checkpoint(&store, &ckpt, 1).unwrap()
+    };
+    assert_eq!(meta.keys, u64::from(KEYS));
+    let ts = meta.start_ts + 1;
+    write_segment(&base.join("control"), 0, &[], ts, &payload);
+    write_segment(&base.join("mixed"), KEYS, &[old, new], ts, &payload);
+    write_segment(&base.join("losers"), KEYS, &[old], ts, &payload);
+
+    let (control, _, store) = count_recovery(&base.join("control"), &ckpt);
+    drop(store);
+    let (mixed, _, store) = count_recovery(&base.join("mixed"), &ckpt);
+    let guard = masstree::pin();
+    let mut winners = 0u32;
+    store.tree().scan(b"", &guard, |k, v| {
+        let i: u64 = std::str::from_utf8(&k[1..]).unwrap().parse().unwrap();
+        winners += u32::from(v.version() == new + i && v.col(0) == Some(&payload[..]));
+        true
+    });
+    drop(guard);
+    drop(store);
+    let (losers, _, store) = count_recovery(&base.join("losers"), &ckpt);
     let guard = masstree::pin();
     let v = store.tree().get(b"r004242", &guard).unwrap();
-    assert_eq!((v.version(), v.col(0)), (new + 4242, Some(&payload[..])));
+    assert_eq!(
+        v.version(),
+        mid + 4242,
+        "a loser replaced the resident value"
+    );
     drop(guard);
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(store);
+
+    let (winning, losing) = (
+        mixed.saturating_sub(control),
+        losers.saturating_sub(control),
+    );
+    eprintln!(
+        "replay: {winning} allocations over the control ({control}) for {winners} winners \
+         and {KEYS} losers; {losing} for {KEYS} losers alone"
+    );
+    assert_eq!(winners, KEYS);
+    // Measured: 10,021 — one block per winner, and amortised growth of
+    // the epoch bag holding the values the winners retire.
+    assert!(winning <= u64::from(KEYS) + 64, "{winning} allocations");
+    // Measured: 0 or 1. A loser that allocated (a clone of the kept
+    // value, an owned record) would add 10,000.
+    assert!(losing <= 64, "{losing} allocations for {KEYS} losers");
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn checkpoint_load_allocates_one_block_per_row() {
     let _serial = serial();
     // One checkpoint part of benchmark-shaped rows (a 24-byte key, one
-    // 64-byte value), loaded as recovery loads it: streamed through a
-    // `SegmentWalker` window, each row's value built straight from the
-    // borrowed frame and installed through the replay gate. A row costs
-    // its value's block plus a share of the nodes; reading the part
-    // whole, or decoding a row into owned columns first, would show here.
-    use mtkv::log::SegmentWalker;
+    // 64-byte value), loaded by recovery: streamed through a
+    // `SegmentWalker` window on a thread of its own, each row's value
+    // built straight from the borrowed frame and installed through the
+    // replay gate. A control recovery of an empty checkpoint is
+    // subtracted. A row costs its value's block plus a share of the
+    // nodes; reading the part whole, or decoding a row into owned
+    // columns first, would show here.
     const ROWS: u64 = 20_000;
-    let dir = std::env::temp_dir().join(format!("mtkv-alloc-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let base = std::env::temp_dir().join(format!("mtkv-alloc-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
     let payload = [0x37u8; 64];
-    let meta = {
+    let checkpoint = |name: &str, rows: u64| {
         let store = Store::in_memory();
         let session = store.session().unwrap();
-        for i in 0..ROWS {
+        for i in 0..rows {
             session.put(&user_key(i), &[(0, &payload[..])]);
         }
-        mtkv::write_checkpoint(&store, &dir, 1).unwrap()
+        let meta = mtkv::write_checkpoint(&store, &base.join(name), 1).unwrap();
+        assert_eq!((meta.parts, meta.keys), (1, rows));
+        std::fs::create_dir_all(base.join(name).join("logs")).unwrap();
+        base.join(name)
     };
-    assert_eq!((meta.parts, meta.keys), (1, ROWS));
-    let (ckpt, _) = mtkv::latest_checkpoint(&dir).unwrap();
-    let part = ckpt.join("part-0000");
-    let store = Store::replica(&dir.join("replica")).unwrap();
-    drain_gc();
+    let (empty, full) = (checkpoint("empty", 0), checkpoint("full", ROWS));
+    let (control, _, store) = count_recovery(&empty.join("logs"), &empty);
+    drop(store);
+    let (total, largest, store) = count_recovery(&full.join("logs"), &full);
+    let allocs = total.saturating_sub(control);
 
-    arm();
-    let mut walker = SegmentWalker::default();
-    let mut loaded = 0u64;
-    {
-        let _guard = masstree::pin();
-        let mut walk = walker.walk(&part).unwrap();
-        while let Some(rec) = walk.next_record().unwrap() {
-            loaded += u64::from(store.replay_put(&rec));
-        }
-    }
-    drop(walker);
-    let allocs = disarm();
-    let largest = largest();
-
-    let part_bytes = std::fs::metadata(&part).unwrap().len();
+    let (ckpt, _) = mtkv::latest_checkpoint(&full).unwrap();
+    let part_bytes = std::fs::metadata(ckpt.join("part-0000")).unwrap().len();
     eprintln!(
-        "checkpoint load: {allocs} allocations for {loaded} rows ({part_bytes} B part), \
-         largest {largest} B"
+        "checkpoint load: {allocs} allocations over the control ({control}) for {ROWS} rows \
+         ({part_bytes} B part), largest {largest} B"
     );
-    assert_eq!(loaded, ROWS);
-    // Measured: 21,864 — one block per row, one window, and ~1,860 for
-    // the tree itself, into which the load is the first insert: a
-    // layer-1 tree under each of the ~1,845 four-digit prefixes (and the
-    // suffix block its first key waits in) plus the slab's chunks.
+    // Measured: 21,870 — one block per row, one window, and ~1,860 for
+    // the tree itself, into which the load is
+    // the first insert: a layer-1 tree under each of the ~1,845
+    // four-digit prefixes (and the suffix block its first key waits in)
+    // plus the slab's chunks.
     assert!(
         allocs * 10 <= ROWS * 11,
         "{allocs} allocations for {ROWS} rows: more than 1.1 per row"
@@ -950,7 +977,7 @@ fn checkpoint_load_allocates_one_block_per_row() {
     assert_eq!(v.col(0), Some(&payload[..]));
     drop(guard);
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

@@ -491,12 +491,12 @@ fn value_gc_from_part_walks_keeps_every_acked_write_under_churn() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Store-level miss storm: many sessions hammering one evicted cold
-/// key perform exactly **one** segment read per eviction — the first
-/// resolver leads the fill, everyone else either joins it in flight
-/// (`shared_misses`) or hits the cache it populated. The counters are
-/// exhaustive: across all rounds every non-leading read lands in
-/// exactly one of the two buckets.
+/// Store-level miss storm: many sessions hammering one cold key nobody
+/// has read yet perform exactly **one** segment read per round — the
+/// first resolver leads the fill, everyone else either joins it in
+/// flight (`shared_misses`) or hits the cache it populated. Each round
+/// storms a fresh key. The counters are exhaustive: across all rounds
+/// every non-leading read lands in exactly one of the two buckets.
 #[test]
 fn cold_miss_storm_is_one_segment_read_per_eviction() {
     const THREADS: usize = 8;
@@ -506,16 +506,22 @@ fn cold_miss_storm_is_one_segment_read_per_eviction() {
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
 
-    let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(64, 1 << 20);
+    // A cache shard serves a 64 KiB region of a segment, and each
+    // shard's budget holds all the round keys' payloads: no fill is
+    // evicted before its round ends.
+    let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(64, 4 << 20);
     config.value_segment_bytes = 1 << 20;
     let store = Store::persistent_with(&base, config).unwrap();
-    let hot = vec![0xabu8; 4096];
+    let storm_key = |round: usize| format!("storm-key-{round:02}").into_bytes();
+    let value = |round: usize| vec![round as u8; 4096];
     {
         let session = store.session().unwrap();
-        session.put(b"storm-key", &[(0, &hot)]);
+        for round in 0..ROUNDS {
+            session.put(&storm_key(round), &[(0, &value(round))]);
+        }
         assert!(session.force_log());
     }
-    let tier = Arc::clone(store.value_tier().expect("separation on"));
+    assert!(store.value_tier().is_some(), "separation on");
     let base_stats = store.value_tier_stats();
 
     let barrier = std::sync::Barrier::new(THREADS);
@@ -523,20 +529,13 @@ fn cold_miss_storm_is_one_segment_read_per_eviction() {
         let mut handles = Vec::new();
         for _ in 0..THREADS {
             let store = Arc::clone(&store);
-            let tier = Arc::clone(&tier);
             let barrier = &barrier;
-            let hot = &hot;
             handles.push(scope.spawn(move || {
                 let session = store.session().unwrap();
-                for _ in 0..ROUNDS {
-                    // Every thread purges; extra purges before the
-                    // round's first resolve are idempotent, and the
-                    // barrier keeps purges out of the read window.
-                    tier.purge_cache();
+                for round in 0..ROUNDS {
                     barrier.wait();
-                    let got = session.get(b"storm-key", None).expect("present");
-                    assert_eq!(got[0], *hot, "storm read returned wrong bytes");
-                    barrier.wait();
+                    let got = session.get(&storm_key(round), None).expect("present");
+                    assert_eq!(got[0], value(round), "storm read returned wrong bytes");
                 }
             }));
         }

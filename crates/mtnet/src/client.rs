@@ -146,8 +146,7 @@ impl Client {
         }
     }
 
-    /// Errors with the server's redirect payload (naming the primary)
-    /// when the target is a read-only replica.
+    /// Errors with the server's message when it refuses the put.
     pub fn put(&mut self, key: &[u8], cols: Vec<(u16, Vec<u8>)>) -> std::io::Result<u64> {
         self.queue(&Request::Put {
             key: key.to_vec(),
@@ -155,9 +154,7 @@ impl Client {
         });
         match self.execute_batch()?.pop() {
             Some(Response::PutOk(v)) => Ok(v),
-            Some(Response::Redirect(msg)) | Some(Response::Err(msg)) => {
-                Err(std::io::Error::other(msg))
-            }
+            Some(Response::Err(msg)) => Err(std::io::Error::other(msg)),
             _ => Err(std::io::Error::other("unexpected response")),
         }
     }
@@ -196,21 +193,18 @@ impl Client {
             .into_iter()
             .map(|r| match r {
                 Response::PutOk(v) => Ok(v),
-                Response::Redirect(msg) | Response::Err(msg) => Err(std::io::Error::other(msg)),
+                Response::Err(msg) => Err(std::io::Error::other(msg)),
                 _ => Err(std::io::Error::other("unexpected response")),
             })
             .collect()
     }
 
-    /// Errors with the server's redirect payload (naming the primary)
-    /// when the target is a read-only replica.
+    /// Errors with the server's message when it refuses the remove.
     pub fn remove(&mut self, key: &[u8]) -> std::io::Result<bool> {
         self.queue(&Request::Remove { key: key.to_vec() });
         match self.execute_batch()?.pop() {
             Some(Response::RemoveOk(e)) => Ok(e),
-            Some(Response::Redirect(msg)) | Some(Response::Err(msg)) => {
-                Err(std::io::Error::other(msg))
-            }
+            Some(Response::Err(msg)) => Err(std::io::Error::other(msg)),
             _ => Err(std::io::Error::other("unexpected response")),
         }
     }
@@ -250,9 +244,7 @@ impl Client {
         self.queue(&Request::Flush);
         match self.execute_batch()?.pop() {
             Some(Response::Stats(s)) => Ok(s),
-            Some(Response::Redirect(msg)) | Some(Response::Err(msg)) => {
-                Err(std::io::Error::other(msg))
-            }
+            Some(Response::Err(msg)) => Err(std::io::Error::other(msg)),
             _ => Err(std::io::Error::other("unexpected response")),
         }
     }
@@ -269,9 +261,7 @@ impl Client {
         self.queue(&Request::Sync);
         match self.execute_batch()?.pop() {
             Some(Response::Stats(s)) => Ok(s),
-            Some(Response::Redirect(msg)) | Some(Response::Err(msg)) => {
-                Err(std::io::Error::other(msg))
-            }
+            Some(Response::Err(msg)) => Err(std::io::Error::other(msg)),
             _ => Err(std::io::Error::other("unexpected response")),
         }
     }

@@ -8,12 +8,10 @@
 pub mod client;
 pub mod poll;
 pub mod proto;
-pub mod repl;
 pub mod server;
 
 pub use client::Client;
 pub use proto::{Request, RequestRef, Response, ScanResume, StatsExReply, StatsReply};
-pub use repl::{Follower, FollowerConfig, FollowerStatus, ReplConfig, ReplSource};
 pub use server::{
     execute, execute_batch, execute_batch_into, execute_refs_into, Backend, ConnState, Server,
     ServerConfig,

@@ -250,8 +250,8 @@ pub enum RequestRef<'a> {
 }
 
 /// The durability snapshot carried by [`Response::Stats`]; mirrors
-/// `mtkv::DurabilityStats` plus replication (`mtkv::ReplStats`) and
-/// per-worker connection counters.
+/// `mtkv::DurabilityStats` plus the cache, value-tier and batch counters
+/// and per-worker connection counters.
 ///
 /// Wire format is **self-describing** so mixed-version client/server
 /// pairs degrade gracefully instead of misparsing when a release adds
@@ -264,7 +264,9 @@ pub enum RequestRef<'a> {
 /// The fixed `u64` counters appear in declaration order and are only
 /// ever **appended** to; a decoder fills the fields it knows, zeroes
 /// the ones an older peer didn't send, and skips the ones a newer peer
-/// added.
+/// added. Retired counters keep their wire slots: slots 12–15, which
+/// carried replication role, followers and lag, are sent as zeros and
+/// skipped on decode.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsReply {
     /// Checkpoints completed this server lifetime (the epoch tests wait
@@ -300,20 +302,6 @@ pub struct StatsReply {
     /// per-connection cap (each eviction costs its stream one descent on
     /// resume).
     pub cache_scan_evictions: u64,
-    /// Replication role: 0 = none, 1 = primary, 2 = follower.
-    pub repl_role: u64,
-    /// Primary: live (un-shed) followers currently attached.
-    pub repl_followers: u64,
-    /// Bounded-staleness lag in **bytes**. On the primary: the worst
-    /// (largest) gap between total durable log bytes and any live
-    /// follower's acked apply watermark. On a follower: bytes between
-    /// the primary's advertised durable total and what this replica has
-    /// applied.
-    pub repl_lag_bytes: u64,
-    /// Bounded-staleness lag in **primary clock microseconds**: how far
-    /// behind the primary's write timeline the laggiest replica (on the
-    /// primary) or this replica (on a follower) is. 0 when caught up.
-    pub repl_lag_ts_us: u64,
     /// Value tier: reads that resolved an indirect (value-separated)
     /// pointer record. 0 when value separation is off.
     pub indirect_reads: u64,
@@ -368,10 +356,11 @@ impl StatsReply {
             self.cache_write_stale,
             self.cache_scan_resumes,
             self.cache_scan_evictions,
-            self.repl_role,
-            self.repl_followers,
-            self.repl_lag_bytes,
-            self.repl_lag_ts_us,
+            // Retired slots 12–15 (replication).
+            0,
+            0,
+            0,
+            0,
             self.indirect_reads,
             self.value_cache_hits,
             self.gc_rewritten_bytes,
@@ -423,10 +412,6 @@ impl StatsReply {
             cache_write_stale: f[9],
             cache_scan_resumes: f[10],
             cache_scan_evictions: f[11],
-            repl_role: f[12],
-            repl_followers: f[13],
-            repl_lag_bytes: f[14],
-            repl_lag_ts_us: f[15],
             indirect_reads: f[16],
             value_cache_hits: f[17],
             gc_rewritten_bytes: f[18],
@@ -552,10 +537,11 @@ pub enum Response {
     /// happen — a `Scan` resuming an unknown token, or a batch frame
     /// the server refused to parse (oversized or corrupt).
     Err(String),
-    /// The request is a write but this server is a read-only replica.
-    /// The payload names the primary's client address when known
-    /// (`"read-only replica; primary at <addr>"`) so clients can
-    /// re-target without out-of-band configuration.
+    /// A write refused with the address of the server that takes it.
+    /// No server sends it any more: it was a read-only follower's
+    /// answer, and replication is gone. The variant and its codec stay
+    /// until a change to the benchmark, whose reply checker still
+    /// matches it, retires it.
     Redirect(String),
 }
 
@@ -1147,10 +1133,6 @@ mod tests {
             cache_write_stale: 77,
             cache_scan_resumes: 4_321,
             cache_scan_evictions: 12,
-            repl_role: 1,
-            repl_followers: 2,
-            repl_lag_bytes: 1 << 33,
-            repl_lag_ts_us: 250_000,
             indirect_reads: 88_000,
             value_cache_hits: 70_500,
             gc_rewritten_bytes: 9 << 20,
@@ -1166,9 +1148,7 @@ mod tests {
         roundtrip_resp(Response::StatsEx(StatsExReply::default()));
         roundtrip_resp(Response::Err("log dead: No space left on device".into()));
         roundtrip_resp(Response::Err(String::new()));
-        roundtrip_resp(Response::Redirect(
-            "read-only replica; primary at 127.0.0.1:7070".into(),
-        ));
+        roundtrip_resp(Response::Redirect("primary at 127.0.0.1:7070".into()));
     }
 
     #[test]
@@ -1188,6 +1168,10 @@ mod tests {
         };
         assert!(p.is_empty());
         assert_eq!(s.checkpoints, 1);
+        assert_eq!(s.cache_scan_evictions, 12);
+        // Slots 12–15 are retired: whatever an old peer sent there is
+        // skipped, and the next field still lines up.
+        assert_eq!(s.indirect_reads, 17);
         assert_eq!(s.live_segment_bytes, 20);
         assert_eq!(s.readahead_batches, 0);
         assert_eq!(s.coalesced_bytes, 0);
@@ -1211,6 +1195,25 @@ mod tests {
         assert_eq!(s.shared_misses, 23);
         assert_eq!(s.conflict_splits, 25);
         assert!(s.worker_conns.is_empty());
+    }
+
+    #[test]
+    fn retired_stats_slots_stay_on_the_wire_as_zeros() {
+        // The reply is positional: slots 12–15 (replication, retired)
+        // are still sent, as zeros, so every later counter keeps its
+        // index for older peers.
+        let mut buf = Vec::new();
+        Response::Stats(StatsReply {
+            cache_scan_evictions: 12,
+            indirect_reads: 17,
+            conflict_splits: 25,
+            ..StatsReply::default()
+        })
+        .encode(&mut buf);
+        assert_eq!(u16::from_le_bytes([buf[1], buf[2]]), StatsReply::NFIELDS);
+        let slot = |j: usize| u64::from_le_bytes(buf[3 + 8 * j..][..8].try_into().unwrap());
+        assert_eq!((slot(11), slot(16), slot(24)), (12, 17, 25));
+        assert!((12..16).all(|j| slot(j) == 0));
     }
 
     #[test]

@@ -88,11 +88,6 @@
 //! round-robin, so a worker stuck behind slow clients does not keep
 //! collecting new ones; per-worker connection counts are surfaced in
 //! the wire stats.
-//!
-//! A server can also run as a read-only **replica** (see
-//! [`crate::repl`]): configured with a redirect target, every write
-//! (`put`/`remove`/`flush`/`sync`) answers [`Response::Redirect`]
-//! naming the primary, while gets, scans and stats serve locally.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -201,26 +196,17 @@ struct WorkerLoad {
 }
 
 /// Execution context of one request: its connection's scan-token
-/// cursors plus the server-level [`ExecEnv`].
+/// cursors plus the per-worker load counters `Stats` reports.
 struct ExecCtx<'a> {
     tokens: &'a mut ScanTokens,
-    env: ExecEnv<'a>,
+    /// Per-worker live-connection counters (empty outside the
+    /// event-loop server).
+    loads: &'a [WorkerLoad],
 }
 
 impl<'a> ExecCtx<'a> {
     fn standalone(tokens: &'a mut ScanTokens) -> ExecCtx<'a> {
-        ExecCtx {
-            tokens,
-            env: ExecEnv::STANDALONE,
-        }
-    }
-
-    /// Writes are refused on a read-only replica; the redirect payload
-    /// names the primary so clients can re-target.
-    fn refuse_write(&self) -> Option<Response> {
-        self.env
-            .redirect
-            .map(|primary| Response::Redirect(format!("read-only replica; primary at {primary}")))
+        ExecCtx { tokens, loads: &[] }
     }
 }
 
@@ -229,10 +215,6 @@ impl<'a> ExecCtx<'a> {
 pub struct ServerConfig {
     /// Worker (event-loop) threads; `0` means `available_parallelism`.
     pub workers: usize,
-    /// Read-only replica mode: `Some(primary address)` makes every
-    /// write request answer [`Response::Redirect`] naming the primary
-    /// instead of executing. Reads, scans and stats serve locally.
-    pub redirect: Option<String>,
 }
 
 impl ServerConfig {
@@ -284,7 +266,6 @@ impl Server {
             let session = Box::new(store.session()?);
             kinds.push(WorkerKind::Store {
                 session,
-                redirect: config.redirect.clone(),
                 cursors: HashMap::new(),
             });
         }
@@ -544,8 +525,6 @@ enum WorkerKind {
     Store {
         /// Boxed: a session is ~600 bytes, the other variant one `Arc`.
         session: Box<Session>,
-        /// Follower mode: the primary address writes are redirected to.
-        redirect: Option<String>,
         /// The per-worker cursor map (replacing the per-connection one):
         /// connection id → that connection's resume-token cursors.
         cursors: HashMap<u64, ScanTokens>,
@@ -743,15 +722,7 @@ impl Worker {
 
     fn execute_frames(&mut self, reqs: &[RequestRef<'_>], frames: &[Frame], exec: &mut BatchExec) {
         match &mut self.kind {
-            WorkerKind::Store {
-                session,
-                redirect,
-                cursors,
-            } => {
-                let env = ExecEnv {
-                    redirect: redirect.as_deref(),
-                    loads: &self.loads,
-                };
+            WorkerKind::Store { session, cursors } => {
                 let conns = &mut self.conns[..];
                 // One stream per connection: its frames (contiguous by
                 // construction) and their requests, concatenated.
@@ -775,7 +746,7 @@ impl Worker {
                     ));
                     i = j;
                 }
-                exec.run(session, &env, cursors, reqs, frames, conns);
+                exec.run(session, &self.loads, cursors, reqs, frames, conns);
                 self.ops.fetch_add(reqs.len() as u64, Ordering::Relaxed);
             }
             WorkerKind::Backend(_) => {
@@ -1169,25 +1140,6 @@ impl Parked {
     }
 }
 
-/// Server-level state the request executors consult: the follower-mode
-/// redirect target and the per-worker load counters `Stats` reports.
-#[derive(Clone, Copy)]
-struct ExecEnv<'a> {
-    /// `Some(primary address)` on a read-only replica.
-    redirect: Option<&'a str>,
-    /// Per-worker live-connection counters (empty outside the
-    /// event-loop server).
-    loads: &'a [WorkerLoad],
-}
-
-impl ExecEnv<'static> {
-    /// Outside the event-loop server: a primary, no worker pool.
-    const STANDALONE: ExecEnv<'static> = ExecEnv {
-        redirect: None,
-        loads: &[],
-    };
-}
-
 /// The batch executor: plans a set of streams into conflict-aware
 /// phases ([`mtkv::PhasePlanner`] — see the module docs for the
 /// ordering contract) and runs each phase as at most one merged
@@ -1221,7 +1173,7 @@ impl BatchExec {
     fn run<O: Outputs + ?Sized>(
         &mut self,
         session: &Session,
-        env: &ExecEnv<'_>,
+        loads: &[WorkerLoad],
         cursors: &mut HashMap<u64, ScanTokens>,
         reqs: &[RequestRef<'_>],
         frames: &[Frame],
@@ -1237,13 +1189,12 @@ impl BatchExec {
             spare_updates,
             spare_puts,
         } = self;
-        let replica = env.redirect.is_some();
         planner.clear();
         let mut covered = 0;
         for s in streams.iter() {
             debug_assert_eq!(s.ops.start, covered, "streams tile the arena in order");
             covered = s.ops.end;
-            planner.push_stream(reqs[s.ops.clone()].iter().map(|r| classify(r, replica)));
+            planner.push_stream(reqs[s.ops.clone()].iter().map(classify));
         }
         debug_assert_eq!(covered, reqs.len());
         planner.finish();
@@ -1262,7 +1213,7 @@ impl BatchExec {
             updates.clear();
             for &i in phase {
                 if let (OpClass::Write(_), RequestRef::Put { cols, .. }) =
-                    (classify(&reqs[i as usize], replica), reqs[i as usize])
+                    (classify(&reqs[i as usize]), reqs[i as usize])
                 {
                     run.push(i as usize);
                     run_updates.push(updates.len());
@@ -1324,13 +1275,13 @@ impl BatchExec {
             let mut at = 0;
             for &i in phase {
                 let (i, req) = (i as usize, &reqs[i as usize]);
-                if classify(req, replica) != OpClass::Barrier {
+                if classify(req) != OpClass::Barrier {
                     continue;
                 }
                 let conn_id = stream_of(streams, &mut at, i).conn_id;
                 let mut ctx = ExecCtx {
                     tokens: cursors.entry(conn_id).or_default(),
-                    env: *env,
+                    loads,
                 };
                 emit(streams, &mut at, outs, frames, parked, i, |out| {
                     execute_into_tokens(session, &mut ctx, req, out)
@@ -1348,13 +1299,11 @@ impl BatchExec {
     }
 }
 
-/// How the planner sees a request. On a read-only replica puts plan as
-/// barriers, so the single-request path answers each with the typed
-/// redirect.
-fn classify<'a>(req: &RequestRef<'a>, replica: bool) -> OpClass<'a> {
+/// How the planner sees a request.
+fn classify<'a>(req: &RequestRef<'a>) -> OpClass<'a> {
     match *req {
         RequestRef::Get { key, .. } => OpClass::Read(key),
-        RequestRef::Put { key, .. } if !replica => OpClass::Write(key),
+        RequestRef::Put { key, .. } => OpClass::Write(key),
         _ => OpClass::Barrier,
     }
 }
@@ -1418,8 +1367,7 @@ pub fn execute_refs_into(session: &Session, reqs: &[RequestRef<'_>], out: &mut V
         exec.streams.clear();
         exec.streams
             .push(StreamPlan::new(0, 0, 0..reqs.len(), 0..0));
-        let env = ExecEnv::STANDALONE;
-        exec.run(session, &env, &mut HashMap::new(), reqs, &[], out);
+        exec.run(session, &[], &mut HashMap::new(), reqs, &[], out);
     });
     reqs.len()
 }
@@ -1447,7 +1395,7 @@ pub fn execute_batch(session: &Session, reqs: Vec<Request>) -> Vec<Response> {
 /// Gets and scans write column slices borrowed under the epoch guard
 /// (via `get_with` / `get_range_with`); puts and removes encode their
 /// small fixed-size replies; resumable `Scan` requests re-enter the tree
-/// at their remembered border nodes and replica mode refuses writes.
+/// at their remembered border nodes.
 fn execute_into_tokens(
     session: &Session,
     ctx: &mut ExecCtx<'_>,
@@ -1460,18 +1408,10 @@ fn execute_into_tokens(
             session.get_with(key, |hit| write_get_response(out, hit, cols));
         }
         RequestRef::Put { key, cols } => {
-            if let Some(resp) = ctx.refuse_write() {
-                return resp.encode(out);
-            }
             let updates: Vec<(usize, &[u8])> = cols.iter().map(|(i, d)| (i as usize, d)).collect();
             Response::PutOk(session.put(key, &updates)).encode(out);
         }
-        RequestRef::Remove { key } => {
-            if let Some(resp) = ctx.refuse_write() {
-                return resp.encode(out);
-            }
-            Response::RemoveOk(session.remove(key)).encode(out)
-        }
+        RequestRef::Remove { key } => Response::RemoveOk(session.remove(key)).encode(out),
         RequestRef::Scan {
             key,
             count,
@@ -1610,14 +1550,6 @@ pub fn execute(session: &Session, req: Request) -> Response {
 
 /// [`execute`] with the connection's execution context.
 fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Response {
-    if let Some(resp) = ctx.refuse_write() {
-        if matches!(
-            req,
-            Request::Put { .. } | Request::Remove { .. } | Request::Flush | Request::Sync
-        ) {
-            return resp;
-        }
-    }
     match req {
         Request::Get { key, cols } => {
             let ids: Option<Vec<usize>> = cols.map(|c| c.iter().map(|&i| i as usize).collect());
@@ -1654,7 +1586,7 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
             }
             Response::Rows(rows)
         }
-        Request::Stats => Response::Stats(gather_stats(session, ctx.env.loads)),
+        Request::Stats => Response::Stats(gather_stats(session, ctx.loads)),
         Request::StatsEx => Response::StatsEx(StatsExReply {
             // `Obs::snapshot` merges every live recorder (all sessions
             // across all workers), retired recorders from closed
@@ -1677,7 +1609,7 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
                     return Response::Err(format!("flush failed: durability cycle: {e}"));
                 }
             }
-            Response::Stats(gather_stats(session, ctx.env.loads))
+            Response::Stats(gather_stats(session, ctx.loads))
         }
         Request::Sync => {
             // Group-commit barrier only (§5's per-core log force): make
@@ -1687,7 +1619,7 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
             if !session.force_log() {
                 return Response::Err("sync failed: log writer is dead (I/O error)".into());
             }
-            Response::Stats(gather_stats(session, ctx.env.loads))
+            Response::Stats(gather_stats(session, ctx.loads))
         }
     }
 }
@@ -1705,8 +1637,6 @@ fn execute_tokens(session: &Session, ctx: &mut ExecCtx<'_>, req: Request) -> Res
 fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
     let s = session.store().durability_stats();
     let c = session.store().cache_stats();
-    let (repl_role, repl_followers, repl_lag_bytes, repl_lag_ts_us) =
-        session.store().repl_stats().snapshot();
     let v = session.store().value_tier_stats();
     let (phases, conflict_splits) = session.store().batch_plan_stats();
     StatsReply {
@@ -1723,10 +1653,6 @@ fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
         cache_write_stale: 0,
         cache_scan_resumes: c.scan_resumes,
         cache_scan_evictions: c.scan_evictions,
-        repl_role,
-        repl_followers,
-        repl_lag_bytes,
-        repl_lag_ts_us,
         indirect_reads: v.indirect_reads,
         value_cache_hits: v.value_cache_hits,
         gc_rewritten_bytes: v.gc_rewritten_bytes,

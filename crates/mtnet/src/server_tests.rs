@@ -104,7 +104,6 @@ fn run_seed(seed: u64, nconns: usize) {
     let mut last_version: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
     let mut exec = BatchExec::default();
     let mut cursors = HashMap::new();
-    let env = ExecEnv::STANDALONE;
     let mut seq = 0u64;
     let mut parked_some = false;
 
@@ -158,7 +157,7 @@ fn run_seed(seed: u64, nconns: usize) {
             ));
         }
         let mut outs: Vec<Vec<u8>> = vec![Vec::new(); nconns];
-        exec.run(&session, &env, &mut cursors, &reqs, &frames, &mut outs[..]);
+        exec.run(&session, &[], &mut cursors, &reqs, &frames, &mut outs[..]);
         parked_some |= !exec.parked.bytes.is_empty();
 
         // Every connection: one reply frame per request frame, every

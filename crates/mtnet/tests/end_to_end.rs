@@ -82,7 +82,7 @@ fn stats_on_in_memory_store_is_all_zero() {
     let mut c = Client::connect(server.addr()).unwrap();
     c.put(b"k", vec![(0, b"v".to_vec())]).unwrap();
     let s = c.stats().unwrap();
-    // Everything durability/replication-related is zero; the live
+    // Everything durability-related is zero; the live
     // per-worker connection counts must still see this one connection,
     // and the batch executor has run one phase (the put's).
     assert_eq!(s.worker_conns.iter().sum::<u64>(), 1, "{s:?}");

@@ -175,15 +175,8 @@ fn many_pipelined_connections_torture() {
     {
         let store =
             Store::persistent_with(&dir, DurabilityConfig::tiny_segments(256 * 1024)).unwrap();
-        let mut server = Server::start_with(
-            store,
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: WORKERS,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut server =
+            Server::start_with(store, "127.0.0.1:0", ServerConfig { workers: WORKERS }).unwrap();
         let addr = server.addr();
 
         // Shared scan range, written before the torture begins.

@@ -27,10 +27,7 @@ fn statsex_aggregates_across_workers() {
     let server = Server::start_with(
         Store::in_memory(),
         "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
+        ServerConfig { workers: 2 },
     )
     .unwrap();
 

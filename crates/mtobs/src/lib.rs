@@ -89,8 +89,8 @@ pub fn bucket_upper(idx: usize) -> u64 {
 
 /// What an individual histogram measures. Foreground kinds are recorded
 /// by sessions/workers (per-op or per-merged-run latency); background
-/// kinds by the durability/GC/replication machinery into the store's
-/// global recorder.
+/// kinds by the durability and GC machinery into the store's global
+/// recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kind {
@@ -118,22 +118,18 @@ pub enum Kind {
     GcPass = 11,
     /// Cold value cache fill (segment read + decode on a cache miss).
     VsegFill = 12,
-    /// One replication feeder ship pass that moved bytes.
-    ReplShip = 13,
-    /// One follower replay batch.
-    ReplReplay = 14,
     /// One batched cold-value resolution (`resolve_many`) that missed
     /// the cache and issued clustered segment reads.
-    VsegReadahead = 15,
+    VsegReadahead = 13,
     /// One cold miss that waited on another reader's in-flight segment
     /// read instead of issuing its own (latency = time blocked).
-    VsegSharedMiss = 16,
+    VsegSharedMiss = 14,
     /// One log truncation + checkpoint prune pass of a durability cycle.
-    Truncate = 17,
+    Truncate = 15,
 }
 
 impl Kind {
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 16;
     pub const ALL: [Kind; Kind::COUNT] = [
         Kind::GetHit,
         Kind::GetDescent,
@@ -148,8 +144,6 @@ impl Kind {
         Kind::Checkpoint,
         Kind::GcPass,
         Kind::VsegFill,
-        Kind::ReplShip,
-        Kind::ReplReplay,
         Kind::VsegReadahead,
         Kind::VsegSharedMiss,
         Kind::Truncate,
@@ -170,8 +164,6 @@ impl Kind {
             Kind::Checkpoint => "checkpoint",
             Kind::GcPass => "gc_pass",
             Kind::VsegFill => "vseg_fill",
-            Kind::ReplShip => "repl_ship",
-            Kind::ReplReplay => "repl_replay",
             Kind::VsegReadahead => "vseg_readahead",
             Kind::VsegSharedMiss => "vseg_shared_miss",
             Kind::Truncate => "truncate",
@@ -423,7 +415,7 @@ impl Obs {
     }
 
     /// The background-subsystem recorder (WAL force, barrier,
-    /// checkpoint, GC, vseg fill, replication).
+    /// checkpoint, GC, vseg fill).
     pub fn global(&self) -> &HistSet {
         &self.global
     }

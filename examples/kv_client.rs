@@ -85,16 +85,11 @@ fn main() {
             }
         }
         "stats" => {
-            // One line per field so scripts can grep a single value
-            // (CI polls `repl_lag_bytes` to wait for follower catch-up).
+            // One line per field so scripts can grep a single value.
             let s = client.stats().unwrap();
             println!("checkpoints: {}", s.checkpoints);
             println!("log_bytes: {}", s.log_bytes);
             println!("log_segments: {}", s.log_segments);
-            println!("repl_role: {}", s.repl_role);
-            println!("repl_followers: {}", s.repl_followers);
-            println!("repl_lag_bytes: {}", s.repl_lag_bytes);
-            println!("repl_lag_ts_us: {}", s.repl_lag_ts_us);
             println!("indirect_reads: {}", s.indirect_reads);
             println!("value_cache_hits: {}", s.value_cache_hits);
             println!("readahead_batches: {}", s.readahead_batches);

@@ -9,26 +9,6 @@
 //! program. If the data directory already holds logs/checkpoints, the
 //! server recovers from them before serving.
 //!
-//! Replication:
-//!
-//! * `MT_REPL_LISTEN=<addr>` makes the server a **primary**: it streams
-//!   its log (sealed segments + live tail) to any follower that
-//!   connects to `<addr>`.
-//! * `--follow <primary-repl-addr>` makes the server a **follower**: a
-//!   read replica that replays the primary's log stream into its own
-//!   tree and serves gets/scans, answering every write with a typed
-//!   redirect naming the primary (`MT_REDIRECT=<addr>` overrides the
-//!   advertised address). The data directory holds the follower's
-//!   mirrored segments and replay watermark, so a restarted follower
-//!   resumes where it left off.
-//!
-//! ```sh
-//! MT_REPL_LISTEN=127.0.0.1:7800 cargo run --release --example kv_server \
-//!     -- 127.0.0.1:7700 /tmp/mtprimary
-//! cargo run --release --example kv_server \
-//!     -- 127.0.0.1:7701 /tmp/mtreplica --follow 127.0.0.1:7800
-//! ```
-//!
 //! Value separation: `MT_VALUE_SEP=<threshold>[:<cache-bytes>]` spills
 //! values of at least `<threshold>` data bytes to append-only value
 //! segments, keeping a fixed 24-byte pointer in the leaf (README:
@@ -41,12 +21,12 @@
 //!
 //! * `MT_METRICS_LISTEN=<addr>` serves Prometheus text exposition on
 //!   `GET /metrics`: per-op-kind latency histograms (`mt_op_latency_
-//!   seconds`) plus durability/replication/value-tier gauges and the
+//!   seconds`) plus durability/cache/value-tier gauges and the
 //!   batch executor's `mt_batch_phases_total` /
 //!   `mt_batch_conflict_splits_total`.
 //! * `MT_STATS_INTERVAL=<secs>` prints one structured `STATS` line per
 //!   interval: op rates, p99 latencies, slow-op and trace counts,
-//!   replication lag, checkpoint and GC activity.
+//!   checkpoint and GC activity.
 //! * `MT_SLOW_OP_US=<micros>` force-samples any op at or over the
 //!   threshold as a structured `SLOWOP` line on stderr.
 //! * `MT_TRACE_SAMPLE=<n>` samples 1-in-n requests (rounded to a power
@@ -59,29 +39,12 @@ use std::sync::Arc;
 
 use mtkv::mtobs::{self, Kind};
 use mtkv::{recover_with, DurabilityConfig, Store};
-use mtnet::{Follower, ReplSource, Server, ServerConfig};
+use mtnet::{Server, ServerConfig};
 
 fn main() {
-    let mut follow: Option<String> = None;
-    let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--follow" {
-            follow = Some(args.next().expect("--follow <primary-repl-addr>"));
-        } else {
-            positional.push(arg);
-        }
-    }
-    let addr = positional
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7700".into());
-    let dir = PathBuf::from(
-        positional
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| "/tmp/mtdata".into()),
-    );
+    let addr = args.next().unwrap_or_else(|| "127.0.0.1:7700".into());
+    let dir = PathBuf::from(args.next().unwrap_or_else(|| "/tmp/mtdata".into()));
     std::fs::create_dir_all(&dir).expect("create data dir");
 
     // Event-loop worker pool: MT_SERVER_WORKERS=<n> fixes the worker
@@ -90,11 +53,6 @@ fn main() {
         .ok()
         .map(|v| v.parse().expect("MT_SERVER_WORKERS=<count>"))
         .unwrap_or(0);
-
-    if let Some(primary) = follow {
-        run_follower(&addr, &dir, &primary, workers);
-        return;
-    }
 
     // Larger-than-RAM value separation: MT_VALUE_SEP=<threshold>[:<cache>]
     // spills values of at least <threshold> data bytes into append-only
@@ -132,20 +90,9 @@ fn main() {
         println!("validated-anchor cache enabled: {slots} slots per connection");
     }
 
-    // Primary replication endpoint: followers connect here and stream
-    // the log. Held for the server's lifetime.
-    let _repl_source = std::env::var("MT_REPL_LISTEN").ok().map(|repl_addr| {
-        let src = ReplSource::start(&store, &repl_addr).expect("replication listener");
-        println!("replication: primary streaming on {}", src.addr());
-        src
-    });
-
     let stats_interval = setup_observability(&store);
 
-    let config = ServerConfig {
-        workers,
-        redirect: None,
-    };
+    let config = ServerConfig { workers };
     let server = Server::start_with(store.clone(), &addr, config).expect("bind");
     println!("masstree server listening on {}", server.addr());
     println!(
@@ -253,12 +200,11 @@ fn serve_metrics(listener: std::net::TcpListener, store: Arc<Store>) {
 }
 
 /// One scrape: the merged histogram snapshot plus the store's
-/// durability / cache / replication / value-tier gauges.
+/// durability / cache / value-tier gauges.
 fn render_metrics(store: &Arc<Store>) -> String {
     let snap = store.obs().snapshot();
     let d = store.durability_stats();
     let c = store.cache_stats();
-    let (repl_role, repl_followers, repl_lag_bytes, repl_lag_ts_us) = store.repl_stats().snapshot();
     let v = store.value_tier_stats();
     let (phases, conflict_splits) = store.batch_plan_stats();
     mtobs::render_prometheus(
@@ -270,10 +216,6 @@ fn render_metrics(store: &Arc<Store>) -> String {
             ("mt_segments_truncated_total", d.segments_truncated),
             ("mt_cache_lookups_total", c.lookups),
             ("mt_cache_hits_total", c.hits),
-            ("mt_repl_role", repl_role),
-            ("mt_repl_followers", repl_followers),
-            ("mt_repl_lag_bytes", repl_lag_bytes),
-            ("mt_repl_lag_ts_us", repl_lag_ts_us),
             ("mt_indirect_reads_total", v.indirect_reads),
             ("mt_value_cache_hits_total", v.value_cache_hits),
             ("mt_readahead_batches_total", v.readahead_batches),
@@ -288,7 +230,7 @@ fn render_metrics(store: &Arc<Store>) -> String {
 }
 
 /// Emits one structured `STATS` line per `MT_STATS_INTERVAL`: interval
-/// deltas for rates and percentiles, plus instantaneous lag gauges.
+/// deltas for rates and percentiles, plus running durability totals.
 struct StatsTicker {
     interval: std::time::Duration,
     last: std::time::Instant,
@@ -316,14 +258,12 @@ impl StatsTicker {
         gets.merge(d.kind(Kind::GetCold));
         let ops =
             d.foreground_ops() + d.kind(Kind::MultiGet).count() + d.kind(Kind::MultiPut).count();
-        let (_, _, repl_lag_bytes, repl_lag_ts_us) = store.repl_stats().snapshot();
         let dur = store.durability_stats();
         let v = store.value_tier_stats();
         println!(
             "STATS ops={ops} ops_per_s={:.0} get_p99={} put_p99={} \
              multiget_p99={} wal_force_p99={} checkpoint_p99={} gc_p99={} \
-             slow_ops={} traces={} repl_lag_bytes={repl_lag_bytes} \
-             repl_lag_us={repl_lag_ts_us} checkpoints={} gc_bytes={}",
+             slow_ops={} traces={} checkpoints={} gc_bytes={}",
             ops as f64 / secs,
             mtobs::fmt_ns(gets.percentile(0.99)),
             mtobs::fmt_ns(d.kind(Kind::Put).percentile(0.99)),
@@ -338,36 +278,5 @@ impl StatsTicker {
         );
         self.prev = snap;
         self.last = std::time::Instant::now();
-    }
-}
-
-/// Read-replica mode: replay the primary's log stream, serve reads,
-/// redirect writes.
-fn run_follower(addr: &str, dir: &std::path::Path, primary: &str, workers: usize) {
-    let follower = Follower::start(dir, primary).expect("start follower");
-    let redirect = std::env::var("MT_REDIRECT").unwrap_or_else(|_| primary.to_string());
-    let stats_interval = setup_observability(&follower.store());
-    let config = ServerConfig {
-        workers,
-        redirect: Some(redirect.clone()),
-    };
-    let server = Server::start_with(follower.store(), addr, config).expect("bind");
-    println!(
-        "masstree read replica listening on {} (following {}, writes redirect to {})",
-        server.addr(),
-        primary,
-        redirect
-    );
-    let mut ticker = stats_interval.map(StatsTicker::new);
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(1));
-        follower.store().maintain();
-        if let Some(t) = ticker.as_mut() {
-            t.tick(&follower.store());
-        }
-        let (lag_bytes, lag_ts_us) = follower.lag();
-        if lag_bytes > 0 {
-            println!("replica lag: {lag_bytes} bytes, {lag_ts_us} us");
-        }
     }
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the benchmark, for the CHANGES.md
-# evidence rule. The parent revision is built in a temporary git
-# worktree (removed on exit); the working tree is the change. The
-# command and the run length come from BENCHMARK.json, and nothing
-# under benchmark/ is touched.
+# evidence rule. The parent revision is exported with `git archive` into
+# a temporary directory (removed on exit); the working tree is the
+# change. The command and the run length come from BENCHMARK.json, and
+# nothing under benchmark/ is touched.
 #
 #   tools/pair.sh [options] <parent-rev> <workload> [control ...]
 #
@@ -15,9 +15,14 @@
 #                metrics to the table
 #
 # Both sides of a pair run the same seed; pair i runs the parent first
-# when i is even and the change first when i is odd. For each workload
-# and metric it prints both sides' medians and quartiles, the pairs the
-# change won (ties count for neither) and a verdict:
+# when i is even and the change first when i is odd. A pair where
+# either side prints kvbench's own `kvbench: INVALID RUN` verdict on
+# stderr is not a pair: it is re-run, in the same order, on the next
+# unseen seed, at most twice, and then dropped and printed. Each
+# workload reports its `invalid_reruns`, and everything below counts
+# valid pairs only. For each workload and metric it prints both sides'
+# medians and quartiles, the pairs the change won (ties count for
+# neither) and a verdict:
 #   - on <workload>, "claim supported" when there are at least ten pairs,
 #     the change wins at least nine tenths of them and the medians
 #     differ, its way, by more than the parent's quartile distance; else
@@ -49,13 +54,9 @@ parent_rev="$(git rev-parse --verify "$1^{commit}")"
 shift
 
 tmp="$(mktemp -d)"
-cleanup() {
-    git worktree remove --force "$tmp/parent" 2>/dev/null || true
-    git worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$tmp/parent" "$parent_rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git archive "$parent_rev" | tar -x -C "$tmp/parent"
 
 change_rev="$(git rev-parse --short HEAD)"
 if [[ -n "$(git status --porcelain --untracked-files=no)" ]]; then
@@ -105,9 +106,11 @@ def run(side, workload, s):
     if out.returncode != 0 or not lines:
         sys.exit(f"{side} {workload} seed {s}: exit {out.returncode}\n{out.stderr[-2000:]}")
     res = json.loads(lines[-1])
+    invalid = [l for l in out.stderr.splitlines() if l.startswith("kvbench: INVALID RUN")]
     print(f"# {workload} seed {s} {side}: {time.time() - t0:.1f} s, failed "
-          f"{res['failed']} of {res['attempted']}", flush=True)
-    return res
+          f"{res['failed']} of {res['attempted']}"
+          + "".join(f"\n#   {l}" for l in invalid), flush=True)
+    return res, bool(invalid)
 
 def quartiles(v):
     return statistics.quantiles(v, n=4) if len(v) >= 2 else [v[0], v[0], v[0]]
@@ -123,23 +126,46 @@ def host_tag():
         pass
     return f"{os.cpu_count()}x {model}"
 
-rows, raw, bad = [], [], 0
+rows, raw, bad, dropped = [], [], 0, []
+reruns = {}  # workload -> pairs re-run because a side was INVALID RUN
 s = first
 for k, workload in enumerate(workloads):
     claimed = k == 0
     vals = {}  # metric -> {"parent": [...], "change": [...]}
     units = {}
     n = pairs if claimed else control_pairs
-    seeds = (s, s + n - 1)
+    start = s
+    reruns[workload] = 0
+    valid = 0
     for i in range(n):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            res = run(side, workload, s)
-            bad += res["failed"] > 0 or not res["correct"]
+        for attempt in range(3):
+            got = {}
+            for side in order:
+                res, invalid = run(side, workload, s)
+                bad += res["failed"] > 0 or not res["correct"]
+                got[side] = (res, invalid)
+            s += 1
+            if not any(invalid for _, invalid in got.values()):
+                break
+            if attempt < 2:
+                reruns[workload] += 1
+                print(f"# {workload} pair {i}: INVALID RUN on seed {s - 1}, re-run on seed {s}",
+                      flush=True)
+        else:
+            dropped.append((workload, i, list(range(s - 3, s))))
+            print(f"# {workload} pair {i}: INVALID RUN on seeds {s - 3}-{s - 1}, dropped",
+                  flush=True)
+            continue
+        valid += 1
+        for side, (res, _) in got.items():
             for name, m in res["metrics"].items():
                 vals.setdefault(name, {"parent": [], "change": []})[side].append(m["value"])
                 units[name] = m["unit"]
-        s += 1
+    seeds = (start, s - 1)
+    n = valid
+    if n == 0:
+        continue
     for name, v in vals.items():
         p, c = v["parent"], v["change"]
         if len(p) != len(c):
@@ -177,6 +203,7 @@ for k, workload in enumerate(workloads):
                 "seeds": list(seeds), "median": cmed, "iqr": cq[2] - cq[0],
                 "parent_median": pmed, "parent_iqr": iqr, "wins": wins,
                 "verdict": verdict or bound_verdict, "host": host_tag(),
+                "invalid_reruns": reruns[workload],
             }) + "\n")
 
 print()
@@ -192,7 +219,11 @@ for (w, name, unit, pmed, pq, cmed, cq, wins, n, verdict, bound_verdict) in rows
     print(f"| {w} | {name} | {unit} | {g(pmed)} [{g(pq[0])}, {g(pq[2])}] "
           f"| {g(cmed)} [{g(cq[0])}, {g(cq[2])}] | {wins}/{n} | {text} |")
 print()
-print("Raw values, in pair order (parent | change):")
+print("invalid_reruns: " + ", ".join(f"{w} {r}" for w, r in reruns.items()))
+for w, i, seeds_tried in dropped:
+    print(f"dropped: {w} pair {i}, INVALID RUN on seeds {seeds_tried}")
+print()
+print("Raw values, in valid pair order (parent | change):")
 for w, name, p, c in raw:
     print(f"- {w} {name}: " + " ".join(map(g, p)) + " | " + " ".join(map(g, c)))
 if bad:
