@@ -7,6 +7,9 @@
 
 pub mod client;
 pub mod poll;
+// `poll` is raw epoll, with no fallback for other kernels.
+#[cfg(not(target_os = "linux"))]
+compile_error!("mtnet's poller is raw epoll: Linux is the one supported OS");
 pub mod proto;
 pub mod server;
 

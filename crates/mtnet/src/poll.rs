@@ -2,12 +2,11 @@
 //! server, written in-repo like every other dependency (the container
 //! that builds this workspace has no access to crates.io).
 //!
-//! Linux gets `epoll` (level-triggered, which matches how the server
+//! It is raw `epoll`, level-triggered, which matches how the server
 //! drains: a socket with unread bytes keeps firing until the worker has
-//! consumed them); other unixes get a `poll(2)` fallback behind the same
-//! API. Each [`Poller`] belongs to exactly one worker thread, so the
-//! interest bookkeeping needs no synchronization beyond what the kernel
-//! does.
+//! consumed them. Linux is the one supported OS. Each [`Poller`] belongs
+//! to exactly one worker thread, so the interest bookkeeping needs no
+//! synchronization beyond what the kernel does.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -37,245 +36,125 @@ pub struct Event {
     pub hangup: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
+// The kernel ABI for `struct epoll_event`; packed on x86-64 only
+// (the one architecture where the kernel declares it so).
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    // The kernel ABI for `struct epoll_event`; packed on x86-64 only
-    // (the one architecture where the kernel declares it so).
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
 
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
 
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn close(fd: i32) -> i32;
+}
 
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    fn cvt(ret: i32) -> io::Result<i32> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
-        if interest.readable {
-            m |= EPOLLIN;
-        }
-        if interest.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    pub struct Poller {
-        epfd: RawFd,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: plain syscall; the returned fd is owned by `Poller`.
-            let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Poller { epfd })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            // SAFETY: `ev` outlives the call; the kernel copies it.
-            cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) })?;
-            Ok(())
-        }
-
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            // SAFETY: as above (pre-2.6.9 kernels required a non-null event).
-            cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
-            Ok(())
-        }
-
-        /// Blocks until at least one registration is ready (`timeout_ms < 0`
-        /// waits forever), replacing `events`' contents.
-        pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            events.clear();
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
-            let n = loop {
-                // SAFETY: `buf` is a valid out-array of the stated length.
-                match cvt(unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                }) {
-                    Ok(n) => break n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            };
-            for ev in &buf[..n] {
-                // Copy out of the (possibly packed) struct before use.
-                let bits = ev.events;
-                let token = ev.data;
-                events.push(Event {
-                    token,
-                    readable: bits & EPOLLIN != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            // SAFETY: `epfd` is owned and closed exactly once.
-            unsafe { close(self.epfd) };
-        }
+fn cvt(ret: i32) -> io::Result<i32> {
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(ret)
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::{Event, Interest};
-    use std::cell::RefCell;
-    use std::io;
-    use std::os::fd::RawFd;
+fn mask(interest: Interest) -> u32 {
+    let mut m = EPOLLRDHUP;
+    if interest.readable {
+        m |= EPOLLIN;
+    }
+    if interest.writable {
+        m |= EPOLLOUT;
+    }
+    m
+}
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
+pub struct Poller {
+    epfd: RawFd,
+}
+
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall; the returned fd is owned by `Poller`.
+        let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Poller { epfd })
     }
 
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    #[cfg(any(target_os = "macos", target_os = "ios"))]
-    type Nfds = u32;
-    #[cfg(not(any(target_os = "macos", target_os = "ios")))]
-    type Nfds = u64;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: mask(interest),
+            data: token,
+        };
+        // SAFETY: `ev` outlives the call; the kernel copies it.
+        cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) })?;
+        Ok(())
     }
 
-    /// `poll(2)` keeps no kernel-side registration set, so the poller
-    /// carries it. Single-threaded by design (one poller per worker),
-    /// hence `RefCell`, not a lock.
-    pub struct Poller {
-        registered: RefCell<Vec<(RawFd, u64, Interest)>>,
+    pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registered: RefCell::new(Vec::new()),
-            })
-        }
+    pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.borrow_mut().push((fd, token, interest));
-            Ok(())
-        }
+    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as above (pre-2.6.9 kernels required a non-null event).
+        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
+        Ok(())
+    }
 
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registered.borrow_mut();
-            match reg.iter_mut().find(|(f, _, _)| *f == fd) {
-                Some(slot) => {
-                    *slot = (fd, token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::other("reregister: fd not registered")),
+    /// Blocks until at least one registration is ready (`timeout_ms < 0`
+    /// waits forever), replacing `events`' contents.
+    pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        events.clear();
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+        let n = loop {
+            // SAFETY: `buf` is a valid out-array of the stated length.
+            match cvt(unsafe {
+                epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
+            }) {
+                Ok(n) => break n as usize,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             }
+        };
+        for ev in &buf[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let bits = ev.events;
+            let token = ev.data;
+            events.push(Event {
+                token,
+                readable: bits & EPOLLIN != 0,
+                writable: bits & EPOLLOUT != 0,
+                hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
         }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.borrow_mut().retain(|(f, _, _)| *f != fd);
-            Ok(())
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            events.clear();
-            let reg = self.registered.borrow();
-            let mut fds: Vec<PollFd> = reg
-                .iter()
-                .map(|&(fd, _, interest)| PollFd {
-                    fd,
-                    events: if interest.readable { POLLIN } else { 0 }
-                        | if interest.writable { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            let n = loop {
-                // SAFETY: `fds` is a valid array of the stated length.
-                let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
-                if r >= 0 {
-                    break r;
-                }
-                let e = io::Error::last_os_error();
-                if e.kind() != io::ErrorKind::Interrupted {
-                    return Err(e);
-                }
-            };
-            if n > 0 {
-                for (pfd, &(_, token, _)) in fds.iter().zip(reg.iter()) {
-                    if pfd.revents != 0 {
-                        events.push(Event {
-                            token,
-                            readable: pfd.revents & POLLIN != 0,
-                            writable: pfd.revents & POLLOUT != 0,
-                            hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
-                        });
-                    }
-                }
-            }
-            Ok(())
-        }
+        Ok(())
     }
 }
 
-pub use sys::Poller;
-
-// Both `sys` backends must expose the same surface; these bindings are
-// checked against whichever one is compiled in.
-const _: fn(&Poller, RawFd, u64, Interest) -> io::Result<()> = Poller::register;
-const _: fn(&Poller, RawFd, u64, Interest) -> io::Result<()> = Poller::reregister;
-const _: fn(&Poller, RawFd) -> io::Result<()> = Poller::deregister;
-const _: fn(&Poller, &mut Vec<Event>, i32) -> io::Result<()> = Poller::wait;
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: `epfd` is owned and closed exactly once.
+        unsafe { close(self.epfd) };
+    }
+}
 
 #[cfg(test)]
 mod tests {

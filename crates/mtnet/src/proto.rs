@@ -317,8 +317,9 @@ pub struct StatsReply {
     /// Value tier: bytes fetched by clustered (coalesced) segment reads
     /// — payloads plus the gaps dragged along with them.
     pub coalesced_bytes: u64,
-    /// Value tier: cold misses that shared another reader's in-flight
-    /// segment read instead of issuing their own.
+    /// Retired, always 0: concurrent cold misses no longer share one
+    /// segment read. The slot stays because reply fields are positional
+    /// and append-only; the encoder sends 0 and the decoder reads 0.
     pub shared_misses: u64,
     /// Batch execution: phases run by the batch executor — each is at
     /// most one merged put run, one merged get run and its barrier
@@ -367,7 +368,8 @@ impl StatsReply {
             self.live_segment_bytes,
             self.readahead_batches,
             self.coalesced_bytes,
-            self.shared_misses,
+            // Retired slot 22 (shared cold misses).
+            0,
             self.phases,
             self.conflict_splits,
         ] {
@@ -418,7 +420,7 @@ impl StatsReply {
             live_segment_bytes: f[19],
             readahead_batches: f[20],
             coalesced_bytes: f[21],
-            shared_misses: f[22],
+            shared_misses: 0,
             phases: f[23],
             conflict_splits: f[24],
             worker_conns,
@@ -1139,7 +1141,7 @@ mod tests {
             live_segment_bytes: 3 << 30,
             readahead_batches: 12_345,
             coalesced_bytes: 6 << 25,
-            shared_misses: 432,
+            shared_misses: 0,
             phases: 90_000,
             conflict_splits: 1_234,
             worker_conns: vec![3, 0, 7, 1],
@@ -1192,7 +1194,8 @@ mod tests {
             panic!("new-peer stats frame must decode");
         };
         assert!(p.is_empty());
-        assert_eq!(s.shared_misses, 23);
+        assert_eq!(s.phases, 24);
+        assert_eq!(s.shared_misses, 0, "retired slot 22 decodes as 0");
         assert_eq!(s.conflict_splits, 25);
         assert!(s.worker_conns.is_empty());
     }
@@ -1214,6 +1217,37 @@ mod tests {
         let slot = |j: usize| u64::from_le_bytes(buf[3 + 8 * j..][..8].try_into().unwrap());
         assert_eq!((slot(11), slot(16), slot(24)), (12, 17, 25));
         assert!((12..16).all(|j| slot(j) == 0));
+    }
+
+    #[test]
+    fn retired_shared_misses_slot_stays_on_the_wire_as_zero() {
+        // Slot 22 (shared cold misses, retired) is still sent, as 0,
+        // whatever the field holds, so `phases` and `conflict_splits`
+        // keep their indices; the decoder reads the field as 0.
+        let mut buf = Vec::new();
+        Response::Stats(StatsReply {
+            coalesced_bytes: 21,
+            shared_misses: 432,
+            phases: 23,
+            conflict_splits: 24,
+            ..StatsReply::default()
+        })
+        .encode(&mut buf);
+        let slot = |j: usize| u64::from_le_bytes(buf[3 + 8 * j..][..8].try_into().unwrap());
+        assert_eq!((slot(21), slot(22), slot(23), slot(24)), (21, 0, 23, 24));
+        let mut p = &buf[..];
+        let Some(Response::Stats(s)) = Response::decode(&mut p) else {
+            panic!("stats frame must decode");
+        };
+        assert_eq!(
+            (
+                s.coalesced_bytes,
+                s.shared_misses,
+                s.phases,
+                s.conflict_splits
+            ),
+            (21, 0, 23, 24)
+        );
     }
 
     #[test]

@@ -1659,7 +1659,8 @@ fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
         live_segment_bytes: v.live_segment_bytes,
         readahead_batches: v.readahead_batches,
         coalesced_bytes: v.coalesced_bytes,
-        shared_misses: v.shared_misses,
+        // Retired wire slot: concurrent cold misses no longer share reads.
+        shared_misses: 0,
         phases,
         conflict_splits,
         worker_conns: loads

@@ -121,15 +121,12 @@ pub enum Kind {
     /// One batched cold-value resolution (`resolve_many`) that missed
     /// the cache and issued clustered segment reads.
     VsegReadahead = 13,
-    /// One cold miss that waited on another reader's in-flight segment
-    /// read instead of issuing its own (latency = time blocked).
-    VsegSharedMiss = 14,
     /// One log truncation + checkpoint prune pass of a durability cycle.
-    Truncate = 15,
+    Truncate = 14,
 }
 
 impl Kind {
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 15;
     pub const ALL: [Kind; Kind::COUNT] = [
         Kind::GetHit,
         Kind::GetDescent,
@@ -145,7 +142,6 @@ impl Kind {
         Kind::GcPass,
         Kind::VsegFill,
         Kind::VsegReadahead,
-        Kind::VsegSharedMiss,
         Kind::Truncate,
     ];
 
@@ -165,7 +161,6 @@ impl Kind {
             Kind::GcPass => "gc_pass",
             Kind::VsegFill => "vseg_fill",
             Kind::VsegReadahead => "vseg_readahead",
-            Kind::VsegSharedMiss => "vseg_shared_miss",
             Kind::Truncate => "truncate",
         }
     }

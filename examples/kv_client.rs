@@ -94,7 +94,6 @@ fn main() {
             println!("value_cache_hits: {}", s.value_cache_hits);
             println!("readahead_batches: {}", s.readahead_batches);
             println!("coalesced_bytes: {}", s.coalesced_bytes);
-            println!("shared_misses: {}", s.shared_misses);
             println!("live_segment_bytes: {}", s.live_segment_bytes);
             println!("phases: {}", s.phases);
             println!("conflict_splits: {}", s.conflict_splits);

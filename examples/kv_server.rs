@@ -14,8 +14,7 @@
 //! segments, keeping a fixed 24-byte pointer in the leaf (README:
 //! "Larger-than-RAM"). `kv_client <addr> stats` reports the tier's
 //! `indirect_reads` / `value_cache_hits` / `live_segment_bytes` plus the
-//! clustered-resolution counters `readahead_batches` / `coalesced_bytes`
-//! / `shared_misses`.
+//! clustered-resolution counters `readahead_batches` / `coalesced_bytes`.
 //!
 //! Observability:
 //!
@@ -220,7 +219,6 @@ fn render_metrics(store: &Arc<Store>) -> String {
             ("mt_value_cache_hits_total", v.value_cache_hits),
             ("mt_readahead_batches_total", v.readahead_batches),
             ("mt_coalesced_bytes_total", v.coalesced_bytes),
-            ("mt_shared_misses_total", v.shared_misses),
             ("mt_gc_rewritten_bytes_total", v.gc_rewritten_bytes),
             ("mt_live_segment_bytes", v.live_segment_bytes),
             ("mt_batch_phases_total", phases),

@@ -31,6 +31,10 @@
 #     metric's BENCHMARK.json bound on the medians, or "unresolved" when
 #     the parent's own spread is wider than the bound and the change did
 #     not read better in every run.
+# Quartiles need at least 3 valid pairs: below that no quartiles are
+# printed ("[-]") or recorded (null), and an end-to-end metric reads "too
+# few pairs" instead of a bound verdict, because the quartiles of 1 or
+# 2 samples would be extrapolated past the data.
 # Raw values follow, in pair order. One line per workload x metric is
 # appended to perf/HISTORY.jsonl. Exits non-zero when a run fails or
 # fails an operation.
@@ -113,7 +117,8 @@ def run(side, workload, s):
     return res, bool(invalid)
 
 def quartiles(v):
-    return statistics.quantiles(v, n=4) if len(v) >= 2 else [v[0], v[0], v[0]]
+    # Below 3 samples the exclusive method extrapolates past the data.
+    return statistics.quantiles(v, n=4) if len(v) >= 3 else None
 
 def host_tag():
     model = "unknown cpu"
@@ -174,7 +179,7 @@ for k, workload in enumerate(workloads):
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         pq, cq = quartiles(p), quartiles(c)
         pmed, cmed = statistics.median(p), statistics.median(c)
-        iqr = pq[2] - pq[0]
+        iqr = pq[2] - pq[0] if pq else None
         verdict = ""
         if claimed and n < 10:
             verdict = "too few pairs for a claim"
@@ -183,7 +188,9 @@ for k, workload in enumerate(workloads):
             verdict = "claim supported" if ok else "no claim supported"
         bound = bounds.get(name)
         bound_verdict = ""
-        if bound is not None:
+        if bound is not None and iqr is None:
+            bound_verdict = "too few pairs"
+        elif bound is not None:
             worse = pmed and sign * (pmed - cmed) / abs(pmed) > bound
             spread = pmed and iqr / abs(pmed) > bound
             every_better = min(sign * x for x in c) > max(sign * x for x in p)
@@ -200,7 +207,8 @@ for k, workload in enumerate(workloads):
                 "date": time.strftime("%Y-%m-%d"), "commit": change_rev,
                 "parent": parent_rev, "workload": workload, "metric": name,
                 "unit": units[name], "trace": int(trace), "n": n,
-                "seeds": list(seeds), "median": cmed, "iqr": cq[2] - cq[0],
+                "seeds": list(seeds), "median": cmed,
+                "iqr": cq[2] - cq[0] if cq else None,
                 "parent_median": pmed, "parent_iqr": iqr, "wins": wins,
                 "verdict": verdict or bound_verdict, "host": host_tag(),
                 "invalid_reruns": reruns[workload],
@@ -214,10 +222,11 @@ print("| workload | metric | unit | parent median [q1, q3] | change median [q1, 
       "| change better | verdict |")
 print("|---|---|---|---:|---:|---:|---|")
 g = lambda x: f"{x:.6g}"
+qs = lambda q: f"[{g(q[0])}, {g(q[2])}]" if q else "[-]"
 for (w, name, unit, pmed, pq, cmed, cq, wins, n, verdict, bound_verdict) in rows:
     text = "; ".join(x for x in (verdict, bound_verdict) if x)
-    print(f"| {w} | {name} | {unit} | {g(pmed)} [{g(pq[0])}, {g(pq[2])}] "
-          f"| {g(cmed)} [{g(cq[0])}, {g(cq[2])}] | {wins}/{n} | {text} |")
+    print(f"| {w} | {name} | {unit} | {g(pmed)} {qs(pq)} "
+          f"| {g(cmed)} {qs(cq)} | {wins}/{n} | {text} |")
 print()
 print("invalid_reruns: " + ", ".join(f"{w} {r}" for w, r in reruns.items()))
 for w, i, seeds_tried in dropped:
