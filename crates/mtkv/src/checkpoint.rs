@@ -502,7 +502,7 @@ mod tests {
         let dir = tmpdir("bytes");
         let store = Store::persistent_with(
             &dir.join("logs"),
-            crate::DurabilityConfig::default().with_value_separation(96, 1 << 20),
+            crate::DurabilityConfig::default().with_value_separation(96, 0),
         )
         .unwrap();
         let s = store.session().unwrap();

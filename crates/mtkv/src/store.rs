@@ -52,11 +52,11 @@ pub struct DurabilityConfig {
     /// keeps a fixed-size pointer record). `None` keeps every value
     /// inline — the pre-separation write path, byte for byte.
     pub value_threshold: Option<usize>,
-    /// Rotation threshold for value segments.
+    /// Rotation threshold for value segments. Reads of separated
+    /// values keep no copy of their own: each one CRC-checks and
+    /// decodes its payload out of the segment's mapping, so the page
+    /// cache is the only value cache.
     pub value_segment_bytes: u64,
-    /// Byte budget of the in-memory cache indirect reads go through
-    /// before touching disk.
-    pub value_cache_bytes: usize,
     /// Dead fraction at which a sealed value segment becomes a GC
     /// rewrite candidate.
     pub gc_dead_fraction: f64,
@@ -70,7 +70,6 @@ impl Default for DurabilityConfig {
             keep_checkpoints: 2,
             value_threshold: None,
             value_segment_bytes: vtier::DEFAULT_VALUE_SEGMENT_BYTES,
-            value_cache_bytes: vtier::DEFAULT_VALUE_CACHE_BYTES,
             gc_dead_fraction: 0.5,
         }
     }
@@ -92,11 +91,11 @@ impl DurabilityConfig {
     }
 
     /// Enables the value-separation tier: values of at least
-    /// `threshold` data bytes spill to value segments, and indirect
-    /// reads go through a cache capped at `cache_bytes`.
-    pub fn with_value_separation(mut self, threshold: usize, cache_bytes: usize) -> Self {
+    /// `threshold` data bytes spill to value segments. The second
+    /// parameter is ignored: it was the budget of a decoded-value cache
+    /// the tier no longer has, and stays only for existing callers.
+    pub fn with_value_separation(mut self, threshold: usize, _cache_bytes: usize) -> Self {
         self.value_threshold = Some(threshold);
-        self.value_cache_bytes = cache_bytes;
         self
     }
 }
@@ -318,11 +317,7 @@ impl Store {
         if self.config.value_threshold.is_none() && vtier::vseg_ids(&dir).is_empty() {
             return Ok(());
         }
-        let tier = ValueTier::open(
-            &dir,
-            self.config.value_segment_bytes,
-            self.config.value_cache_bytes,
-        )?;
+        let tier = ValueTier::open(&dir, self.config.value_segment_bytes)?;
         tier.set_obs(Arc::clone(&self.obs));
         self.vtier = Some(Arc::new(tier));
         Ok(())
@@ -338,34 +333,31 @@ impl Store {
         self.vtier.as_ref().map(|t| t.stats()).unwrap_or_default()
     }
 
-    /// Resolves an indirect value's payload through the tier cache.
+    /// Resolves an indirect value's payload into a fresh block.
     pub(crate) fn resolve_indirect(
         &self,
         ptr: ValuePtr,
         version: u64,
-    ) -> Result<Arc<ColValue>, ValueError> {
+    ) -> Result<Box<ColValue>, ValueError> {
         match &self.vtier {
             Some(t) => t.resolve(ptr, version),
             None => Err(ValueError::TornOrMissing),
         }
     }
 
-    /// Batched [`Store::resolve_indirect`]: one cache probe per request,
-    /// misses coalesced into clustered segment reads (see
+    /// Batched [`Store::resolve_indirect`] into the caller's `scratch`:
+    /// pointers coalesced into clustered segment reads, each payload
+    /// decoded into a block the scratch keeps (see
     /// [`ValueTier::resolve_many`]). Without a mounted tier every
     /// request resolves to `None`, matching the single-resolve error.
     pub(crate) fn resolve_indirect_many(
         &self,
         reqs: &[(ValuePtr, u64)],
-        out: &mut Vec<Option<Arc<ColValue>>>,
         scratch: &mut ResolveScratch,
     ) {
         match &self.vtier {
-            Some(t) => t.resolve_many(reqs, out, scratch),
-            None => {
-                out.clear();
-                out.resize(reqs.len(), None);
-            }
+            Some(t) => t.resolve_many(reqs, scratch),
+            None => scratch.clear(),
         }
     }
 
@@ -978,7 +970,8 @@ struct SessionCache {
 /// Reusable buffers for [`Session::multi_get_with`]: hint-cache lookup
 /// results (hints + admission flags) and the tree-side hinted-batch
 /// scratch, the raw result pointers buffered before emission,
-/// and the batch's cold-pointer resolution. All retain capacity across
+/// and the batch's cold-pointer resolution (which a cold point get
+/// borrows too). All retain capacity across
 /// batches, making the batch read allocation-free in steady state with
 /// or without a cache (the raw pointers are written and read back
 /// within one epoch-pinned call, and cleared at the top of the next —
@@ -990,11 +983,11 @@ struct BatchScratch {
     engine: HintBatchScratch<ColValue>,
     out: Vec<Option<NonNull<ColValue>>>,
     /// The batch's cold pointers, fed through one
-    /// [`ValueTier::resolve_many`] (clustered segment reads on misses)
-    /// instead of one segment read per key — the server's per-wakeup
-    /// merged get runs land here.
+    /// [`ValueTier::resolve_many`] (clustered segment reads) instead of
+    /// one segment read per key — the server's per-wakeup merged get
+    /// runs land here. Their values stay in `resolve`, whose blocks the
+    /// next batch rewrites.
     cold_reqs: Vec<(ValuePtr, u64)>,
-    cold_out: Vec<Option<Arc<ColValue>>>,
     resolve: ResolveScratch,
 }
 
@@ -1021,7 +1014,8 @@ struct ReadaheadScratch {
     /// The chunk's cold pointers and their row indices, in row order.
     reqs: Vec<(ValuePtr, u64)>,
     req_rows: Vec<u32>,
-    resolved: Vec<Option<Arc<ColValue>>>,
+    /// The chunk's decoded cold values, kept until the next chunk
+    /// rewrites their blocks.
     engine: ResolveScratch,
     /// The cursor every [`Session::get_range_with`] call runs on, with
     /// or without a hint cache: `ScanCursor::reset` re-aims it at the
@@ -1148,11 +1142,12 @@ impl Session {
     }
 
     /// Completes a point read: an indirect hit is resolved through the
-    /// value tier before the callback sees it, so user callbacks only
-    /// ever observe real columns. An unresolvable payload (torn or
-    /// corrupt — counted in the tier's `unresolved_reads`) reads as
-    /// absent here; [`Session::get_checked`] surfaces the typed error.
-    /// Inline values pass straight through — one branch, no copy.
+    /// value tier, into a block of the session's batch scratch, before
+    /// the callback sees it, so user callbacks only ever observe real
+    /// columns. An unresolvable payload (torn or corrupt — counted in
+    /// the tier's `unresolved_reads`) reads as absent here;
+    /// [`Session::get_checked`] surfaces the typed error. Inline values
+    /// pass straight through — one branch, no copy.
     #[inline]
     fn with_resolved<R>(
         &self,
@@ -1161,12 +1156,16 @@ impl Session {
     ) -> R {
         match hit {
             Some(v) if v.is_indirect() => {
-                let resolved = v.ptr().map(|p| self.store.resolve_indirect(p, v.version()));
-                mtobs::span::mark(Stage::ValueResolve);
-                match resolved {
-                    Some(Ok(arc)) => f(Some(&arc)),
-                    _ => f(None),
-                }
+                let Some(p) = v.ptr() else {
+                    mtobs::span::mark(Stage::ValueResolve);
+                    return f(None);
+                };
+                with_scratch(&self.batch, |bs| {
+                    self.store
+                        .resolve_indirect_many(&[(p, v.version())], &mut bs.resolve);
+                    mtobs::span::mark(Stage::ValueResolve);
+                    f(bs.resolve.get(0))
+                })
             }
             other => f(other),
         }
@@ -1218,8 +1217,7 @@ impl Session {
             ra.vals.len() < want
         });
         if !ra.reqs.is_empty() {
-            self.store
-                .resolve_indirect_many(&ra.reqs, &mut ra.resolved, &mut ra.engine);
+            self.store.resolve_indirect_many(&ra.reqs, &mut ra.engine);
             mtobs::span::mark(Stage::ValueResolve);
         }
         let mut emitted = 0usize;
@@ -1229,7 +1227,7 @@ impl Session {
             let key = &ra.keys[key_start..end];
             key_start = end;
             if r < ra.req_rows.len() && ra.req_rows[r] as usize == i {
-                if let Some(v) = &ra.resolved[r] {
+                if let Some(v) = ra.engine.get(r) {
                     f(key, v);
                     emitted += 1;
                 }
@@ -1242,10 +1240,6 @@ impl Session {
                 emitted += 1;
             }
         }
-        // Let go of the resolved values now: a block the value cache
-        // evicts later is then the cache's alone, and its pool can
-        // recycle it into the next fill.
-        ra.resolved.clear();
         (ra.vals.len(), emitted, out.resumed)
     }
 
@@ -1437,7 +1431,6 @@ impl Session {
             engine,
             out,
             cold_reqs,
-            cold_out,
             resolve,
         } = bs;
         // 1. Collect. Results are buffered as raw pointers, read back
@@ -1504,8 +1497,7 @@ impl Session {
         }
         // 3. Resolve.
         if !cold_reqs.is_empty() {
-            self.store
-                .resolve_indirect_many(cold_reqs, cold_out, resolve);
+            self.store.resolve_indirect_many(cold_reqs, resolve);
             mtobs::span::mark(Stage::ValueResolve);
         }
         // 4. Emit, in input order.
@@ -1518,7 +1510,7 @@ impl Session {
                     // malformed pointer record never made it into the
                     // batch and reads as absent, like `with_resolved`.
                     let resolved = if v.ptr().is_some() {
-                        let x = cold_out.get(r).and_then(|o| o.as_deref());
+                        let x = resolve.get(r);
                         r += 1;
                         x
                     } else {
@@ -1529,9 +1521,6 @@ impl Session {
                 other => f(i, other),
             }
         }
-        // As after a readahead scan: the cache's evicted blocks recycle
-        // only once no batch still holds them.
-        cold_out.clear();
     }
 
     /// Batched `put_c`: applies every `(key, column updates)` pair with
@@ -1818,8 +1807,8 @@ impl Session {
             Some(v) => match v.ptr() {
                 None => Ok(Some(project(v))),
                 Some(p) => {
-                    let arc = self.store.resolve_indirect(p, v.version())?;
-                    Ok(Some(project(&arc)))
+                    let value = self.store.resolve_indirect(p, v.version())?;
+                    Ok(Some(project(&value)))
                 }
             },
         }
@@ -2092,8 +2081,8 @@ mod tests {
         // are mostly dead: one cycle hands at most 2N + PART_WRITERS rows
         // to its walks (the pre-scan, then the parts, each of which also
         // sees the key that ends it), yet relocates every live value out
-        // of the GC candidates. The value cache is off, so every check
-        // reads the segments the tree points into.
+        // of the GC candidates. Every check reads the segments the tree
+        // points into.
         const N: u32 = 3_000;
         let dir = std::env::temp_dir().join(format!("mtkv-gc-walks-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

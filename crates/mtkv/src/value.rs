@@ -104,8 +104,8 @@ const PREFETCH_HEAD: usize = 128;
 /// and the value is a remove's tombstone.
 ///
 /// `ColValue` is unsized; the constructors return `Box<ColValue>`, which
-/// the tree takes as is (`Masstree<ColValue>::put`) and the value tier's
-/// cache turns into an `Arc<ColValue>`.
+/// the tree takes as is (`Masstree<ColValue>::put`) and the value tier
+/// hands to its readers.
 #[repr(C)]
 pub struct ColValue {
     version: u64,
@@ -240,10 +240,11 @@ impl ColValue {
 
     /// Overwrites this block in place with what
     /// [`ColValue::from_packed`] would build, if its buffer has exactly
-    /// the length that needs. The value cache recycles evicted blocks
-    /// this way, which takes the allocator out of the cold-read fill
-    /// loop. False, leaving the block unchanged, when the lengths do not
-    /// cover `data` or the sizes differ.
+    /// the length that needs. A session's cold reads rewrite the blocks
+    /// its last cold read left behind this way, which takes the
+    /// allocator out of the cold-read loop. False, leaving the block
+    /// unchanged, when the lengths do not cover `data` or the sizes
+    /// differ.
     pub(crate) fn refill_packed(
         &mut self,
         version: u64,
@@ -405,8 +406,7 @@ impl ColValue {
             .collect()
     }
 
-    /// Bytes the block occupies: header plus buffer, as allocated (the
-    /// value cache's budget and checkpoint sizing charge this).
+    /// Bytes the block occupies: header plus buffer, as allocated.
     pub fn heap_bytes(&self) -> usize {
         size_of_val(self)
     }

@@ -7,11 +7,11 @@
 //! `get_range_with` — must perform **zero** heap allocations, and the
 //! write paths — `put`, and a served mixed frame from borrowed wire
 //! decode through the server's batch executor — only their new values'
-//! one block each. Cold reads that miss a small value cache and fill it
-//! rewrite evicted blocks in place and allocate nothing. Any future
-//! regression that sneaks a `Vec`/`Box` back into `get`, the batch
-//! engine, the scanner, request decoding, batch planning, the log
-//! append or the cold fill trips this test. The background
+//! one block each. Cold reads decode into the blocks their session's
+//! last cold read left behind, rewritten in place, and allocate
+//! nothing. Any future regression that sneaks a `Vec`/`Box` back into
+//! `get`, the batch engine, the scanner, request decoding, batch
+//! planning, the log append or the cold read trips this test. The background
 //! log-truncation pass is held to a memory budget the same way: a fixed
 //! count of allocations and no single one larger than its read window
 //! plus slack, however long the chain it reads. Recovery's log replay
@@ -406,18 +406,18 @@ fn steady_state_cold_readahead_scans_do_not_allocate() {
     // resolve cold pointers → emit in key order) must hold the same
     // zero-allocation guarantee once warm: the chunk scratch (key
     // bytes, value pointers, resolution requests) and the engine's
-    // miss list keep their capacity, the spare scan cursor reuses its
-    // bound buffer, and with every scanned payload resident in the
-    // value cache `resolve_many` runs pure hits — Arc clones, no
-    // segment reads, no inserts. Any future regression that sneaks a
-    // per-chunk Vec or a per-row box into the batched cold path trips
-    // this.
+    // pointer list keep their capacity, the spare scan cursor reuses
+    // its bound buffer, and `resolve_many` decodes each chunk's
+    // payloads out of the segment mapping into the blocks the last
+    // chunk left in the session's scratch. Any future regression that
+    // sneaks a per-chunk Vec or a per-row box into the batched cold
+    // path trips this.
     let dir = std::env::temp_dir().join(format!("mtkv-alloc-ra-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
         let store = mtkv::Store::persistent_with(
             &dir,
-            mtkv::DurabilityConfig::default().with_value_separation(32, 32 << 20),
+            mtkv::DurabilityConfig::default().with_value_separation(32, 0),
         )
         .unwrap();
         let session = store.session().unwrap();
@@ -436,9 +436,9 @@ fn steady_state_cold_readahead_scans_do_not_allocate() {
             });
         };
 
-        // Warm-up fills the value cache (clustered reads), grows every
-        // scratch buffer to steady capacity, then drains deferred
-        // garbage off the measured path.
+        // Warm-up maps the segment, grows every scratch buffer to
+        // steady capacity and leaves a chunk's blocks in the scratch,
+        // then drains deferred garbage off the measured path.
         for _ in 0..8 {
             run_reads(&mut sink);
         }
@@ -454,17 +454,18 @@ fn steady_state_cold_readahead_scans_do_not_allocate() {
         let allocs = disarm();
         let after = store.value_tier_stats();
 
-        // The rounds really took the batched cold path: warm-up misses
-        // were clustered, every measured row probed the tier, and the
-        // measured window itself never left the value cache.
+        // The rounds really took the batched cold path: every measured
+        // chunk was one clustered read, every measured row was read
+        // from the tier and verified.
         assert!(
             before.readahead_batches > 0,
             "warm-up never batch-resolved: {before:?}"
         );
-        assert_eq!(
-            after.segment_reads, before.segment_reads,
-            "measured scans missed the value cache"
+        assert!(
+            after.clustered_reads >= before.clustered_reads + 200,
+            "measured scans skipped the segment: {after:?}"
         );
+        assert_eq!(after.unresolved_reads, before.unresolved_reads);
         assert!(
             after.indirect_reads >= before.indirect_reads + 200 * 64,
             "scans did not route through the value tier: {after:?}"
@@ -472,7 +473,7 @@ fn steady_state_cold_readahead_scans_do_not_allocate() {
         assert!(sink > 0, "reads actually observed data");
         assert_eq!(
             allocs, 0,
-            "steady-state readahead scans over cached cold values must \
+            "steady-state readahead scans over cold values must \
              perform zero heap allocations, found {allocs}"
         );
     }
@@ -480,25 +481,21 @@ fn steady_state_cold_readahead_scans_do_not_allocate() {
 }
 
 #[test]
-fn steady_state_cold_fills_recycle_evicted_blocks() {
+fn steady_state_cold_reads_reuse_session_blocks() {
     let _serial = serial();
-    // A value cache far smaller than the cold working set, so the
-    // measured point gets and scans miss and fill, and each fill's sweep
-    // evicts about as much as it inserted. An evicted value nobody else
-    // holds goes to its shard's pool, and the next fill of the same size
-    // rewrites that block in place: with the pool warm and the segment
-    // mapped, a fill allocates nothing. A fill that built a fresh value
-    // would allocate it (and turning a boxed value into an `Arc` would
-    // allocate again and copy).
+    // Cold point gets and scans over a working set read once per
+    // thousands of other rows. Every read CRC-checks its payload and
+    // decodes it out of the segment mapping into a block the session's
+    // previous cold read left in its scratch, rewritten in place: with
+    // the segment mapped and the scratch warm, a cold read allocates
+    // nothing. A read that built a fresh value would allocate it.
     const KEYS: u32 = 4_096;
     let dir = std::env::temp_dir().join(format!("mtkv-alloc-fill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        // 128 KiB over 16 shards: ~36 decoded 200-byte rows per shard,
-        // room for a whole scan's rows, a tenth of the working set.
         let store = mtkv::Store::persistent_with(
             &dir,
-            mtkv::DurabilityConfig::default().with_value_separation(32, 128 << 10),
+            mtkv::DurabilityConfig::default().with_value_separation(32, 0),
         )
         .unwrap();
         let session = store.session().unwrap();
@@ -527,8 +524,8 @@ fn steady_state_cold_fills_recycle_evicted_blocks() {
             round += 1;
         };
 
-        // Warm-up: maps the segment, grows the shard maps, rings, pools
-        // and the scratch buffers to steady capacity.
+        // Warm-up: maps the segment and grows the scratch buffers to
+        // steady capacity.
         for _ in 0..256 {
             run_reads(&mut sink);
         }
@@ -543,22 +540,25 @@ fn steady_state_cold_fills_recycle_evicted_blocks() {
         let after = store.value_tier_stats();
 
         let reads = after.indirect_reads - before.indirect_reads;
-        let fills = reads - (after.value_cache_hits - before.value_cache_hits);
-        let per_fill = allocs as f64 / fills as f64;
-        eprintln!("cold fills: {allocs} allocations over {fills} fills of {reads} reads");
+        let per_read = allocs as f64 / reads as f64;
+        eprintln!("cold reads: {allocs} allocations over {reads} reads");
         assert!(sink > 0, "reads actually observed data");
+        assert_eq!(
+            reads,
+            256 * (64 + 16),
+            "every read resolved through the tier"
+        );
         assert!(
-            fills * 10 >= reads * 9,
-            "most reads must fill: {fills} of {reads}"
+            after.segment_reads - before.segment_reads >= 256 * 65,
+            "every get and scan chunk read the segment: {after:?}"
         );
         assert_eq!(after.unresolved_reads, before.unresolved_reads);
-        // Measured: 0. A fill that allocates its value — a new block, or
-        // a new `Arc` around a recycled buffer — adds at least 1.0.
+        // Measured: 0. A read that allocates its value adds 1.0.
         assert!(
-            per_fill == 0.0,
-            "steady-state cold fills allocate: {allocs} allocations over \
-             {fills} fills ({per_fill:.3}/fill) — are evicted blocks still \
-             rewritten in place?"
+            per_read == 0.0,
+            "steady-state cold reads allocate: {allocs} allocations over \
+             {reads} reads ({per_read:.3}/read) — are the session's blocks \
+             still rewritten in place?"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

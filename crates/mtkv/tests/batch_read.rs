@@ -287,11 +287,10 @@ fn value_separated_batches_resolve_cold_pointers_in_one_batch() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         // Even keys' 200-byte values spill to the value tier; odd keys'
-        // 12 bytes stay inline. A 4 KiB value cache keeps most cold
-        // reads missing, so batches take clustered segment reads.
+        // 12 bytes stay inline. Every cold read is a segment read.
         let store = Store::persistent_with(
             &dir,
-            DurabilityConfig::default().with_value_separation(32, 4 << 10),
+            DurabilityConfig::default().with_value_separation(32, 0),
         )
         .unwrap();
         let session = store.session().unwrap();
@@ -306,10 +305,12 @@ fn value_separated_batches_resolve_cold_pointers_in_one_batch() {
             after.indirect_reads > before.indirect_reads,
             "no value resolved through the tier: {after:?}"
         );
-        // Point reads resolve one at a time; only a batch read calls
-        // `resolve_many`, which counts a batch with a miss here.
+        // Every cold read, point or batched, is one `resolve_many`
+        // call: fewer calls than cold reads means batches resolved
+        // their cold pointers together.
+        let batches = after.readahead_batches - before.readahead_batches;
         assert!(
-            after.readahead_batches > before.readahead_batches,
+            batches > 0 && batches < after.indirect_reads - before.indirect_reads,
             "cold pointers never resolved as one batch: {before:?} -> {after:?}"
         );
     }

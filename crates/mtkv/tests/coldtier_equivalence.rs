@@ -1,6 +1,6 @@
 //! Cold-tier equivalence: a store with value separation forced on hard
-//! (threshold far below most values, a cache too small to hold the
-//! working set, tiny segments so GC has material) must be
+//! (threshold far below most values, tiny segments so GC has material)
+//! must be
 //! **observably identical** to the all-inline store under the same
 //! workload — three concurrent writers with interleaved scans and
 //! removes, a full crash/recover cycle mid-run, and a durability cycle
@@ -118,7 +118,7 @@ fn paged_snapshot(store: &Arc<Store>) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
 }
 
 fn cold_config() -> DurabilityConfig {
-    let mut config = DurabilityConfig::tiny_segments(4096).with_value_separation(24, 512);
+    let mut config = DurabilityConfig::tiny_segments(4096).with_value_separation(24, 0);
     config.value_segment_bytes = 2048;
     config.gc_dead_fraction = 0.3;
     config
@@ -370,7 +370,7 @@ fn value_gc_from_part_walks_keeps_every_acked_write_under_churn() {
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
     let config = || {
-        let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(24, 4096);
+        let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(24, 0);
         config.value_segment_bytes = 64 << 10;
         config.gc_dead_fraction = 0.3;
         config
@@ -493,9 +493,8 @@ fn value_gc_from_part_walks_keeps_every_acked_write_under_churn() {
 
 /// Store-level miss storm: many sessions point-get one cold key nobody
 /// has read yet, a fresh key per round. Every reader gets the right
-/// bytes, every get is either a value-cache hit or its own segment read
-/// (concurrent misses do not wait for each other), and each round's
-/// first reader finds the cache empty.
+/// bytes from a segment read of its own: nothing is cached, and
+/// concurrent readers do not wait for each other.
 #[test]
 fn cold_miss_storm_serves_every_reader_from_a_hit_or_its_own_read() {
     const THREADS: usize = 8;
@@ -505,10 +504,7 @@ fn cold_miss_storm_serves_every_reader_from_a_hit_or_its_own_read() {
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
 
-    // A cache shard serves a 64 KiB region of a segment, and each
-    // shard's budget holds all the round keys' payloads: no fill is
-    // evicted before its round ends.
-    let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(64, 4 << 20);
+    let mut config = DurabilityConfig::tiny_segments(1 << 20).with_value_separation(64, 0);
     config.value_segment_bytes = 1 << 20;
     let store = Store::persistent_with(&base, config).unwrap();
     let storm_key = |round: usize| format!("storm-key-{round:02}").into_bytes();
@@ -544,26 +540,20 @@ fn cold_miss_storm_serves_every_reader_from_a_hit_or_its_own_read() {
     });
 
     let s = store.value_tier_stats();
-    let reads = s.segment_reads - base_stats.segment_reads;
-    let hits = s.value_cache_hits - base_stats.value_cache_hits;
     assert_eq!(
-        reads + hits,
+        s.segment_reads - base_stats.segment_reads,
         (THREADS * ROUNDS) as u64,
-        "gets unaccounted: reads={reads} hits={hits}"
+        "one segment read per get: {base_stats:?} -> {s:?}"
     );
-    assert!(
-        reads >= ROUNDS as u64,
-        "a round never read its key: {reads}"
-    );
+    assert_eq!(s.unresolved_reads, 0, "{s:?}");
 
     drop(store);
     let _ = std::fs::remove_dir_all(&base);
 }
 
 /// Cold partial-column merges under concurrency: each session puts its
-/// own column of the same cold two-column keys. With a zero-byte value
-/// cache every merge misses and reads its base payload from the segment
-/// while the key is locked, so a merge that dropped or raced its base
+/// own column of the same cold two-column keys. Every merge reads its
+/// base payload from the segment while the key is locked, so a merge that dropped or raced its base
 /// would lose the other session's column. Every key must carry each
 /// session's last write to its column, live and after recovery.
 #[test]
@@ -632,6 +622,84 @@ fn concurrent_cold_column_merges_keep_every_sessions_last_write() {
     drop(store);
     let (store, _) = recover_with(&base, &base, config()).unwrap();
     check(&store, "recovered");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Every cold read checks its payload's CRC again, so bytes that rot
+/// after a good read are refused by the next one: `get_checked`
+/// reports the mismatch, a point get reads the key as absent, and a
+/// scan skips the row. A read that served a copy decoded before the
+/// damage would return the old bytes instead.
+#[test]
+fn every_cold_read_verifies_its_bytes_again() {
+    use std::os::unix::fs::FileExt;
+
+    let base = std::env::temp_dir().join(format!("mtkv-coldrot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let config = DurabilityConfig {
+        value_threshold: Some(64),
+        ..DurabilityConfig::default()
+    };
+    let store = Store::persistent_with(&base, config).unwrap();
+    let session = store.session().unwrap();
+    let key = |i: u8| format!("rot-{i}").into_bytes();
+    let value = |i: u8| vec![b'a' + i; 200];
+    for i in 0..3 {
+        session.put(&key(i), &[(0, &value(i))]);
+    }
+    assert!(session.force_log());
+    let scan = || {
+        let mut rows = Vec::new();
+        session.get_range_with(b"rot-", 10, |k, v| rows.push((k.to_vec(), v.cols())));
+        rows
+    };
+    assert_eq!(session.get_checked(&key(1), None), Ok(Some(vec![value(1)])));
+    assert_eq!(session.get(&key(1), None), Some(vec![value(1)]));
+    assert_eq!(scan().len(), 3);
+
+    // Overwrite one byte of key 1's payload in place. The tier's
+    // `MAP_SHARED` mapping of the segment sees the same page.
+    let ids = mtkv::vtier::vseg_ids(&base);
+    let (seg, pos) = ids
+        .iter()
+        .find_map(|&id| {
+            let bytes = std::fs::read(mtkv::vtier::vseg_path(&base, id)).unwrap();
+            let at = bytes.windows(200).position(|w| w == value(1).as_slice())?;
+            Some((id, at + 100))
+        })
+        .expect("key 1's payload is in a value segment");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(mtkv::vtier::vseg_path(&base, seg))
+        .unwrap()
+        .write_all_at(b"X", pos as u64)
+        .unwrap();
+
+    let before = store.value_tier_stats();
+    assert_eq!(
+        session.get_checked(&key(1), None),
+        Err(mtkv::ValueError::ChecksumMismatch)
+    );
+    assert_eq!(
+        session.get(&key(1), None),
+        None,
+        "a point get served rotten bytes"
+    );
+    assert_eq!(
+        scan(),
+        vec![(key(0), vec![value(0)]), (key(2), vec![value(2)])],
+        "a scan served rotten bytes"
+    );
+    let after = store.value_tier_stats();
+    assert_eq!(
+        after.unresolved_reads - before.unresolved_reads,
+        3,
+        "{after:?}"
+    );
+
+    drop(session);
     drop(store);
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -444,7 +444,7 @@ fn run_value_round(dir: &Path, seed: u64) -> RoundOutcome {
     let vcrash = rng.below(3); // 0 torn tail, 1 ptr-durable/payload-not, 2 mid-GC
     let crash_mode = rng.below(2); // 0 process death, 1 machine death (WAL tails torn)
 
-    let mut config = DurabilityConfig::tiny_segments(2048).with_value_separation(24, 4096);
+    let mut config = DurabilityConfig::tiny_segments(2048).with_value_separation(24, 0);
     config.value_segment_bytes = 1024;
     config.gc_dead_fraction = 0.25;
     let store = Store::persistent_with(dir, config).unwrap();

@@ -42,7 +42,7 @@ struct Truth {
 /// the ground truth plus the path of the vseg holding the payloads.
 fn build_tier(dir: &Path, seed: u64, n: usize) -> (Vec<Truth>, PathBuf) {
     let mut rng = Rng(seed);
-    let config = DurabilityConfig::default().with_value_separation(8, 4096);
+    let config = DurabilityConfig::default().with_value_separation(8, 0);
     let store = Store::persistent_with(dir, config).unwrap();
     let session = store.session().unwrap();
     let mut values = Vec::with_capacity(n);

@@ -305,14 +305,16 @@ pub struct StatsReply {
     /// Value tier: reads that resolved an indirect (value-separated)
     /// pointer record. 0 when value separation is off.
     pub indirect_reads: u64,
-    /// Value tier: indirect reads served from the decoded-value cache.
+    /// Retired, always 0: the value tier keeps no decoded-value cache.
+    /// The slot stays because reply fields are positional and
+    /// append-only; the encoder sends 0 and the decoder reads 0.
     pub value_cache_hits: u64,
     /// Value tier: payload bytes relocated by segment GC this lifetime.
     pub gc_rewritten_bytes: u64,
     /// Value tier: live (referenced) bytes across all value segments.
     pub live_segment_bytes: u64,
-    /// Value tier: batched cold resolutions (`resolve_many` calls) that
-    /// missed the cache and issued clustered segment reads.
+    /// Value tier: batched cold resolutions (`resolve_many` calls), each
+    /// served by clustered segment reads.
     pub readahead_batches: u64,
     /// Value tier: bytes fetched by clustered (coalesced) segment reads
     /// — payloads plus the gaps dragged along with them.
@@ -363,7 +365,8 @@ impl StatsReply {
             0,
             0,
             self.indirect_reads,
-            self.value_cache_hits,
+            // Retired slot 17 (value cache hits).
+            0,
             self.gc_rewritten_bytes,
             self.live_segment_bytes,
             self.readahead_batches,
@@ -415,7 +418,7 @@ impl StatsReply {
             cache_scan_resumes: f[10],
             cache_scan_evictions: f[11],
             indirect_reads: f[16],
-            value_cache_hits: f[17],
+            value_cache_hits: 0,
             gc_rewritten_bytes: f[18],
             live_segment_bytes: f[19],
             readahead_batches: f[20],
@@ -1136,7 +1139,7 @@ mod tests {
             cache_scan_resumes: 4_321,
             cache_scan_evictions: 12,
             indirect_reads: 88_000,
-            value_cache_hits: 70_500,
+            value_cache_hits: 0,
             gc_rewritten_bytes: 9 << 20,
             live_segment_bytes: 3 << 30,
             readahead_batches: 12_345,
@@ -1247,6 +1250,33 @@ mod tests {
                 s.conflict_splits
             ),
             (21, 0, 23, 24)
+        );
+    }
+
+    #[test]
+    fn retired_value_cache_hits_slot_stays_on_the_wire_as_zero() {
+        // Slot 17 (value cache hits, retired) is still sent, as 0,
+        // whatever the field holds, so the value-tier counters after it
+        // keep their indices; the decoder reads the field as 0.
+        let mut buf = Vec::new();
+        Response::Stats(StatsReply {
+            indirect_reads: 16,
+            value_cache_hits: 705,
+            gc_rewritten_bytes: 18,
+            ..StatsReply::default()
+        })
+        .encode(&mut buf);
+        let slot = |j: usize| u64::from_le_bytes(buf[3 + 8 * j..][..8].try_into().unwrap());
+        assert_eq!((slot(16), slot(17), slot(18)), (16, 0, 18));
+        // A peer that still fills slot 17 is read as 0 too.
+        buf[3 + 8 * 17] = 99;
+        let mut p = &buf[..];
+        let Some(Response::Stats(s)) = Response::decode(&mut p) else {
+            panic!("stats frame must decode");
+        };
+        assert_eq!(
+            (s.indirect_reads, s.value_cache_hits, s.gc_rewritten_bytes),
+            (16, 0, 18)
         );
     }
 

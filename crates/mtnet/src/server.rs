@@ -1654,7 +1654,8 @@ fn gather_stats(session: &Session, loads: &[WorkerLoad]) -> StatsReply {
         cache_scan_resumes: c.scan_resumes,
         cache_scan_evictions: c.scan_evictions,
         indirect_reads: v.indirect_reads,
-        value_cache_hits: v.value_cache_hits,
+        // Retired wire slot: the value tier keeps no decoded-value cache.
+        value_cache_hits: 0,
         gc_rewritten_bytes: v.gc_rewritten_bytes,
         live_segment_bytes: v.live_segment_bytes,
         readahead_batches: v.readahead_batches,

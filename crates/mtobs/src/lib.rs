@@ -116,10 +116,10 @@ pub enum Kind {
     Checkpoint = 10,
     /// One value-segment GC pass.
     GcPass = 11,
-    /// Cold value cache fill (segment read + decode on a cache miss).
+    /// One cold value read on its own (segment read + CRC + decode).
     VsegFill = 12,
-    /// One batched cold-value resolution (`resolve_many`) that missed
-    /// the cache and issued clustered segment reads.
+    /// One batched cold-value resolution (`resolve_many`): clustered
+    /// segment reads, CRC and decode.
     VsegReadahead = 13,
     /// One log truncation + checkpoint prune pass of a durability cycle.
     Truncate = 14,

@@ -91,7 +91,6 @@ fn main() {
             println!("log_bytes: {}", s.log_bytes);
             println!("log_segments: {}", s.log_segments);
             println!("indirect_reads: {}", s.indirect_reads);
-            println!("value_cache_hits: {}", s.value_cache_hits);
             println!("readahead_batches: {}", s.readahead_batches);
             println!("coalesced_bytes: {}", s.coalesced_bytes);
             println!("live_segment_bytes: {}", s.live_segment_bytes);

@@ -9,12 +9,12 @@
 //! program. If the data directory already holds logs/checkpoints, the
 //! server recovers from them before serving.
 //!
-//! Value separation: `MT_VALUE_SEP=<threshold>[:<cache-bytes>]` spills
-//! values of at least `<threshold>` data bytes to append-only value
-//! segments, keeping a fixed 24-byte pointer in the leaf (README:
+//! Value separation: `MT_VALUE_SEP=<threshold>` spills values of at
+//! least `<threshold>` data bytes to append-only value segments,
+//! keeping a fixed 24-byte pointer in the leaf (README:
 //! "Larger-than-RAM"). `kv_client <addr> stats` reports the tier's
-//! `indirect_reads` / `value_cache_hits` / `live_segment_bytes` plus the
-//! clustered-resolution counters `readahead_batches` / `coalesced_bytes`.
+//! `indirect_reads` / `live_segment_bytes` plus the clustered-resolution
+//! counters `readahead_batches` / `coalesced_bytes`.
 //!
 //! Observability:
 //!
@@ -53,21 +53,19 @@ fn main() {
         .map(|v| v.parse().expect("MT_SERVER_WORKERS=<count>"))
         .unwrap_or(0);
 
-    // Larger-than-RAM value separation: MT_VALUE_SEP=<threshold>[:<cache>]
-    // spills values of at least <threshold> data bytes into append-only
-    // value segments; indirect reads go through a cache capped at
-    // <cache> bytes (default left at the library's). A directory that
-    // already holds vseg files mounts its tier on recovery regardless,
-    // so the env matters when *creating* separated data.
+    // Larger-than-RAM value separation: MT_VALUE_SEP=<threshold> spills
+    // values of at least <threshold> data bytes into append-only value
+    // segments. A directory that already holds vseg files mounts its
+    // tier on recovery regardless, so the env matters when *creating*
+    // separated data.
     let mut dcfg = DurabilityConfig::default();
     if let Ok(spec) = std::env::var("MT_VALUE_SEP") {
-        let usage = "MT_VALUE_SEP=<threshold-bytes>[:<cache-bytes>]";
-        let (threshold, cache) = match spec.split_once(':') {
-            Some((t, c)) => (t.parse().expect(usage), c.parse().expect(usage)),
-            None => (spec.parse().expect(usage), dcfg.value_cache_bytes),
+        let Ok(threshold) = spec.parse() else {
+            eprintln!("usage: MT_VALUE_SEP=<threshold-bytes>");
+            std::process::exit(2);
         };
-        dcfg = dcfg.with_value_separation(threshold, cache);
-        println!("value separation: threshold {threshold} B, cache budget {cache} B");
+        dcfg = dcfg.with_value_separation(threshold, 0);
+        println!("value separation: threshold {threshold} B");
     }
 
     // Recover anything a previous run left behind (§5).
@@ -216,7 +214,6 @@ fn render_metrics(store: &Arc<Store>) -> String {
             ("mt_cache_lookups_total", c.lookups),
             ("mt_cache_hits_total", c.hits),
             ("mt_indirect_reads_total", v.indirect_reads),
-            ("mt_value_cache_hits_total", v.value_cache_hits),
             ("mt_readahead_batches_total", v.readahead_batches),
             ("mt_coalesced_bytes_total", v.coalesced_bytes),
             ("mt_gc_rewritten_bytes_total", v.gc_rewritten_bytes),
