@@ -1,12 +1,13 @@
 //! CRC-32 (IEEE 802.3 polynomial) for log-record and value-payload
 //! integrity, implemented in-crate to stay within the approved
 //! dependency set. The value-tier read path checksums every cache
-//! miss — whole payloads, often kilobytes — so this is a hot path:
-//! buffers of 128 bytes and up take a carry-less-multiply folding
-//! routine (PCLMULQDQ, ~16 bytes per cycle) when the CPU has it;
-//! everything else goes through slicing-by-8, whose eight derived
-//! tables fold eight bytes per step with independent lookups instead
-//! of the classic one-lookup-per-byte dependency chain.
+//! read — whole payloads, often kilobytes — and the log every record,
+//! so this is a hot path: buffers of 16 bytes and up take a
+//! carry-less-multiply folding routine (PCLMULQDQ, ~16 bytes per cycle)
+//! when the CPU has it; shorter buffers, the sub-16-byte tail and CPUs
+//! without it go through slicing-by-8, whose eight derived tables fold
+//! eight bytes per step with independent lookups instead of the classic
+//! one-lookup-per-byte dependency chain.
 
 const POLY: u32 = 0xEDB88320;
 
@@ -59,13 +60,13 @@ fn update(mut c: u32, data: &[u8]) -> u32 {
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if data.len() >= 128
+    if data.len() >= 16
         && std::is_x86_feature_detected!("pclmulqdq")
         && std::is_x86_feature_detected!("sse4.1")
     {
         let split = data.len() & !15;
         // SAFETY: required CPU features verified just above; the slice
-        // passed is a multiple of 16 bytes and at least 128 long.
+        // passed is a multiple of 16 bytes and at least 16 long.
         let folded = unsafe { pclmul::crc32_fold(&data[..split]) };
         return !update(!folded, &data[split..]);
     }
@@ -75,9 +76,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Carry-less-multiply CRC folding — Intel's "Fast CRC Computation for
 /// Generic Polynomials Using PCLMULQDQ" applied to the bit-reflected
 /// IEEE polynomial; the folding constants are the well-known ones also
-/// used by zlib and the Linux kernel. Four 128-bit lanes fold 64 input
-/// bytes per iteration; the lanes are then folded together, reduced to
-/// 64 bits, and finished with a Barrett reduction.
+/// used by zlib and the Linux kernel. From 128 bytes up, four 128-bit
+/// lanes fold 64 input bytes per iteration and are then folded
+/// together; shorter input folds one lane 16 bytes at a time. The lane
+/// is then reduced to 64 bits and finished with a Barrett reduction.
 #[cfg(target_arch = "x86_64")]
 mod pclmul {
     use std::arch::x86_64::*;
@@ -107,27 +109,31 @@ mod pclmul {
     }
 
     /// CRC-32 of `data` from initial state `!0` (the one-shot value).
-    /// `data.len()` must be a multiple of 16 and at least 128.
+    /// `data.len()` must be a multiple of 16 and at least 16.
     #[target_feature(enable = "sse2", enable = "sse4.1", enable = "pclmulqdq")]
     pub unsafe fn crc32_fold(mut data: &[u8]) -> u32 {
-        debug_assert!(data.len() >= 128 && data.len().is_multiple_of(16));
-        let mut x3 = take16(&mut data);
-        let mut x2 = take16(&mut data);
-        let mut x1 = take16(&mut data);
-        let mut x0 = take16(&mut data);
-        // Fold the initial state into the first lane.
-        x3 = _mm_xor_si128(x3, _mm_cvtsi32_si128(!0i32));
-        let k1k2 = _mm_set_epi64x(K2, K1);
-        while data.len() >= 64 {
-            x3 = fold16(x3, take16(&mut data), k1k2);
-            x2 = fold16(x2, take16(&mut data), k1k2);
-            x1 = fold16(x1, take16(&mut data), k1k2);
-            x0 = fold16(x0, take16(&mut data), k1k2);
-        }
+        debug_assert!(data.len() >= 16 && data.len().is_multiple_of(16));
         let k3k4 = _mm_set_epi64x(K4, K3);
-        let mut x = fold16(x3, x2, k3k4);
-        x = fold16(x, x1, k3k4);
-        x = fold16(x, x0, k3k4);
+        // The initial state folds into the first lane.
+        let init = _mm_cvtsi32_si128(!0i32);
+        let mut x = if data.len() >= 128 {
+            let mut x3 = _mm_xor_si128(take16(&mut data), init);
+            let mut x2 = take16(&mut data);
+            let mut x1 = take16(&mut data);
+            let mut x0 = take16(&mut data);
+            let k1k2 = _mm_set_epi64x(K2, K1);
+            while data.len() >= 64 {
+                x3 = fold16(x3, take16(&mut data), k1k2);
+                x2 = fold16(x2, take16(&mut data), k1k2);
+                x1 = fold16(x1, take16(&mut data), k1k2);
+                x0 = fold16(x0, take16(&mut data), k1k2);
+            }
+            let x = fold16(x3, x2, k3k4);
+            let x = fold16(x, x1, k3k4);
+            fold16(x, x0, k3k4)
+        } else {
+            _mm_xor_si128(take16(&mut data), init)
+        };
         while data.len() >= 16 {
             x = fold16(x, take16(&mut data), k3k4);
         }
@@ -188,11 +194,15 @@ mod tests {
 
     #[test]
     fn matches_bytewise_reference_every_short_length() {
-        // Every length through the slicing path and across the 128-byte
-        // SIMD threshold, including every tail residue mod 16.
-        let data = xorshift_data(300);
-        for len in 0..data.len() {
-            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
+        // Every length through the slicing path, the one-lane and the
+        // four-lane fold, including every tail residue mod 16, from
+        // every start offset within a 16-byte block.
+        let data = xorshift_data(1100 + 16);
+        for start in 0..16 {
+            for len in 0..=1100 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), reference(s), "start {start} len {len}");
+            }
         }
     }
 

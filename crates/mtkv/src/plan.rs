@@ -23,11 +23,12 @@
 //!
 //! A stream without a write skips key tracking altogether. Keys are
 //! tracked by a keyed 64-bit hash, so a collision can only add a
-//! spurious dependency (a later phase), never drop a real one.
+//! spurious dependency (a later phase), never drop a real one. Each key
+//! is hashed once: the map takes the hash as its own.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// How the planner sees one operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,6 +50,63 @@ struct KeyPhases {
     after_write: u32,
 }
 
+/// The keyed 64-bit hash of `(stream, key)` the planner tracks keys by:
+/// a multiply-rotate pass over 8-byte words from a per-planner random
+/// seed, finished by a full-avalanche mix so that both the map's bucket
+/// bits and its tag bits are spread.
+struct KeyHash {
+    seed: u64,
+}
+
+impl Default for KeyHash {
+    fn default() -> KeyHash {
+        KeyHash {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl KeyHash {
+    fn of(&self, stream: u32, key: &[u8]) -> u64 {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let word = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+        let mut h = self.seed ^ (u64::from(stream) << 32 | key.len() as u64);
+        let mut words = key.chunks_exact(8);
+        for w in &mut words {
+            h = word(h, u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            h = word(h, u64::from_le_bytes(w));
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// Hands a [`KeyHash`] through to the map unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the key map is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
 /// Reusable phase planner: [`clear`](PhasePlanner::clear), one
 /// [`push_stream`](PhasePlanner::push_stream) per stream,
 /// [`finish`](PhasePlanner::finish), then walk
@@ -57,8 +115,8 @@ struct KeyPhases {
 /// planner does not allocate.
 #[derive(Default)]
 pub struct PhasePlanner {
-    hasher: RandomState,
-    keys: HashMap<u64, KeyPhases>,
+    hash: KeyHash,
+    keys: HashMap<u64, KeyPhases, BuildHasherDefault<PassThrough>>,
     streams: u32,
     /// Phase of every pushed operation.
     phase: Vec<u32>,
@@ -103,14 +161,14 @@ impl PhasePlanner {
                 }
                 OpClass::Read(_) if !tracked => base,
                 OpClass::Read(key) => {
-                    let seen = self.keys.entry(self.hasher.hash_one((stream, key)));
+                    let seen = self.keys.entry(self.hash.of(stream, key));
                     let seen = seen.or_default();
                     let phase = base.max(seen.after_write);
                     seen.after_reads = seen.after_reads.max(phase + 1);
                     phase
                 }
                 OpClass::Write(key) => {
-                    let seen = self.keys.entry(self.hasher.hash_one((stream, key)));
+                    let seen = self.keys.entry(self.hash.of(stream, key));
                     let seen = seen.or_default();
                     let phase = base.max(seen.after_reads).max(seen.after_write);
                     seen.after_write = phase + 1;

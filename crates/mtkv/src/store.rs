@@ -346,8 +346,8 @@ impl Store {
     }
 
     /// Batched [`Store::resolve_indirect`] into the caller's `scratch`:
-    /// pointers coalesced into clustered segment reads, each payload
-    /// decoded into a block the scratch keeps (see
+    /// every payload prefetched, then verified and decoded into a block
+    /// the scratch keeps (see
     /// [`ValueTier::resolve_many`]). Without a mounted tier every
     /// request resolves to `None`, matching the single-resolve error.
     pub(crate) fn resolve_indirect_many(
@@ -983,8 +983,8 @@ struct BatchScratch {
     engine: HintBatchScratch<ColValue>,
     out: Vec<Option<NonNull<ColValue>>>,
     /// The batch's cold pointers, fed through one
-    /// [`ValueTier::resolve_many`] (clustered segment reads) instead of
-    /// one segment read per key — the server's per-wakeup merged get
+    /// [`ValueTier::resolve_many`] (all payloads prefetched before any is
+    /// verified) instead of one read per key — the server's per-wakeup merged get
     /// runs land here. Their values stay in `resolve`, whose blocks the
     /// next batch rewrites.
     cold_reqs: Vec<(ValuePtr, u64)>,
@@ -1175,8 +1175,8 @@ impl Session {
     /// rows from `cursor` into the session's readahead scratch (key
     /// bytes copied, value refs as raw pointers — both consumed below under
     /// this call's `guard`), batch-resolves the chunk's cold pointers
-    /// through [`ValueTier::resolve_many`] (clustered segment reads on
-    /// misses), then emits the rows to `f` in original key order. Rows
+    /// through [`ValueTier::resolve_many`] (every payload prefetched
+    /// before any is verified), then emits the rows to `f` in original key order. Rows
     /// whose payload cannot be verified are skipped: scans deliver only
     /// rows whose bytes are integrity-checked. Returns `(rows collected, rows
     /// emitted, scan resumed at its anchor)`; collected < want with an
@@ -1480,8 +1480,8 @@ impl Session {
         // 128 bytes the engine prefetched start arriving now (a 64-byte
         // value has none). Cold pointers are gathered instead, so every
         // indirect hit in this run resolves through one `resolve_many` —
-        // concurrent cold keys coalesce into clustered segment reads
-        // instead of stampeding the tier with one read per key.
+        // their payloads' memory misses overlap instead of landing one
+        // read at a time.
         cold_reqs.clear();
         for p in out.iter() {
             // SAFETY: written above under this call's pinned guard;

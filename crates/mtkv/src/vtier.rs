@@ -22,7 +22,10 @@
 //! and decodes it straight out of a shared `mmap` of the segment into
 //! a block the caller owns. The page cache is the only value cache —
 //! a hot value is held once, in the segment pages the kernel keeps
-//! resident, never again as a decoded copy on the heap.
+//! resident, never again as a decoded copy on the heap. So a cold read
+//! costs memory latency, not I/O, and a batch
+//! ([`ValueTier::resolve_many`]) pays it once: it prefetches every
+//! payload's cache lines first, then verifies each in request order.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -32,6 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use masstree::prefetch::prefetch_object;
 use parking_lot::Mutex;
 
 use crate::crc32::crc32;
@@ -40,18 +44,11 @@ use crate::value::{ColValue, ValuePtr};
 /// Default rotation threshold for value segments.
 pub const DEFAULT_VALUE_SEGMENT_BYTES: u64 = 64 << 20;
 
-/// Pointers within this many bytes of each other coalesce into one
-/// clustered segment read ([`ValueTier::resolve_many`]): the gap bytes
-/// are other rows' payloads, and dragging them through one `pread`
-/// costs far less than a second syscall. One page covers the common
-/// "adjacent rows, small interleaved writes" shape without inflating
-/// windows across unrelated regions.
-const COALESCE_GAP: u64 = 4096;
-
-/// Upper bound on a single clustered read's window — the readahead
-/// byte budget. Bounds the reusable scratch buffer against a
-/// pathological batch whose pointers span a whole segment.
-const READAHEAD_WINDOW_BYTES: u64 = 1 << 20;
+/// How far [`ValueTier::resolve_many`]'s prefetch runs ahead of its
+/// verification, in payload bytes: well inside L2, so a batch of large
+/// payloads never evicts its own lines before it checks them, while a
+/// 16-row scan chunk of 1 KiB values or a point get is prefetched whole.
+const PREFETCH_AHEAD_BYTES: usize = 64 << 10;
 
 /// Why an indirect value could not be served. Every variant means the
 /// bytes were **refused**, never silently wrong.
@@ -171,11 +168,12 @@ struct Appender {
     durable: u64,
 }
 
-/// A read-only shared mapping of one value-segment file, established
-/// lazily on the first clustered read. Serving windows from the page
-/// cache through a mapping removes the `pread` syscall and its kernel
-/// copy from every read — payloads are CRC-checked and decoded
-/// straight out of the mapped bytes.
+/// A read-only shared mapping of one value-segment file, made by the
+/// reader on the segment's first mapped read and shared with the
+/// sessions' mapping tables ([`ResolveScratch`]). Serving payloads from
+/// the page cache through a mapping removes the `pread` syscall and its
+/// kernel copy from every read — payloads are prefetched, CRC-checked
+/// and decoded straight out of the mapped bytes.
 ///
 /// Safety invariant: accesses are bounds-checked against `len`, the
 /// file's size when the mapping was made. Segment files only ever grow
@@ -358,12 +356,18 @@ impl SegReader {
         self.gen.fetch_add(1, Ordering::Release);
     }
 
-    /// Reads and integrity-checks the payload `ptr` names. The returned
-    /// bytes are exactly what was appended or a typed error — never a
-    /// prefix, never corrupt.
+    /// Reads and integrity-checks the payload `ptr` names with one
+    /// `pread`. The returned bytes are exactly what was appended or a
+    /// typed error — never a prefix, never corrupt.
     pub fn read(&self, ptr: ValuePtr) -> Result<Vec<u8>, ValueError> {
         let mut buf = vec![0u8; ptr.len as usize];
-        self.read_clustered(ptr.seg, ptr.off, &mut buf)?;
+        match self.handle(ptr.seg)?.read_exact_at(&mut buf, ptr.off) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                return Err(ValueError::TornOrMissing)
+            }
+            Err(_) => return Err(ValueError::Io),
+        }
         if crc32(&buf) != ptr.crc {
             return Err(ValueError::ChecksumMismatch);
         }
@@ -390,22 +394,6 @@ impl SegReader {
         let buf = self.read(ptr)?;
         decode_payload_value(&buf, version, spare).ok_or(ValueError::BadLength)
     }
-
-    /// Reads a raw clustered window (`buf.len()` bytes at `off`) from
-    /// segment `seg` — the `pread` under [`ValueTier::resolve_many`]
-    /// when the window lies past the mapping. No integrity check here:
-    /// the window spans several payloads plus the gaps between them;
-    /// each payload is CRC-checked individually as it is carved out.
-    pub fn read_clustered(&self, seg: u64, off: u64, buf: &mut [u8]) -> Result<(), ValueError> {
-        let f = self.handle(seg)?;
-        match f.read_exact_at(buf, off) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                Err(ValueError::TornOrMissing)
-            }
-            Err(_) => Err(ValueError::Io),
-        }
-    }
 }
 
 /// Value-tier observability counters, served through the network
@@ -426,43 +414,25 @@ pub struct ValueTierStats {
     /// Batched resolutions ([`ValueTier::resolve_many`] calls): one per
     /// cold point get, batch read or scan chunk that met a cold value.
     pub readahead_batches: u64,
-    /// Clustered segment reads: one window over a coalesced run of
-    /// pointers (plus the gaps between them), served from the mapping
-    /// or by one `pread`.
-    pub clustered_reads: u64,
-    /// Bytes covered by clustered reads — payloads and skipped gaps.
+    /// Payload bytes batched resolutions verified straight out of a
+    /// session mapping.
     pub coalesced_bytes: u64,
-    /// Segment reads issued, across single reads, clustered windows,
-    /// and the per-pointer fallbacks of windows that could not serve a
-    /// payload. Nothing is cached: concurrent reads of one pointer each
-    /// count one.
+    /// Segment reads issued: one per pointer a batch verified out of a
+    /// session mapping, plus one per single read (including a batch's
+    /// fallback for a pointer its mappings could not serve). Nothing is
+    /// cached: concurrent reads of one pointer each count one.
     pub segment_reads: u64,
 }
 
 /// A caller's reusable state for [`ValueTier::resolve_many`], one per
-/// session scratch: the batch's pointers in segment order, the `pread`
-/// window buffer, the last segment mapping, and the decoded values
-/// themselves. The values belong to the caller, and the next batch
-/// rewrites their blocks in place
-/// ([`ColValue::refill_packed`]): with warm buffers and payloads of
-/// the sizes the last batch read, a batch allocates nothing.
+/// session scratch: the session's segment mappings and the decoded
+/// values themselves. The values belong to the caller, and the next
+/// batch rewrites their blocks in place ([`ColValue::refill_packed`]):
+/// with warm mappings and payloads of the sizes the last batch read, a
+/// batch allocates nothing.
 #[derive(Default)]
 pub struct ResolveScratch {
-    /// `(ptr, version, index into the request batch)`, sorted by
-    /// `(seg, off)` before coalescing.
-    order: Vec<(ValuePtr, u64, u32)>,
-    /// One clustered window's raw segment bytes (`pread` fallback when
-    /// the segment has no mapping that covers it).
-    buf: Vec<u8>,
-    /// Last segment mapping used, keyed by `(reader generation,
-    /// segment id)` — consecutive windows usually hit the same segment,
-    /// skipping the reader's handle table and its lock. Replaced
-    /// whenever a window needs a different (or longer) mapping, and
-    /// **discarded** when the reader's generation has moved
-    /// ([`SegReader::forget`]: GC deleted a segment) — a mapping keeps a
-    /// deleted file's bytes readable, and a pointer into it must come
-    /// back unresolved.
-    map: Option<(u64, u64, Arc<SegMap>)>,
+    maps: SessionMaps,
     /// The last batch's values, positionally (`None`: unresolvable).
     out: Vec<Option<Box<ColValue>>>,
     /// Blocks of earlier batches no read has rewritten yet; after each
@@ -481,6 +451,69 @@ impl ResolveScratch {
     /// resolves nothing).
     pub(crate) fn clear(&mut self) {
         self.out.clear();
+    }
+}
+
+/// Mappings a session holds: few enough to scan, since a batch in
+/// request order switches segment at almost every pointer.
+const SESSION_MAPS: usize = 8;
+
+/// A session's table of segment mappings, keyed by segment id and taken
+/// from [`SegReader::mapped`]. A lookup that hits takes no lock, clones
+/// no `Arc` and allocates nothing. The whole table is **discarded** once
+/// the reader's generation moves ([`SegReader::forget`]: GC deleted a
+/// segment) — a mapping keeps a deleted file's bytes readable, and a
+/// pointer into it must come back unresolved.
+#[derive(Default)]
+struct SessionMaps {
+    /// Reader generation every entry was taken under (or later).
+    gen: u64,
+    slots: [Option<(u64, Arc<SegMap>)>; SESSION_MAPS],
+    /// Slot the next new segment replaces (round robin).
+    next: usize,
+}
+
+impl SessionMaps {
+    /// `ptr`'s payload bytes out of the session's mapping of its
+    /// segment. On a miss, `fill` asks the reader for a mapping that
+    /// covers them; `None` means the payload must be read on its own.
+    fn payload(&mut self, reader: &SegReader, ptr: ValuePtr, fill: bool) -> Option<&[u8]> {
+        let gen = reader.generation();
+        if gen != self.gen {
+            *self = SessionMaps {
+                gen,
+                ..SessionMaps::default()
+            };
+        }
+        let end = ptr.off + u64::from(ptr.len);
+        let i = match self.slots.iter().position(
+            |slot| matches!(slot, Some((seg, m)) if *seg == ptr.seg && end <= m.len as u64),
+        ) {
+            Some(i) => i,
+            None if fill => {
+                // `gen` was loaded before `mapped()`: if a deletion raced
+                // in between, the stale stamp just empties the table at
+                // the next lookup — it never serves old bytes.
+                let m = reader.mapped(ptr.seg, end)?;
+                let i = match self
+                    .slots
+                    .iter()
+                    .position(|s| s.as_ref().is_some_and(|s| s.0 == ptr.seg))
+                {
+                    Some(i) => i,
+                    None => {
+                        let i = self.next;
+                        self.next = (i + 1) % SESSION_MAPS;
+                        i
+                    }
+                };
+                self.slots[i] = Some((ptr.seg, m));
+                i
+            }
+            None => return None,
+        };
+        let (_, m) = self.slots[i].as_ref()?;
+        Some(&m.bytes()[ptr.off as usize..end as usize])
     }
 }
 
@@ -512,7 +545,6 @@ pub struct ValueTier {
     gc_rewritten: AtomicU64,
     unresolved: AtomicU64,
     readahead_batches: AtomicU64,
-    clustered_reads: AtomicU64,
     coalesced_bytes: AtomicU64,
     segment_reads: AtomicU64,
     /// Observability hub of the owning store (set at attach time):
@@ -560,7 +592,6 @@ impl ValueTier {
             gc_rewritten: AtomicU64::new(0),
             unresolved: AtomicU64::new(0),
             readahead_batches: AtomicU64::new(0),
-            clustered_reads: AtomicU64::new(0),
             coalesced_bytes: AtomicU64::new(0),
             segment_reads: AtomicU64::new(0),
             obs: std::sync::OnceLock::new(),
@@ -653,60 +684,61 @@ impl ValueTier {
 
     /// Resolves a batch of indirect values into `scratch`, where
     /// [`ResolveScratch::get`] hands them out positionally until the
-    /// next batch. The pointers are sorted by `(seg, off)`, and
-    /// adjacent and near-adjacent ranges (gap ≤ one page) coalesce into
-    /// one window per run, bounded by the readahead byte budget, served
-    /// from the session's segment mapping (or one `pread` past it). Each
-    /// payload is CRC-checked and decoded out of the window into a block
-    /// of an earlier batch when one of its size is on hand. An
-    /// unresolvable payload reads `None` (counted in
-    /// `unresolved_reads`), exactly as a single resolve would have
-    /// failed.
+    /// next batch. Two passes walk the batch in request order: the
+    /// first prefetches each payload's cache lines out of the session's
+    /// mapping of its segment, running at most [`PREFETCH_AHEAD_BYTES`]
+    /// ahead of the second, which CRC-checks each payload and decodes it
+    /// into a block of an earlier batch when one of its size is on hand.
+    /// The batch thus waits for about one round of memory misses, not
+    /// one per payload. A payload no mapping can serve is read on its
+    /// own ([`ValueTier::read_one`]); an unresolvable one reads `None`
+    /// (counted in `unresolved_reads`), exactly as a single resolve
+    /// would have failed.
     pub fn resolve_many(&self, reqs: &[(ValuePtr, u64)], scratch: &mut ResolveScratch) {
-        let ResolveScratch {
-            order,
-            buf,
-            map,
-            out,
-            spare,
-        } = scratch;
+        let ResolveScratch { maps, out, spare } = scratch;
         spare.extend(out.drain(..).flatten());
-        out.extend(reqs.iter().map(|_| None));
-        self.indirect_reads
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
         let obs = self.obs.get();
         let t0 = obs.map(|_| std::time::Instant::now());
-        order.clear();
-        order.extend(
-            reqs.iter()
-                .enumerate()
-                .map(|(i, &(ptr, version))| (ptr, version, i as u32)),
-        );
-        order.sort_unstable_by_key(|&(p, _, _)| (p.seg, p.off));
-        let mut w = 0;
-        while w < order.len() {
-            let (p0, _, _) = order[w];
-            let (seg, start) = (p0.seg, p0.off);
-            let mut end = p0.off + p0.len as u64;
-            let mut x = w + 1;
-            while x < order.len() {
-                let (p, _, _) = order[x];
-                let pend = p.off + p.len as u64;
-                if p.seg != seg
-                    || p.off > end + COALESCE_GAP
-                    || pend - start > READAHEAD_WINDOW_BYTES
-                {
+        // `ahead` is the next payload to prefetch; `in_flight` the bytes
+        // prefetched and not yet verified — always at least the payload
+        // being verified.
+        let (mut ahead, mut in_flight) = (0, 0usize);
+        let (mut mapped_reads, mut verified_bytes) = (0u64, 0u64);
+        for (i, &(ptr, version)) in reqs.iter().enumerate() {
+            while ahead < reqs.len() {
+                let len = reqs[ahead].0.len as usize;
+                if ahead > i && in_flight + len > PREFETCH_AHEAD_BYTES {
                     break;
                 }
-                end = end.max(pend);
-                x += 1;
+                if let Some(b) = maps.payload(&self.reader, reqs[ahead].0, true) {
+                    prefetch_object(b.as_ptr(), b.len().min(PREFETCH_AHEAD_BYTES));
+                }
+                in_flight += len;
+                ahead += 1;
             }
-            self.read_window(&order[w..x], end, buf, map, spare, out);
-            w = x;
+            in_flight -= ptr.len as usize;
+            let v = maps.payload(&self.reader, ptr, false).and_then(|payload| {
+                mapped_reads += 1;
+                verified_bytes += payload.len() as u64;
+                let block = take_spare(spare, payload.len().saturating_sub(2));
+                (crc32(payload) == ptr.crc)
+                    .then(|| decode_payload_value(payload, version, block))
+                    .flatten()
+            });
+            // A payload no session mapping covers, or one that fails its
+            // CRC or framing there, is read on its own: counted in
+            // `unresolved_reads` if that read fails too.
+            out.push(v.or_else(|| self.read_one(ptr, version, None).ok()));
         }
         // Blocks this batch found no use for wait for the next one, but
         // never more of them than this batch had requests.
         spare.truncate(reqs.len());
+        self.indirect_reads
+            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
+        self.segment_reads
+            .fetch_add(mapped_reads, Ordering::Relaxed);
+        self.coalesced_bytes
+            .fetch_add(verified_bytes, Ordering::Relaxed);
         self.readahead_batches.fetch_add(1, Ordering::Relaxed);
         if let (Some(obs), Some(t0)) = (obs, t0) {
             obs.global()
@@ -714,94 +746,11 @@ impl ValueTier {
         }
     }
 
-    /// The session's mapping of `seg` covering `..end`: the cached one
-    /// while the reader's generation stands still, else a fresh one
-    /// from the reader's handle table. `None` means `pread`.
-    fn session_map<'a>(
-        &self,
-        seg: u64,
-        end: u64,
-        cache: &'a mut Option<(u64, u64, Arc<SegMap>)>,
-    ) -> Option<&'a SegMap> {
-        let gen = self.reader.generation();
-        if !matches!(cache, Some((g, s, m)) if *g == gen && *s == seg && end <= m.len as u64) {
-            // `gen` was loaded before `mapped()`: if a deletion raced in
-            // between, the stale stamp just makes the next window fetch
-            // again — it never serves old bytes.
-            *cache = Some((gen, seg, self.reader.mapped(seg, end)?));
-        }
-        cache.as_ref().map(|(_, _, m)| &**m)
-    }
-
-    /// Resolves one coalesced run — one segment, sorted by offset, so
-    /// the window starts at the first pointer and runs to `end` — with a
-    /// single clustered segment read, carving, CRC-checking and decoding
-    /// each payload out of the window. A failed window read falls back
-    /// to per-pointer reads: a tear inside the window must not condemn
-    /// the intact payloads before it.
-    fn read_window(
-        &self,
-        run: &[(ValuePtr, u64, u32)],
-        end: u64,
-        buf: &mut Vec<u8>,
-        map: &mut Option<(u64, u64, Arc<SegMap>)>,
-        spare: &mut Vec<Box<ColValue>>,
-        out: &mut [Option<Box<ColValue>>],
-    ) {
-        let (seg, start) = (run[0].0.seg, run[0].0.off);
-        let len = (end - start) as usize;
-        self.segment_reads.fetch_add(1, Ordering::Relaxed);
-        self.clustered_reads.fetch_add(1, Ordering::Relaxed);
-        self.coalesced_bytes
-            .fetch_add(len as u64, Ordering::Relaxed);
-        // A mapped window is a slice of the page cache, with no copy.
-        // Otherwise `pread` into the reusable scratch buffer (grow-only:
-        // the read overwrites `..len` in full, so re-zeroing a
-        // previously larger window would only burn memory bandwidth on
-        // bytes about to be replaced).
-        let window: &[u8] = match self.session_map(seg, end, map) {
-            Some(m) => &m.bytes()[start as usize..end as usize],
-            None => {
-                if buf.len() < len {
-                    buf.resize(len, 0);
-                }
-                if self
-                    .reader
-                    .read_clustered(seg, start, &mut buf[..len])
-                    .is_err()
-                {
-                    for &(ptr, version, i) in run {
-                        let block = take_spare(spare, (ptr.len as usize).saturating_sub(2));
-                        out[i as usize] = self.read_one(ptr, version, block).ok();
-                    }
-                    return;
-                }
-                &buf[..len]
-            }
-        };
-        // A payload that fails its CRC or framing inside the window
-        // retries through a fresh per-pointer read (symmetric with the
-        // torn-window fallback above): window-local damage — or a
-        // mapping that went stale mid-batch — must not condemn a payload
-        // the segment can still serve.
-        for &(ptr, version, i) in run {
-            let lo = (ptr.off - start) as usize;
-            let payload = &window[lo..lo + ptr.len as usize];
-            let block = take_spare(spare, payload.len().saturating_sub(2));
-            let v = if crc32(payload) == ptr.crc {
-                decode_payload_value(payload, version, block)
-            } else {
-                None
-            };
-            out[i as usize] = v.or_else(|| self.read_one(ptr, version, None).ok());
-        }
-    }
-
     /// One pointer read on its own, through [`SegReader::read_value`]
     /// (which re-resolves the handle and mapping, so it heals a stale
     /// session mapping), decoded into `spare` when it fits. Counted in
     /// `unresolved_reads` on failure and recorded as `vseg_fill`.
-    /// [`ValueTier::resolve`] and every pointer a clustered window
+    /// [`ValueTier::resolve`] and every pointer a batch's mappings
     /// cannot serve land here.
     fn read_one(
         &self,
@@ -910,7 +859,6 @@ impl ValueTier {
             unresolved_reads: self.unresolved.load(Ordering::Relaxed),
             segments,
             readahead_batches: self.readahead_batches.load(Ordering::Relaxed),
-            clustered_reads: self.clustered_reads.load(Ordering::Relaxed),
             coalesced_bytes: self.coalesced_bytes.load(Ordering::Relaxed),
             segment_reads: self.segment_reads.load(Ordering::Relaxed),
         }
@@ -1018,7 +966,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_many_clusters_contiguous_misses() {
+    fn resolve_many_reads_each_pointer_once_into_reused_blocks() {
         let dir = tmpdir("many");
         let tier = ValueTier::open(&dir, 1 << 20).unwrap();
         let mut ptrs = Vec::new();
@@ -1030,66 +978,105 @@ mod tests {
         assert!(tier.force());
         let reqs: Vec<(ValuePtr, u64)> = ptrs.iter().map(|&p| (p, 7)).collect();
         let mut scratch = ResolveScratch::default();
-        tier.resolve_many(&reqs, &mut scratch);
-        let check = |scratch: &ResolveScratch| {
-            for i in 0..32 {
-                let v = scratch.get(i).expect("all resolvable");
-                assert_eq!(v.col(0), Some(&(i as u32).to_le_bytes()[..]));
-                assert_eq!(v.col(1), Some(&[i as u8; 100][..]));
-            }
+        let blocks = |scratch: &ResolveScratch| {
+            let mut at: Vec<*const ColValue> = (0..32)
+                .map(|i| {
+                    let v = scratch.get(i).expect("all resolvable");
+                    assert_eq!(v.col(0), Some(&(i as u32).to_le_bytes()[..]));
+                    assert_eq!(v.col(1), Some(&[i as u8; 100][..]));
+                    v as *const _
+                })
+                .collect();
             assert!(scratch.get(32).is_none());
+            at.sort_unstable();
+            at
         };
-        check(&scratch);
+        tier.resolve_many(&reqs, &mut scratch);
+        let first = blocks(&scratch);
         let s = tier.stats();
-        // All 32 payloads are contiguous in one segment: one clustered
-        // read covers them all.
-        assert_eq!(s.clustered_reads, 1, "{s:?}");
-        assert_eq!(s.segment_reads, 1, "{s:?}");
+        // One segment read per pointer, every byte of each verified.
+        assert_eq!(s.segment_reads, 32, "{s:?}");
         assert_eq!(s.readahead_batches, 1);
-        assert!(s.coalesced_bytes >= 32 * 100);
+        let payload_bytes: u64 = ptrs.iter().map(|p| u64::from(p.len)).sum();
+        assert_eq!(s.coalesced_bytes, payload_bytes);
         // Second pass: read and checked again, into the first pass's
         // blocks.
-        let blocks: Vec<*const ColValue> = (0..32)
-            .map(|i| scratch.get(i).unwrap() as *const _)
-            .collect();
         tier.resolve_many(&reqs, &mut scratch);
-        check(&scratch);
-        let mut again: Vec<*const ColValue> = (0..32)
-            .map(|i| scratch.get(i).unwrap() as *const _)
-            .collect();
-        again.sort_unstable();
-        let mut blocks = blocks;
-        blocks.sort_unstable();
         assert_eq!(
-            again, blocks,
+            blocks(&scratch),
+            first,
             "the second batch allocated blocks of its own"
         );
-        assert_eq!(tier.stats().segment_reads, 2);
+        assert_eq!(tier.stats().segment_reads, 64);
+        assert_eq!(tier.stats().unresolved_reads, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A batch in no particular order over more segments than a session
+    /// keeps mappings for, with repeated pointers and one past its
+    /// segment's end: every intact payload reads right, the torn one
+    /// reads `None`.
     #[test]
-    fn resolve_many_gap_and_budget_split_windows() {
-        let dir = tmpdir("gap");
-        let tier = ValueTier::open(&dir, 64 << 20).unwrap();
-        let mut ptrs = Vec::new();
-        for i in 0..3u8 {
+    fn resolve_many_shuffled_batch_over_segments_reads_right_bytes() {
+        let dir = tmpdir("shuffle");
+        let tier = ValueTier::open(&dir, 500).unwrap();
+        let mut truth = Vec::new();
+        for i in 0..24u8 {
             let mut p = Vec::new();
-            encode_payload(&[&[i; 64]], &mut p);
-            ptrs.push(tier.append(&p).unwrap());
-            // Pad past the coalescing gap so each pointer is its own
-            // window.
-            let mut pad = Vec::new();
-            encode_payload(&[&vec![0xEE; COALESCE_GAP as usize + 64]], &mut pad);
-            tier.append(&pad).unwrap();
+            encode_payload(&[&[i; 200]], &mut p);
+            truth.push((tier.append(&p).unwrap(), i));
         }
         assert!(tier.force());
-        let reqs: Vec<(ValuePtr, u64)> = ptrs.iter().map(|&p| (p, 1)).collect();
+        let mut segs: Vec<u64> = truth.iter().map(|(p, _)| p.seg).collect();
+        segs.dedup();
+        assert!(segs.len() > SESSION_MAPS, "{segs:?}");
+        // Each pointer twice, shuffled by a fixed stride.
+        let mut batch: Vec<(ValuePtr, u8)> = (0..48).map(|k| truth[k * 7 % 24]).collect();
+        let (last, _) = truth[23];
+        let torn = ValuePtr {
+            off: last.off + u64::from(last.len),
+            ..last
+        };
+        batch.insert(17, (torn, 0));
+        let reqs: Vec<(ValuePtr, u64)> = batch.iter().map(|&(p, _)| (p, 3)).collect();
         let mut scratch = ResolveScratch::default();
         tier.resolve_many(&reqs, &mut scratch);
-        assert!((0..3).all(|i| scratch.get(i).is_some()));
+        for (i, &(ptr, b)) in batch.iter().enumerate() {
+            match scratch.get(i) {
+                Some(v) => assert_eq!((ptr != torn, v.col(0)), (true, Some(&[b; 200][..]))),
+                None => assert_eq!(ptr, torn, "request {i} unresolved"),
+            }
+        }
+        assert_eq!(tier.stats().unresolved_reads, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch far longer than the prefetch run-ahead still reads every
+    /// payload right.
+    #[test]
+    fn resolve_many_batch_past_the_prefetch_budget_reads_right_bytes() {
+        let dir = tmpdir("budget");
+        let tier = ValueTier::open(&dir, 1 << 20).unwrap();
+        let ptrs: Vec<ValuePtr> = (0..200u32)
+            .map(|i| {
+                let mut p = Vec::new();
+                encode_payload(&[&i.to_le_bytes(), &[i as u8; 1020]], &mut p);
+                tier.append(&p).unwrap()
+            })
+            .collect();
+        assert!(tier.force());
+        let total: usize = ptrs.iter().map(|p| p.len as usize).sum();
+        assert!(total > 2 * PREFETCH_AHEAD_BYTES);
+        let reqs: Vec<(ValuePtr, u64)> = ptrs.iter().rev().map(|&p| (p, 1)).collect();
+        let mut scratch = ResolveScratch::default();
+        tier.resolve_many(&reqs, &mut scratch);
+        for (i, k) in (0..200u32).rev().enumerate() {
+            let v = scratch.get(i).expect("resolvable");
+            assert_eq!(v.col(0), Some(&k.to_le_bytes()[..]));
+            assert_eq!(v.col(1), Some(&[k as u8; 1020][..]));
+        }
         let s = tier.stats();
-        assert_eq!(s.clustered_reads, 3, "gap splits windows: {s:?}");
+        assert_eq!((s.segment_reads, s.unresolved_reads), (200, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1101,8 +1088,8 @@ mod tests {
         encode_payload(&[b"intact-payload"], &mut p);
         let good = tier.append(&p).unwrap();
         assert!(tier.force());
-        // A pointer reaching past the segment end tears any window that
-        // includes it; the intact payload before it must still resolve.
+        // A pointer reaching past the segment end is refused; the
+        // intact payload before it must still resolve.
         let torn = ValuePtr {
             off: good.off + good.len as u64,
             len: 512,
@@ -1155,8 +1142,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// GC purges a segment a session has mapped: the session's cached
-    /// mapping must not outlive the file.
+    /// GC purges a segment a session has mapped: the session's mapping
+    /// must not outlive the file, and its mapping of another segment
+    /// still serves.
     #[test]
     fn resolve_many_scratch_map_invalidated_by_purge() {
         let dir = tmpdir("scratchmap");
@@ -1174,11 +1162,13 @@ mod tests {
         assert_eq!(first.seg, second.seg);
         assert_ne!(next.seg, first.seg);
         let mut scratch = ResolveScratch::default();
-        // The session maps S whole while resolving the first payload;
-        // the second payload's bytes are in that mapping too.
-        tier.resolve_many(&[(first, 1)], &mut scratch);
-        assert!(scratch.get(0).is_some());
-        assert!(scratch.map.as_ref().is_some_and(|m| m.1 == first.seg));
+        // The session maps S whole while resolving the first payload,
+        // and the next segment beside it; the second payload's bytes
+        // are in S's mapping too.
+        tier.resolve_many(&[(first, 1), (next, 1)], &mut scratch);
+        assert!(scratch.get(0).is_some() && scratch.get(1).is_some());
+        let before = tier.stats();
+        assert_eq!(before.segment_reads, 2, "both served from mappings");
         // GC condemns S and deletes it. The unlinked file's bytes stay
         // readable through the session's mapping, which must not serve
         // them.
@@ -1187,8 +1177,9 @@ mod tests {
         assert_eq!(tier.gc_candidates(0.99), vec![first.seg]);
         tier.condemn(first.seg, 100);
         assert_eq!(tier.delete_condemned(100), 1);
-        tier.resolve_many(&[(second, 2)], &mut scratch);
+        tier.resolve_many(&[(second, 2), (next, 2)], &mut scratch);
         assert!(scratch.get(0).is_none(), "served a deleted segment's bytes");
+        assert_eq!(scratch.get(1).and_then(|v| v.col(0)), Some(&[3; 256][..]));
         assert_eq!(tier.stats().unresolved_reads, 1);
         assert_eq!(
             tier.resolve(second, 2).unwrap_err(),

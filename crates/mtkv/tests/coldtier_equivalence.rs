@@ -202,8 +202,7 @@ fn cold_tier_equals_all_inline_through_crash_and_gc() {
 
     // The cold store actually exercised the tier: indirect reads
     // happened, live bytes sit in segments, and the scans above went
-    // through the leaf-batched readahead engine (the 512-byte cache
-    // guarantees misses, so batches were clustered segment reads).
+    // through the leaf-batched readahead engine.
     let stats = cold.value_tier_stats();
     assert!(
         stats.live_segment_bytes > 0,
@@ -220,14 +219,13 @@ fn cold_tier_equals_all_inline_through_crash_and_gc() {
 }
 
 /// Readahead-specific equivalence: leaf-batched scans over a cold store
-/// whose cache cannot hold the working set (every chunk goes through
-/// clustered segment reads) must agree row for row and byte for byte
-/// with point gets — through value-GC relocation, a crash/recover
-/// cycle, and while a concurrent writer churns half the key space. The
-/// per-row hazard this pins down is window carving: a clustered read
-/// decodes many payloads out of one buffer by offset arithmetic, so a
-/// mistake would splice one row's bytes into another — here every value
-/// embeds its own key, and every emitted row is checked against it.
+/// (every chunk resolves through one batch) must agree row for row and
+/// byte for byte with point gets — through value-GC relocation, a
+/// crash/recover cycle, and while a concurrent writer churns half the
+/// key space. The per-row hazard this pins down is a batch handing one
+/// row another row's payload — its prefetch and verify passes walk the
+/// batch separately, over several segments — so every value embeds its
+/// own key, and every emitted row is checked against it.
 #[test]
 fn readahead_scans_match_point_gets_through_gc_and_recovery() {
     let base = std::env::temp_dir().join(format!("mtkv-coldra-{}", std::process::id()));
@@ -277,7 +275,7 @@ fn readahead_scans_match_point_gets_through_gc_and_recovery() {
             assert_eq!(cols, &point, "scan/point divergence on {k:?}");
             assert!(
                 cols[0].starts_with(&k[..]),
-                "row carved from the wrong window offset: key {:?} got {:?}",
+                "row read another row's payload: key {:?} got {:?}",
                 String::from_utf8_lossy(k),
                 String::from_utf8_lossy(&cols[0][..12.min(cols[0].len())])
             );
@@ -348,8 +346,8 @@ fn readahead_scans_match_point_gets_through_gc_and_recovery() {
 
     let stats = store.value_tier_stats();
     assert!(
-        stats.readahead_batches > 0 && stats.clustered_reads > 0,
-        "the scans above never exercised clustered resolution: {stats:?}"
+        stats.readahead_batches > 0 && stats.segment_reads > 0,
+        "the scans above never exercised batched resolution: {stats:?}"
     );
 
     drop(store);

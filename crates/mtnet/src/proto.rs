@@ -313,11 +313,10 @@ pub struct StatsReply {
     pub gc_rewritten_bytes: u64,
     /// Value tier: live (referenced) bytes across all value segments.
     pub live_segment_bytes: u64,
-    /// Value tier: batched cold resolutions (`resolve_many` calls), each
-    /// served by clustered segment reads.
+    /// Value tier: batched cold resolutions (`resolve_many` calls).
     pub readahead_batches: u64,
-    /// Value tier: bytes fetched by clustered (coalesced) segment reads
-    /// — payloads plus the gaps dragged along with them.
+    /// Value tier: payload bytes batched resolutions verified out of a
+    /// segment mapping.
     pub coalesced_bytes: u64,
     /// Retired, always 0: concurrent cold misses no longer share one
     /// segment read. The slot stays because reply fields are positional

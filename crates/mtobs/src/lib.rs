@@ -118,8 +118,8 @@ pub enum Kind {
     GcPass = 11,
     /// One cold value read on its own (segment read + CRC + decode).
     VsegFill = 12,
-    /// One batched cold-value resolution (`resolve_many`): clustered
-    /// segment reads, CRC and decode.
+    /// One batched cold-value resolution (`resolve_many`): prefetch,
+    /// CRC and decode of every payload.
     VsegReadahead = 13,
     /// One log truncation + checkpoint prune pass of a durability cycle.
     Truncate = 14,

@@ -13,7 +13,7 @@
 //! least `<threshold>` data bytes to append-only value segments,
 //! keeping a fixed 24-byte pointer in the leaf (README:
 //! "Larger-than-RAM"). `kv_client <addr> stats` reports the tier's
-//! `indirect_reads` / `live_segment_bytes` plus the clustered-resolution
+//! `indirect_reads` / `live_segment_bytes` plus the batched-resolution
 //! counters `readahead_batches` / `coalesced_bytes`.
 //!
 //! Observability:
